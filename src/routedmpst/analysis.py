@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .core import (
     ActionLabel, GEnd, GlobalType, Role, canonicalize, pretty_global,
 )
-from .encoding import encode_global_extended, encode_label
+from .encoding import encode_global, encode_label
 from .semantics import (
     Configuration, config_steps, global_steps, project_configuration,
 )
@@ -95,36 +95,14 @@ class ExplorationReport:
 # ---------------------------------------------------------------------------
 
 
-class _Explorer:
-    """Memoised successor expansion over canonical states."""
-
-    def __init__(self, step_fn, state_cap: int):
-        self.step_fn = step_fn
-        self.state_cap = state_cap
-        self.succs: dict = {}
-
-    def successors(self, state):
-        if state not in self.succs:
-            if len(self.succs) >= self.state_cap:
-                raise StateBudgetExceeded(self.state_cap, len(self.succs))
-            self.succs[state] = tuple((label, self._canon(nxt))
-                                      for label, nxt in self.step_fn(state))
-        return self.succs[state]
-
-    @staticmethod
-    def _canon(state):
-        if isinstance(state, Configuration):
-            return state.canonical()
-        return canonicalize(state)
-
-    @property
-    def states_visited(self) -> int:
-        return len(self.succs)
-
-
 def _trace_set(initial, step_fn, depth: int, state_cap: int):
-    explorer = _Explorer(step_fn, state_cap)
-    start = explorer._canon(initial)
+    """The trace set from `initial` up to `depth`, and the number of canonical
+    states expanded.  Successors are memoised per canonical state; expanding
+    more than `state_cap` states raises StateBudgetExceeded."""
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    canon = Configuration.canonical if isinstance(initial, Configuration) else canonicalize
+    succs: dict = {}
     memo: dict[tuple[object, int], frozenset] = {}
 
     def traces_from(state, d: int) -> frozenset:
@@ -132,23 +110,25 @@ def _trace_set(initial, step_fn, depth: int, state_cap: int):
             return frozenset({()})
         key = (state, d)
         if key not in memo:
+            if state not in succs:
+                if len(succs) >= state_cap:
+                    raise StateBudgetExceeded(state_cap, len(succs))
+                succs[state] = tuple((label, canon(nxt)) for label, nxt in step_fn(state))
             acc = {()}
-            for label, nxt in explorer.successors(state):
+            for label, nxt in succs[state]:
                 for tail in traces_from(nxt, d - 1):
                     acc.add((label,) + tail)
             memo[key] = frozenset(acc)
         return memo[key]
 
-    result = traces_from(start, depth)
-    return TraceSet(depth, result), explorer.states_visited
+    result = traces_from(canon(initial), depth)
+    return TraceSet(depth, result), len(succs)
 
 
 def global_traces(g: GlobalType, depth: int,
                   state_cap: int = DEFAULT_STATE_CAP,
                   disabled: frozenset[str] = frozenset()) -> TraceSet:
     """Exact prefix-closed trace set of the global LTS up to `depth`."""
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
     ts, _ = _trace_set(g, lambda s: global_steps(s, disabled), depth, state_cap)
     return ts
 
@@ -157,8 +137,6 @@ def config_traces(g: GlobalType, depth: int,
                   state_cap: int = DEFAULT_STATE_CAP) -> TraceSet:
     """Trace set of the configuration LTS started from the projected
     configuration of `g`."""
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
     initial = project_configuration(g)
     ts, _ = _trace_set(initial, config_steps, depth, state_cap)
     return ts
@@ -194,40 +172,58 @@ def check_trace_equivalence(g: GlobalType, depth: int,
                              Counterexample(witness, f"trace is {side}"))
 
 
+def _explore(name: str, g: GlobalType, visit, depth: int | None, state_cap: int,
+             disabled: frozenset[str]) -> tuple[ExplorationReport, dict]:
+    """Breadth-first search over the canonical global states reachable from
+    `g`, `depth` levels deep (`None`: until no new state appears).
+
+    `visit(state, trace, succs)` sees each expanded state with the shortest
+    trace reaching it and its `global_steps`.  It yields the (label, successor)
+    pairs to follow, or a Counterexample, which ends the search with `fail`.
+    Successors are recorded as they are yielded, so a failure counts only the
+    states found before it.  More than `state_cap` states before an expansion
+    ends the search with `inconclusive`.
+
+    Returns the report and the map from each state found to its shortest
+    trace, in BFS order."""
+    start = canonicalize(g)
+    seen = {start: ()}
+    frontier = [start]
+    level = 0
+    while frontier and (depth is None or level < depth):
+        nxt_frontier = []
+        for state in frontier:
+            if len(seen) > state_cap:
+                return ExplorationReport(name, INCONCLUSIVE, len(seen), level), seen
+            for item in visit(state, seen[state], global_steps(state, disabled)):
+                if isinstance(item, Counterexample):
+                    return ExplorationReport(name, FAIL, len(seen), level, item), seen
+                label, succ = item
+                key = canonicalize(succ)
+                if key not in seen:
+                    seen[key] = seen[state] + (label,)
+                    nxt_frontier.append(key)
+        frontier = nxt_frontier
+        level += 1
+    return ExplorationReport(name, PASS, len(seen), level), seen
+
+
 def check_deadlock_freedom(g: GlobalType, router: Role,
                            state_cap: int = DEFAULT_STATE_CAP,
                            disabled: frozenset[str] = frozenset()) -> ExplorationReport:
     """Every reachable state of a routed-well-formed type is terminal or can
     step.  Exploration is exhaustive over canonical states (finite for the
     corpus), bounded by `state_cap`."""
-    name = "deadlock_freedom"
     wf = check_wf_routed(g, router)
     if not wf.ok:
         raise PreconditionError(f"type not well-formed for router {router}: {wf.describe()}")
 
-    start = canonicalize(g)
-    seen = {start: ()}  # state -> shortest trace reaching it (BFS order)
-    frontier = [start]
-    depth = 0
-    while frontier:
-        nxt_frontier = []
-        for state in frontier:
-            if len(seen) > state_cap:
-                return ExplorationReport(name, INCONCLUSIVE, len(seen), depth)
-            succs = global_steps(state, disabled)
-            if not succs and not isinstance(state, GEnd):
-                return ExplorationReport(
-                    name, FAIL, len(seen), depth,
-                    Counterexample(seen[state],
-                                   f"stuck non-terminal state:\n{pretty_global(state)}"))
-            for label, succ in succs:
-                key = canonicalize(succ)
-                if key not in seen:
-                    seen[key] = seen[state] + (label,)
-                    nxt_frontier.append(key)
-        frontier = nxt_frontier
-        depth += 1
-    return ExplorationReport(name, PASS, len(seen), depth)
+    def visit(state, trace, succs):
+        if not succs and not isinstance(state, GEnd):
+            yield Counterexample(trace, f"stuck non-terminal state:\n{pretty_global(state)}")
+        yield from succs
+
+    return _explore("deadlock_freedom", g, visit, None, state_cap, disabled)[0]
 
 
 def check_encoding_bisim(g: GlobalType, s: Role, depth: int,
@@ -237,68 +233,34 @@ def check_encoding_bisim(g: GlobalType, s: Role, depth: int,
     encoding maps transitions one-to-one: l is enabled at G' exactly when its
     encoding is enabled at the encoding of G', with successors related by the
     encoding again."""
-    name = "encoding_bisim"
     wf = check_wf(g)
     if not wf.ok:
         raise PreconditionError(f"type not well-formed: {wf.describe()}")
 
-    start = canonicalize(g)
-    seen = {start: ()}
-    frontier = [start]
-    level = 0
-    while frontier and level < depth:
-        nxt_frontier = []
-        for state in frontier:
-            if len(seen) > state_cap:
-                return ExplorationReport(name, INCONCLUSIVE, len(seen), level)
-            enc_state = encode_global_extended(state, s)
-            plain = global_steps(state, disabled)
-            encoded = dict(global_steps(enc_state, disabled))
-            if len(plain) != len(encoded):
-                extra = set(encoded) - {encode_label(l, s) for l, _ in plain}
-                return ExplorationReport(
-                    name, FAIL, len(seen), level,
-                    Counterexample(seen[state],
-                                   f"enabled-set mismatch, encoded side has {sorted(map(str, extra))}"))
-            for label, succ in plain:
-                enc_lbl = encode_label(label, s)
-                if enc_lbl not in encoded:
-                    return ExplorationReport(
-                        name, FAIL, len(seen), level,
-                        Counterexample(seen[state] + (label,),
-                                       f"{enc_lbl} not enabled on encoded state"))
-                expected = canonicalize(encode_global_extended(succ, s))
-                if canonicalize(encoded[enc_lbl]) != expected:
-                    return ExplorationReport(
-                        name, FAIL, len(seen), level,
-                        Counterexample(seen[state] + (label,),
-                                       "encoded successor differs from encoding of successor"))
-                key = canonicalize(succ)
-                if key not in seen:
-                    seen[key] = seen[state] + (label,)
-                    nxt_frontier.append(key)
-        frontier = nxt_frontier
-        level += 1
-    return ExplorationReport(name, PASS, len(seen), level)
+    def visit(state, trace, plain):
+        encoded = dict(global_steps(encode_global(state, s), disabled))
+        if len(plain) != len(encoded):
+            extra = set(encoded) - {encode_label(l, s) for l, _ in plain}
+            yield Counterexample(
+                trace, f"enabled-set mismatch, encoded side has {sorted(map(str, extra))}")
+        for label, succ in plain:
+            enc_lbl = encode_label(label, s)
+            if enc_lbl not in encoded:
+                yield Counterexample(trace + (label,), f"{enc_lbl} not enabled on encoded state")
+            elif canonicalize(encoded[enc_lbl]) != canonicalize(encode_global(succ, s)):
+                yield Counterexample(trace + (label,),
+                                     "encoded successor differs from encoding of successor")
+            else:
+                yield label, succ
+
+    return _explore("encoding_bisim", g, visit, depth, state_cap, disabled)[0]
 
 
 def reachable_states(g: GlobalType, depth: int,
                      state_cap: int = DEFAULT_STATE_CAP) -> list[GlobalType]:
     """Canonical states reachable from g within `depth` steps (BFS order)."""
-    start = canonicalize(g)
-    seen = [start]
-    index = {start}
-    frontier = [start]
-    for _ in range(depth):
-        nxt = []
-        for state in frontier:
-            if len(seen) > state_cap:
-                raise StateBudgetExceeded(state_cap, len(seen))
-            for _, succ in global_steps(state):
-                key = canonicalize(succ)
-                if key not in index:
-                    index.add(key)
-                    seen.append(key)
-                    nxt.append(key)
-        frontier = nxt
-    return seen
+    report, seen = _explore("reachable_states", g, lambda state, trace, succs: succs,
+                            depth, state_cap, frozenset())
+    if report.verdict == INCONCLUSIVE:
+        raise StateBudgetExceeded(state_cap, report.states_visited)
+    return list(seen)

@@ -37,6 +37,17 @@ class _CliFailure(Exception):
         self.code = code
 
 
+def _int_at_least(low: int):
+    """argparse type: an int no smaller than `low`."""
+    def convert(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    convert.__name__ = "int"  # keeps argparse's "invalid int value" message
+    return convert
+
+
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
@@ -66,7 +77,7 @@ def cmd_parse(args) -> int:
 def cmd_project(args) -> int:
     _, g = _load(args.file, args.protocol)
     try:
-        local = project(g, Role(args.role))
+        local = project(g, args.role)
     except MergeFailure as exc:
         raise _CliFailure(str(exc))
     print(pretty_local(local))
@@ -76,7 +87,7 @@ def cmd_project(args) -> int:
 def cmd_check(args) -> int:
     _, g = _load(args.file, args.protocol)
     if args.router:
-        report = check_wf_routed(g, Role(args.router))
+        report = check_wf_routed(g, args.router)
         tag = f"wf^{args.router}"
     else:
         report = check_wf(g)
@@ -91,7 +102,7 @@ def cmd_check(args) -> int:
 def cmd_encode(args) -> int:
     _, g = _load(args.file, args.protocol)
     try:
-        print(pretty_global(encode_global(g, Role(args.router))))
+        print(pretty_global(encode_global(g, args.router)))
     except InvalidType as exc:
         raise _CliFailure(str(exc))
     return 0
@@ -107,18 +118,17 @@ def cmd_traces(args) -> int:
 
 def cmd_verify(args) -> int:
     _, g = _load(args.file, args.protocol)
-    router = Role(args.router)
     wf = check_wf(g)
     if not wf.ok:
         print("wf=fail", file=sys.stderr)
         print(wf.describe(), file=sys.stderr)
         return DOMAIN_ERROR
-    encoded = encode_global(g, router)
+    encoded = encode_global(g, args.router)
     reports = [
         check_trace_equivalence(g, args.depth, args.state_cap),
         check_trace_equivalence(encoded, args.depth, args.state_cap),
-        check_deadlock_freedom(encoded, router, args.state_cap),
-        check_encoding_bisim(g, router, args.depth, args.state_cap),
+        check_deadlock_freedom(encoded, args.router, args.state_cap),
+        check_encoding_bisim(g, args.router, args.depth, args.state_cap),
     ]
     names = ["trace_equivalence", "trace_equivalence_encoded",
              "deadlock_freedom", "encoding_bisim"]
@@ -133,9 +143,8 @@ def cmd_verify(args) -> int:
 
 def cmd_efsm(args) -> int:
     _, g = _load(args.file, args.protocol)
-    role = Role(args.role)
     try:
-        machine = build_efsm(project(g, role), role)
+        machine = build_efsm(project(g, args.role), args.role)
     except MergeFailure as exc:
         raise _CliFailure(str(exc))
     if args.dot:
@@ -149,13 +158,12 @@ def cmd_efsm(args) -> int:
 
 def cmd_gen(args) -> int:
     decls, g = _load(args.file, args.protocol)
-    role = Role(args.role)
     try:
-        machine = build_efsm(project(g, role), role)
+        machine = build_efsm(project(g, args.role), args.role)
         files = emit_skeleton(machine, args.flavor)
     except MergeFailure as exc:
         raise _CliFailure(str(exc))
-    out_dir = Path(args.output) / args.protocol / args.role
+    out_dir = Path(args.output) / args.protocol / args.role.name
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in sorted(files.items()):
         (out_dir / name).write_text(text)
@@ -165,25 +173,27 @@ def cmd_gen(args) -> int:
 
 def cmd_simulate(args) -> int:
     _, g = _load(args.file, args.protocol)
-    router = Role(args.router)
     cancel = None
     if args.cancel:
         role_name, _, at = args.cancel.partition("@")
         if not at.isdigit():
             raise _CliFailure("--cancel expects ROLE@STEP", USAGE_ERROR)
-        cancel = (Role(role_name), int(at))
+        try:
+            cancel = (Role(role_name), int(at))
+        except InvalidType as exc:
+            raise _CliFailure(f"--cancel: {exc}", USAGE_ERROR)
     cfg = SimConfig(seed=args.seed, max_steps=args.max_steps,
                     scheduler=args.scheduler, cancel_injection=cancel)
     scripts = {r: BoundedLoopPolicy(args.rounds) for r in participants(g)}
     try:
-        log = run_session(g, router, scripts, cfg)
+        log = run_session(g, args.router, scripts, cfg)
     except (SimulatorError, MaxStepsExceeded) as exc:
         raise _CliFailure(str(exc))
     sys.stdout.write(log.serialize())
     if log.cancellation:
         notified = ",".join(sorted(r.name for r in log.cancellation.notified))
         print(f"# cancelled by {log.cancellation.initiator} notified {notified}")
-    verdict = validate_log(g, router, log)
+    verdict = validate_log(g, args.router, log)
     print(f"# conformance={'ok' if verdict is True else verdict}")
     return 0 if verdict is True else DOMAIN_ERROR
 
@@ -201,25 +211,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("project", help="project a protocol onto a role")
     p.add_argument("file")
     p.add_argument("protocol")
-    p.add_argument("role")
+    p.add_argument("role", type=Role)
     p.set_defaults(fn=cmd_project)
 
     p = sub.add_parser("check", help="well-formedness (optionally router-aware)")
     p.add_argument("file")
     p.add_argument("protocol")
-    p.add_argument("--router")
+    p.add_argument("--router", type=Role)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("encode", help="encode through a router role")
     p.add_argument("file")
     p.add_argument("protocol")
-    p.add_argument("--router", required=True)
+    p.add_argument("--router", type=Role, required=True)
     p.set_defaults(fn=cmd_encode)
 
     p = sub.add_parser("traces", help="list bounded traces")
     p.add_argument("file")
     p.add_argument("protocol")
-    p.add_argument("--depth", type=int, default=8)
+    p.add_argument("--depth", type=_int_at_least(0), default=8)
     p.add_argument("--config", action="store_true",
                    help="use the configuration semantics instead of the global one")
     p.set_defaults(fn=cmd_traces)
@@ -227,15 +237,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the three theorem checks")
     p.add_argument("file")
     p.add_argument("protocol")
-    p.add_argument("--router", required=True)
-    p.add_argument("--depth", type=int, default=8)
+    p.add_argument("--router", type=Role, required=True)
+    p.add_argument("--depth", type=_int_at_least(0), default=8)
     p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("efsm", help="endpoint state machine (DOT and/or JSON IR)")
     p.add_argument("file")
     p.add_argument("protocol")
-    p.add_argument("role")
+    p.add_argument("role", type=Role)
     p.add_argument("--dot")
     p.add_argument("--ir")
     p.set_defaults(fn=cmd_efsm)
@@ -243,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="emit endpoint skeleton files")
     p.add_argument("file")
     p.add_argument("protocol")
-    p.add_argument("role")
+    p.add_argument("role", type=Role)
     p.add_argument("--flavor", choices=FLAVORS, required=True)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(fn=cmd_gen)
@@ -251,12 +261,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run one deterministic session")
     p.add_argument("file")
     p.add_argument("protocol")
-    p.add_argument("--router", required=True)
+    p.add_argument("--router", type=Role, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rounds", type=int, default=2)
     p.add_argument("--scheduler", choices=["round-robin", "seeded-random"],
                    default="round-robin")
-    p.add_argument("--max-steps", type=int, default=100_000)
+    p.add_argument("--max-steps", type=_int_at_least(1), default=100_000)
     p.add_argument("--cancel", help="ROLE@STEP cancellation injection")
     p.set_defaults(fn=cmd_simulate)
 

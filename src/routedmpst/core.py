@@ -491,17 +491,6 @@ def participants(g: GlobalType) -> frozenset[Role]:
     return base.union(*(participants(c) for _, c in g.branches))
 
 
-def is_canonical_mpst(g: GlobalType) -> bool:
-    """True when g uses only the plain grammar (no routed or transit nodes)."""
-    if isinstance(g, (GEnd, GVar)):
-        return True
-    if isinstance(g, GRec):
-        return is_canonical_mpst(g.body)
-    if isinstance(g, GComm):
-        return all(is_canonical_mpst(c) for _, c in g.branches)
-    return False
-
-
 # ---------------------------------------------------------------------------
 # Pretty printing
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 of a local type, render it as DOT, and serialise a machine-readable IR.
 
 States are the distinct canonical subterms reached by structural traversal,
-with recursion resolved to back-edges.  Numbering is breadth-first from the
+with recursion resolved to back-edges.  The edges of a state are the local
+head rules of its node (`semantics.local_head_steps`); actions that commute
+past a prefix are left out.  Numbering is breadth-first from the
 initial state (branches in source order), which keeps diagram numbering
 and golden files stable.
 """
@@ -13,10 +15,10 @@ import json
 from dataclasses import dataclass
 
 from .core import (
-    ActionLabel, LBranch, LEnd, LRec, LRouter, LRouterTransit, LRoutedBranch,
-    LRoutedSelect, LSelect, LocalType, Role, SEND, canonicalize, direct_recv,
-    direct_send, is_closed, routed_recv, routed_send, unfold_once, validate,
+    ActionLabel, LRec, LocalType, Role, SEND, canonicalize, is_closed,
+    unfold_once, validate,
 )
+from .semantics import local_head_steps
 
 STATE_SEND = "send"
 STATE_RECEIVE = "receive"
@@ -82,35 +84,6 @@ def _unwrap(t: LocalType) -> LocalType:
     return t
 
 
-def _node_actions(node: LocalType, me: Role):
-    """The syntactic actions of one structural node, in source branch order.
-
-    Router nodes expose their forwarding accept; the synthetic in-transit
-    state then carries the matching delivery."""
-    if isinstance(node, LEnd):
-        return []
-    if isinstance(node, LSelect):
-        return [(direct_send(me, node.peer, lbl), cont) for lbl, cont in node.branches]
-    if isinstance(node, LBranch):
-        return [(direct_recv(node.peer, me, lbl), cont) for lbl, cont in node.branches]
-    if isinstance(node, LRoutedSelect):
-        return [(routed_send(me, node.peer, node.via, lbl), cont)
-                for lbl, cont in node.branches]
-    if isinstance(node, LRoutedBranch):
-        return [(routed_recv(node.peer, me, node.via, lbl), cont)
-                for lbl, cont in node.branches]
-    if isinstance(node, LRouter):
-        return [(routed_send(node.sender, node.receiver, me, lbl),
-                 LRouterTransit(node.sender, node.receiver, lbl, node.branches))
-                for lbl, _ in node.branches]
-    if isinstance(node, LRouterTransit):
-        for lbl, cont in node.branches:
-            if lbl == node.chosen:
-                return [(routed_recv(node.sender, node.receiver, me, node.chosen), cont)]
-        raise KeyError(node.chosen)
-    raise TypeError(type(node).__name__)
-
-
 def _kind_of(actions) -> str:
     if not actions:
         return STATE_TERMINAL
@@ -143,7 +116,7 @@ def build_efsm(t: LocalType, self_role: Role) -> Efsm:
         closed = order[visited]
         visited += 1
         node = _unwrap(closed)
-        actions = _node_actions(node, self_role)
+        actions = local_head_steps(node, self_role)
         sid = visited
         states.append(EfsmState(sid, _kind_of(actions), node))
         for action, cont in actions:

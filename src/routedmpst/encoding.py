@@ -10,14 +10,14 @@ from __future__ import annotations
 import warnings
 
 from .core import (
-    ActionLabel, GComm, GEnd, GRec, GRouted, GTransit, GVar, GlobalType,
-    LBranch, LEnd, LRec, LRoutedBranch, LRoutedSelect, LSelect, LVar,
-    LocalType, Role,
+    ActionLabel, GComm, GEnd, GRec, GRouted, GRoutedTransit, GTransit, GVar,
+    GlobalType, LBranch, LEnd, LRec, LRoutedBranch, LRoutedSelect, LSelect,
+    LVar, LocalType, Role, _with_branches,
 )
 
 
 class NotCanonical(ValueError):
-    """Encoding applied to a type that already contains routed or transit nodes."""
+    """Encoding applied to a type that already contains routed nodes."""
 
 
 class AlreadyRouted(ValueError):
@@ -30,40 +30,23 @@ class RouterPerspectiveWarning(UserWarning):
 
 
 def encode_global(g: GlobalType, s: Role) -> GlobalType:
-    """Encode a canonical global type with respect to router `s`."""
+    """Encode a canonical global type with respect to router `s`.
+
+    Direct in-transit markers are encoded too, because the reachable states
+    of a canonical type contain them and the bisimulation checker encodes
+    those mid-trace states.  Routed constructs are rejected."""
     if isinstance(g, GEnd) or isinstance(g, GVar):
         return g
     if isinstance(g, GRec):
         return GRec(g.var, encode_global(g.body, s))
-    if isinstance(g, GComm):
+    if isinstance(g, (GComm, GTransit)):
         branches = tuple((lbl, encode_global(c, s)) for lbl, c in g.branches)
         if s in (g.sender, g.receiver):
-            return GComm(g.sender, g.receiver, branches)
-        return GRouted(g.sender, g.receiver, s, branches)
-    raise NotCanonical(f"cannot encode non-canonical construct {type(g).__name__}")
-
-
-def encode_global_extended(g: GlobalType, s: Role) -> GlobalType:
-    """Encoding extended homomorphically to direct in-transit states.
-
-    Reachable states of a canonical type include direct transit markers; the
-    bisimulation checker needs to encode those mid-trace states as well.
-    Routed constructs remain rejected.
-    """
-    if isinstance(g, GTransit):
-        branches = tuple((lbl, encode_global_extended(c, s)) for lbl, c in g.branches)
-        if s in (g.sender, g.receiver):
-            return GTransit(g.sender, g.receiver, g.chosen, branches)
-        from .core import GRoutedTransit
+            return _with_branches(g, branches)
+        if isinstance(g, GComm):
+            return GRouted(g.sender, g.receiver, s, branches)
         return GRoutedTransit(g.sender, g.receiver, s, g.chosen, branches)
-    if isinstance(g, GRec):
-        return GRec(g.var, encode_global_extended(g.body, s))
-    if isinstance(g, GComm):
-        branches = tuple((lbl, encode_global_extended(c, s)) for lbl, c in g.branches)
-        if s in (g.sender, g.receiver):
-            return GComm(g.sender, g.receiver, branches)
-        return GRouted(g.sender, g.receiver, s, branches)
-    return encode_global(g, s)
+    raise NotCanonical(f"cannot encode non-canonical construct {type(g).__name__}")
 
 
 def encode_local(t: LocalType, q: Role, s: Role) -> LocalType:

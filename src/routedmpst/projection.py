@@ -10,7 +10,7 @@ from __future__ import annotations
 from .core import (
     GComm, GEnd, GRec, GRouted, GRoutedTransit, GTransit, GVar, GlobalType,
     LBranch, LEnd, LRec, LRouter, LRouterTransit, LRoutedBranch, LRoutedSelect,
-    LSelect, LVar, LocalType, MsgLabel, Role, canonically_equal, free_vars,
+    LSelect, LVar, LocalType, Role, branch_for, canonically_equal, free_vars,
     participants, pretty_local,
 )
 
@@ -115,18 +115,11 @@ def project(g: GlobalType, r: Role) -> LocalType:
     if isinstance(g, GTransit):
         if r == g.receiver:
             return LBranch(g.sender, conts)
-        return _chosen_cont(conts, g.chosen)
+        return branch_for(conts, g.chosen)
     if isinstance(g, GRoutedTransit):
         if r == g.receiver:
             return LRoutedBranch(g.sender, g.router, conts)
         if r == g.router:
             return LRouterTransit(g.sender, g.receiver, g.chosen, conts)
-        return _chosen_cont(conts, g.chosen)
+        return branch_for(conts, g.chosen)
     raise TypeError(type(g).__name__)
-
-
-def _chosen_cont(conts, chosen: MsgLabel) -> LocalType:
-    for lbl, cont in conts:
-        if lbl == chosen:
-            return cont
-    raise KeyError(chosen)

@@ -3,9 +3,18 @@ global types, local types and configurations (local types plus FIFO buffers),
 buffer projection, and the subtyping relations used by the trace-equivalence
 checker.
 
-Global rules are named Gr1..Gr9 and local rules Lr1..Lr11 throughout; the
-`disabled` parameter of global_steps exists solely for mutation testing of the
-checkers and must stay empty in production use.
+Global rules are named Gr1..Gr9 and local rules Lr1..Lr11 throughout.  Each
+node's steps split into head rules, where the node's own prefix fires, and
+commuting rules, where an action from under the prefix fires first:
+
+- `_global_head_steps`: Gr1, Gr2, Gr6, Gr7.  Gr3 unfolds recursion in `_gsteps`.
+- `local_head_steps`: Lr1, Lr2, Lr4-Lr7.  Lr3 unfolds recursion in `_lsteps`.
+  These are also the edges of the endpoint state machine (`efsm.build_efsm`).
+- `_commute_all`: Gr4/Gr8, Lr8 and Lr10/Lr11; each passes its own subject filter.
+- `_commute_chosen`: Gr5/Gr9 and Lr9.
+
+The `disabled` parameter of global_steps exists solely for mutation testing of
+the checkers and must stay empty in production use.
 """
 
 from __future__ import annotations
@@ -17,8 +26,8 @@ from .core import (
     ActionLabel, GComm, GEnd, GRec, GRouted, GRoutedTransit, GTransit, GVar,
     GlobalType, InvalidType, LBranch, LEnd, LRec, LRouter, LRouterTransit,
     LRoutedBranch, LRoutedSelect, LSelect, LVar, LocalType, MsgLabel, Role,
-    branch_for, canonicalize, direct_recv, direct_send, participants,
-    routed_recv, routed_send, unfold_once,
+    _with_branches, branch_for, canonicalize, direct_recv, direct_send,
+    participants, routed_recv, routed_send, unfold_once,
 )
 from .projection import project
 
@@ -62,80 +71,80 @@ def _gsteps(g: GlobalType, disabled, stack: frozenset) -> Steps:
         if key in stack:
             return []
         return _gsteps(unfold_once(g), disabled, stack | {key})
+    if type(g) not in _GLOBAL_RULE_NAMES:
+        raise InvalidType(f"not a global type: {type(g).__name__}")
 
-    out: Steps = []
-    if isinstance(g, GComm):
-        if "Gr1" not in disabled:
-            for lbl, _ in g.branches:
-                out.append((direct_send(g.sender, g.receiver, lbl),
-                            GTransit(g.sender, g.receiver, lbl, g.branches)))
-        if "Gr4" not in disabled:
-            out.extend(_prefix_steps_all(g, (g.sender, g.receiver), disabled, stack))
-        return out
-    if isinstance(g, GTransit):
-        if "Gr2" not in disabled:
-            out.append((direct_recv(g.sender, g.receiver, g.chosen),
-                        branch_for(g.branches, g.chosen)))
-        if "Gr5" not in disabled:
-            out.extend(_prefix_steps_chosen(g, disabled, stack))
-        return out
-    if isinstance(g, GRouted):
-        if "Gr6" not in disabled:
-            for lbl, _ in g.branches:
-                out.append((routed_send(g.sender, g.receiver, g.router, lbl),
-                            GRoutedTransit(g.sender, g.receiver, g.router, lbl, g.branches)))
-        if "Gr8" not in disabled:
-            out.extend(_prefix_steps_all(g, (g.sender, g.receiver), disabled, stack))
-        return out
-    if isinstance(g, GRoutedTransit):
-        if "Gr7" not in disabled:
-            out.append((routed_recv(g.sender, g.receiver, g.router, g.chosen),
-                        branch_for(g.branches, g.chosen)))
-        if "Gr9" not in disabled:
-            out.extend(_prefix_steps_chosen(g, disabled, stack))
-        return out
-    raise InvalidType(f"not a global type: {type(g).__name__}")
+    head_rule, commute_rule = _GLOBAL_RULE_NAMES[type(g)]
+    out: Steps = [] if head_rule in disabled else _global_head_steps(g)
+    if commute_rule not in disabled:
+        if isinstance(g, (GTransit, GRoutedTransit)):
+            out.extend(_commute_chosen(g, _gsteps, disabled, stack))
+        else:
+            out.extend(_commute_all(g, lambda label: label.subject not in (g.sender, g.receiver),
+                                    _gsteps, disabled, stack))
+    return out
 
 
-def _prefix_steps_all(g, excluded_subjects, disabled, stack) -> Steps:
-    """Gr4/Gr8: an action causally unrelated to the prefix fires in every
-    branch; its subject must not be an endpoint of the prefix."""
-    per_branch = [dict_of_steps(_gsteps(cont, disabled, stack)) for _, cont in g.branches]
+# Head rule and commuting rule of each prefix node, by rule name, so that
+# `disabled` can switch off each one on its own.
+_GLOBAL_RULE_NAMES = {
+    GComm: ("Gr1", "Gr4"),
+    GTransit: ("Gr2", "Gr5"),
+    GRouted: ("Gr6", "Gr8"),
+    GRoutedTransit: ("Gr7", "Gr9"),
+}
+
+
+def _global_head_steps(g) -> Steps:
+    """Gr1/Gr2/Gr6/Gr7: the prefix itself fires."""
+    if isinstance(g, GComm):  # Gr1
+        return [(direct_send(g.sender, g.receiver, lbl),
+                 GTransit(g.sender, g.receiver, lbl, g.branches)) for lbl, _ in g.branches]
+    if isinstance(g, GTransit):  # Gr2
+        return [(direct_recv(g.sender, g.receiver, g.chosen), branch_for(g.branches, g.chosen))]
+    if isinstance(g, GRouted):  # Gr6
+        return [(routed_send(g.sender, g.receiver, g.router, lbl),
+                 GRoutedTransit(g.sender, g.receiver, g.router, lbl, g.branches))
+                for lbl, _ in g.branches]
+    return [(routed_recv(g.sender, g.receiver, g.router, g.chosen),  # Gr7: GRoutedTransit
+             branch_for(g.branches, g.chosen))]
+
+
+# ---------------------------------------------------------------------------
+# Commuting rules, shared by the global and the local LTS
+# ---------------------------------------------------------------------------
+
+
+# Both helpers take the step function and its arguments rather than a
+# closure, so each nesting level costs the interpreter no extra stack frame.
+
+
+def _commute_all(node, allowed, steps, *args) -> list:
+    """Gr4/Gr8, Lr8, Lr10/Lr11: an action enabled in every branch of `node`,
+    and accepted by the subject filter `allowed`, fires under the prefix;
+    every branch moves past it."""
+    per_branch = [dict_of_steps(steps(cont, *args)) for _, cont in node.branches]
     out = []
     for label in per_branch[0]:
-        if label.subject in excluded_subjects:
-            continue
-        if all(label in steps for steps in per_branch[1:]):
-            branches = tuple(
-                (lbl, per_branch[i][label]) for i, (lbl, _) in enumerate(g.branches))
-            out.append((label, _replace_branches(g, branches)))
+        if allowed(label) and all(label in branch for branch in per_branch[1:]):
+            branches = tuple((lbl, per_branch[i][label])
+                             for i, (lbl, _) in enumerate(node.branches))
+            out.append((label, _with_branches(node, branches)))
     return out
 
 
-def _prefix_steps_chosen(g, disabled, stack) -> Steps:
-    """Gr5/Gr9: under a transit prefix only the chosen branch evolves, and the
-    receiver of the pending message must not be the subject."""
+def _commute_chosen(node, steps, *args) -> list:
+    """Gr5/Gr9, Lr9: under an in-transit prefix only the chosen branch
+    evolves, and the receiver of the pending message must not be the
+    subject, which keeps its receive ordered first."""
     out = []
-    chosen_cont = branch_for(g.branches, g.chosen)
-    for label, succ in _gsteps(chosen_cont, disabled, stack):
-        if label.subject == g.receiver:
+    for label, succ in steps(branch_for(node.branches, node.chosen), *args):
+        if label.subject == node.receiver:
             continue
-        branches = tuple((lbl, succ if lbl == g.chosen else cont)
-                         for lbl, cont in g.branches)
-        out.append((label, _replace_branches(g, branches)))
+        branches = tuple((lbl, succ if lbl == node.chosen else cont)
+                         for lbl, cont in node.branches)
+        out.append((label, _with_branches(node, branches)))
     return out
-
-
-def _replace_branches(g, branches):
-    if isinstance(g, GComm):
-        return GComm(g.sender, g.receiver, branches)
-    if isinstance(g, GRouted):
-        return GRouted(g.sender, g.receiver, g.router, branches)
-    if isinstance(g, GTransit):
-        return GTransit(g.sender, g.receiver, g.chosen, branches)
-    if isinstance(g, GRoutedTransit):
-        return GRoutedTransit(g.sender, g.receiver, g.router, g.chosen, branches)
-    raise TypeError(type(g).__name__)
 
 
 def dict_of_steps(steps):
@@ -159,83 +168,56 @@ def local_steps(t: LocalType, self_role: Role) -> LocalSteps:
 
 
 def _lsteps(t: LocalType, me: Role, stack: frozenset = frozenset()) -> LocalSteps:
-    if isinstance(t, (LEnd, LVar)):
-        return []
     if isinstance(t, LRec):  # Lr3, with the same cycle cut as the global LTS
         key = canonicalize(t)
         if key in stack:
             return []
         return _lsteps(unfold_once(t), me, stack | {key})
 
-    out: LocalSteps = []
-    if isinstance(t, LSelect):
-        for lbl, cont in t.branches:  # Lr1
-            out.append((direct_send(me, t.peer, lbl), cont))
-        out.extend(_own_routing_first(t, me, t.peer, stack))  # Lr10
-        return out
-    if isinstance(t, LBranch):
-        for lbl, cont in t.branches:  # Lr2
-            out.append((direct_recv(t.peer, me, lbl), cont))
-        out.extend(_own_routing_first(t, me, t.peer, stack))  # Lr11
-        return out
-    if isinstance(t, LRoutedSelect):
-        for lbl, cont in t.branches:  # Lr4
-            out.append((routed_send(me, t.peer, t.via, lbl), cont))
-        return out
-    if isinstance(t, LRoutedBranch):
-        for lbl, cont in t.branches:  # Lr5
-            out.append((routed_recv(t.peer, me, t.via, lbl), cont))
-        return out
-    if isinstance(t, LRouter):
-        for lbl, cont in t.branches:  # Lr6
-            out.append((routed_send(t.sender, t.receiver, me, lbl),
-                        LRouterTransit(t.sender, t.receiver, lbl, t.branches)))
+    out = local_head_steps(t, me)
+    if isinstance(t, (LSelect, LBranch)):
+        # Lr10/Lr11: a role acting as router for interactions nested behind
+        # its own direct communication may perform those routing actions
+        # first, provided the direct peer is not the subject.
+        out.extend(_commute_all(t, lambda label: label.via == me and label.subject != t.peer,
+                                _lsteps, me, stack))
+    elif isinstance(t, LRouter):
         # Lr8: causally unrelated actions commute past the routing prefix.
-        out.extend(_router_prefix_all(t, me, stack))
-        return out
-    if isinstance(t, LRouterTransit):
-        out.append((routed_recv(t.sender, t.receiver, me, t.chosen),  # Lr7
-                    branch_for(t.branches, t.chosen)))
-        # Lr9: only the chosen branch evolves; the pending receiver stays ordered.
-        chosen_cont = branch_for(t.branches, t.chosen)
-        for label, succ in _lsteps(chosen_cont, me, stack):
-            if label.subject == t.receiver:
-                continue
-            branches = tuple((lbl, succ if lbl == t.chosen else cont)
-                             for lbl, cont in t.branches)
-            out.append((label, LRouterTransit(t.sender, t.receiver, t.chosen, branches)))
-        return out
-    raise InvalidType(f"not a local type: {type(t).__name__}")
-
-
-def _router_prefix_all(t: LRouter, me: Role, stack) -> LocalSteps:
-    per_branch = [dict_of_steps(_lsteps(cont, me, stack)) for _, cont in t.branches]
-    out = []
-    for label in per_branch[0]:
-        if label.subject in (t.sender, t.receiver):
-            continue
-        if all(label in steps for steps in per_branch[1:]):
-            branches = tuple((lbl, per_branch[i][label])
-                             for i, (lbl, _) in enumerate(t.branches))
-            out.append((label, LRouter(t.sender, t.receiver, branches)))
+        out.extend(_commute_all(t, lambda label: label.subject not in (t.sender, t.receiver),
+                                _lsteps, me, stack))
+    elif isinstance(t, LRouterTransit):
+        out.extend(_commute_chosen(t, _lsteps, me, stack))  # Lr9
     return out
 
 
-def _own_routing_first(t, me: Role, peer: Role, stack) -> LocalSteps:
-    """Lr10/Lr11: a role acting as router for interactions nested behind its
-    own direct communication may perform those routing actions first, provided
-    the direct peer is not the subject of the routed action."""
-    per_branch = [dict_of_steps(_lsteps(cont, me, stack)) for _, cont in t.branches]
-    out = []
-    for label in per_branch[0]:
-        if label.via != me or label.subject == peer:
-            continue
-        if all(label in steps for steps in per_branch[1:]):
-            branches = tuple((lbl, per_branch[i][label])
-                             for i, (lbl, _) in enumerate(t.branches))
-            node = LSelect(peer, branches) if isinstance(t, LSelect) else LBranch(peer, branches)
-            out.append((label, node))
-    return out
+def local_head_steps(node: LocalType, me: Role) -> LocalSteps:
+    """The actions of one local node itself (Lr1, Lr2, Lr4-Lr7), in source
+    branch order, labelled from the point of view of `me`.  `node` must not
+    be a recursion binder: unfold it first.
+
+    These are the edges of the endpoint state machine.  A router node offers
+    its forwarding accept (Lr6); the in-transit node it leads to offers the
+    matching delivery (Lr7)."""
+    if isinstance(node, (LEnd, LVar)):
+        return []
+    if isinstance(node, LSelect):  # Lr1
+        return [(direct_send(me, node.peer, lbl), cont) for lbl, cont in node.branches]
+    if isinstance(node, LBranch):  # Lr2
+        return [(direct_recv(node.peer, me, lbl), cont) for lbl, cont in node.branches]
+    if isinstance(node, LRoutedSelect):  # Lr4
+        return [(routed_send(me, node.peer, node.via, lbl), cont)
+                for lbl, cont in node.branches]
+    if isinstance(node, LRoutedBranch):  # Lr5
+        return [(routed_recv(node.peer, me, node.via, lbl), cont)
+                for lbl, cont in node.branches]
+    if isinstance(node, LRouter):  # Lr6
+        return [(routed_send(node.sender, node.receiver, me, lbl),
+                 LRouterTransit(node.sender, node.receiver, lbl, node.branches))
+                for lbl, _ in node.branches]
+    if isinstance(node, LRouterTransit):  # Lr7
+        return [(routed_recv(node.sender, node.receiver, me, node.chosen),
+                 branch_for(node.branches, node.chosen))]
+    raise InvalidType(f"not a local type: {type(node).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -147,18 +147,6 @@ class FixedScript(ChoicePolicy):
         raise ConformanceViolation(f"scripted label {want!r} not enabled")
 
 
-class RoundRobinPolicy(ChoicePolicy):
-    """Cycles through the enabled labels of each state across visits."""
-
-    def __init__(self):
-        self._visits: dict[int, int] = {}
-
-    def choose(self, state_id, labels, rng):
-        n = self._visits.get(state_id, 0)
-        self._visits[state_id] = n + 1
-        return labels[n % len(labels)]
-
-
 class SeededRandomPolicy(ChoicePolicy):
     def choose(self, state_id, labels, rng):
         return labels[rng.randrange(len(labels))]

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from routedmpst.analysis import (
@@ -17,6 +19,8 @@ from corpus import (
     CORPUS_ROUTERS, G_EX, G_EX_ROUTED, G_TRAVEL, G_TRAVEL_ROUTED, M1, M2, P,
     Q, S, SR, load,
 )
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 REFERENCE_PLAIN_TRACE = (
     direct_send(SR, Q, M2),
@@ -223,3 +227,18 @@ def test_report_lines_machine_readable_format():
     assert "verdict=fail" in failing.lines()
     witness = [line for line in failing.lines() if line.startswith("counterexample=")]
     assert len(witness) == 1 and "!" in witness[0]
+
+
+@pytest.mark.parametrize("name, run", [
+    ("trace_equivalence_Gr4", lambda: check_trace_equivalence(
+        load("Battleships"), 8, disabled=frozenset({"Gr4"}))),
+    ("deadlock_freedom_Gr7", lambda: check_deadlock_freedom(
+        encode_global(G_TRAVEL, S), S, disabled=frozenset({"Gr7"}))),
+    ("encoding_bisim_Gr7", lambda: check_encoding_bisim(
+        G_TRAVEL, S, 10, disabled=frozenset({"Gr7"}))),
+])
+def test_mutation_reports_match_golden_files(name, run):
+    # The criterion-10 failures pinned line by line: verdict, state count,
+    # depth and the exact witness.
+    golden = GOLDEN / f"mutation_{name}.txt"
+    assert "\n".join(run().lines()) + "\n" == golden.read_text(), f"{golden} drifted"

@@ -1,14 +1,16 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from routedmpst.cli import main
 
-from corpus import PROTOCOL_DIR
+from corpus import CORPUS_ROUTERS, PROTOCOL_DIR
 
 TRAVEL = str(PROTOCOL_DIR / "TravelAgency.scr")
 PINGPONG = str(PROTOCOL_DIR / "PingPong.scr")
 GAME = str(PROTOCOL_DIR / "Game.scr")
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, *argv):
@@ -91,6 +93,18 @@ def test_verify_reports_and_exit_code(capsys):
     assert "states=" in out
 
 
+@pytest.mark.parametrize("golden, protocol, extra, exit_code", [
+    *((f"verify_{name}.txt", name, (), 0) for name in sorted(CORPUS_ROUTERS)),
+    # A cap below every checker's state count: all four are inconclusive.
+    ("verify_TravelAgency_cap6.txt", "TravelAgency", ("--state-cap", "6"), 1),
+])
+def test_verify_output_matches_golden_file(capsys, golden, protocol, extra, exit_code):
+    code, out, _ = run(capsys, "verify", str(PROTOCOL_DIR / f"{protocol}.scr"), protocol,
+                       "--router", CORPUS_ROUTERS[protocol], "--depth", "6", *extra)
+    assert code == exit_code
+    assert out == (GOLDEN / golden).read_text(), f"{golden} drifted"
+
+
 def test_verify_fails_on_unprojectable_protocol(capsys, tmp_path):
     bad = tmp_path / "bad.scr"
     bad.write_text("""
@@ -139,6 +153,25 @@ def test_simulate_with_cancellation(capsys):
                        "--router", "S", "--cancel", "A@3")
     assert code == 0
     assert "# cancelled by A notified B,S" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["traces", PINGPONG, "PingPong", "--depth", "-1"],
+    ["verify", PINGPONG, "PingPong", "--router", "S", "--depth", "-1"],
+    ["check", TRAVEL, "TravelAgency", "--router", "bad-name"],
+    ["simulate", TRAVEL, "TravelAgency", "--router", "S", "--cancel", "bad!@3"],
+    ["simulate", PINGPONG, "PingPong", "--router", "S", "--max-steps", "0"],
+])
+def test_bad_argument_values_are_usage_errors(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the value
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    # One message line; argparse may print its usage lines above it.
+    message = [line for line in err.splitlines() if not line.startswith(("usage:", " "))]
+    assert len(message) == 1, err
 
 
 def test_usage_error_exit_two(capsys):

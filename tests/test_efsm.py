@@ -1,7 +1,7 @@
 import json
 import re
 
-from routedmpst.core import LEnd, Role, canonicalize
+from routedmpst.core import LEnd, Role, canonicalize, participants
 from routedmpst.efsm import (
     STATE_RECEIVE, STATE_SEND, STATE_TERMINAL, build_efsm, efsm_ir, render_dot,
 )
@@ -9,7 +9,7 @@ from routedmpst.encoding import encode_global
 from routedmpst.projection import project
 from routedmpst.semantics import local_steps
 
-from corpus import A, B, G_TRAVEL, S, load
+from corpus import A, B, CORPUS_ROUTERS, G_TRAVEL, S, load
 
 TRAVEL_A_MACHINE = {
     (1, "B?Suggest", 2),
@@ -89,15 +89,22 @@ def test_router_machine_includes_forwarding_states():
 
 
 def test_machine_agrees_with_local_lts_on_every_state():
-    for role in (A, B, S):
-        e = travel_machine(role)
-        by_key = {canonicalize(s.local_type): s.id for s in e.states}
-        for st in e.states:
-            machine_steps = {(tr.action, by_key[_target_key(e, tr)])
-                             for tr in e.outgoing(st.id)}
-            lts = {(label, by_key[canonicalize(_unfold(succ))])
-                   for label, succ in local_steps(st.local_type, role)}
-            assert machine_steps == lts, (role, st.id)
+    # Every EFSM edge is a local LTS edge.  The converse fails where a router
+    # may act before a prefix (Lr8, Lr10/Lr11), as in six states of the
+    # encoded TravelAgency router: the machine leaves those edges out.
+    for name, router in sorted(CORPUS_ROUTERS.items()):
+        plain = load(name)
+        for g in (plain, encode_global(plain, Role(router))):
+            for role in sorted(participants(g)):
+                e = build_efsm(project(g, role), role)
+                for st in e.states:
+                    machine_steps = {(tr.action, _target_key(e, tr))
+                                     for tr in e.outgoing(st.id)}
+                    lts = {(label, canonicalize(_unfold(succ)))
+                           for label, succ in local_steps(st.local_type, role)}
+                    assert machine_steps <= lts, (name, g is plain, role, st.id)
+                    if g is plain and name == "TravelAgency":
+                        assert machine_steps == lts, (role, st.id)
 
 
 def _unfold(t):

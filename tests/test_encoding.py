@@ -2,8 +2,9 @@ import pytest
 import warnings
 
 from routedmpst.core import (
-    GEnd, LBranch, LEnd, LRoutedSelect, LSelect, canonically_equal,
-    direct_recv, direct_send, routed_send,
+    GComm, GEnd, GRouted, GRoutedTransit, GTransit, LBranch, LEnd,
+    LRoutedSelect, LSelect, canonically_equal, direct_recv, direct_send,
+    routed_send,
 )
 from routedmpst.encoding import (
     AlreadyRouted, NotCanonical, RouterPerspectiveWarning, encode_global,
@@ -32,6 +33,21 @@ def test_encode_two_message_example():
 def test_encode_rejects_routed_input():
     with pytest.raises(NotCanonical):
         encode_global(G_EX_ROUTED, SR)
+    with pytest.raises(NotCanonical):
+        encode_global(GRoutedTransit(P, Q, SR, M1, one(M1, GEnd())), SR)
+
+
+def test_encode_transit_away_from_router_becomes_routed_transit():
+    # p->q [M1 in flight], then s->q: the reachable state after p's send.
+    state = GTransit(P, Q, M1, one(M1, GComm(SR, Q, one(M2, GEnd()))))
+    assert encode_global(state, SR) == GRoutedTransit(
+        P, Q, SR, M1, one(M1, GComm(SR, Q, one(M2, GEnd()))))
+
+
+def test_encode_transit_touching_router_stays_direct():
+    state = GTransit(SR, Q, M2, one(M2, GComm(P, Q, one(M1, GEnd()))))
+    assert encode_global(state, SR) == GTransit(
+        SR, Q, M2, one(M2, GRouted(P, Q, SR, one(M1, GEnd()))))
 
 
 def test_encode_local_reroutes_client_to_client():
