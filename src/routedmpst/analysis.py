@@ -104,25 +104,29 @@ def _trace_set(initial, step_fn, depth: int, state_cap: int):
     canon = Configuration.canonical if isinstance(initial, Configuration) else canonicalize
     succs: dict = {}
     memo: dict[tuple[object, int], frozenset] = {}
-
-    def traces_from(state, d: int) -> frozenset:
-        if d == 0:
-            return frozenset({()})
-        key = (state, d)
-        if key not in memo:
-            if state not in succs:
-                if len(succs) >= state_cap:
-                    raise StateBudgetExceeded(state_cap, len(succs))
-                succs[state] = tuple((label, canon(nxt)) for label, nxt in step_fn(state))
-            acc = {()}
-            for label, nxt in succs[state]:
-                for tail in traces_from(nxt, d - 1):
-                    acc.add((label,) + tail)
-            memo[key] = frozenset(acc)
-        return memo[key]
-
-    result = traces_from(canon(initial), depth)
+    result = _traces_from(canon(initial), depth, step_fn, canon, state_cap, succs, memo)
     return TraceSet(depth, result), len(succs)
+
+
+def _traces_from(state, d: int, step_fn, canon, state_cap: int, succs: dict,
+                 memo: dict) -> frozenset:
+    """The traces of length at most `d` from `state`, filling `succs` (the
+    canonical successors of each state expanded) and `memo` (trace sets by
+    state and depth) as it goes."""
+    if d == 0:
+        return frozenset({()})
+    key = (state, d)
+    if key not in memo:
+        if state not in succs:
+            if len(succs) >= state_cap:
+                raise StateBudgetExceeded(state_cap, len(succs))
+            succs[state] = tuple((label, canon(nxt)) for label, nxt in step_fn(state))
+        acc = {()}
+        for label, nxt in succs[state]:
+            for tail in _traces_from(nxt, d - 1, step_fn, canon, state_cap, succs, memo):
+                acc.add((label,) + tail)
+        memo[key] = frozenset(acc)
+    return memo[key]
 
 
 def global_traces(g: GlobalType, depth: int,

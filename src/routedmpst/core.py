@@ -347,52 +347,57 @@ def validate(t: AnyType, *, allow_free: bool = False) -> None:
     With allow_free=True unbound recursion variables are tolerated (needed
     when manipulating open subterms, e.g. under substitution).
     """
+    _validate(t, frozenset(), allow_free)
 
-    def go(u: AnyType, bound: frozenset[str]) -> None:
-        if isinstance(u, (GEnd, LEnd)):
-            return
-        if isinstance(u, (GVar, LVar)):
-            if not allow_free and u.var not in bound:
-                raise InvalidType(f"unbound recursion variable {u.var!r}")
-            return
-        if isinstance(u, (GRec, LRec)):
-            body = u.body
-            # Contractiveness: stripping nested binders must not expose a bare
-            # variable (rules out degenerate loops with no communication).
-            probe = body
-            while isinstance(probe, (GRec, LRec)):
-                probe = probe.body
-            if isinstance(probe, (GVar, LVar)):
-                raise InvalidType(f"non-contractive recursion at binder {u.var!r}")
-            go(body, bound | {u.var})
-            return
-        branches = _node_branches(u)
-        if branches is None:
-            raise InvalidType(f"unknown node {type(u).__name__}")
-        if not branches:
-            raise InvalidType(f"{type(u).__name__} with empty branch set")
-        names = [lbl.name for lbl, _ in branches]
-        if len(set(names)) != len(names):
-            raise InvalidType(f"duplicate branch labels in {type(u).__name__}: {names}")
-        if isinstance(u, (GComm, GTransit)):
-            if u.sender == u.receiver:
-                raise InvalidType("communication endpoints must differ")
-        if isinstance(u, (GRouted, GRoutedTransit)):
-            if len({u.sender, u.receiver, u.router}) != 3:
-                raise InvalidType("routed communication roles must be pairwise distinct")
-        if isinstance(u, (LRoutedSelect, LRoutedBranch)):
-            if u.peer == u.via:
-                raise InvalidType("routed endpoint and router must differ")
-        if isinstance(u, (LRouter, LRouterTransit)):
-            if u.sender == u.receiver:
-                raise InvalidType("routed endpoints must differ")
-        if isinstance(u, (GTransit, GRoutedTransit, LRouterTransit)):
-            if u.chosen.name not in names:
-                raise InvalidType(f"chosen label {u.chosen.name!r} not among branches")
-        for _, cont in branches:
-            go(cont, bound)
 
-    go(t, frozenset())
+# The recursive workers below are module-level functions rather than nested
+# closures: a closure that calls itself is a reference cycle, which every
+# call would leave behind for the cyclic garbage collector.
+
+
+def _validate(u: AnyType, bound: frozenset[str], allow_free: bool) -> None:
+    if isinstance(u, (GEnd, LEnd)):
+        return
+    if isinstance(u, (GVar, LVar)):
+        if not allow_free and u.var not in bound:
+            raise InvalidType(f"unbound recursion variable {u.var!r}")
+        return
+    if isinstance(u, (GRec, LRec)):
+        body = u.body
+        # Contractiveness: stripping nested binders must not expose a bare
+        # variable (rules out degenerate loops with no communication).
+        probe = body
+        while isinstance(probe, (GRec, LRec)):
+            probe = probe.body
+        if isinstance(probe, (GVar, LVar)):
+            raise InvalidType(f"non-contractive recursion at binder {u.var!r}")
+        _validate(body, bound | {u.var}, allow_free)
+        return
+    branches = _node_branches(u)
+    if branches is None:
+        raise InvalidType(f"unknown node {type(u).__name__}")
+    if not branches:
+        raise InvalidType(f"{type(u).__name__} with empty branch set")
+    names = [lbl.name for lbl, _ in branches]
+    if len(set(names)) != len(names):
+        raise InvalidType(f"duplicate branch labels in {type(u).__name__}: {names}")
+    if isinstance(u, (GComm, GTransit)):
+        if u.sender == u.receiver:
+            raise InvalidType("communication endpoints must differ")
+    if isinstance(u, (GRouted, GRoutedTransit)):
+        if len({u.sender, u.receiver, u.router}) != 3:
+            raise InvalidType("routed communication roles must be pairwise distinct")
+    if isinstance(u, (LRoutedSelect, LRoutedBranch)):
+        if u.peer == u.via:
+            raise InvalidType("routed endpoint and router must differ")
+    if isinstance(u, (LRouter, LRouterTransit)):
+        if u.sender == u.receiver:
+            raise InvalidType("routed endpoints must differ")
+    if isinstance(u, (GTransit, GRoutedTransit, LRouterTransit)):
+        if u.chosen.name not in names:
+            raise InvalidType(f"chosen label {u.chosen.name!r} not among branches")
+    for _, cont in branches:
+        _validate(cont, bound, allow_free)
 
 
 def free_vars(t: AnyType) -> frozenset[str]:
@@ -445,31 +450,28 @@ def canonicalize(t: AnyType) -> AnyType:
     # Free variables keep their names, so depth-indexed binder names must
     # avoid them (relevant only when re-canonicalising open subterms whose
     # free variables already carry canonical names).
-    reserved = free_vars(t)
+    return _canonical(t, {}, 0, free_vars(t))
 
-    def binder_name(depth: int) -> str:
+
+def _canonical(u: AnyType, env: dict[str, str], depth: int,
+               reserved: frozenset[str]) -> AnyType:
+    if isinstance(u, (GEnd, LEnd)):
+        return u
+    if isinstance(u, (GVar, LVar)):
+        return type(u)(env.get(u.var, u.var))
+    if isinstance(u, (GRec, LRec)):
+        if u.var not in free_vars(u.body):
+            return _canonical(u.body, env, depth, reserved)
         name = f"{_CANON_VAR_PREFIX}{depth}"
         while name in reserved:
             name = _CANON_VAR_PREFIX + name
-        return name
-
-    def go(u: AnyType, env: dict[str, str], depth: int) -> AnyType:
-        if isinstance(u, (GEnd, LEnd)):
-            return u
-        if isinstance(u, (GVar, LVar)):
-            return type(u)(env.get(u.var, u.var))
-        if isinstance(u, (GRec, LRec)):
-            if u.var not in free_vars(u.body):
-                return go(u.body, env, depth)
-            name = binder_name(depth)
-            inner = dict(env)
-            inner[u.var] = name
-            return type(u)(name, go(u.body, inner, depth + 1))
-        branches = tuple(sorted(((lbl, go(c, env, depth)) for lbl, c in _node_branches(u)),
-                                key=lambda item: item[0].name))
-        return _with_branches(u, branches)
-
-    return go(t, {}, 0)
+        inner = dict(env)
+        inner[u.var] = name
+        return type(u)(name, _canonical(u.body, inner, depth + 1, reserved))
+    branches = tuple(sorted(((lbl, _canonical(c, env, depth, reserved))
+                             for lbl, c in _node_branches(u)),
+                            key=lambda item: item[0].name))
+    return _with_branches(u, branches)
 
 
 def canonically_equal(a: AnyType, b: AnyType) -> bool:
@@ -506,49 +508,52 @@ def _fmt_branches(branches, show, indent: int) -> str:
 
 
 def pretty_global(g: GlobalType, indent: int = 0) -> str:
-    def show(u: GlobalType, ind: int) -> str:
-        if isinstance(u, GEnd):
-            return "end"
-        if isinstance(u, GVar):
-            return u.var
-        if isinstance(u, GRec):
-            return f"rec {u.var} . {show(u.body, ind)}"
-        if isinstance(u, GComm):
-            return f"{u.sender}->{u.receiver} " + _fmt_branches(u.branches, show, ind)
-        if isinstance(u, GRouted):
-            return f"{u.sender}->{u.receiver} via {u.router} " + _fmt_branches(u.branches, show, ind)
-        if isinstance(u, GTransit):
-            return (f"{u.sender}->{u.receiver} [{u.chosen.name} in flight] "
-                    + _fmt_branches(u.branches, show, ind))
-        if isinstance(u, GRoutedTransit):
-            return (f"{u.sender}->{u.receiver} via {u.router} [{u.chosen.name} in flight] "
-                    + _fmt_branches(u.branches, show, ind))
-        raise InvalidType(type(u).__name__)
+    return _show_global(g, indent)
 
-    return show(g, indent)
+
+def _show_global(u: GlobalType, ind: int) -> str:
+    if isinstance(u, GEnd):
+        return "end"
+    if isinstance(u, GVar):
+        return u.var
+    if isinstance(u, GRec):
+        return f"rec {u.var} . {_show_global(u.body, ind)}"
+    if isinstance(u, GComm):
+        return f"{u.sender}->{u.receiver} " + _fmt_branches(u.branches, _show_global, ind)
+    if isinstance(u, GRouted):
+        return (f"{u.sender}->{u.receiver} via {u.router} "
+                + _fmt_branches(u.branches, _show_global, ind))
+    if isinstance(u, GTransit):
+        return (f"{u.sender}->{u.receiver} [{u.chosen.name} in flight] "
+                + _fmt_branches(u.branches, _show_global, ind))
+    if isinstance(u, GRoutedTransit):
+        return (f"{u.sender}->{u.receiver} via {u.router} [{u.chosen.name} in flight] "
+                + _fmt_branches(u.branches, _show_global, ind))
+    raise InvalidType(type(u).__name__)
 
 
 def pretty_local(t: LocalType, indent: int = 0) -> str:
-    def show(u: LocalType, ind: int) -> str:
-        if isinstance(u, LEnd):
-            return "end"
-        if isinstance(u, LVar):
-            return u.var
-        if isinstance(u, LRec):
-            return f"rec {u.var} . {show(u.body, ind)}"
-        if isinstance(u, LSelect):
-            return f"{u.peer}!" + _fmt_branches(u.branches, show, ind)
-        if isinstance(u, LBranch):
-            return f"{u.peer}?" + _fmt_branches(u.branches, show, ind)
-        if isinstance(u, LRoutedSelect):
-            return f"{u.peer}(via {u.via})!" + _fmt_branches(u.branches, show, ind)
-        if isinstance(u, LRoutedBranch):
-            return f"{u.peer}(via {u.via})?" + _fmt_branches(u.branches, show, ind)
-        if isinstance(u, LRouter):
-            return f"route {u.sender}->{u.receiver} " + _fmt_branches(u.branches, show, ind)
-        if isinstance(u, LRouterTransit):
-            return (f"route {u.sender}->{u.receiver} [{u.chosen.name} in flight] "
-                    + _fmt_branches(u.branches, show, ind))
-        raise InvalidType(type(u).__name__)
+    return _show_local(t, indent)
 
-    return show(t, indent)
+
+def _show_local(u: LocalType, ind: int) -> str:
+    if isinstance(u, LEnd):
+        return "end"
+    if isinstance(u, LVar):
+        return u.var
+    if isinstance(u, LRec):
+        return f"rec {u.var} . {_show_local(u.body, ind)}"
+    if isinstance(u, LSelect):
+        return f"{u.peer}!" + _fmt_branches(u.branches, _show_local, ind)
+    if isinstance(u, LBranch):
+        return f"{u.peer}?" + _fmt_branches(u.branches, _show_local, ind)
+    if isinstance(u, LRoutedSelect):
+        return f"{u.peer}(via {u.via})!" + _fmt_branches(u.branches, _show_local, ind)
+    if isinstance(u, LRoutedBranch):
+        return f"{u.peer}(via {u.via})?" + _fmt_branches(u.branches, _show_local, ind)
+    if isinstance(u, LRouter):
+        return f"route {u.sender}->{u.receiver} " + _fmt_branches(u.branches, _show_local, ind)
+    if isinstance(u, LRouterTransit):
+        return (f"route {u.sender}->{u.receiver} [{u.chosen.name} in flight] "
+                + _fmt_branches(u.branches, _show_local, ind))
+    raise InvalidType(type(u).__name__)

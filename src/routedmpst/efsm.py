@@ -100,12 +100,19 @@ def build_efsm(t: LocalType, self_role: Role) -> Efsm:
 
     ids: dict[LocalType, int] = {}
     order: list[LocalType] = []
+    # Back edges lead to the recursion binder object itself, so a state met
+    # again is found by identity before it is unfolded and canonicalised.
+    by_object: dict[int, tuple[LocalType, int]] = {}
 
     def state_id(closed: LocalType) -> int:
+        hit = by_object.get(id(closed))
+        if hit is not None:
+            return hit[1]
         key = canonicalize(_unwrap(closed))
         if key not in ids:
             ids[key] = len(order) + 1
             order.append(closed)
+        by_object[id(closed)] = (closed, ids[key])
         return ids[key]
 
     transitions: list[EfsmTransition] = []

@@ -1,7 +1,6 @@
 """Executable transition semantics: the labelled transition systems over
 global types, local types and configurations (local types plus FIFO buffers),
-buffer projection, and the subtyping relations used by the trace-equivalence
-checker.
+buffer projection, and structural subtyping of local types and configurations.
 
 Global rules are named Gr1..Gr9 and local rules Lr1..Lr11 throughout.  Each
 node's steps split into head rules, where the node's own prefix fires, and
@@ -12,6 +11,11 @@ commuting rules, where an action from under the prefix fires first:
   These are also the edges of the endpoint state machine (`efsm.build_efsm`).
 - `_commute_all`: Gr4/Gr8, Lr8 and Lr10/Lr11; each passes its own subject filter.
 - `_commute_chosen`: Gr5/Gr9 and Lr9.
+
+The configuration LTS has two forms that share one configuration rule
+(`_enabled`): `config_steps` over `Configuration` values, and
+`CompiledConfigurations`, which interns each role's canonical local states in
+a `LocalStepTable` and steps over tuples of state ids plus buffers.
 
 The `disabled` parameter of global_steps exists solely for mutation testing of
 the checkers and must stay empty in production use.
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 from .core import (
     ActionLabel, GComm, GEnd, GRec, GRouted, GRoutedTransit, GTransit, GVar,
     GlobalType, InvalidType, LBranch, LEnd, LRec, LRouter, LRouterTransit,
-    LRoutedBranch, LRoutedSelect, LSelect, LVar, LocalType, MsgLabel, Role,
+    LRoutedBranch, LRoutedSelect, LSelect, LVar, LocalType, MsgLabel, Role, SEND,
     _with_branches, branch_for, canonicalize, direct_recv, direct_send,
     participants, routed_recv, routed_send, unfold_once,
 )
@@ -148,9 +152,13 @@ def _commute_chosen(node, steps, *args) -> list:
 
 
 def dict_of_steps(steps):
+    """The steps as `{label: successor}`.  The transition relations are
+    label-deterministic; a label with two different successors raises
+    InvalidType rather than losing one of them."""
     out = {}
     for label, succ in steps:
-        assert label not in out or out[label] == succ, f"duplicate label {label}"
+        if label in out and out[label] != succ:
+            raise InvalidType(f"label {label} has two different successors")
         out[label] = succ
     return out
 
@@ -167,12 +175,15 @@ def local_steps(t: LocalType, self_role: Role) -> LocalSteps:
     return _sorted_steps(_lsteps(t, self_role))
 
 
-def _lsteps(t: LocalType, me: Role, stack: frozenset = frozenset()) -> LocalSteps:
+def _lsteps(t: LocalType, me: Role, canonical_key=canonicalize,
+            stack: frozenset = frozenset()) -> LocalSteps:
     if isinstance(t, LRec):  # Lr3, with the same cycle cut as the global LTS
-        key = canonicalize(t)
+        # `canonical_key` maps equal canonical forms, and only those, to
+        # equal keys: the canonical form itself, or its step-table id.
+        key = canonical_key(t)
         if key in stack:
             return []
-        return _lsteps(unfold_once(t), me, stack | {key})
+        return _lsteps(unfold_once(t), me, canonical_key, stack | {key})
 
     out = local_head_steps(t, me)
     if isinstance(t, (LSelect, LBranch)):
@@ -180,13 +191,13 @@ def _lsteps(t: LocalType, me: Role, stack: frozenset = frozenset()) -> LocalStep
         # its own direct communication may perform those routing actions
         # first, provided the direct peer is not the subject.
         out.extend(_commute_all(t, lambda label: label.via == me and label.subject != t.peer,
-                                _lsteps, me, stack))
+                                _lsteps, me, canonical_key, stack))
     elif isinstance(t, LRouter):
         # Lr8: causally unrelated actions commute past the routing prefix.
         out.extend(_commute_all(t, lambda label: label.subject not in (t.sender, t.receiver),
-                                _lsteps, me, stack))
+                                _lsteps, me, canonical_key, stack))
     elif isinstance(t, LRouterTransit):
-        out.extend(_commute_chosen(t, _lsteps, me, stack))  # Lr9
+        out.extend(_commute_chosen(t, _lsteps, me, canonical_key, stack))  # Lr9
     return out
 
 
@@ -303,42 +314,141 @@ def config_steps(c: Configuration) -> list[tuple[ActionLabel, Configuration]]:
     Routed actions additionally require (and advance) the router's local type.
     """
     steps_by_role = {r: dict_of_steps(_lsteps(t, r)) for r, t in c.locals}
-    candidates: dict[ActionLabel, Configuration] = {}
-
-    for r, steps in steps_by_role.items():
-        for label, succ in steps.items():
-            if label in candidates:
-                continue
-            nxt = _apply_label(c, label, steps_by_role)
-            if nxt is not None:
-                candidates[label] = nxt
-
-    return _sorted_steps(candidates.items())
+    return _sorted_steps((label, c._update(movers, {pair: content}))
+                         for label, (movers, pair, content)
+                         in _enabled(steps_by_role, dict(c.buffers)).items())
 
 
-def _apply_label(c: Configuration, label: ActionLabel, steps_by_role):
-    p, q, m = label.sender, label.receiver, label.msg
-    movers: dict[Role, LocalType] = {}
+def _enabled(steps_by_role, buffers):
+    """The configuration rule: every label some role can take that the
+    configuration enables, as `{label: (movers, pair, content)}`.
 
-    initiator = label.subject
-    if label not in steps_by_role.get(initiator, {}):
-        return None
-    movers[initiator] = steps_by_role[initiator][label]
-    if label.routed:
-        s = label.via
-        if s not in steps_by_role or label not in steps_by_role[s]:
+    `steps_by_role` maps each role to its local steps `{label: successor}`
+    and `buffers` each ordered role pair to its FIFO content.  The subject of
+    a label, and for a routed label its router too, must each offer it; they
+    move to `movers[role]`.  A send appends its message to the buffer of
+    `pair`, a receive pops it from the head; `content` is the new buffer.
+    Successors are opaque here, so the rule serves local types and step-table
+    ids alike."""
+    out = {}
+    for steps in steps_by_role.values():
+        for label in steps:
+            if label not in out:
+                fired = _apply_label(label, steps_by_role, buffers)
+                if fired is not None:
+                    out[label] = fired
+    return out
+
+
+def _apply_label(label: ActionLabel, steps_by_role, buffers):
+    movers = {}
+    for r in (label.subject, label.via) if label.routed else (label.subject,):
+        succ = steps_by_role.get(r, {}).get(label)
+        if succ is None:
             return None
-        movers[s] = steps_by_role[s][label]
+        movers[r] = succ
+    pair = (label.sender, label.receiver)
+    buf = buffers.get(pair)
+    if buf is None:
+        return None
+    if label.direction == SEND:
+        return movers, pair, buf + (label.msg,)
+    if not buf or buf[0] != label.msg:
+        return None
+    return movers, pair, buf[1:]
 
-    try:
-        buf = c.buffer(p, q)
-    except KeyError:
-        return None
-    if label.direction == "!":
-        return c._update(movers, {(p, q): buf + (m,)})
-    if not buf or buf[0] != m:
-        return None
-    return c._update(movers, {(p, q): buf[1:]})
+
+class LocalStepTable:
+    """One role's local LTS, compiled: canonical local states interned as
+    ids, each with its full `_lsteps` edges (head and commuting rules) as
+    `{label: successor id}`.
+
+    A state's edges are built the first time they are asked for.  Canonical
+    equality is id equality, so a search over ids visits exactly the states
+    a search over canonical local types visits.  Every local type met while
+    building edges, successors and the recursion binders of the `_lsteps`
+    cycle cut alike, is remembered with its id, so none is canonicalised
+    twice."""
+
+    def __init__(self, role: Role):
+        self.role = role
+        self.states: list[LocalType] = []  # canonical local type of each id
+        self._ids: dict[LocalType, int] = {}  # local types met and canonical forms
+        # The same objects are met again (a recursion binder is substituted
+        # into its own body), so look them up by identity before hashing
+        # them structurally; each entry keeps its object, and so its id, alive.
+        self._met: dict[int, tuple[LocalType, int]] = {}
+        self._edges: list[dict[ActionLabel, int] | None] = []
+
+    def intern(self, t: LocalType) -> int:
+        met = self._met.get(id(t))
+        if met is not None:
+            return met[1]
+        sid = self._ids.get(t)
+        if sid is None:
+            key = canonicalize(t)
+            sid = self._ids.get(key)
+            if sid is None:
+                sid = self._ids[key] = len(self.states)
+                self.states.append(key)
+                self._edges.append(None)
+            self._ids[t] = sid
+        self._met[id(t)] = (t, sid)
+        return sid
+
+    def edges(self, sid: int) -> dict[ActionLabel, int]:
+        edges = self._edges[sid]
+        if edges is None:
+            steps = dict_of_steps(_lsteps(self.states[sid], self.role, self.intern))
+            edges = self._edges[sid] = {label: self.intern(succ)
+                                        for label, succ in steps.items()}
+        return edges
+
+
+class CompiledConfigurations:
+    """The configuration LTS over per-role step tables.
+
+    A configuration is a key `(ids, contents)`: one `LocalStepTable` id per
+    role and one buffer content per ordered role pair, both in the order of
+    the `Configuration` it was compiled from.  Two keys are equal exactly
+    when the canonical forms of their configurations are equal.  The tables
+    live as long as this object."""
+
+    def __init__(self, c: Configuration):
+        self.roles = c.roles
+        self.pairs = tuple(pair for pair, _ in c.buffers)
+        self._pair_index = {pair: i for i, pair in enumerate(self.pairs)}
+        self.tables = tuple(LocalStepTable(r) for r in self.roles)
+        self._steps: dict[tuple, tuple] = {}
+        self.initial = (tuple(table.intern(t) for table, (_, t) in zip(self.tables, c.locals)),
+                        tuple(content for _, content in c.buffers))
+
+    def steps(self, key) -> tuple[tuple[ActionLabel, tuple], ...]:
+        """The successors of a key, one per enabled label, as `config_steps`
+        gives them for its configuration (not sorted by label).  Computed
+        once per key: a log search expands the same few keys many times."""
+        if key not in self._steps:
+            ids, contents = key
+            steps_by_role = {r: table.edges(sid)
+                             for r, table, sid in zip(self.roles, self.tables, ids)}
+            out = []
+            for label, (movers, pair, content) in \
+                    _enabled(steps_by_role, dict(zip(self.pairs, contents))).items():
+                moved = tuple(movers.get(r, sid) for r, sid in zip(self.roles, ids))
+                at = self._pair_index[pair]
+                out.append((label, (moved, contents[:at] + (content,) + contents[at + 1:])))
+            self._steps[key] = tuple(out)
+        return self._steps[key]
+
+    def buffer(self, key, p: Role, q: Role) -> tuple[MsgLabel, ...]:
+        return key[1][self._pair_index[(p, q)]]
+
+    def configuration(self, key) -> Configuration:
+        """The canonical configuration a key stands for."""
+        ids, contents = key
+        return Configuration(
+            locals=tuple((table.role, table.states[sid]) for table, sid in zip(self.tables, ids)),
+            buffers=tuple(zip(self.pairs, contents)))
 
 
 def project_configuration(g: GlobalType, roles: tuple[Role, ...] | None = None) -> Configuration:
@@ -351,26 +461,27 @@ def project_configuration(g: GlobalType, roles: tuple[Role, ...] | None = None) 
     parts = sorted(set(roles) if roles else participants(g))
     locals_map = {r: project(g, r) for r in parts}
     buffers: dict[RolePair, tuple[MsgLabel, ...]] = {}
-
-    def fill(u: GlobalType) -> None:
-        if isinstance(u, (GEnd, GVar)):
-            return
-        if isinstance(u, GRec):
-            fill(u.body)
-            return
-        if isinstance(u, (GTransit, GRoutedTransit)):
-            key = (u.sender, u.receiver)
-            buffers[key] = buffers.get(key, ()) + (u.chosen,)
-            fill(branch_for(u.branches, u.chosen))
-            return
-        if isinstance(u, (GComm, GRouted)):
-            # All branches agree on buffer contents for projectable types.
-            fill(u.branches[0][1])
-            return
-        raise InvalidType(type(u).__name__)
-
-    fill(g)
+    _fill_buffers(g, buffers)
     return Configuration.make(locals_map, buffers)
+
+
+def _fill_buffers(u: GlobalType, buffers: dict) -> None:
+    """Append the message of every in-transit marker of `u` to its buffer."""
+    if isinstance(u, (GEnd, GVar)):
+        return
+    if isinstance(u, GRec):
+        _fill_buffers(u.body, buffers)
+        return
+    if isinstance(u, (GTransit, GRoutedTransit)):
+        key = (u.sender, u.receiver)
+        buffers[key] = buffers.get(key, ()) + (u.chosen,)
+        _fill_buffers(branch_for(u.branches, u.chosen), buffers)
+        return
+    if isinstance(u, (GComm, GRouted)):
+        # All branches agree on buffer contents for projectable types.
+        _fill_buffers(u.branches[0][1], buffers)
+        return
+    raise InvalidType(type(u).__name__)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .analysis import StateBudgetExceeded
 from .efsm import Efsm, STATE_RECEIVE, STATE_SEND, STATE_TERMINAL, build_efsm
 from .encoding import encode_global
 from .projection import project
-from .semantics import ActionLabel, config_steps, project_configuration
+from .semantics import ActionLabel, CompiledConfigurations, project_configuration
 from .wellformed import check_wf_routed
 
 DATA = "data"
@@ -458,7 +458,9 @@ def validate_log(g: GlobalType, router: Role, log: SessionLog,
     an interleaving of sends under which the configuration LTS of the encoded
     type performs exactly these deliveries, in order.
 
-    Returns True on success, otherwise the first offending envelope index.
+    Returns True on success, otherwise a `Violation` naming the first data
+    envelope (0-based among them) that no interleaving can deliver.  Raises
+    StateBudgetExceeded after `state_cap` configurations are expanded.
     """
     canonical = _decode_routed(g, router)
     encoded = encode_global(canonical, router)
@@ -484,11 +486,14 @@ def validate_log(g: GlobalType, router: Role, log: SessionLog,
     pair_counts.reverse()
     pair_counts.append({})
 
-    frontier = {project_configuration(encoded).canonical()}
+    # Configurations are compiled keys; dicts serve as insertion-ordered sets
+    # so the search order does not depend on hashing.
+    lts = CompiledConfigurations(project_configuration(encoded))
+    frontier = {lts.initial: None}
     explored = 0
     for i, target in enumerate(targets):
         needed = pair_counts[i]
-        next_frontier = set()
+        next_frontier = {}
         seen = set(frontier)
         stack = list(frontier)
         while stack:
@@ -496,17 +501,16 @@ def validate_log(g: GlobalType, router: Role, log: SessionLog,
             explored += 1
             if explored > state_cap:
                 raise StateBudgetExceeded(state_cap, explored)
-            for label, succ in config_steps(conf):
+            for label, succ in lts.steps(conf):
                 if _delivery_key(label) == target:
-                    next_frontier.add(succ.canonical())
+                    next_frontier[succ] = None
                 elif label.direction == SEND:
                     pair = (label.sender, label.receiver)
-                    if len(conf.buffer(*pair)) >= needed.get(pair, 0):
+                    if len(lts.buffer(conf, *pair)) >= needed.get(pair, 0):
                         continue  # nothing left in the log could consume it
-                    key = succ.canonical()
-                    if key not in seen:
-                        seen.add(key)
-                        stack.append(key)
+                    if succ not in seen:
+                        seen.add(succ)
+                        stack.append(succ)
         if not next_frontier:
             return Violation(i, f"delivery {deliveries[i].sender}->"
                                 f"{deliveries[i].receiver} "

@@ -30,28 +30,28 @@ def is_centroid(g: GlobalType, s: Role) -> CentroidResult:
     On failure the result carries the branch-label path to the outermost
     violating construct.
     """
+    return _centroid(g, s, ())
 
-    def go(u: GlobalType, path: tuple[str, ...]) -> CentroidResult:
-        if isinstance(u, (GEnd, GVar)):
-            return CentroidResult(True)
-        if isinstance(u, GRec):
-            return go(u.body, path)
-        if isinstance(u, (GComm, GTransit)):
-            if s not in (u.sender, u.receiver):
-                return CentroidResult(False, path, f"{u.sender}->{u.receiver} does not involve {s}")
-        elif isinstance(u, (GRouted, GRoutedTransit)):
-            if u.router != s:
-                return CentroidResult(False, path,
-                                      f"{u.sender}->{u.receiver} routed via {u.router}, not {s}")
-        else:
-            raise TypeError(type(u).__name__)
-        for lbl, cont in u.branches:
-            sub = go(cont, path + (lbl.name,))
-            if not sub.ok:
-                return sub
+
+def _centroid(u: GlobalType, s: Role, path: tuple[str, ...]) -> CentroidResult:
+    if isinstance(u, (GEnd, GVar)):
         return CentroidResult(True)
-
-    return go(g, ())
+    if isinstance(u, GRec):
+        return _centroid(u.body, s, path)
+    if isinstance(u, (GComm, GTransit)):
+        if s not in (u.sender, u.receiver):
+            return CentroidResult(False, path, f"{u.sender}->{u.receiver} does not involve {s}")
+    elif isinstance(u, (GRouted, GRoutedTransit)):
+        if u.router != s:
+            return CentroidResult(False, path,
+                                  f"{u.sender}->{u.receiver} routed via {u.router}, not {s}")
+    else:
+        raise TypeError(type(u).__name__)
+    for lbl, cont in u.branches:
+        sub = _centroid(cont, s, path + (lbl.name,))
+        if not sub.ok:
+            return sub
+    return CentroidResult(True)
 
 
 @dataclass(frozen=True)

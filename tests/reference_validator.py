@@ -1,0 +1,85 @@
+"""Reference log validator used as an oracle for `simulator.validate_log`.
+
+This is the plain search: a depth-first walk over `Configuration` values,
+stepped with the public `config_steps` and deduplicated by
+`Configuration.canonical`.  It shares none of the compiled step tables that
+`validate_log` runs on.  The only speed-up is a memo of the canonical
+successors of each canonical configuration, which leaves the search itself
+unchanged.
+"""
+
+from routedmpst.analysis import StateBudgetExceeded
+from routedmpst.core import RECV, SEND, ActionLabel
+from routedmpst.encoding import encode_global
+from routedmpst.semantics import config_steps, project_configuration
+from routedmpst.simulator import DATA, VALIDATION_STATE_CAP, Violation, _decode_routed
+
+
+class ReferenceValidator:
+    """Validates logs of one protocol; keep one instance per protocol so its
+    successor memo is reused across logs."""
+
+    def __init__(self, g, router):
+        self.router = router
+        self.initial = project_configuration(
+            encode_global(_decode_routed(g, router), router)).canonical()
+        self._succs = {}
+
+    def successors(self, conf):
+        if conf not in self._succs:
+            self._succs[conf] = [(label, succ.canonical()) for label, succ in config_steps(conf)]
+        return self._succs[conf]
+
+    def validate(self, log, state_cap=VALIDATION_STATE_CAP):
+        """(verdict, explored): `validate_log`'s result and the number of
+        configurations the search expanded."""
+        deliveries = []
+        for rec in log.records:
+            if rec.envelope.kind != DATA:
+                break
+            deliveries.append(rec.envelope)
+        targets = []
+        for env in deliveries:
+            via = self.router if self.router not in (env.sender, env.receiver) else None
+            targets.append(_by_name(ActionLabel(RECV, env.sender, env.receiver, env.msg, via=via)))
+        # needed[i][pair]: deliveries on `pair` from envelope i onwards.
+        needed = [{}]
+        for env in reversed(deliveries):
+            counts = dict(needed[-1])
+            pair = (env.sender, env.receiver)
+            counts[pair] = counts.get(pair, 0) + 1
+            needed.append(counts)
+        needed.reverse()
+
+        frontier = {self.initial}
+        explored = 0
+        for i, target in enumerate(targets):
+            next_frontier = set()
+            seen = set(frontier)
+            stack = list(frontier)
+            while stack:
+                conf = stack.pop()
+                explored += 1
+                if explored > state_cap:
+                    raise StateBudgetExceeded(state_cap, explored)
+                for label, succ in self.successors(conf):
+                    if _by_name(label) == target:
+                        next_frontier.add(succ)
+                    elif label.direction == SEND:
+                        pair = (label.sender, label.receiver)
+                        if len(conf.buffer(*pair)) >= needed[i].get(pair, 0):
+                            continue
+                        if succ not in seen:
+                            seen.add(succ)
+                            stack.append(succ)
+            if not next_frontier:
+                env = deliveries[i]
+                return Violation(i, f"delivery {env.sender}->{env.receiver} "
+                                    f"{env.msg.name} not realisable here"), explored
+            frontier = next_frontier
+        return True, explored
+
+
+def _by_name(label):
+    via = label.via.name if label.via else ""
+    return (label.direction, label.sender.name, label.receiver.name, via, label.msg.name)

@@ -1,0 +1,99 @@
+"""`validate_log` against the reference search of `reference_validator` on
+corpus sessions and mutations of their logs."""
+
+import pytest
+
+from routedmpst.analysis import StateBudgetExceeded
+from routedmpst.core import MsgLabel, Role, participants
+from routedmpst.encoding import encode_global
+from routedmpst.simulator import (
+    BoundedLoopPolicy, Envelope, LogRecord, SessionLog, SimConfig, run_session,
+    validate_log,
+)
+
+from corpus import CORPUS_ROUTERS, load
+from reference_validator import ReferenceValidator
+
+SCHEDULERS = ("round-robin", "seeded-random")
+
+
+def _session(g, router, scheduler, seed, rounds):
+    scripts = {r: BoundedLoopPolicy(rounds) for r in participants(g)}
+    return run_session(g, router, scripts, SimConfig(seed=seed, scheduler=scheduler))
+
+
+def _mutations(log):
+    """Relabel the last envelope, swap the middle pair, drop the middle
+    envelope, truncate to half."""
+    records = list(log.records)
+    n = len(records)
+    last = records[-1].envelope
+    names = sorted({r.envelope.msg.name for r in records} - {last.msg.name}) or ["Bogus"]
+    relabelled = Envelope(last.sender, last.receiver, MsgLabel(names[0]), b"")
+    mid = n // 2
+    swapped = records[:]
+    swapped[mid - 1], swapped[mid] = swapped[mid], swapped[mid - 1]
+    return {
+        "relabel": records[:-1] + [LogRecord(records[-1].step, relabelled)],
+        "swap": swapped,
+        "drop": records[:mid] + records[mid + 1:],
+        "truncate": records[:mid],
+    }
+
+
+def _assert_agrees(g, router, log, oracle):
+    """Same verdict, and the same number of configurations expanded: the
+    search fits a state cap of exactly that many and no fewer."""
+    want, explored = oracle.validate(log)
+    assert validate_log(g, router, log, state_cap=explored) == want
+    if explored:
+        with pytest.raises(StateBudgetExceeded):
+            validate_log(g, router, log, state_cap=explored - 1)
+    return want
+
+
+@pytest.fixture(scope="module")
+def oracles():
+    """One reference validator per protocol.  A plain protocol and its
+    encoding are validated on the same encoded LTS, so they share one."""
+    made = {}
+
+    def oracle(name):
+        if name not in made:
+            made[name] = ReferenceValidator(load(name), Role(CORPUS_ROUTERS[name]))
+        return made[name]
+
+    return oracle
+
+
+@pytest.mark.parametrize("encoded", [False, True], ids=["plain", "encoded"])
+@pytest.mark.parametrize("name", sorted(CORPUS_ROUTERS))
+def test_validate_log_agrees_with_reference_search(oracles, name, encoded):
+    router = Role(CORPUS_ROUTERS[name])
+    g = load(name)
+    if encoded:
+        g = encode_global(g, router)
+    logs = {}
+    for scheduler in SCHEDULERS:
+        for seed in range(5):
+            for rounds in (1, 2, 4):
+                log = _session(g, router, scheduler, seed, rounds)
+                logs.setdefault(log.serialize(), log)
+    verdicts = {}
+    for log in logs.values():
+        assert _assert_agrees(g, router, log, oracles(name)) is True
+        for kind, records in _mutations(log).items():
+            verdict = _assert_agrees(g, router, SessionLog(tuple(records), None, ()),
+                                     oracles(name))
+            verdicts.setdefault(kind, set()).add(verdict is True)
+    # Every mutation that changes a delivery is caught on some log.
+    for kind in ("relabel", "drop"):
+        assert False in verdicts[kind], kind
+
+
+def test_long_battleships_log_validates(oracles):
+    router = Role("Svr")
+    g = load("Battleships")
+    log = _session(g, router, "round-robin", 0, 32)
+    assert len(log.data_records) == 191
+    assert _assert_agrees(g, router, log, oracles("Battleships")) is True
