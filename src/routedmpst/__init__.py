@@ -24,7 +24,7 @@ from .encoding import (
 )
 from .semantics import (
     Configuration, config_steps, global_steps, local_steps,
-    project_configuration, subtype_config, subtype_local,
+    project_configuration,
 )
 from .analysis import (
     ExplorationReport, StateBudgetExceeded, TraceSet, check_deadlock_freedom,

@@ -400,14 +400,22 @@ def _validate(u: AnyType, bound: frozenset[str], allow_free: bool) -> None:
         _validate(cont, bound, allow_free)
 
 
-def free_vars(t: AnyType) -> frozenset[str]:
+def free_vars(t: AnyType, used: set[int] | None = None) -> frozenset[str]:
+    """The free variables of `t`, computed bottom up in one walk.  If `used`
+    is given, the id of every binder under `t` whose variable occurs in its
+    body is added to it."""
     if isinstance(t, (GEnd, LEnd)):
         return frozenset()
     if isinstance(t, (GVar, LVar)):
         return frozenset((t.var,))
     if isinstance(t, (GRec, LRec)):
-        return free_vars(t.body) - {t.var}
-    return frozenset().union(*(free_vars(c) for _, c in _node_branches(t)))
+        inner = free_vars(t.body, used)
+        if t.var not in inner:
+            return inner
+        if used is not None:
+            used.add(id(t))
+        return inner - {t.var}
+    return frozenset().union(*(free_vars(c, used) for _, c in _node_branches(t)))
 
 
 def is_closed(t: AnyType) -> bool:
@@ -447,28 +455,33 @@ def canonicalize(t: AnyType) -> AnyType:
     equal; the output is idempotent under re-canonicalisation.
     """
     validate(t, allow_free=True)
+    # One bottom-up walk finds the free variables of `t` and the binders
+    # whose variable is used, so the renaming walk below never recomputes
+    # the free variables of a body: the call is linear in the size of `t`.
+    used: set[int] = set()
     # Free variables keep their names, so depth-indexed binder names must
     # avoid them (relevant only when re-canonicalising open subterms whose
     # free variables already carry canonical names).
-    return _canonical(t, {}, 0, free_vars(t))
+    reserved = free_vars(t, used)
+    return _canonical(t, {}, 0, reserved, used)
 
 
 def _canonical(u: AnyType, env: dict[str, str], depth: int,
-               reserved: frozenset[str]) -> AnyType:
+               reserved: frozenset[str], used: set[int]) -> AnyType:
     if isinstance(u, (GEnd, LEnd)):
         return u
     if isinstance(u, (GVar, LVar)):
         return type(u)(env.get(u.var, u.var))
     if isinstance(u, (GRec, LRec)):
-        if u.var not in free_vars(u.body):
-            return _canonical(u.body, env, depth, reserved)
+        if id(u) not in used:
+            return _canonical(u.body, env, depth, reserved, used)
         name = f"{_CANON_VAR_PREFIX}{depth}"
         while name in reserved:
             name = _CANON_VAR_PREFIX + name
         inner = dict(env)
         inner[u.var] = name
-        return type(u)(name, _canonical(u.body, inner, depth + 1, reserved))
-    branches = tuple(sorted(((lbl, _canonical(c, env, depth, reserved))
+        return type(u)(name, _canonical(u.body, inner, depth + 1, reserved, used))
+    branches = tuple(sorted(((lbl, _canonical(c, env, depth, reserved, used))
                              for lbl, c in _node_branches(u)),
                             key=lambda item: item[0].name))
     return _with_branches(u, branches)

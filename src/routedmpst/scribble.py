@@ -392,49 +392,53 @@ class _Parser:
         return DoStmt(name, tuple(args), self.span_from(start))
 
     def _check_roles(self, decl: ProtocolDecl) -> None:
-        declared = set(decl.role_params)
+        _check_roles_in(decl.body, set(decl.role_params))
 
-        def walk(stmts) -> None:
-            for stmt in stmts:
-                if isinstance(stmt, MsgStmt):
-                    for role in (stmt.sender, stmt.receiver):
-                        if role not in declared:
-                            raise UnknownRole(f"role {role} not declared", stmt.span)
-                elif isinstance(stmt, ChoiceStmt):
-                    if stmt.at not in declared:
-                        raise UnknownRole(f"role {stmt.at} not declared", stmt.span)
-                    for blk in stmt.blocks:
-                        walk(blk)
-                elif isinstance(stmt, DoStmt):
-                    for role in stmt.args:
-                        if role not in declared:
-                            raise UnknownRole(f"role {role} not declared", stmt.span)
 
-        walk(decl.body)
+# The recursive walkers below are module-level functions rather than nested
+# closures: a closure that calls itself is a reference cycle, which every
+# call would leave behind for the cyclic garbage collector.
+
+
+def _check_roles_in(stmts, declared: set[str]) -> None:
+    for stmt in stmts:
+        if isinstance(stmt, MsgStmt):
+            for role in (stmt.sender, stmt.receiver):
+                if role not in declared:
+                    raise UnknownRole(f"role {role} not declared", stmt.span)
+        elif isinstance(stmt, ChoiceStmt):
+            if stmt.at not in declared:
+                raise UnknownRole(f"role {stmt.at} not declared", stmt.span)
+            for blk in stmt.blocks:
+                _check_roles_in(blk, declared)
+        elif isinstance(stmt, DoStmt):
+            for role in stmt.args:
+                if role not in declared:
+                    raise UnknownRole(f"role {role} not declared", stmt.span)
 
 
 def parse_module(text: str, filename: str = "<string>") -> list[ProtocolDecl]:
     """Parse a protocol module; `do` targets are resolved against the module."""
     decls = _Parser(text, filename).module()
     by_name = {d.name: d for d in decls}
-
-    def check_calls(decl: ProtocolDecl, stmts) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, DoStmt):
-                target = by_name.get(stmt.protocol)
-                if target is None:
-                    raise UnknownProtocol(f"protocol {stmt.protocol} not defined", stmt.span)
-                if len(stmt.args) != len(target.role_params):
-                    raise ArityMismatch(
-                        f"{stmt.protocol} takes {len(target.role_params)} roles, "
-                        f"got {len(stmt.args)}", stmt.span)
-            elif isinstance(stmt, ChoiceStmt):
-                for blk in stmt.blocks:
-                    check_calls(decl, blk)
-
     for decl in decls:
-        check_calls(decl, decl.body)
+        _check_calls(decl.body, by_name)
     return decls
+
+
+def _check_calls(stmts, by_name: dict[str, ProtocolDecl]) -> None:
+    for stmt in stmts:
+        if isinstance(stmt, DoStmt):
+            target = by_name.get(stmt.protocol)
+            if target is None:
+                raise UnknownProtocol(f"protocol {stmt.protocol} not defined", stmt.span)
+            if len(stmt.args) != len(target.role_params):
+                raise ArityMismatch(
+                    f"{stmt.protocol} takes {len(target.role_params)} roles, "
+                    f"got {len(stmt.args)}", stmt.span)
+        elif isinstance(stmt, ChoiceStmt):
+            for blk in stmt.blocks:
+                _check_calls(blk, by_name)
 
 
 # --------------------------------------------------------------------------
@@ -507,84 +511,94 @@ def elaborate(decls: list[ProtocolDecl], entry: str,
     if len(args) != len(root.role_params):
         raise ArityMismatch(f"{entry} takes {len(root.role_params)} roles, got {len(args)}")
 
-    alias_map = {a.alias: a.remote_name for a in root.type_aliases}
-    binders: dict[tuple[str, tuple[Role, ...]], str] = {}
-    used_binders: set[str] = set()
-    counter = [0]
-
-    def resolve_sort(sort: str) -> str:
-        return alias_map.get(sort, sort)
-
-    def expand(decl: ProtocolDecl, actuals: tuple[Role, ...],
-               is_entry: bool = False) -> GlobalType:
-        key = (decl.name, actuals)
-        binder = f"t{counter[0]}"
-        counter[0] += 1
-        binders[key] = binder
-        env = dict(zip(decl.role_params, actuals))
-        body = seq(decl.body, env)
-        del binders[key]
-        # Call expansions are always binder-wrapped; the entry protocol only
-        # when its own key is revisited.  Unused binders vanish under
-        # canonicalisation.  Wrapping a bare end/variable would be vacuous or
-        # non-contractive, so those pass through.
-        if (binder in used_binders or not is_entry) \
-                and not isinstance(body, (GEnd, GVar)):
-            return GRec(binder, body)
-        return body
-
-    def seq(stmts, env) -> GlobalType:
-        if not stmts:
-            return GEnd()
-        head, rest = stmts[0], stmts[1:]
-        if isinstance(head, MsgStmt):
-            if env[head.sender] == env[head.receiver]:
-                raise ScribbleError("message sender and receiver coincide", head.span)
-            lbl = MsgLabel(head.label, tuple(resolve_sort(s) for s in head.payload_sorts))
-            return GComm(env[head.sender], env[head.receiver], ((lbl, seq(rest, env)),))
-        if isinstance(head, DoStmt):
-            # Tail position is guaranteed by the parser.
-            target = by_name[head.protocol]
-            actuals = tuple(env[a] for a in head.args)
-            key = (head.protocol, actuals)
-            if key in binders:
-                used_binders.add(binders[key])
-                return GVar(binders[key])
-            return expand(target, actuals)
-        if isinstance(head, ChoiceStmt):
-            chooser = env[head.at]
-            receiver = None
-            branches = []
-            for blk in head.blocks:
-                if not blk or not isinstance(blk[0], MsgStmt):
-                    raise ScribbleError(
-                        "every choice branch must start with a message from the "
-                        "deciding role", head.span)
-                first = blk[0]
-                if env[first.sender] != chooser:
-                    raise ScribbleError(
-                        f"branch starts with a message from {first.sender}, "
-                        f"but the choice is at {head.at}", first.span)
-                if receiver is None:
-                    receiver = env[first.receiver]
-                elif env[first.receiver] != receiver:
-                    raise ScribbleError(
-                        "all branches of a choice must first message the same role",
-                        first.span)
-                if env[first.sender] == env[first.receiver]:
-                    raise ScribbleError("message sender and receiver coincide", first.span)
-                lbl = MsgLabel(first.label,
-                               tuple(resolve_sort(s) for s in first.payload_sorts))
-                if any(lbl.name == b[0].name for b in branches):
-                    raise ScribbleError(f"duplicate branch label {lbl.name}", first.span)
-                # The parser guarantees nothing follows a choice, so the
-                # branch continuation is just the rest of its own block.
-                branches.append((lbl, seq(tuple(blk[1:]), env)))
-            return GComm(chooser, receiver, tuple(branches))
-        raise TypeError(type(head).__name__)
-
-    result = expand(root, tuple(args), is_entry=True)
+    st = _Elaboration(by_name, {a.alias: a.remote_name for a in root.type_aliases})
+    result = _expand(st, root, tuple(args), is_entry=True)
     if free_vars(result):
         raise UnboundedCall(f"expansion left unbound recursion: {sorted(free_vars(result))}")
     validate(result)
     return result
+
+
+@dataclass
+class _Elaboration:
+    """The state of one `elaborate` call, passed to `_expand` and `_seq`."""
+
+    by_name: dict[str, ProtocolDecl]
+    alias_map: dict[str, str]
+    # The binder of each (protocol, role tuple) being expanded.
+    binders: dict[tuple[str, tuple[Role, ...]], str] = field(default_factory=dict)
+    used_binders: set[str] = field(default_factory=set)
+    counter: int = 0
+
+    def label(self, stmt: MsgStmt) -> MsgLabel:
+        return MsgLabel(stmt.label,
+                        tuple(self.alias_map.get(s, s) for s in stmt.payload_sorts))
+
+
+def _expand(st: _Elaboration, decl: ProtocolDecl, actuals: tuple[Role, ...],
+            is_entry: bool = False) -> GlobalType:
+    key = (decl.name, actuals)
+    binder = f"t{st.counter}"
+    st.counter += 1
+    st.binders[key] = binder
+    env = dict(zip(decl.role_params, actuals))
+    body = _seq(st, decl.body, env)
+    del st.binders[key]
+    # Call expansions are always binder-wrapped; the entry protocol only
+    # when its own key is revisited.  Unused binders vanish under
+    # canonicalisation.  Wrapping a bare end/variable would be vacuous or
+    # non-contractive, so those pass through.
+    if (binder in st.used_binders or not is_entry) \
+            and not isinstance(body, (GEnd, GVar)):
+        return GRec(binder, body)
+    return body
+
+
+def _seq(st: _Elaboration, stmts, env) -> GlobalType:
+    if not stmts:
+        return GEnd()
+    head, rest = stmts[0], stmts[1:]
+    if isinstance(head, MsgStmt):
+        if env[head.sender] == env[head.receiver]:
+            raise ScribbleError("message sender and receiver coincide", head.span)
+        return GComm(env[head.sender], env[head.receiver],
+                     ((st.label(head), _seq(st, rest, env)),))
+    if isinstance(head, DoStmt):
+        # Tail position is guaranteed by the parser.
+        target = st.by_name[head.protocol]
+        actuals = tuple(env[a] for a in head.args)
+        key = (head.protocol, actuals)
+        if key in st.binders:
+            st.used_binders.add(st.binders[key])
+            return GVar(st.binders[key])
+        return _expand(st, target, actuals)
+    if isinstance(head, ChoiceStmt):
+        chooser = env[head.at]
+        receiver = None
+        branches = []
+        for blk in head.blocks:
+            if not blk or not isinstance(blk[0], MsgStmt):
+                raise ScribbleError(
+                    "every choice branch must start with a message from the "
+                    "deciding role", head.span)
+            first = blk[0]
+            if env[first.sender] != chooser:
+                raise ScribbleError(
+                    f"branch starts with a message from {first.sender}, "
+                    f"but the choice is at {head.at}", first.span)
+            if receiver is None:
+                receiver = env[first.receiver]
+            elif env[first.receiver] != receiver:
+                raise ScribbleError(
+                    "all branches of a choice must first message the same role",
+                    first.span)
+            if env[first.sender] == env[first.receiver]:
+                raise ScribbleError("message sender and receiver coincide", first.span)
+            lbl = st.label(first)
+            if any(lbl.name == b[0].name for b in branches):
+                raise ScribbleError(f"duplicate branch label {lbl.name}", first.span)
+            # The parser guarantees nothing follows a choice, so the
+            # branch continuation is just the rest of its own block.
+            branches.append((lbl, _seq(st, tuple(blk[1:]), env)))
+        return GComm(chooser, receiver, tuple(branches))
+    raise TypeError(type(head).__name__)

@@ -1,6 +1,6 @@
 """Executable transition semantics: the labelled transition systems over
 global types, local types and configurations (local types plus FIFO buffers),
-buffer projection, and structural subtyping of local types and configurations.
+and buffer projection.
 
 Global rules are named Gr1..Gr9 and local rules Lr1..Lr11 throughout.  Each
 node's steps split into head rules, where the node's own prefix fires, and
@@ -12,30 +12,30 @@ commuting rules, where an action from under the prefix fires first:
 - `_commute_all`: Gr4/Gr8, Lr8 and Lr10/Lr11; each passes its own subject filter.
 - `_commute_chosen`: Gr5/Gr9 and Lr9.
 
-The configuration LTS has two forms that share one configuration rule
-(`_enabled`): `config_steps` over `Configuration` values, and
-`CompiledConfigurations`, which interns each role's canonical local states in
-a `LocalStepTable` and steps over tuples of state ids plus buffers.
+Both LTSs have a compiled form, `StepTable`: canonical states interned as
+ids, each with its edges as `{label: successor id}`.  A global table (no
+role) is what the checkers in `analysis` search.  One local table per role
+backs `CompiledConfigurations`, which steps over tuples of state ids plus
+buffers and shares the configuration rule (`_enabled`) with `config_steps`,
+the form over `Configuration` values.
 
-The `disabled` parameter of global_steps exists solely for mutation testing of
-the checkers and must stay empty in production use.
+The `disabled` parameter of `global_steps` and of a global `StepTable` exists
+solely for mutation testing of the checkers and must stay empty in production
+use.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 from .core import (
-    ActionLabel, GComm, GEnd, GRec, GRouted, GRoutedTransit, GTransit, GVar,
-    GlobalType, InvalidType, LBranch, LEnd, LRec, LRouter, LRouterTransit,
+    ActionLabel, AnyType, GComm, GEnd, GRec, GRouted, GRoutedTransit, GTransit,
+    GVar, GlobalType, InvalidType, LBranch, LEnd, LRec, LRouter, LRouterTransit,
     LRoutedBranch, LRoutedSelect, LSelect, LVar, LocalType, MsgLabel, Role, SEND,
     _with_branches, branch_for, canonicalize, direct_recv, direct_send,
     participants, routed_recv, routed_send, unfold_once,
 )
 from .projection import project
-
-_log = logging.getLogger(__name__)
 
 Steps = list[tuple[ActionLabel, GlobalType]]
 LocalSteps = list[tuple[ActionLabel, LocalType]]
@@ -56,13 +56,18 @@ def global_steps(g: GlobalType, disabled: frozenset[str] = frozenset()) -> Steps
     """All one-step successors of a closed global type, in deterministic
     label order.  The relation is label-deterministic, so each label appears
     at most once."""
+    _check_rules(disabled)
+    return _sorted_steps(_gsteps(g, disabled))
+
+
+def _check_rules(disabled: frozenset[str]) -> None:
     bad = disabled - GLOBAL_RULES
     if bad:
         raise ValueError(f"unknown global rules: {sorted(bad)}")
-    return _sorted_steps(_gsteps(g, disabled, frozenset()))
 
 
-def _gsteps(g: GlobalType, disabled, stack: frozenset) -> Steps:
+def _gsteps(g: GlobalType, disabled, canonical_key=canonicalize,
+            stack: frozenset = frozenset()) -> Steps:
     if isinstance(g, (GEnd, GVar)):
         return []
     if isinstance(g, GRec):
@@ -70,11 +75,12 @@ def _gsteps(g: GlobalType, disabled, stack: frozenset) -> Steps:
             return []
         # Cut at canonical repeats: the prefix rules propagate one label
         # downward, so a derivable step never needs to unfold the same
-        # recursive state twice along one derivation path.
-        key = canonicalize(g)
+        # recursive state twice along one derivation path.  `canonical_key`
+        # is as in `_lsteps`.
+        key = canonical_key(g)
         if key in stack:
             return []
-        return _gsteps(unfold_once(g), disabled, stack | {key})
+        return _gsteps(unfold_once(g), disabled, canonical_key, stack | {key})
     if type(g) not in _GLOBAL_RULE_NAMES:
         raise InvalidType(f"not a global type: {type(g).__name__}")
 
@@ -82,10 +88,10 @@ def _gsteps(g: GlobalType, disabled, stack: frozenset) -> Steps:
     out: Steps = [] if head_rule in disabled else _global_head_steps(g)
     if commute_rule not in disabled:
         if isinstance(g, (GTransit, GRoutedTransit)):
-            out.extend(_commute_chosen(g, _gsteps, disabled, stack))
+            out.extend(_commute_chosen(g, _gsteps, disabled, canonical_key, stack))
         else:
             out.extend(_commute_all(g, lambda label: label.subject not in (g.sender, g.receiver),
-                                    _gsteps, disabled, stack))
+                                    _gsteps, disabled, canonical_key, stack))
     return out
 
 
@@ -358,29 +364,35 @@ def _apply_label(label: ActionLabel, steps_by_role, buffers):
     return movers, pair, buf[1:]
 
 
-class LocalStepTable:
-    """One role's local LTS, compiled: canonical local states interned as
-    ids, each with its full `_lsteps` edges (head and commuting rules) as
-    `{label: successor id}`.
+class StepTable:
+    """One LTS, compiled: canonical states interned as ids, each with its
+    full edges (head and commuting rules) as `{label: successor id}`.
+
+    With a `role` it is that role's local LTS (`_lsteps`, edges in rule
+    order); without one it is the global LTS (`_gsteps` with the Gr rules in
+    `disabled` switched off, edges in the label order of `global_steps`).
+    A table lives as long as the search that made it; a search with other
+    rules disabled makes its own.
 
     A state's edges are built the first time they are asked for.  Canonical
     equality is id equality, so a search over ids visits exactly the states
-    a search over canonical local types visits.  Every local type met while
-    building edges, successors and the recursion binders of the `_lsteps`
-    cycle cut alike, is remembered with its id, so none is canonicalised
-    twice."""
+    a search over canonical types visits.  Every type met while building
+    edges, successors and the recursion binders of the cycle cut alike, is
+    remembered with its id, so none is canonicalised twice."""
 
-    def __init__(self, role: Role):
+    def __init__(self, role: Role | None = None, disabled: frozenset[str] = frozenset()):
+        _check_rules(disabled)
         self.role = role
-        self.states: list[LocalType] = []  # canonical local type of each id
-        self._ids: dict[LocalType, int] = {}  # local types met and canonical forms
+        self.disabled = disabled
+        self.states: list[AnyType] = []  # canonical type of each id
+        self._ids: dict[AnyType, int] = {}  # types met and canonical forms
         # The same objects are met again (a recursion binder is substituted
         # into its own body), so look them up by identity before hashing
         # them structurally; each entry keeps its object, and so its id, alive.
-        self._met: dict[int, tuple[LocalType, int]] = {}
+        self._met: dict[int, tuple[AnyType, int]] = {}
         self._edges: list[dict[ActionLabel, int] | None] = []
 
-    def intern(self, t: LocalType) -> int:
+    def intern(self, t: AnyType) -> int:
         met = self._met.get(id(t))
         if met is not None:
             return met[1]
@@ -399,16 +411,20 @@ class LocalStepTable:
     def edges(self, sid: int) -> dict[ActionLabel, int]:
         edges = self._edges[sid]
         if edges is None:
-            steps = dict_of_steps(_lsteps(self.states[sid], self.role, self.intern))
+            state = self.states[sid]
+            if self.role is None:
+                steps = _sorted_steps(_gsteps(state, self.disabled, self.intern))
+            else:
+                steps = _lsteps(state, self.role, self.intern)
             edges = self._edges[sid] = {label: self.intern(succ)
-                                        for label, succ in steps.items()}
+                                        for label, succ in dict_of_steps(steps).items()}
         return edges
 
 
 class CompiledConfigurations:
     """The configuration LTS over per-role step tables.
 
-    A configuration is a key `(ids, contents)`: one `LocalStepTable` id per
+    A configuration is a key `(ids, contents)`: one local `StepTable` id per
     role and one buffer content per ordered role pair, both in the order of
     the `Configuration` it was compiled from.  Two keys are equal exactly
     when the canonical forms of their configurations are equal.  The tables
@@ -418,7 +434,7 @@ class CompiledConfigurations:
         self.roles = c.roles
         self.pairs = tuple(pair for pair, _ in c.buffers)
         self._pair_index = {pair: i for i, pair in enumerate(self.pairs)}
-        self.tables = tuple(LocalStepTable(r) for r in self.roles)
+        self.tables = tuple(StepTable(r) for r in self.roles)
         self._steps: dict[tuple, tuple] = {}
         self.initial = (tuple(table.intern(t) for table, (_, t) in zip(self.tables, c.locals)),
                         tuple(content for _, content in c.buffers))
@@ -482,89 +498,3 @@ def _fill_buffers(u: GlobalType, buffers: dict) -> None:
         _fill_buffers(u.branches[0][1], buffers)
         return
     raise InvalidType(type(u).__name__)
-
-
-# ---------------------------------------------------------------------------
-# Subtyping
-# ---------------------------------------------------------------------------
-
-SUBTYPE_UNFOLD_FUEL = 8
-
-
-def subtype_local(a: LocalType, b: LocalType, fuel: int = SUBTYPE_UNFOLD_FUEL) -> bool:
-    """Structural subtyping: wider branch offers are subtypes of narrower
-    ones; selections are invariant.  Recursion is compared coinductively,
-    assuming pairs already on the proof path, with a bounded unfolding
-    budget."""
-    path: set[tuple[LocalType, LocalType]] = set()
-
-    def go(x: LocalType, y: LocalType, budget: int) -> bool:
-        if x == y:
-            return True
-        key = (x, y)
-        if key in path:
-            return True
-        path.add(key)
-        try:
-            return body(x, y, budget)
-        finally:
-            path.discard(key)
-
-    def body(x: LocalType, y: LocalType, budget: int) -> bool:
-        if isinstance(x, LRec) or isinstance(y, LRec):
-            if budget <= 0:
-                _log.warning("subtype_local: unfolding budget exhausted, returning False")
-                return False
-            if isinstance(x, LRec):
-                x = unfold_once(x)
-            if isinstance(y, LRec):
-                y = unfold_once(y)
-            return go(x, y, budget - 1)
-        if isinstance(x, LEnd) and isinstance(y, LEnd):
-            return True
-        if isinstance(x, LVar) and isinstance(y, LVar):
-            return x.var == y.var
-        if isinstance(x, LBranch) and isinstance(y, LBranch) and x.peer == y.peer:
-            return _branches_wider(x.branches, y.branches, budget)
-        if (isinstance(x, LRoutedBranch) and isinstance(y, LRoutedBranch)
-                and x.peer == y.peer and x.via == y.via):
-            return _branches_wider(x.branches, y.branches, budget)
-        if isinstance(x, LSelect) and isinstance(y, LSelect) and x.peer == y.peer:
-            return _branches_equal(x.branches, y.branches, budget)
-        if (isinstance(x, LRoutedSelect) and isinstance(y, LRoutedSelect)
-                and x.peer == y.peer and x.via == y.via):
-            return _branches_equal(x.branches, y.branches, budget)
-        if (isinstance(x, LRouter) and isinstance(y, LRouter)
-                and x.sender == y.sender and x.receiver == y.receiver):
-            return _branches_equal(x.branches, y.branches, budget)
-        if (isinstance(x, LRouterTransit) and isinstance(y, LRouterTransit)
-                and x.sender == y.sender and x.receiver == y.receiver
-                and x.chosen == y.chosen):
-            return _branches_equal(x.branches, y.branches, budget)
-        return False
-
-    def _branches_wider(xs, ys, budget) -> bool:
-        by_name = {lbl.name: (lbl, cont) for lbl, cont in xs}
-        for lbl, cont in ys:
-            if lbl.name not in by_name:
-                return False
-            xlbl, xcont = by_name[lbl.name]
-            if xlbl != lbl or not go(xcont, cont, budget):
-                return False
-        return True
-
-    def _branches_equal(xs, ys, budget) -> bool:
-        if {lbl.name for lbl, _ in xs} != {lbl.name for lbl, _ in ys}:
-            return False
-        return _branches_wider(xs, ys, budget)
-
-    return go(a, b, fuel)
-
-
-def subtype_config(a: Configuration, b: Configuration) -> bool:
-    """Pointwise subtyping of configurations with identical buffers."""
-    if a.roles != b.roles:
-        return False
-    if a.buffers != b.buffers:
-        return False
-    return all(subtype_local(ta, tb) for (_, ta), (_, tb) in zip(a.locals, b.locals))

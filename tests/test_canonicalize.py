@@ -1,0 +1,100 @@
+"""The linear `canonicalize` against the earlier quadratic one
+(`canonical_oracle`), and its cost: a bounded number of visits per node."""
+
+import hypothesis.strategies as st
+from hypothesis import HealthCheck, given, settings
+
+from routedmpst import core
+from routedmpst.core import (
+    GComm, GEnd, GRec, GVar, LRec, LVar, LocalType, _node_branches, _with_branches,
+    canonicalize,
+)
+
+import canonical_oracle
+from corpus import A, B, M1, M2, one
+from strategies import ROLE_POOL, global_types, local_types
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+# Free variables that already carry canonical names, as in the open
+# subterms met when a canonical body is canonicalised again.
+CANONICAL_NAMES = ("%0", "%1", "%%0")
+
+
+@st.composite
+def with_unused_binders(draw, t):
+    """`t` with up to two nested unused binders wrapped around each node
+    but a variable (which would make the binders non-contractive)."""
+    if isinstance(t, (GVar, LVar)):
+        return t
+    if isinstance(t, (GRec, LRec)):
+        t = type(t)(t.var, draw(with_unused_binders(t.body)))
+    elif _node_branches(t) is not None:
+        t = _with_branches(t, tuple((lbl, draw(with_unused_binders(c)))
+                                    for lbl, c in _node_branches(t)))
+    rec = LRec if isinstance(t, LocalType) else GRec
+    for i in range(draw(st.integers(0, 2))):
+        t = rec(f"unused{i}", t)
+    return t
+
+
+def _agrees(t):
+    assert canonicalize(t) == canonical_oracle.canonicalize(t)
+
+
+@PROPERTY
+@given(global_types(depth=4, roles=ROLE_POOL))
+def test_agrees_on_global_types(g):
+    _agrees(g)
+
+
+@PROPERTY
+@given(st.sampled_from(ROLE_POOL).flatmap(
+    lambda r: local_types(r, depth=4, roles=ROLE_POOL)))
+def test_agrees_on_local_types(t):
+    _agrees(t)
+
+
+@PROPERTY
+@given(global_types(depth=4, roles=ROLE_POOL, free_vars=CANONICAL_NAMES))
+def test_agrees_on_open_terms_with_canonical_free_names(g):
+    _agrees(g)
+    # A used binder around `g` is renamed to a canonical name, which must
+    # avoid the free names of `g`.
+    _agrees(GRec("x", GComm(A, B, ((M1, g), (M2, GVar("x"))))))
+    if isinstance(canonicalize(g), GRec):
+        _agrees(canonicalize(g).body)
+
+
+@PROPERTY
+@given(global_types(depth=3, roles=ROLE_POOL, free_vars=CANONICAL_NAMES)
+       .flatmap(with_unused_binders))
+def test_agrees_with_nested_unused_binders(g):
+    _agrees(g)
+
+
+def _tree_size(t) -> int:
+    if isinstance(t, (GRec, LRec)):
+        return 1 + _tree_size(t.body)
+    return 1 + sum(_tree_size(c) for _, c in _node_branches(t) or ())
+
+
+def test_each_node_is_walked_once_per_pass(monkeypatch):
+    """Deep nests of unused binders, used binders and branching: the free
+    variable pass and the renaming pass each visit every node once."""
+    body = GComm(A, B, ((M1, GVar("x")), (M2, GEnd())))
+    for i in range(60):
+        body = GRec(f"u{i}", body)
+    g = GRec("x", GComm(B, A, one(M1, body)))
+    calls = {"free_vars": 0, "_canonical": 0}
+    for name in calls:
+        original = getattr(core, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(core, name, counted)
+    out = canonicalize(g)
+    assert calls == {"free_vars": _tree_size(g), "_canonical": _tree_size(g)}
+    assert out == canonical_oracle.canonicalize(g)

@@ -1,16 +1,70 @@
-"""The compiled configuration LTS (per-role step tables over id tuples)
-against `config_steps`, and the step maps it is built from."""
+"""The compiled LTSs against the plain step functions: the global step
+table against `global_steps`, the configuration LTS (per-role step tables
+over id tuples) against `config_steps`, and the step maps they are built
+from."""
 
 import pytest
 
-from routedmpst.core import InvalidType, LEnd, LVar, Role, direct_send
+from routedmpst.core import InvalidType, LEnd, LVar, Role, canonicalize, direct_send
 from routedmpst.encoding import encode_global
 from routedmpst.semantics import (
-    CompiledConfigurations, config_steps, dict_of_steps, project_configuration,
+    GLOBAL_RULES, CompiledConfigurations, StepTable, config_steps, dict_of_steps,
+    global_steps, project_configuration,
 )
 
 from corpus import CORPUS_ROUTERS, M1, load
 from strategies import ROLE_POOL
+
+
+def _check_global_table(g, disabled, limit=None):
+    """Breadth-first over the global step table from `g`, through at most
+    `limit` states: each id stands for a distinct canonical state whose
+    `global_steps`, canonicalised, are exactly its edges, in the same order."""
+    table = StepTable(disabled=disabled)
+    start = table.intern(g)
+    assert table.states[start] == canonicalize(g)
+    seen = {start}
+    frontier = [start]
+    expanded = 0
+    while frontier and expanded != limit:
+        sid = frontier.pop(0)
+        expanded += 1
+        want = [(label, canonicalize(succ))
+                for label, succ in global_steps(table.states[sid], disabled)]
+        got = list(table.edges(sid).items())
+        assert [(label, table.states[succ]) for label, succ in got] == want
+        for _, succ in got:
+            if succ not in seen:
+                seen.add(succ)
+                frontier.append(succ)
+    assert len(set(table.states)) == len(table.states)
+    return len(seen)
+
+
+def _corpus_type(name, encoded):
+    g = load(name)
+    return encode_global(g, Role(CORPUS_ROUTERS[name])) if encoded else g
+
+
+@pytest.mark.parametrize("encoded", [False, True], ids=["plain", "encoded"])
+@pytest.mark.parametrize("name", sorted(CORPUS_ROUTERS))
+def test_global_step_table_matches_global_steps(name, encoded):
+    assert _check_global_table(_corpus_type(name, encoded), frozenset()) > 1
+
+
+# The Battleships LTS has 165 states, plain and encoded, and `global_steps`
+# costs ~10 ms on each; its runs with a rule disabled stop after 20 states.
+@pytest.mark.parametrize("encoded", [False, True], ids=["plain", "encoded"])
+@pytest.mark.parametrize("name", sorted(CORPUS_ROUTERS))
+def test_global_step_table_with_each_rule_disabled(name, encoded):
+    g = _corpus_type(name, encoded)
+    for rule in sorted(GLOBAL_RULES):
+        _check_global_table(g, frozenset({rule}), 20 if name == "Battleships" else None)
+
+
+def test_global_step_table_rejects_unknown_rules():
+    with pytest.raises(ValueError):
+        StepTable(disabled=frozenset({"Gr10"}))
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS_ROUTERS))

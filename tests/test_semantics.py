@@ -1,5 +1,5 @@
 from routedmpst.core import (
-    GComm, GEnd, GRoutedTransit, GTransit, LBranch, LEnd, LRouter,
+    GComm, GEnd, GRoutedTransit, GTransit, LEnd, LRouter,
     LRouterTransit, LRoutedBranch, LRoutedSelect, LSelect, Role,
     direct_recv, direct_send, routed_recv, routed_send,
 )
@@ -7,12 +7,12 @@ from routedmpst.encoding import encode_global
 from routedmpst.projection import project
 from routedmpst.semantics import (
     Configuration, config_steps, global_steps, local_steps,
-    project_configuration, subtype_config, subtype_local,
+    project_configuration,
 )
 
 from corpus import (
-    A, B, BYE, G1_MERGE, G1_ROUTER_ORDER, G2_ROUTER_ORDER, G_EX, G_EX_ROUTED,
-    G_TRAVEL, GREET, HELLO, M1, M2, P, Q, R, S, SR, SUGGEST, load, one,
+    A, B, G1_ROUTER_ORDER, G2_ROUTER_ORDER, G_EX, G_EX_ROUTED, G_TRAVEL, M1,
+    M2, P, Q, R, S, SR, SUGGEST, load, one,
 )
 
 
@@ -184,54 +184,3 @@ def test_project_configuration_matches_stepped_mid_trace_states():
         projected = project_configuration(state, roles=roles)
         assert conf.canonical() == projected.canonical()
     assert conf.is_terminal()
-
-
-# ---------------------------------------------------------------------------
-# Subtyping
-# ---------------------------------------------------------------------------
-
-
-def test_wider_branch_offer_is_subtype():
-    wide = LBranch(A, ((HELLO, LEnd()), (BYE, LEnd())))
-    narrow = LBranch(A, ((HELLO, LEnd()),))
-    assert subtype_local(wide, narrow)
-    assert not subtype_local(narrow, wide)
-
-
-def test_subtype_reflexive_on_projections():
-    for role in (A, B, S):
-        t = project(G_TRAVEL, role)
-        assert subtype_local(t, t)
-
-
-def test_selects_are_invariant():
-    sel = LSelect(A, one(M1, LEnd()))
-    assert subtype_local(sel, sel)
-    assert not subtype_local(sel, LSelect(B, one(M1, LEnd())))
-    assert not subtype_local(LSelect(A, ((M1, LEnd()), (M2, LEnd()))), sel)
-
-
-def test_config_subtype_after_first_step_of_merge_example():
-    # Stepping the merge example widens only non-participant entries:
-    # the stepped configuration keeps C's merged (wider) branch, while the
-    # projection of the successor narrows it to the chosen branch.
-    conf = project_configuration(G1_MERGE)
-    steps = dict(config_steps(conf))
-    stepped = steps[direct_send(A, B, GREET)]
-    succ = dict(global_steps(G1_MERGE))[direct_send(A, B, GREET)]
-    projected = project_configuration(succ, roles=conf.roles)
-    assert subtype_config(stepped, projected)
-    assert stepped != projected
-    assert stepped.local(Role("C")) != projected.local(Role("C"))
-
-
-def test_config_subtype_requires_equal_buffers():
-    conf = project_configuration(G_EX)
-    stepped = dict(config_steps(conf))[direct_send(P, Q, M1)]
-    assert subtype_config(conf, conf)
-    assert not subtype_config(conf, stepped)
-
-
-def test_recursive_subtype_uses_unfolding():
-    t = project(load("PingPong"), Role("C"))
-    assert subtype_local(t, t)
