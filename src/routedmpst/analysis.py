@@ -7,11 +7,14 @@ All checks are depth- or state-bounded: they verify concrete instances of the
 metatheory rather than proving it.  Resource exhaustion is reported as an
 `inconclusive` verdict, never as a pass.
 
-Every search steps over ids: global states over a global `semantics.StepTable`
-(which carries the checker's `disabled` rules), configurations over
-`semantics.CompiledConfigurations`.  Ids are equal exactly when canonical
-states are, so the states counted are the canonical states.  The tables are
-built for one checker call and dropped when it returns.
+One breadth-first search, `_explore`, runs all four checks and
+`reachable_states`, over keys: global state ids of a `semantics.StepTable`
+(which carries the checker's `disabled` rules) or, for trace equivalence,
+pairs of such an id and a `semantics.CompiledConfigurations` key.  Keys are
+equal exactly when canonical states are, so the states counted are canonical
+states (or pairs of them).  Trace sets are enumerated path by path over the
+same step functions.  The tables are built for one call and dropped when it
+returns.
 """
 
 from __future__ import annotations
@@ -20,9 +23,7 @@ from dataclasses import dataclass
 
 from .core import ActionLabel, GEnd, GlobalType, Role, pretty_global
 from .encoding import encode_global, encode_label
-from .semantics import (
-    CompiledConfigurations, Configuration, StepTable, project_configuration,
-)
+from .semantics import CompiledConfigurations, StepTable, project_configuration
 from .wellformed import check_wf, check_wf_routed
 
 DEFAULT_STATE_CAP = 10 ** 6
@@ -99,63 +100,44 @@ class ExplorationReport:
 # ---------------------------------------------------------------------------
 
 
-def _trace_set(start, steps, depth: int, state_cap: int):
-    """The trace set from the state key `start` up to `depth`, and the
-    number of states expanded.  `steps(key)` gives the (label, successor
-    key) pairs of a key; keys are equal exactly when their canonical states
-    are.  Successors are memoised per key; expanding more than `state_cap`
-    states raises StateBudgetExceeded."""
+def _traces(start, steps, depth: int, state_cap: int) -> TraceSet:
+    """The traces of length at most `depth` from the key `start`, one path at
+    a time, level by level.  `steps(key)` gives the (label, successor key)
+    pairs of a key; the LTS is label-deterministic, so distinct paths have
+    distinct traces.  Expanding more than `state_cap` distinct keys raises
+    StateBudgetExceeded."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    succs: dict = {}
-    memo: dict[tuple[object, int], frozenset] = {}
-    result = _traces_from(start, depth, steps, state_cap, succs, memo)
-    return TraceSet(depth, result), len(succs)
-
-
-def _traces_from(state, d: int, steps, state_cap: int, succs: dict,
-                 memo: dict) -> frozenset:
-    """The traces of length at most `d` from `state`, filling `succs` (the
-    successors of each state expanded) and `memo` (trace sets by state and
-    depth) as it goes."""
-    if d == 0:
-        return frozenset({()})
-    key = (state, d)
-    if key not in memo:
-        if state not in succs:
-            if len(succs) >= state_cap:
-                raise StateBudgetExceeded(state_cap, len(succs))
-            succs[state] = tuple(steps(state))
-        acc = {()}
-        for label, nxt in succs[state]:
-            for tail in _traces_from(nxt, d - 1, steps, state_cap, succs, memo):
-                acc.add((label,) + tail)
-        memo[key] = frozenset(acc)
-    return memo[key]
-
-
-def _global_trace_set(g: GlobalType, depth: int, state_cap: int, disabled: frozenset[str]):
-    table = StepTable(disabled=disabled)
-    return _trace_set(table.intern(g), lambda sid: table.edges(sid).items(), depth, state_cap)
-
-
-def _config_trace_set(c: Configuration, depth: int, state_cap: int):
-    lts = CompiledConfigurations(c)
-    return _trace_set(lts.initial, lts.steps, depth, state_cap)
+    expanded: set = set()
+    paths = [((), start)]
+    traces = {()}
+    for _ in range(depth):
+        nxt = []
+        for trace, key in paths:
+            if key not in expanded:
+                if len(expanded) >= state_cap:
+                    raise StateBudgetExceeded(state_cap, len(expanded))
+                expanded.add(key)
+            nxt += [(trace + (label,), succ) for label, succ in steps(key)]
+        paths = nxt
+        traces.update(trace for trace, _ in paths)
+    return TraceSet(depth, frozenset(traces))
 
 
 def global_traces(g: GlobalType, depth: int,
                   state_cap: int = DEFAULT_STATE_CAP,
                   disabled: frozenset[str] = frozenset()) -> TraceSet:
     """Exact prefix-closed trace set of the global LTS up to `depth`."""
-    return _global_trace_set(g, depth, state_cap, disabled)[0]
+    table = StepTable(disabled=disabled)
+    return _traces(table.intern(g), lambda sid: table.edges(sid).items(), depth, state_cap)
 
 
 def config_traces(g: GlobalType, depth: int,
                   state_cap: int = DEFAULT_STATE_CAP) -> TraceSet:
     """Trace set of the configuration LTS started from the projected
     configuration of `g`."""
-    return _config_trace_set(project_configuration(g), depth, state_cap)[0]
+    lts = CompiledConfigurations(project_configuration(g))
+    return _traces(lts.initial, lts.steps, depth, state_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -163,61 +145,68 @@ def config_traces(g: GlobalType, depth: int,
 # ---------------------------------------------------------------------------
 
 
-def _shortest_difference(a: frozenset, b: frozenset) -> tuple[ActionLabel, ...]:
-    return min(a.symmetric_difference(b),
-               key=lambda tr: (len(tr), tuple(x.sort_key() for x in tr)))
-
-
 def check_trace_equivalence(g: GlobalType, depth: int,
                             state_cap: int = DEFAULT_STATE_CAP,
                             disabled: frozenset[str] = frozenset()) -> ExplorationReport:
     """Compare the global LTS against the configuration LTS of the projected
-    initial configuration, up to `depth`."""
-    name = "trace_equivalence"
-    try:
-        gset, g_states = _global_trace_set(g, depth, state_cap, disabled)
-        cset, c_states = _config_trace_set(project_configuration(g), depth, state_cap)
-    except StateBudgetExceeded as exc:
-        return ExplorationReport(name, INCONCLUSIVE, exc.states, depth)
-    states = g_states + c_states
-    if gset.traces == cset.traces:
-        return ExplorationReport(name, PASS, states, depth)
-    witness = _shortest_difference(gset.traces, cset.traces)
-    side = "global-only" if witness in gset.traces else "configuration-only"
-    return ExplorationReport(name, FAIL, states, depth,
-                             Counterexample(witness, f"trace is {side}"))
+    initial configuration, up to `depth`: the trace sets agree exactly when
+    every pair (global state id, configuration key) found within `depth - 1`
+    steps enables the same labels on both sides.  The search follows labels
+    in the global table's `sort_key` order, so the first mismatch it meets
+    gives the least witness: shortest, then least by `sort_key`."""
+    table = StepTable(disabled=disabled)
+    lts = CompiledConfigurations(project_configuration(g))
+
+    def steps(pair):
+        sid, key = pair
+        return table.edges(sid), dict(lts.steps(key))
+
+    def visit(pair, trace, edges):
+        g_edges, c_edges = edges
+        mismatch = g_edges.keys() ^ c_edges.keys()
+        if mismatch:
+            label = min(mismatch, key=ActionLabel.sort_key)
+            side = "global-only" if label in g_edges else "configuration-only"
+            yield Counterexample(trace + (label,), f"trace is {side}")
+        for label, sid in g_edges.items():
+            yield label, (sid, c_edges[label])
+
+    return _explore("trace_equivalence", (table.intern(g), lts.initial), steps, visit,
+                    depth, state_cap)[0]
 
 
-def _explore(name: str, table: StepTable, g: GlobalType, visit, depth: int | None,
+def _explore(name: str, start, steps, visit, depth: int | None,
              state_cap: int) -> tuple[ExplorationReport, dict]:
-    """Breadth-first search over the ids of `table` reachable from `g`,
-    `depth` levels deep (`None`: until no new state appears).
+    """Breadth-first search over the keys reachable from the key `start`,
+    `depth` levels deep (`None`: until no new key appears).
 
-    `visit(sid, trace, edges)` sees each expanded state id with the shortest
-    trace reaching it and its edges `{label: successor id}`, in the label
-    order of `global_steps`.  It yields the (label, successor id) pairs to
-    follow, or a Counterexample, which ends the search with `fail`.
-    Successors are recorded as they are yielded, so a failure counts only the
-    states found before it.  More than `state_cap` states before an expansion
-    ends the search with `inconclusive`.
+    `visit(key, trace, steps(key))` sees each expanded key with the shortest
+    trace reaching it; when every `visit` yields its labels in `sort_key`
+    order, that trace is also the least by `sort_key` among the shortest.
+    It yields the (label, successor key) pairs to follow, or a
+    Counterexample, which ends the search with `fail`.  Successors are
+    recorded as they are yielded, so a failure counts only the keys found
+    before it.  More than `state_cap` keys before an expansion ends the
+    search with `inconclusive`.
 
-    Returns the report and the map from each id found to its shortest
+    Returns the report and the map from each key found to its shortest
     trace, in BFS order."""
-    start = table.intern(g)
+    if depth is not None and depth < 0:
+        raise ValueError("depth must be nonnegative")
     seen = {start: ()}
     frontier = [start]
     level = 0
     while frontier and (depth is None or level < depth):
         nxt_frontier = []
-        for sid in frontier:
+        for key in frontier:
             if len(seen) > state_cap:
                 return ExplorationReport(name, INCONCLUSIVE, len(seen), level), seen
-            for item in visit(sid, seen[sid], table.edges(sid)):
+            for item in visit(key, seen[key], steps(key)):
                 if isinstance(item, Counterexample):
                     return ExplorationReport(name, FAIL, len(seen), level, item), seen
                 label, succ = item
                 if succ not in seen:
-                    seen[succ] = seen[sid] + (label,)
+                    seen[succ] = seen[key] + (label,)
                     nxt_frontier.append(succ)
         frontier = nxt_frontier
         level += 1
@@ -241,7 +230,8 @@ def check_deadlock_freedom(g: GlobalType, router: Role,
             yield Counterexample(trace, f"stuck non-terminal state:\n{pretty_global(state)}")
         yield from edges.items()
 
-    return _explore("deadlock_freedom", table, g, visit, None, state_cap)[0]
+    return _explore("deadlock_freedom", table.intern(g), table.edges, visit, None,
+                    state_cap)[0]
 
 
 def check_encoding_bisim(g: GlobalType, s: Role, depth: int,
@@ -282,14 +272,14 @@ def check_encoding_bisim(g: GlobalType, s: Role, depth: int,
             else:
                 yield label, succ
 
-    return _explore("encoding_bisim", plain, g, visit, depth, state_cap)[0]
+    return _explore("encoding_bisim", plain.intern(g), plain.edges, visit, depth, state_cap)[0]
 
 
 def reachable_states(g: GlobalType, depth: int,
                      state_cap: int = DEFAULT_STATE_CAP) -> list[GlobalType]:
     """Canonical states reachable from g within `depth` steps (BFS order)."""
     table = StepTable()
-    report, seen = _explore("reachable_states", table, g,
+    report, seen = _explore("reachable_states", table.intern(g), table.edges,
                             lambda sid, trace, edges: edges.items(), depth, state_cap)
     if report.verdict == INCONCLUSIVE:
         raise StateBudgetExceeded(state_cap, report.states_visited)

@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("protocol")
     p.add_argument("--router", type=Role, required=True)
     p.add_argument("--depth", type=_int_at_least(0), default=8)
-    p.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
+    p.add_argument("--state-cap", type=_int_at_least(1), default=DEFAULT_STATE_CAP)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("efsm", help="endpoint state machine (DOT and/or JSON IR)")
@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("protocol")
     p.add_argument("--router", type=Role, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rounds", type=int, default=2)
+    p.add_argument("--rounds", type=_int_at_least(1), default=2)
     p.add_argument("--scheduler", choices=["round-robin", "seeded-random"],
                    default="round-robin")
     p.add_argument("--max-steps", type=_int_at_least(1), default=100_000)

@@ -208,6 +208,16 @@ def test_send_enabledness_in_reachable_configurations():
         frontier = nxt
 
 
+def test_negative_depth_is_rejected():
+    for run in (lambda: check_trace_equivalence(GEnd(), -1),
+                lambda: check_encoding_bisim(GEnd(), SR, -1),
+                lambda: reachable_states(GEnd(), -1),
+                lambda: global_traces(GEnd(), -1),
+                lambda: config_traces(GEnd(), -1)):
+        with pytest.raises(ValueError):
+            run()
+
+
 def test_reachable_states_budget():
     states = reachable_states(G_TRAVEL_ROUTED, 6)
     assert canonicalize(G_TRAVEL_ROUTED) in states

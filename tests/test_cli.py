@@ -93,6 +93,17 @@ def test_verify_reports_and_exit_code(capsys):
     assert "states=" in out
 
 
+def test_deep_verify_and_traces_run_without_recursion(capsys):
+    # Depths past Python's recursion limit: every search is iterative.
+    code, out, _ = run(capsys, "verify", PINGPONG, "PingPong",
+                       "--router", "S", "--depth", "1500")
+    assert code == 0
+    assert out.count("verdict=pass") == 4
+    code, out, _ = run(capsys, "traces", PINGPONG, "PingPong", "--depth", "1100")
+    assert code == 0
+    assert len(max(out.splitlines(), key=len).split(" . ")) == 1100
+
+
 @pytest.mark.parametrize("golden, protocol, extra, exit_code", [
     *((f"verify_{name}.txt", name, (), 0) for name in sorted(CORPUS_ROUTERS)),
     # A cap below every checker's state count: all four are inconclusive.
@@ -161,6 +172,8 @@ def test_simulate_with_cancellation(capsys):
     ["check", TRAVEL, "TravelAgency", "--router", "bad-name"],
     ["simulate", TRAVEL, "TravelAgency", "--router", "S", "--cancel", "bad!@3"],
     ["simulate", PINGPONG, "PingPong", "--router", "S", "--max-steps", "0"],
+    ["simulate", PINGPONG, "PingPong", "--router", "S", "--rounds", "0"],
+    ["verify", PINGPONG, "PingPong", "--router", "S", "--state-cap", "-3"],
 ])
 def test_bad_argument_values_are_usage_errors(capsys, argv):
     try:
