@@ -9,12 +9,11 @@ metatheory rather than proving it.  Resource exhaustion is reported as an
 
 One breadth-first search, `_explore`, runs all four checks and
 `reachable_states`, over keys: global state ids of a `semantics.StepTable`
-(which carries the checker's `disabled` rules) or, for trace equivalence,
-pairs of such an id and a `semantics.CompiledConfigurations` key.  Keys are
-equal exactly when canonical states are, so the states counted are canonical
-states (or pairs of them).  Trace sets are enumerated path by path over the
-same step functions.  The tables are built for one call and dropped when it
-returns.
+or, for trace equivalence, pairs of such an id and a
+`semantics.CompiledConfigurations` key.  Keys are equal exactly when
+canonical states are, so the states counted are canonical states (or pairs
+of them).  Trace sets are enumerated path by path over the same step
+functions.  The tables are built for one call and dropped when it returns.
 """
 
 from __future__ import annotations
@@ -125,10 +124,9 @@ def _traces(start, steps, depth: int, state_cap: int) -> TraceSet:
 
 
 def global_traces(g: GlobalType, depth: int,
-                  state_cap: int = DEFAULT_STATE_CAP,
-                  disabled: frozenset[str] = frozenset()) -> TraceSet:
+                  state_cap: int = DEFAULT_STATE_CAP) -> TraceSet:
     """Exact prefix-closed trace set of the global LTS up to `depth`."""
-    table = StepTable(disabled=disabled)
+    table = StepTable()
     return _traces(table.intern(g), lambda sid: table.edges(sid).items(), depth, state_cap)
 
 
@@ -146,15 +144,14 @@ def config_traces(g: GlobalType, depth: int,
 
 
 def check_trace_equivalence(g: GlobalType, depth: int,
-                            state_cap: int = DEFAULT_STATE_CAP,
-                            disabled: frozenset[str] = frozenset()) -> ExplorationReport:
+                            state_cap: int = DEFAULT_STATE_CAP) -> ExplorationReport:
     """Compare the global LTS against the configuration LTS of the projected
     initial configuration, up to `depth`: the trace sets agree exactly when
     every pair (global state id, configuration key) found within `depth - 1`
     steps enables the same labels on both sides.  The search follows labels
     in the global table's `sort_key` order, so the first mismatch it meets
     gives the least witness: shortest, then least by `sort_key`."""
-    table = StepTable(disabled=disabled)
+    table = StepTable()
     lts = CompiledConfigurations(project_configuration(g))
 
     def steps(pair):
@@ -187,7 +184,8 @@ def _explore(name: str, start, steps, visit, depth: int | None,
     Counterexample, which ends the search with `fail`.  Successors are
     recorded as they are yielded, so a failure counts only the keys found
     before it.  More than `state_cap` keys before an expansion ends the
-    search with `inconclusive`.
+    search with `inconclusive`; keys found on the last level of a
+    depth-bounded search are never expanded, so they do not count.
 
     Returns the report and the map from each key found to its shortest
     trace, in BFS order."""
@@ -197,9 +195,11 @@ def _explore(name: str, start, steps, visit, depth: int | None,
     frontier = [start]
     level = 0
     while frontier and (depth is None or level < depth):
+        last_level = depth is not None and level == depth - 1
+        found = len(seen)
         nxt_frontier = []
         for key in frontier:
-            if len(seen) > state_cap:
+            if (found if last_level else len(seen)) > state_cap:
                 return ExplorationReport(name, INCONCLUSIVE, len(seen), level), seen
             for item in visit(key, seen[key], steps(key)):
                 if isinstance(item, Counterexample):
@@ -214,15 +214,14 @@ def _explore(name: str, start, steps, visit, depth: int | None,
 
 
 def check_deadlock_freedom(g: GlobalType, router: Role,
-                           state_cap: int = DEFAULT_STATE_CAP,
-                           disabled: frozenset[str] = frozenset()) -> ExplorationReport:
+                           state_cap: int = DEFAULT_STATE_CAP) -> ExplorationReport:
     """Every reachable state of a routed-well-formed type is terminal or can
     step.  Exploration is exhaustive over canonical states (finite for the
     corpus), bounded by `state_cap`."""
     wf = check_wf_routed(g, router)
     if not wf.ok:
         raise PreconditionError(f"type not well-formed for router {router}: {wf.describe()}")
-    table = StepTable(disabled=disabled)
+    table = StepTable()
 
     def visit(sid, trace, edges):
         state = table.states[sid]
@@ -235,8 +234,7 @@ def check_deadlock_freedom(g: GlobalType, router: Role,
 
 
 def check_encoding_bisim(g: GlobalType, s: Role, depth: int,
-                         state_cap: int = DEFAULT_STATE_CAP,
-                         disabled: frozenset[str] = frozenset()) -> ExplorationReport:
+                         state_cap: int = DEFAULT_STATE_CAP) -> ExplorationReport:
     """Check, over all states reachable from `g` within `depth`, that the
     encoding maps transitions one-to-one: l is enabled at G' exactly when its
     encoding is enabled at the encoding of G', with successors related by the
@@ -248,7 +246,7 @@ def check_encoding_bisim(g: GlobalType, s: Role, depth: int,
     wf = check_wf(g)
     if not wf.ok:
         raise PreconditionError(f"type not well-formed: {wf.describe()}")
-    plain, encoded = StepTable(disabled=disabled), StepTable(disabled=disabled)
+    plain, encoded = StepTable(), StepTable()
     encoded_id: dict[int, int] = {}
 
     def encode(sid):

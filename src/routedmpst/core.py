@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Union
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -215,19 +215,6 @@ class LRouterTransit(LocalType):
 
 
 AnyType = Union[GlobalType, LocalType]
-
-
-def gbranches(items: Iterable[tuple[MsgLabel, GlobalType]] | dict) -> GBranches:
-    """Normalise a branch mapping into the tuple form used by the IR."""
-    if isinstance(items, dict):
-        items = items.items()
-    return tuple((lbl if isinstance(lbl, MsgLabel) else MsgLabel(lbl), g) for lbl, g in items)
-
-
-def lbranches(items: Iterable[tuple[MsgLabel, LocalType]] | dict) -> LBranches:
-    if isinstance(items, dict):
-        items = items.items()
-    return tuple((lbl if isinstance(lbl, MsgLabel) else MsgLabel(lbl), t) for lbl, t in items)
 
 
 def branch_for(branches, label: MsgLabel):

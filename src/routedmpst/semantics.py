@@ -2,14 +2,20 @@
 global types, local types and configurations (local types plus FIFO buffers),
 and buffer projection.
 
-Global rules are named Gr1..Gr9 and local rules Lr1..Lr11 throughout.  Each
-node's steps split into head rules, where the node's own prefix fires, and
-commuting rules, where an action from under the prefix fires first:
+Both LTSs run on one rule table, `RULES`, keyed by the paper's rule names:
+Gr1..Gr9 for global types and Lr1..Lr11 for local types.  `_NODE_RULES`
+gives the rules of each node class, head rule first, and `_steps` applies
+them, for the global LTS when `me` is None and for `me`'s local LTS
+otherwise.  Each node's steps split into head rules, where the node's own
+prefix fires, and commuting rules, where an action from under the prefix
+fires first:
 
-- `_global_head_steps`: Gr1, Gr2, Gr6, Gr7.  Gr3 unfolds recursion in `_gsteps`.
-- `local_head_steps`: Lr1, Lr2, Lr4-Lr7.  Lr3 unfolds recursion in `_lsteps`.
-  These are also the edges of the endpoint state machine (`efsm.build_efsm`).
-- `_commute_all`: Gr4/Gr8, Lr8 and Lr10/Lr11; each passes its own subject filter.
+- head rules: Gr1, Gr2, Gr6, Gr7 and Lr1, Lr2, Lr4-Lr7.  The local ones are
+  also the edges of the endpoint state machine (`local_head_steps`, read by
+  `efsm.build_efsm`).
+- `_unfold`: Gr3 and Lr3, recursion with a cycle cut.
+- `_commute_all`: Gr4/Gr8, Lr8 and Lr10/Lr11; the subject filter depends on
+  the node's class.
 - `_commute_chosen`: Gr5/Gr9 and Lr9.
 
 Both LTSs have a compiled form, `StepTable`: canonical states interned as
@@ -18,10 +24,6 @@ role) is what the checkers in `analysis` search.  One local table per role
 backs `CompiledConfigurations`, which steps over tuples of state ids plus
 buffers and shares the configuration rule (`_enabled`) with `config_steps`,
 the form over `Configuration` values.
-
-The `disabled` parameter of `global_steps` and of a global `StepTable` exists
-solely for mutation testing of the checkers and must stay empty in production
-use.
 """
 
 from __future__ import annotations
@@ -40,115 +42,102 @@ from .projection import project
 Steps = list[tuple[ActionLabel, GlobalType]]
 LocalSteps = list[tuple[ActionLabel, LocalType]]
 
-GLOBAL_RULES = frozenset({f"Gr{i}" for i in range(1, 10)})
-
 
 def _sorted_steps(steps):
     return sorted(steps, key=lambda pair: pair[0].sort_key())
 
 
-# ---------------------------------------------------------------------------
-# Global LTS (Gr1..Gr9)
-# ---------------------------------------------------------------------------
-
-
-def global_steps(g: GlobalType, disabled: frozenset[str] = frozenset()) -> Steps:
+def global_steps(g: GlobalType) -> Steps:
     """All one-step successors of a closed global type, in deterministic
     label order.  The relation is label-deterministic, so each label appears
     at most once."""
-    _check_rules(disabled)
-    return _sorted_steps(_gsteps(g, disabled))
+    return _sorted_steps(_steps(g, None))
 
 
-def _check_rules(disabled: frozenset[str]) -> None:
-    bad = disabled - GLOBAL_RULES
-    if bad:
-        raise ValueError(f"unknown global rules: {sorted(bad)}")
+def local_steps(t: LocalType, self_role: Role) -> LocalSteps:
+    """All one-step successors of a local type, labelled from the point of
+    view of `self_role` (which fills in the endpoint the syntax leaves
+    implicit)."""
+    return _sorted_steps(_steps(t, self_role))
 
 
-def _gsteps(g: GlobalType, disabled, canonical_key=canonicalize,
-            stack: frozenset = frozenset()) -> Steps:
-    if isinstance(g, (GEnd, GVar)):
-        return []
-    if isinstance(g, GRec):
-        if "Gr3" in disabled:
-            return []
-        # Cut at canonical repeats: the prefix rules propagate one label
-        # downward, so a derivable step never needs to unfold the same
-        # recursive state twice along one derivation path.  `canonical_key`
-        # is as in `_lsteps`.
-        key = canonical_key(g)
-        if key in stack:
-            return []
-        return _gsteps(unfold_once(g), disabled, canonical_key, stack | {key})
-    if type(g) not in _GLOBAL_RULE_NAMES:
-        raise InvalidType(f"not a global type: {type(g).__name__}")
+def local_head_steps(node: LocalType, me: Role) -> LocalSteps:
+    """The actions of one local node itself (Lr1, Lr2, Lr4-Lr7), in source
+    branch order, labelled from the point of view of `me`.  `node` must not
+    be a recursion binder: unfold it first.
 
-    head_rule, commute_rule = _GLOBAL_RULE_NAMES[type(g)]
-    out: Steps = [] if head_rule in disabled else _global_head_steps(g)
-    if commute_rule not in disabled:
-        if isinstance(g, (GTransit, GRoutedTransit)):
-            out.extend(_commute_chosen(g, _gsteps, disabled, canonical_key, stack))
-        else:
-            out.extend(_commute_all(g, lambda label: label.subject not in (g.sender, g.receiver),
-                                    _gsteps, disabled, canonical_key, stack))
+    These are the edges of the endpoint state machine.  A router node offers
+    its forwarding accept (Lr6); the in-transit node it leads to offers the
+    matching delivery (Lr7)."""
+    rules = _NODE_RULES[type(node)]
+    return RULES[rules[0]](node, me, canonicalize, frozenset()) if rules else []
+
+
+def _steps(t: AnyType, me: Role | None, canonical_key=canonicalize,
+           stack: frozenset = frozenset()) -> list:
+    """The steps of `t` by the rules of its node class, in rule order.
+
+    `canonical_key` maps equal canonical forms, and only those, to equal
+    keys: the canonical form itself, or its step-table id.  `stack` holds the
+    keys of the recursion binders unfolded on the way down."""
+    rules = _NODE_RULES.get(type(t))
+    if rules is None:
+        raise InvalidType(f"not a session type: {type(t).__name__}")
+    out = []
+    for name in rules:
+        out.extend(RULES[name](t, me, canonical_key, stack))
     return out
 
 
-# Head rule and commuting rule of each prefix node, by rule name, so that
-# `disabled` can switch off each one on its own.
-_GLOBAL_RULE_NAMES = {
-    GComm: ("Gr1", "Gr4"),
-    GTransit: ("Gr2", "Gr5"),
-    GRouted: ("Gr6", "Gr8"),
-    GRoutedTransit: ("Gr7", "Gr9"),
-}
+def no_steps(node, me, canonical_key, stack) -> list:
+    """A rule that never fires."""
+    return []
 
 
-def _global_head_steps(g) -> Steps:
-    """Gr1/Gr2/Gr6/Gr7: the prefix itself fires."""
-    if isinstance(g, GComm):  # Gr1
-        return [(direct_send(g.sender, g.receiver, lbl),
-                 GTransit(g.sender, g.receiver, lbl, g.branches)) for lbl, _ in g.branches]
-    if isinstance(g, GTransit):  # Gr2
-        return [(direct_recv(g.sender, g.receiver, g.chosen), branch_for(g.branches, g.chosen))]
-    if isinstance(g, GRouted):  # Gr6
-        return [(routed_send(g.sender, g.receiver, g.router, lbl),
-                 GRoutedTransit(g.sender, g.receiver, g.router, lbl, g.branches))
-                for lbl, _ in g.branches]
-    return [(routed_recv(g.sender, g.receiver, g.router, g.chosen),  # Gr7: GRoutedTransit
-             branch_for(g.branches, g.chosen))]
+def _unfold(node, me, canonical_key, stack) -> list:
+    """Gr3, Lr3: a recursion binder steps as its unfolding.  Cut at canonical
+    repeats: the prefix rules propagate one label downward, so a derivable
+    step never needs to unfold the same recursive state twice along one
+    derivation path."""
+    key = canonical_key(node)
+    if key in stack:
+        return []
+    return _steps(unfold_once(node), me, canonical_key, stack | {key})
 
 
-# ---------------------------------------------------------------------------
-# Commuting rules, shared by the global and the local LTS
-# ---------------------------------------------------------------------------
+# The table's entries are plain functions that call `_steps` themselves: a
+# wrapper such as `functools.partial` would cost a stack frame per nesting
+# level.
 
 
-# Both helpers take the step function and its arguments rather than a
-# closure, so each nesting level costs the interpreter no extra stack frame.
-
-
-def _commute_all(node, allowed, steps, *args) -> list:
-    """Gr4/Gr8, Lr8, Lr10/Lr11: an action enabled in every branch of `node`,
-    and accepted by the subject filter `allowed`, fires under the prefix;
-    every branch moves past it."""
-    per_branch = [dict_of_steps(steps(cont, *args)) for _, cont in node.branches]
+def _commute_all(node, me, canonical_key, stack) -> list:
+    """Gr4/Gr8, Lr8, Lr10/Lr11: an action enabled in every branch of `node`
+    fires under the prefix, and every branch moves past it.  Under a direct
+    local prefix (Lr10/Lr11) these are the routing actions of `me` whose
+    subject is not the direct peer; under any other prefix, the actions
+    whose subject is neither its sender nor its receiver."""
+    direct = isinstance(node, (LSelect, LBranch))
+    per_branch = [dict_of_steps(_steps(cont, me, canonical_key, stack))
+                  for _, cont in node.branches]
     out = []
     for label in per_branch[0]:
-        if allowed(label) and all(label in branch for branch in per_branch[1:]):
+        if direct:
+            allowed = label.via == me and label.subject != node.peer
+        else:
+            allowed = label.subject not in (node.sender, node.receiver)
+        if allowed and all(label in branch for branch in per_branch[1:]):
             branches = tuple((lbl, per_branch[i][label])
                              for i, (lbl, _) in enumerate(node.branches))
             out.append((label, _with_branches(node, branches)))
     return out
 
 
-def _commute_chosen(node, steps, *args) -> list:
+def _commute_chosen(node, me, canonical_key, stack) -> list:
     """Gr5/Gr9, Lr9: under an in-transit prefix only the chosen branch
     evolves, and the receiver of the pending message must not be the
     subject, which keeps its receive ordered first."""
     out = []
-    for label, succ in steps(branch_for(node.branches, node.chosen), *args):
+    for label, succ in _steps(branch_for(node.branches, node.chosen), me, canonical_key, stack):
         if label.subject == node.receiver:
             continue
         branches = tuple((lbl, succ if lbl == node.chosen else cont)
@@ -169,72 +158,57 @@ def dict_of_steps(steps):
     return out
 
 
-# ---------------------------------------------------------------------------
-# Local LTS (Lr1..Lr11)
-# ---------------------------------------------------------------------------
+# Every rule, by its name in the paper, as `(node, me, canonical_key, stack)
+# -> steps`.  The head rules ignore the last two arguments.
+RULES = {
+    "Gr1": lambda g, me, *_: [(direct_send(g.sender, g.receiver, lbl),
+                               GTransit(g.sender, g.receiver, lbl, g.branches))
+                              for lbl, _ in g.branches],
+    "Gr2": lambda g, me, *_: [(direct_recv(g.sender, g.receiver, g.chosen),
+                               branch_for(g.branches, g.chosen))],
+    "Gr3": _unfold,
+    "Gr4": _commute_all,
+    "Gr5": _commute_chosen,
+    "Gr6": lambda g, me, *_: [(routed_send(g.sender, g.receiver, g.router, lbl),
+                               GRoutedTransit(g.sender, g.receiver, g.router, lbl, g.branches))
+                              for lbl, _ in g.branches],
+    "Gr7": lambda g, me, *_: [(routed_recv(g.sender, g.receiver, g.router, g.chosen),
+                               branch_for(g.branches, g.chosen))],
+    "Gr8": _commute_all,
+    "Gr9": _commute_chosen,
+    "Lr1": lambda t, me, *_: [(direct_send(me, t.peer, lbl), cont) for lbl, cont in t.branches],
+    "Lr2": lambda t, me, *_: [(direct_recv(t.peer, me, lbl), cont) for lbl, cont in t.branches],
+    "Lr3": _unfold,
+    "Lr4": lambda t, me, *_: [(routed_send(me, t.peer, t.via, lbl), cont)
+                              for lbl, cont in t.branches],
+    "Lr5": lambda t, me, *_: [(routed_recv(t.peer, me, t.via, lbl), cont)
+                              for lbl, cont in t.branches],
+    "Lr6": lambda t, me, *_: [(routed_send(t.sender, t.receiver, me, lbl),
+                               LRouterTransit(t.sender, t.receiver, lbl, t.branches))
+                              for lbl, _ in t.branches],
+    "Lr7": lambda t, me, *_: [(routed_recv(t.sender, t.receiver, me, t.chosen),
+                               branch_for(t.branches, t.chosen))],
+    "Lr8": _commute_all,
+    "Lr9": _commute_chosen,
+    "Lr10": _commute_all,
+    "Lr11": _commute_all,
+}
 
-
-def local_steps(t: LocalType, self_role: Role) -> LocalSteps:
-    """All one-step successors of a local type, labelled from the point of
-    view of `self_role` (which fills in the endpoint the syntax leaves
-    implicit)."""
-    return _sorted_steps(_lsteps(t, self_role))
-
-
-def _lsteps(t: LocalType, me: Role, canonical_key=canonicalize,
-            stack: frozenset = frozenset()) -> LocalSteps:
-    if isinstance(t, LRec):  # Lr3, with the same cycle cut as the global LTS
-        # `canonical_key` maps equal canonical forms, and only those, to
-        # equal keys: the canonical form itself, or its step-table id.
-        key = canonical_key(t)
-        if key in stack:
-            return []
-        return _lsteps(unfold_once(t), me, canonical_key, stack | {key})
-
-    out = local_head_steps(t, me)
-    if isinstance(t, (LSelect, LBranch)):
-        # Lr10/Lr11: a role acting as router for interactions nested behind
-        # its own direct communication may perform those routing actions
-        # first, provided the direct peer is not the subject.
-        out.extend(_commute_all(t, lambda label: label.via == me and label.subject != t.peer,
-                                _lsteps, me, canonical_key, stack))
-    elif isinstance(t, LRouter):
-        # Lr8: causally unrelated actions commute past the routing prefix.
-        out.extend(_commute_all(t, lambda label: label.subject not in (t.sender, t.receiver),
-                                _lsteps, me, canonical_key, stack))
-    elif isinstance(t, LRouterTransit):
-        out.extend(_commute_chosen(t, _lsteps, me, canonical_key, stack))  # Lr9
-    return out
-
-
-def local_head_steps(node: LocalType, me: Role) -> LocalSteps:
-    """The actions of one local node itself (Lr1, Lr2, Lr4-Lr7), in source
-    branch order, labelled from the point of view of `me`.  `node` must not
-    be a recursion binder: unfold it first.
-
-    These are the edges of the endpoint state machine.  A router node offers
-    its forwarding accept (Lr6); the in-transit node it leads to offers the
-    matching delivery (Lr7)."""
-    if isinstance(node, (LEnd, LVar)):
-        return []
-    if isinstance(node, LSelect):  # Lr1
-        return [(direct_send(me, node.peer, lbl), cont) for lbl, cont in node.branches]
-    if isinstance(node, LBranch):  # Lr2
-        return [(direct_recv(node.peer, me, lbl), cont) for lbl, cont in node.branches]
-    if isinstance(node, LRoutedSelect):  # Lr4
-        return [(routed_send(me, node.peer, node.via, lbl), cont)
-                for lbl, cont in node.branches]
-    if isinstance(node, LRoutedBranch):  # Lr5
-        return [(routed_recv(node.peer, me, node.via, lbl), cont)
-                for lbl, cont in node.branches]
-    if isinstance(node, LRouter):  # Lr6
-        return [(routed_send(node.sender, node.receiver, me, lbl),
-                 LRouterTransit(node.sender, node.receiver, lbl, node.branches))
-                for lbl, _ in node.branches]
-    if isinstance(node, LRouterTransit):  # Lr7
-        return [(routed_recv(node.sender, node.receiver, me, node.chosen),
-                 branch_for(node.branches, node.chosen))]
-    raise InvalidType(f"not a local type: {type(node).__name__}")
+# The rules of each node class of both grammars, head rule first.
+_NODE_RULES = {
+    GEnd: (), GVar: (), GRec: ("Gr3",),
+    GComm: ("Gr1", "Gr4"),
+    GTransit: ("Gr2", "Gr5"),
+    GRouted: ("Gr6", "Gr8"),
+    GRoutedTransit: ("Gr7", "Gr9"),
+    LEnd: (), LVar: (), LRec: ("Lr3",),
+    LSelect: ("Lr1", "Lr10"),
+    LBranch: ("Lr2", "Lr11"),
+    LRoutedSelect: ("Lr4",),
+    LRoutedBranch: ("Lr5",),
+    LRouter: ("Lr6", "Lr8"),
+    LRouterTransit: ("Lr7", "Lr9"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +293,7 @@ def config_steps(c: Configuration) -> list[tuple[ActionLabel, Configuration]]:
     Sends append to the sender->receiver buffer; receives pop its head.
     Routed actions additionally require (and advance) the router's local type.
     """
-    steps_by_role = {r: dict_of_steps(_lsteps(t, r)) for r, t in c.locals}
+    steps_by_role = {r: dict_of_steps(_steps(t, r)) for r, t in c.locals}
     return _sorted_steps((label, c._update(movers, {pair: content}))
                          for label, (movers, pair, content)
                          in _enabled(steps_by_role, dict(c.buffers)).items())
@@ -368,11 +342,10 @@ class StepTable:
     """One LTS, compiled: canonical states interned as ids, each with its
     full edges (head and commuting rules) as `{label: successor id}`.
 
-    With a `role` it is that role's local LTS (`_lsteps`, edges in rule
-    order); without one it is the global LTS (`_gsteps` with the Gr rules in
-    `disabled` switched off, edges in the label order of `global_steps`).
-    A table lives as long as the search that made it; a search with other
-    rules disabled makes its own.
+    With a `role` it is that role's local LTS (edges in rule order); without
+    one it is the global LTS (edges in the label order of `global_steps`).
+    Edges follow the rules in `RULES` when the table builds them, so a table
+    lives for one checker call, and a call under other rules makes its own.
 
     A state's edges are built the first time they are asked for.  Canonical
     equality is id equality, so a search over ids visits exactly the states
@@ -380,10 +353,8 @@ class StepTable:
     edges, successors and the recursion binders of the cycle cut alike, is
     remembered with its id, so none is canonicalised twice."""
 
-    def __init__(self, role: Role | None = None, disabled: frozenset[str] = frozenset()):
-        _check_rules(disabled)
+    def __init__(self, role: Role | None = None):
         self.role = role
-        self.disabled = disabled
         self.states: list[AnyType] = []  # canonical type of each id
         self._ids: dict[AnyType, int] = {}  # types met and canonical forms
         # The same objects are met again (a recursion binder is substituted
@@ -411,11 +382,9 @@ class StepTable:
     def edges(self, sid: int) -> dict[ActionLabel, int]:
         edges = self._edges[sid]
         if edges is None:
-            state = self.states[sid]
+            steps = _steps(self.states[sid], self.role, self.intern)
             if self.role is None:
-                steps = _sorted_steps(_gsteps(state, self.disabled, self.intern))
-            else:
-                steps = _lsteps(state, self.role, self.intern)
+                steps = _sorted_steps(steps)
             edges = self._edges[sid] = {label: self.intern(succ)
                                         for label, succ in dict_of_steps(steps).items()}
         return edges

@@ -26,6 +26,7 @@ from routedmpst.scribble import elaborate, parse_module
 
 import naive_enumerator
 import property_suites
+from mutation import rules_disabled
 from corpus import (
     A, B, BYE, C, CORPUS_ROUTERS, G1_MERGE, G2_MERGE, G_EX, G_TRAVEL,
     G_TRAVEL_ROUTED, HELLO, M1, M2, P, PROTOCOL_DIR, Q, S, SR, load,
@@ -223,15 +224,15 @@ def test_criterion_10_mutation_sensitivity():
         g = load(name)
         encoded = encode_global(g, Role(router_name))
         for source in (g, encoded):
-            report = check_trace_equivalence(source, DEPTH, STATE_CAP,
-                                             disabled=frozenset({"Gr4"}))
+            with rules_disabled("Gr4"):
+                report = check_trace_equivalence(source, DEPTH, STATE_CAP)
             if report.verdict == FAIL:
                 te_failures.append((name, report))
     te_ok = bool(te_failures) and all(r.counterexample is not None
                                       for _, r in te_failures)
 
-    df = check_deadlock_freedom(encode_global(G_TRAVEL, S), S,
-                                disabled=frozenset({"Gr7"}))
+    with rules_disabled("Gr7"):
+        df = check_deadlock_freedom(encode_global(G_TRAVEL, S), S)
     df_ok = df.verdict == FAIL and df.counterexample is not None
 
     _report("10 (mutation sensitivity)", te_ok and df_ok,

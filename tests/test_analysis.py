@@ -15,6 +15,7 @@ from routedmpst.encoding import encode_global
 from routedmpst.semantics import config_steps, global_steps, project_configuration
 
 import naive_enumerator
+from mutation import rules_disabled
 from corpus import (
     CORPUS_ROUTERS, G_EX, G_EX_ROUTED, G_TRAVEL, G_TRAVEL_ROUTED, M1, M2, P,
     Q, S, SR, load,
@@ -103,7 +104,8 @@ def test_known_gap_trace_equivalence_not_universal_for_routed_types():
 
 def test_trace_equivalence_mutation_gr4_fails_with_witness():
     g = load("Battleships")
-    report = check_trace_equivalence(g, 8, disabled=frozenset({"Gr4"}))
+    with rules_disabled("Gr4"):
+        report = check_trace_equivalence(g, 8)
     assert report.verdict == FAIL
     assert report.counterexample is not None
     assert report.counterexample.trace  # shortest distinguishing trace
@@ -127,7 +129,8 @@ def test_deadlock_freedom_requires_routed_wf():
 
 def test_deadlock_freedom_mutation_gr7_fails():
     g = encode_global(G_TRAVEL, S)
-    report = check_deadlock_freedom(g, S, disabled=frozenset({"Gr7"}))
+    with rules_disabled("Gr7"):
+        report = check_deadlock_freedom(g, S)
     assert report.verdict == FAIL
     assert report.counterexample is not None
     assert "stuck" in report.counterexample.detail
@@ -144,7 +147,8 @@ def test_encoding_bisim_example_and_corpus():
 def test_encoding_bisim_mutation_detected():
     # Killing the routed-delivery rule must break the transition
     # correspondence (the encoded side loses steps the plain side keeps).
-    report = check_encoding_bisim(G_TRAVEL, S, 10, disabled=frozenset({"Gr7"}))
+    with rules_disabled("Gr7"):
+        report = check_encoding_bisim(G_TRAVEL, S, 10)
     assert report.verdict == FAIL
 
 
@@ -232,23 +236,22 @@ def test_report_lines_machine_readable_format():
     assert any(line.startswith("states=") for line in lines)
     assert not any(line.startswith("counterexample=") for line in lines)
 
-    failing = check_trace_equivalence(load("Battleships"), 8,
-                                      disabled=frozenset({"Gr4"}))
+    with rules_disabled("Gr4"):
+        failing = check_trace_equivalence(load("Battleships"), 8)
     assert "verdict=fail" in failing.lines()
     witness = [line for line in failing.lines() if line.startswith("counterexample=")]
     assert len(witness) == 1 and "!" in witness[0]
 
 
 @pytest.mark.parametrize("name, run", [
-    ("trace_equivalence_Gr4", lambda: check_trace_equivalence(
-        load("Battleships"), 8, disabled=frozenset({"Gr4"}))),
-    ("deadlock_freedom_Gr7", lambda: check_deadlock_freedom(
-        encode_global(G_TRAVEL, S), S, disabled=frozenset({"Gr7"}))),
-    ("encoding_bisim_Gr7", lambda: check_encoding_bisim(
-        G_TRAVEL, S, 10, disabled=frozenset({"Gr7"}))),
+    ("trace_equivalence_Gr4", lambda: check_trace_equivalence(load("Battleships"), 8)),
+    ("deadlock_freedom_Gr7", lambda: check_deadlock_freedom(encode_global(G_TRAVEL, S), S)),
+    ("encoding_bisim_Gr7", lambda: check_encoding_bisim(G_TRAVEL, S, 10)),
 ])
 def test_mutation_reports_match_golden_files(name, run):
     # The criterion-10 failures pinned line by line: verdict, state count,
     # depth and the exact witness.
     golden = GOLDEN / f"mutation_{name}.txt"
-    assert "\n".join(run().lines()) + "\n" == golden.read_text(), f"{golden} drifted"
+    with rules_disabled(name.rsplit("_", 1)[1]):
+        report = run()
+    assert "\n".join(report.lines()) + "\n" == golden.read_text(), f"{golden} drifted"

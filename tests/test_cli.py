@@ -116,6 +116,20 @@ def test_verify_output_matches_golden_file(capsys, golden, protocol, extra, exit
     assert out == (GOLDEN / golden).read_text(), f"{golden} drifted"
 
 
+def test_state_cap_counts_only_keys_a_bounded_search_expands(capsys):
+    # At depth 4 the searches expand the 6 keys found within 3 steps; the
+    # keys found on the 4th step are never expanded, so a cap of 6 suffices.
+    # Deadlock freedom has no depth bound and stays inconclusive.
+    code, out, _ = run(capsys, "verify", GAME, "Game", "--router", "Svr",
+                       "--depth", "4", "--state-cap", "6")
+    fields = [line.split("=", 1) for line in out.splitlines()]
+    checks = [value for key, value in fields if key == "check"]
+    verdicts = [value for key, value in fields if key == "verdict"]
+    assert dict(zip(checks, verdicts)) == {"trace_equivalence": "pass", "trace_equivalence_encoded": "pass",
+                        "deadlock_freedom": "inconclusive", "encoding_bisim": "pass"}
+    assert code == 1
+
+
 def test_verify_fails_on_unprojectable_protocol(capsys, tmp_path):
     bad = tmp_path / "bad.scr"
     bad.write_text("""

@@ -8,19 +8,20 @@ import pytest
 from routedmpst.core import InvalidType, LEnd, LVar, Role, canonicalize, direct_send
 from routedmpst.encoding import encode_global
 from routedmpst.semantics import (
-    GLOBAL_RULES, CompiledConfigurations, StepTable, config_steps, dict_of_steps,
+    CompiledConfigurations, StepTable, config_steps, dict_of_steps,
     global_steps, project_configuration,
 )
 
 from corpus import CORPUS_ROUTERS, M1, load
+from mutation import GLOBAL_RULES, rules_disabled
 from strategies import ROLE_POOL
 
 
-def _check_global_table(g, disabled, limit=None):
+def _check_global_table(g, limit=None):
     """Breadth-first over the global step table from `g`, through at most
     `limit` states: each id stands for a distinct canonical state whose
     `global_steps`, canonicalised, are exactly its edges, in the same order."""
-    table = StepTable(disabled=disabled)
+    table = StepTable()
     start = table.intern(g)
     assert table.states[start] == canonicalize(g)
     seen = {start}
@@ -30,7 +31,7 @@ def _check_global_table(g, disabled, limit=None):
         sid = frontier.pop(0)
         expanded += 1
         want = [(label, canonicalize(succ))
-                for label, succ in global_steps(table.states[sid], disabled)]
+                for label, succ in global_steps(table.states[sid])]
         got = list(table.edges(sid).items())
         assert [(label, table.states[succ]) for label, succ in got] == want
         for _, succ in got:
@@ -49,7 +50,7 @@ def _corpus_type(name, encoded):
 @pytest.mark.parametrize("encoded", [False, True], ids=["plain", "encoded"])
 @pytest.mark.parametrize("name", sorted(CORPUS_ROUTERS))
 def test_global_step_table_matches_global_steps(name, encoded):
-    assert _check_global_table(_corpus_type(name, encoded), frozenset()) > 1
+    assert _check_global_table(_corpus_type(name, encoded)) > 1
 
 
 # The Battleships LTS has 165 states, plain and encoded, and `global_steps`
@@ -58,13 +59,9 @@ def test_global_step_table_matches_global_steps(name, encoded):
 @pytest.mark.parametrize("name", sorted(CORPUS_ROUTERS))
 def test_global_step_table_with_each_rule_disabled(name, encoded):
     g = _corpus_type(name, encoded)
-    for rule in sorted(GLOBAL_RULES):
-        _check_global_table(g, frozenset({rule}), 20 if name == "Battleships" else None)
-
-
-def test_global_step_table_rejects_unknown_rules():
-    with pytest.raises(ValueError):
-        StepTable(disabled=frozenset({"Gr10"}))
+    for rule in GLOBAL_RULES:
+        with rules_disabled(rule):
+            _check_global_table(g, 20 if name == "Battleships" else None)
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS_ROUTERS))

@@ -1,12 +1,13 @@
+from routedmpst import core
 from routedmpst.core import (
-    GComm, GEnd, GRoutedTransit, GTransit, LEnd, LRouter,
-    LRouterTransit, LRoutedBranch, LRoutedSelect, LSelect, Role,
+    GComm, GEnd, GRoutedTransit, GTransit, GlobalType, LEnd, LRouter,
+    LRouterTransit, LRoutedBranch, LRoutedSelect, LSelect, LocalType, Role,
     direct_recv, direct_send, routed_recv, routed_send,
 )
 from routedmpst.encoding import encode_global
 from routedmpst.projection import project
 from routedmpst.semantics import (
-    Configuration, config_steps, global_steps, local_steps,
+    _NODE_RULES, RULES, Configuration, config_steps, global_steps, local_steps,
     project_configuration,
 )
 
@@ -184,3 +185,18 @@ def test_project_configuration_matches_stepped_mid_trace_states():
         projected = project_configuration(state, roles=roles)
         assert conf.canonical() == projected.canonical()
     assert conf.is_terminal()
+
+
+# ---------------------------------------------------------------------------
+# Rule table
+# ---------------------------------------------------------------------------
+
+
+def test_every_node_class_has_rules_and_every_rule_one_node_class():
+    node_classes = {cls for cls in vars(core).values()
+                    if isinstance(cls, type) and issubclass(cls, (GlobalType, LocalType))
+                    and cls not in (GlobalType, LocalType)}
+    assert set(_NODE_RULES) == node_classes
+    used = [name for names in _NODE_RULES.values() for name in names]
+    assert sorted(used) == sorted(RULES)
+    assert set(RULES) == {f"Gr{i}" for i in range(1, 10)} | {f"Lr{i}" for i in range(1, 12)}

@@ -5,11 +5,11 @@ pair search of `routedmpst.analysis.check_trace_equivalence`."""
 from routedmpst.analysis import config_traces, global_traces
 
 
-def trace_difference(g, depth, disabled=frozenset()):
+def trace_difference(g, depth):
     """None when the global and configuration trace sets of `g` agree up to
     `depth`; else the least trace in their symmetric difference (shortest,
     then least by `sort_key`) and the side it lies on."""
-    gset = global_traces(g, depth, disabled=disabled).traces
+    gset = global_traces(g, depth).traces
     cset = config_traces(g, depth).traces
     if gset == cset:
         return None
