@@ -478,6 +478,95 @@ def canonically_equal(a: AnyType, b: AnyType) -> bool:
     return canonicalize(a) == canonicalize(b)
 
 
+_NO_VARS: frozenset[str] = frozenset()
+
+
+class CanonicalIds:
+    """Hash-consed canonical identities: `of(t)` gives two closed types the
+    same id exactly when their canonical forms are equal, without building
+    either form.
+
+    A key is one node of a canonical form with its children replaced by
+    their ids, so each key is hashed shallowly.  One walk, memoised by object
+    identity, records the free variables of every node and the id of every
+    closed one, keyed as the root of its own canonical form.  An open node
+    (under a used binder) is keyed as a node of the canonical form of its
+    nearest closed ancestor, binders named by level as in `canonicalize`;
+    its key is never memoised, since one object can sit under different
+    binders.  A closed binder is named at level 0 and an open one at a level
+    above 0, so an open key never equals a closed one.  Each memo entry
+    keeps its object, and so its identity, alive as long as the interner."""
+
+    def __init__(self) -> None:
+        self._ids: dict[AnyType, int] = {}
+        self._met: dict[int, tuple[AnyType, frozenset[str], int | None]] = {}
+
+    def of(self, t: AnyType) -> int:
+        _, fv, sid = self._met.get(id(t)) or self._walk(t)
+        if sid is None:
+            raise ValueError(f"canonical ids need a closed type; free: {sorted(fv)}")
+        return sid
+
+    def free_vars(self, t: AnyType) -> frozenset[str]:
+        return (self._met.get(id(t)) or self._walk(t))[1]
+
+    def _intern(self, key: AnyType) -> int:
+        sid = self._ids.get(key)
+        if sid is None:
+            sid = self._ids[key] = len(self._ids)
+        return sid
+
+    # `_walk` and `_open` loop over branches instead of using generator
+    # expressions, so each takes one stack frame per nesting level.
+
+    def _walk(self, t: AnyType) -> tuple[AnyType, frozenset[str], int | None]:
+        met = self._met
+        sid = None
+        if isinstance(t, (GEnd, LEnd)):
+            fv, sid = _NO_VARS, self._intern(t)
+        elif isinstance(t, (GVar, LVar)):
+            fv = frozenset((t.var,))
+        elif isinstance(t, (GRec, LRec)):
+            _, inner, body_id = met.get(id(t.body)) or self._walk(t.body)
+            fv = inner - {t.var}
+            if t.var not in inner:
+                sid = body_id
+            elif not fv:
+                name = f"{_CANON_VAR_PREFIX}0"
+                sid = self._intern(type(t)(name, self._open(t.body, {t.var: name}, 1)))
+        else:
+            fv, children = _NO_VARS, []
+            for lbl, c in _node_branches(t):
+                _, child_fv, child_id = met.get(id(c)) or self._walk(c)
+                fv = fv | child_fv
+                children.append((lbl, child_id))
+            if not fv:
+                children.sort(key=lambda item: item[0].name)
+                sid = self._intern(_with_branches(t, tuple(children)))
+        entry = met[id(t)] = (t, fv, sid)
+        return entry
+
+    def _open(self, u: AnyType, env: dict[str, str], depth: int) -> int:
+        """The id of `u`'s key under `env`, which gives each variable bound
+        above `u`, up to the nearest closed ancestor, its canonical name."""
+        sid = self._met[id(u)][2]
+        if sid is not None:
+            return sid
+        if isinstance(u, (GVar, LVar)):
+            return self._intern(type(u)(env[u.var]))
+        if isinstance(u, (GRec, LRec)):
+            if u.var not in self._met[id(u.body)][1]:
+                return self._open(u.body, env, depth)
+            name = f"{_CANON_VAR_PREFIX}{depth}"
+            return self._intern(type(u)(name, self._open(u.body, {**env, u.var: name},
+                                                         depth + 1)))
+        children = []
+        for lbl, c in _node_branches(u):
+            children.append((lbl, self._open(c, env, depth)))
+        children.sort(key=lambda item: item[0].name)
+        return self._intern(_with_branches(u, tuple(children)))
+
+
 def participants(g: GlobalType) -> frozenset[Role]:
     """The set of roles taking part in a global type."""
     if isinstance(g, (GEnd, GVar)):

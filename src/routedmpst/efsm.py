@@ -2,21 +2,25 @@
 of a local type, render it as DOT, and serialise a machine-readable IR.
 
 States are the distinct canonical subterms reached by structural traversal,
-with recursion resolved to back-edges.  The edges of a state are the local
-head rules of its node (`semantics.local_head_steps`); actions that commute
-past a prefix are left out.  Numbering is breadth-first from the
-initial state (branches in source order), which keeps diagram numbering
-and golden files stable.
+with recursion resolved to back-edges.  A subterm is unfolded down to its
+first structural node and keyed by that node's `core.CanonicalIds` id, which
+is equal for two subterms exactly when their canonical forms are; the ids
+are hash-consed, so keying costs one walk per node met, not one
+canonicalisation per state.  The edges of a state are the local head rules
+of its node (`semantics.local_head_steps`); actions that commute past a
+prefix are left out.  Numbering is breadth-first from the initial state
+(branches in source order), never by id, which keeps diagram numbering and
+golden files stable.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import (
-    ActionLabel, LRec, LocalType, Role, SEND, canonicalize, is_closed,
-    unfold_once, validate,
+    ActionLabel, CanonicalIds, LRec, LocalType, Role, SEND, unfold_once, validate,
 )
 from .semantics import local_head_steps
 
@@ -70,7 +74,14 @@ class Efsm:
         return self.states[sid - 1]
 
     def outgoing(self, sid: int) -> tuple[EfsmTransition, ...]:
-        return tuple(t for t in self.transitions if t.source == sid)
+        return self._by_source.get(sid, ())
+
+    @cached_property
+    def _by_source(self) -> dict[int, tuple[EfsmTransition, ...]]:
+        by_source: dict[int, list[EfsmTransition]] = {}
+        for tr in self.transitions:
+            by_source.setdefault(tr.source, []).append(tr)
+        return {sid: tuple(trs) for sid, trs in by_source.items()}
 
     @property
     def terminal_ids(self) -> tuple[int, ...]:
@@ -95,36 +106,27 @@ def _kind_of(actions) -> str:
 def build_efsm(t: LocalType, self_role: Role) -> Efsm:
     """Construct the endpoint state machine of a closed local type."""
     validate(t)
-    if not is_closed(t):
+    ids = CanonicalIds()
+    if ids.free_vars(t):
         raise ValueError("EFSM construction requires a closed local type")
 
-    ids: dict[LocalType, int] = {}
+    numbers: dict[int, int] = {}  # canonical id -> state number
     order: list[LocalType] = []
-    # Back edges lead to the recursion binder object itself, so a state met
-    # again is found by identity before it is unfolded and canonicalised.
-    by_object: dict[int, tuple[LocalType, int]] = {}
 
     def state_id(closed: LocalType) -> int:
-        hit = by_object.get(id(closed))
-        if hit is not None:
-            return hit[1]
-        key = canonicalize(_unwrap(closed))
-        if key not in ids:
-            ids[key] = len(order) + 1
-            order.append(closed)
-        by_object[id(closed)] = (closed, ids[key])
-        return ids[key]
+        node = _unwrap(closed)
+        key = ids.of(node)
+        if key not in numbers:
+            numbers[key] = len(order) + 1
+            order.append(node)
+        return numbers[key]
 
     transitions: list[EfsmTransition] = []
     states: list[EfsmState] = []
     state_id(t)
-    visited = 0
-    while visited < len(order):
-        closed = order[visited]
-        visited += 1
-        node = _unwrap(closed)
+    for node in order:  # a breadth-first queue: state_id appends to it
+        sid = len(states) + 1
         actions = local_head_steps(node, self_role)
-        sid = visited
         states.append(EfsmState(sid, _kind_of(actions), node))
         for action, cont in actions:
             transitions.append(EfsmTransition(sid, state_id(cont), action))

@@ -9,7 +9,8 @@ import hypothesis.strategies as st
 
 from routedmpst.core import (
     GComm, GEnd, GRec, GVar, LBranch, LEnd, LRec, LRoutedBranch,
-    LRoutedSelect, LSelect, LVar, MsgLabel, Role,
+    LRoutedSelect, LSelect, LVar, LocalType, MsgLabel, Role, _node_branches,
+    _with_branches,
 )
 
 ROLE_POOL = tuple(Role(n) for n in ("A", "B", "C", "D"))
@@ -129,3 +130,20 @@ def mergeable_pairs(draw, self_role, depth=3, roles=ROLE_POOL[:3]):
         return LBranch(peer, tuple(left)), LBranch(peer, tuple(right))
     return (LRoutedBranch(peer, via, tuple(left)),
             LRoutedBranch(peer, via, tuple(right)))
+
+
+@st.composite
+def with_unused_binders(draw, t):
+    """`t` with up to two nested unused binders wrapped around each node
+    but a variable (which would make the binders non-contractive)."""
+    if isinstance(t, (GVar, LVar)):
+        return t
+    if isinstance(t, (GRec, LRec)):
+        t = type(t)(t.var, draw(with_unused_binders(t.body)))
+    elif _node_branches(t) is not None:
+        t = _with_branches(t, tuple((lbl, draw(with_unused_binders(c)))
+                                    for lbl, c in _node_branches(t)))
+    rec = LRec if isinstance(t, LocalType) else GRec
+    for i in range(draw(st.integers(0, 2))):
+        t = rec(f"unused{i}", t)
+    return t

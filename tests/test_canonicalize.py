@@ -5,14 +5,11 @@ import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
 from routedmpst import core
-from routedmpst.core import (
-    GComm, GEnd, GRec, GVar, LRec, LVar, LocalType, _node_branches, _with_branches,
-    canonicalize,
-)
+from routedmpst.core import GComm, GEnd, GRec, GVar, LRec, _node_branches, canonicalize
 
 import canonical_oracle
 from corpus import A, B, M1, M2, one
-from strategies import ROLE_POOL, global_types, local_types
+from strategies import ROLE_POOL, global_types, local_types, with_unused_binders
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -20,23 +17,6 @@ PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
 # Free variables that already carry canonical names, as in the open
 # subterms met when a canonical body is canonicalised again.
 CANONICAL_NAMES = ("%0", "%1", "%%0")
-
-
-@st.composite
-def with_unused_binders(draw, t):
-    """`t` with up to two nested unused binders wrapped around each node
-    but a variable (which would make the binders non-contractive)."""
-    if isinstance(t, (GVar, LVar)):
-        return t
-    if isinstance(t, (GRec, LRec)):
-        t = type(t)(t.var, draw(with_unused_binders(t.body)))
-    elif _node_branches(t) is not None:
-        t = _with_branches(t, tuple((lbl, draw(with_unused_binders(c)))
-                                    for lbl, c in _node_branches(t)))
-    rec = LRec if isinstance(t, LocalType) else GRec
-    for i in range(draw(st.integers(0, 2))):
-        t = rec(f"unused{i}", t)
-    return t
 
 
 def _agrees(t):

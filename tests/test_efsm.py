@@ -1,7 +1,10 @@
 import json
 import re
 
-from routedmpst.core import LEnd, Role, canonicalize, participants
+import hypothesis.strategies as st
+from hypothesis import HealthCheck, given, settings
+
+from routedmpst.core import LEnd, LRec, Role, _node_branches, canonicalize, participants
 from routedmpst.efsm import (
     STATE_RECEIVE, STATE_SEND, STATE_TERMINAL, build_efsm, efsm_ir, render_dot,
 )
@@ -9,7 +12,9 @@ from routedmpst.encoding import encode_global
 from routedmpst.projection import project
 from routedmpst.semantics import local_steps
 
+import efsm_oracle
 from corpus import A, B, CORPUS_ROUTERS, G_TRAVEL, S, load
+from strategies import ROLE_POOL, local_types, with_unused_binders
 
 TRAVEL_A_MACHINE = {
     (1, "B?Suggest", 2),
@@ -105,6 +110,43 @@ def test_machine_agrees_with_local_lts_on_every_state():
                     assert machine_steps <= lts, (name, g is plain, role, st.id)
                     if g is plain and name == "TravelAgency":
                         assert machine_steps == lts, (role, st.id)
+
+
+def _assert_matches_oracle(t, role):
+    """States (kind and local type), transitions, IR, DOT and each state's
+    outgoing transitions equal those of the canonicalise-per-state build."""
+    got, want = build_efsm(t, role), efsm_oracle.build_efsm(t, role)
+    assert [(s.id, s.kind, s.local_type) for s in got.states] == \
+        [(s.id, s.kind, s.local_type) for s in want.states]
+    assert got.transitions == want.transitions
+    assert efsm_ir(got) == efsm_ir(want)
+    assert render_dot(got) == render_dot(want)
+    for st_ in got.states:
+        assert got.outgoing(st_.id) == tuple(tr for tr in want.transitions
+                                             if tr.source == st_.id)
+
+
+def test_machines_match_the_oracle_on_the_corpus_and_its_encodings():
+    for name, router in sorted(CORPUS_ROUTERS.items()):
+        plain = load(name)
+        for g in (plain, encode_global(plain, Role(router))):
+            for role in sorted(participants(g)):
+                _assert_matches_oracle(project(g, role), role)
+
+
+def _has_recursion(t):
+    return isinstance(t, LRec) or any(_has_recursion(c)
+                                      for _, c in _node_branches(t) or ())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(st.sampled_from(ROLE_POOL).flatmap(lambda role: st.tuples(
+    st.just(role), local_types(role, depth=4, roles=ROLE_POOL)
+    .filter(_has_recursion).flatmap(with_unused_binders))))
+def test_machines_match_the_oracle_on_recursive_local_types(drawn):
+    role, t = drawn
+    _assert_matches_oracle(t, role)
 
 
 def _unfold(t):

@@ -6,7 +6,7 @@ import gc
 from routedmpst.analysis import (
     check_deadlock_freedom, check_encoding_bisim, check_trace_equivalence,
 )
-from routedmpst.core import Role
+from routedmpst.core import Role, participants
 from routedmpst.efsm import build_efsm
 from routedmpst.encoding import encode_global
 from routedmpst.projection import project
@@ -39,6 +39,17 @@ def test_checkers_leave_no_reference_cycles():
         validate_log(g, router, log)
         for role in (Role("A"), Role("B"), router):
             build_efsm(project(g, role), role)
+
+    _assert_no_cycles(work)
+
+
+def test_efsm_and_simulation_leave_no_reference_cycles():
+    g, router = load("Battleships"), Role("Svr")
+
+    def work():
+        for role in sorted(participants(g)):
+            build_efsm(project(g, role), role)
+        run_session(g, router, None, SimConfig(seed=0))
 
     _assert_no_cycles(work)
 
