@@ -12,16 +12,16 @@ One breadth-first search, `_explore`, runs all four checks and
 or, for trace equivalence, pairs of such an id and a
 `semantics.CompiledConfigurations` key.  Keys are equal exactly when
 canonical states are, so the states counted are canonical states (or pairs
-of them).  Trace sets are enumerated path by path over the same step
-functions.  The tables are built for one call and dropped when it returns.
+of them); only states printed or returned are put in canonical form.
+Traces are enumerated path by path; the tables live for one call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ActionLabel, GEnd, GlobalType, Role, pretty_global
-from .encoding import encode_global, encode_label
+from .core import ActionLabel, GEnd, GlobalType, Role, canonicalize, pretty_global
+from .encoding import _encode_global, encode_label
 from .semantics import CompiledConfigurations, StepTable, project_configuration
 from .wellformed import check_wf, check_wf_routed
 
@@ -224,9 +224,9 @@ def check_deadlock_freedom(g: GlobalType, router: Role,
     table = StepTable()
 
     def visit(sid, trace, edges):
-        state = table.states[sid]
-        if not edges and not isinstance(state, GEnd):
-            yield Counterexample(trace, f"stuck non-terminal state:\n{pretty_global(state)}")
+        if not edges and not isinstance(table.states[sid], GEnd):
+            state = pretty_global(canonicalize(table.states[sid]))
+            yield Counterexample(trace, f"stuck non-terminal state:\n{state}")
         yield from edges.items()
 
     return _explore("deadlock_freedom", table.intern(g), table.edges, visit, None,
@@ -248,10 +248,11 @@ def check_encoding_bisim(g: GlobalType, s: Role, depth: int,
         raise PreconditionError(f"type not well-formed: {wf.describe()}")
     plain, encoded = StepTable(), StepTable()
     encoded_id: dict[int, int] = {}
+    memo: dict = {}  # encoded states share subterms as the plain ones do
 
     def encode(sid):
         if sid not in encoded_id:
-            encoded_id[sid] = encoded.intern(encode_global(plain.states[sid], s))
+            encoded_id[sid] = encoded.intern(_encode_global(plain.states[sid], s, memo))
         return encoded_id[sid]
 
     def visit(sid, trace, edges):
@@ -281,4 +282,4 @@ def reachable_states(g: GlobalType, depth: int,
                             lambda sid, trace, edges: edges.items(), depth, state_cap)
     if report.verdict == INCONCLUSIVE:
         raise StateBudgetExceeded(state_cap, report.states_visited)
-    return [table.states[sid] for sid in seen]
+    return [canonicalize(table.states[sid]) for sid in seen]

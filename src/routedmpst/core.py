@@ -413,17 +413,19 @@ def substitute(t: AnyType, var: str, replacement: AnyType) -> AnyType:
     """Substitute `replacement` for free occurrences of `var` in `t`.
 
     Shadowing binders are respected; the replacement is expected to be closed
-    (always the case for recursion unfolding), so no capture can occur.
+    (always the case for recursion unfolding), so no capture can occur.  A
+    subterm that does not change is returned as it is, not copied.
     """
     if isinstance(t, (GEnd, LEnd)):
         return t
     if isinstance(t, (GVar, LVar)):
         return replacement if t.var == var else t
     if isinstance(t, (GRec, LRec)):
-        if t.var == var:
-            return t
-        return type(t)(t.var, substitute(t.body, var, replacement))
+        body = t.body if t.var == var else substitute(t.body, var, replacement)
+        return t if body is t.body else type(t)(t.var, body)
     branches = tuple((lbl, substitute(c, var, replacement)) for lbl, c in _node_branches(t))
+    if all(new is old for (_, new), (_, old) in zip(branches, _node_branches(t))):
+        return t
     return _with_branches(t, branches)
 
 
@@ -495,11 +497,13 @@ class CanonicalIds:
     its key is never memoised, since one object can sit under different
     binders.  A closed binder is named at level 0 and an open one at a level
     above 0, so an open key never equals a closed one.  Each memo entry
-    keeps its object, and so its identity, alive as long as the interner."""
+    keeps its object, and so its identity, alive as long as the interner;
+    `unfold` unfolds each binder object once, so its callers share subterms."""
 
     def __init__(self) -> None:
         self._ids: dict[AnyType, int] = {}
         self._met: dict[int, tuple[AnyType, frozenset[str], int | None]] = {}
+        self._unfolded: dict[int, tuple[AnyType, AnyType]] = {}
 
     def of(self, t: AnyType) -> int:
         _, fv, sid = self._met.get(id(t)) or self._walk(t)
@@ -509,6 +513,13 @@ class CanonicalIds:
 
     def free_vars(self, t: AnyType) -> frozenset[str]:
         return (self._met.get(id(t)) or self._walk(t))[1]
+
+    def unfold(self, t: AnyType) -> AnyType:
+        """`unfold_once(t)`, built once per binder object."""
+        met = self._unfolded.get(id(t))
+        if met is None:
+            met = self._unfolded[id(t)] = (t, unfold_once(t))
+        return met[1]
 
     def _intern(self, key: AnyType) -> int:
         sid = self._ids.get(key)

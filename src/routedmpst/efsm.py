@@ -6,9 +6,10 @@ with recursion resolved to back-edges.  A subterm is unfolded down to its
 first structural node and keyed by that node's `core.CanonicalIds` id, which
 is equal for two subterms exactly when their canonical forms are; the ids
 are hash-consed, so keying costs one walk per node met, not one
-canonicalisation per state.  The edges of a state are the local head rules
-of its node (`semantics.local_head_steps`); actions that commute past a
-prefix are left out.  Numbering is breadth-first from the initial state
+canonicalisation per state; a back edge reaches its binder's one unfolding
+(`CanonicalIds.unfold`).  The edges of a state are the local head rules of
+its node (`semantics.local_head_steps`); actions that commute past a prefix
+are left out.  Numbering is breadth-first from the initial state
 (branches in source order), never by id, which keeps diagram numbering and
 golden files stable.
 """
@@ -19,9 +20,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import (
-    ActionLabel, CanonicalIds, LRec, LocalType, Role, SEND, unfold_once, validate,
-)
+from .core import ActionLabel, CanonicalIds, LRec, LocalType, Role, SEND, validate
 from .semantics import local_head_steps
 
 STATE_SEND = "send"
@@ -88,13 +87,6 @@ class Efsm:
         return tuple(s.id for s in self.states if s.kind == STATE_TERMINAL)
 
 
-def _unwrap(t: LocalType) -> LocalType:
-    """Unfold top-level recursion until a structural node appears."""
-    while isinstance(t, LRec):
-        t = unfold_once(t)
-    return t
-
-
 def _kind_of(actions) -> str:
     if not actions:
         return STATE_TERMINAL
@@ -105,16 +97,15 @@ def _kind_of(actions) -> str:
 
 def build_efsm(t: LocalType, self_role: Role) -> Efsm:
     """Construct the endpoint state machine of a closed local type."""
-    validate(t)
+    validate(t)  # InvalidType, a ValueError, on an open type
     ids = CanonicalIds()
-    if ids.free_vars(t):
-        raise ValueError("EFSM construction requires a closed local type")
 
     numbers: dict[int, int] = {}  # canonical id -> state number
     order: list[LocalType] = []
 
-    def state_id(closed: LocalType) -> int:
-        node = _unwrap(closed)
+    def state_id(node: LocalType) -> int:
+        while isinstance(node, LRec):  # unfold down to a structural node
+            node = ids.unfold(node)
         key = ids.of(node)
         if key not in numbers:
             numbers[key] = len(order) + 1

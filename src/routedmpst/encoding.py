@@ -35,18 +35,30 @@ def encode_global(g: GlobalType, s: Role) -> GlobalType:
     Direct in-transit markers are encoded too, because the reachable states
     of a canonical type contain them and the bisimulation checker encodes
     those mid-trace states.  Routed constructs are rejected."""
-    if isinstance(g, GEnd) or isinstance(g, GVar):
+    return _encode_global(g, s, {})
+
+
+def _encode_global(g: GlobalType, s: Role, memo: dict) -> GlobalType:
+    """`encode_global` memoised in `memo`, `{id(node): (node, encoding)}`:
+    types encoded through one memo share the encodings of shared subterms."""
+    if isinstance(g, (GEnd, GVar)):
         return g
+    if id(g) in memo:
+        return memo[id(g)][1]
     if isinstance(g, GRec):
-        return GRec(g.var, encode_global(g.body, s))
-    if isinstance(g, (GComm, GTransit)):
-        branches = tuple((lbl, encode_global(c, s)) for lbl, c in g.branches)
+        out = GRec(g.var, _encode_global(g.body, s, memo))
+    elif not isinstance(g, (GComm, GTransit)):
+        raise NotCanonical(f"cannot encode non-canonical construct {type(g).__name__}")
+    else:
+        branches = tuple((lbl, _encode_global(c, s, memo)) for lbl, c in g.branches)
         if s in (g.sender, g.receiver):
-            return _with_branches(g, branches)
-        if isinstance(g, GComm):
-            return GRouted(g.sender, g.receiver, s, branches)
-        return GRoutedTransit(g.sender, g.receiver, s, g.chosen, branches)
-    raise NotCanonical(f"cannot encode non-canonical construct {type(g).__name__}")
+            out = _with_branches(g, branches)
+        elif isinstance(g, GComm):
+            out = GRouted(g.sender, g.receiver, s, branches)
+        else:
+            out = GRoutedTransit(g.sender, g.receiver, s, g.chosen, branches)
+    memo[id(g)] = (g, out)
+    return out
 
 
 def encode_local(t: LocalType, q: Role, s: Role) -> LocalType:

@@ -13,14 +13,16 @@ fires first:
 - head rules: Gr1, Gr2, Gr6, Gr7 and Lr1, Lr2, Lr4-Lr7.  The local ones are
   also the edges of the endpoint state machine (`local_head_steps`, read by
   `efsm.build_efsm`).
-- `_unfold`: Gr3 and Lr3, recursion with a cycle cut.
+- `_unfold`: Gr3 and Lr3, recursion with a cycle cut, keyed and unfolded
+  through one `core.CanonicalIds` interner.
 - `_commute_all`: Gr4/Gr8, Lr8 and Lr10/Lr11; the subject filter depends on
   the node's class.
 - `_commute_chosen`: Gr5/Gr9 and Lr9.
 
-Both LTSs have a compiled form, `StepTable`: canonical states interned as
-ids, each with its edges as `{label: successor id}`.  A global table (no
-role) is what the checkers in `analysis` search.  One local table per role
+Both LTSs have a compiled form, `StepTable`: states keyed by their
+`CanonicalIds` id, each with its edges as `{label: successor id}`; canonical
+forms are built only where a state is printed or returned.  A global table
+(no role) is what the checkers in `analysis` search.  One local table per role
 backs `CompiledConfigurations`, which steps over tuples of state ids plus
 buffers and shares the configuration rule (`_enabled`) with `config_steps`,
 the form over `Configuration` values.
@@ -31,11 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
-    ActionLabel, AnyType, GComm, GEnd, GRec, GRouted, GRoutedTransit, GTransit,
-    GVar, GlobalType, InvalidType, LBranch, LEnd, LRec, LRouter, LRouterTransit,
-    LRoutedBranch, LRoutedSelect, LSelect, LVar, LocalType, MsgLabel, Role, SEND,
-    _with_branches, branch_for, canonicalize, direct_recv, direct_send,
-    participants, routed_recv, routed_send, unfold_once,
+    ActionLabel, AnyType, CanonicalIds, GComm, GEnd, GRec, GRouted, GRoutedTransit,
+    GTransit, GVar, GlobalType, InvalidType, LBranch, LEnd, LRec, LRouter,
+    LRouterTransit, LRoutedBranch, LRoutedSelect, LSelect, LVar, LocalType, MsgLabel,
+    Role, SEND, _with_branches, branch_for, canonicalize, direct_recv, direct_send,
+    participants, routed_recv, routed_send, validate,
 )
 from .projection import project
 
@@ -51,14 +53,14 @@ def global_steps(g: GlobalType) -> Steps:
     """All one-step successors of a closed global type, in deterministic
     label order.  The relation is label-deterministic, so each label appears
     at most once."""
-    return _sorted_steps(_steps(g, None))
+    return _sorted_steps(_steps(g, None, CanonicalIds()))
 
 
 def local_steps(t: LocalType, self_role: Role) -> LocalSteps:
     """All one-step successors of a local type, labelled from the point of
     view of `self_role` (which fills in the endpoint the syntax leaves
     implicit)."""
-    return _sorted_steps(_steps(t, self_role))
+    return _sorted_steps(_steps(t, self_role, CanonicalIds()))
 
 
 def local_head_steps(node: LocalType, me: Role) -> LocalSteps:
@@ -70,39 +72,37 @@ def local_head_steps(node: LocalType, me: Role) -> LocalSteps:
     its forwarding accept (Lr6); the in-transit node it leads to offers the
     matching delivery (Lr7)."""
     rules = _NODE_RULES[type(node)]
-    return RULES[rules[0]](node, me, canonicalize, frozenset()) if rules else []
+    return RULES[rules[0]](node, me, None, frozenset()) if rules else []
 
 
-def _steps(t: AnyType, me: Role | None, canonical_key=canonicalize,
+def _steps(t: AnyType, me: Role | None, ids: CanonicalIds,
            stack: frozenset = frozenset()) -> list:
-    """The steps of `t` by the rules of its node class, in rule order.
-
-    `canonical_key` maps equal canonical forms, and only those, to equal
-    keys: the canonical form itself, or its step-table id.  `stack` holds the
-    keys of the recursion binders unfolded on the way down."""
+    """The steps of the closed type `t` by the rules of its node class, in
+    rule order.  The recursion rules key and unfold binders with `ids`;
+    `stack` holds the ids of the binders unfolded on the way down."""
     rules = _NODE_RULES.get(type(t))
     if rules is None:
         raise InvalidType(f"not a session type: {type(t).__name__}")
     out = []
     for name in rules:
-        out.extend(RULES[name](t, me, canonical_key, stack))
+        out.extend(RULES[name](t, me, ids, stack))
     return out
 
 
-def no_steps(node, me, canonical_key, stack) -> list:
+def no_steps(node, me, ids, stack) -> list:
     """A rule that never fires."""
     return []
 
 
-def _unfold(node, me, canonical_key, stack) -> list:
+def _unfold(node, me, ids, stack) -> list:
     """Gr3, Lr3: a recursion binder steps as its unfolding.  Cut at canonical
     repeats: the prefix rules propagate one label downward, so a derivable
     step never needs to unfold the same recursive state twice along one
     derivation path."""
-    key = canonical_key(node)
+    key = ids.of(node)
     if key in stack:
         return []
-    return _steps(unfold_once(node), me, canonical_key, stack | {key})
+    return _steps(ids.unfold(node), me, ids, stack | {key})
 
 
 # The table's entries are plain functions that call `_steps` themselves: a
@@ -110,14 +110,14 @@ def _unfold(node, me, canonical_key, stack) -> list:
 # level.
 
 
-def _commute_all(node, me, canonical_key, stack) -> list:
+def _commute_all(node, me, ids, stack) -> list:
     """Gr4/Gr8, Lr8, Lr10/Lr11: an action enabled in every branch of `node`
     fires under the prefix, and every branch moves past it.  Under a direct
     local prefix (Lr10/Lr11) these are the routing actions of `me` whose
     subject is not the direct peer; under any other prefix, the actions
     whose subject is neither its sender nor its receiver."""
     direct = isinstance(node, (LSelect, LBranch))
-    per_branch = [dict_of_steps(_steps(cont, me, canonical_key, stack))
+    per_branch = [dict_of_steps(_steps(cont, me, ids, stack))
                   for _, cont in node.branches]
     out = []
     for label in per_branch[0]:
@@ -132,12 +132,12 @@ def _commute_all(node, me, canonical_key, stack) -> list:
     return out
 
 
-def _commute_chosen(node, me, canonical_key, stack) -> list:
+def _commute_chosen(node, me, ids, stack) -> list:
     """Gr5/Gr9, Lr9: under an in-transit prefix only the chosen branch
     evolves, and the receiver of the pending message must not be the
     subject, which keeps its receive ordered first."""
     out = []
-    for label, succ in _steps(branch_for(node.branches, node.chosen), me, canonical_key, stack):
+    for label, succ in _steps(branch_for(node.branches, node.chosen), me, ids, stack):
         if label.subject == node.receiver:
             continue
         branches = tuple((lbl, succ if lbl == node.chosen else cont)
@@ -158,8 +158,8 @@ def dict_of_steps(steps):
     return out
 
 
-# Every rule, by its name in the paper, as `(node, me, canonical_key, stack)
-# -> steps`.  The head rules ignore the last two arguments.
+# Every rule, by its name in the paper, as `(node, me, ids, stack) -> steps`.
+# The head rules ignore the last two arguments.
 RULES = {
     "Gr1": lambda g, me, *_: [(direct_send(g.sender, g.receiver, lbl),
                                GTransit(g.sender, g.receiver, lbl, g.branches))
@@ -279,13 +279,6 @@ class Configuration:
         return all(isinstance(t, LEnd) for _, t in self.locals) and \
             all(not content for _, content in self.buffers)
 
-    def describe(self) -> str:
-        from .core import pretty_local
-        lines = [f"{r}: {pretty_local(t)}" for r, t in self.locals]
-        lines += [f"w[{p}->{q}] = [{', '.join(m.name for m in content)}]"
-                  for (p, q), content in self.buffers if content]
-        return "\n".join(lines)
-
 
 def config_steps(c: Configuration) -> list[tuple[ActionLabel, Configuration]]:
     """All one-step successors of a configuration.
@@ -293,7 +286,8 @@ def config_steps(c: Configuration) -> list[tuple[ActionLabel, Configuration]]:
     Sends append to the sender->receiver buffer; receives pop its head.
     Routed actions additionally require (and advance) the router's local type.
     """
-    steps_by_role = {r: dict_of_steps(_steps(t, r)) for r, t in c.locals}
+    ids = CanonicalIds()
+    steps_by_role = {r: dict_of_steps(_steps(t, r, ids)) for r, t in c.locals}
     return _sorted_steps((label, c._update(movers, {pair: content}))
                          for label, (movers, pair, content)
                          in _enabled(steps_by_role, dict(c.buffers)).items())
@@ -339,8 +333,9 @@ def _apply_label(label: ActionLabel, steps_by_role, buffers):
 
 
 class StepTable:
-    """One LTS, compiled: canonical states interned as ids, each with its
-    full edges (head and commuting rules) as `{label: successor id}`.
+    """One LTS, compiled: states keyed by their `core.CanonicalIds` id, each
+    with its full edges (head and commuting rules) as `{label: successor
+    id}`.
 
     With a `role` it is that role's local LTS (edges in rule order); without
     one it is the global LTS (edges in the label order of `global_steps`).
@@ -349,43 +344,33 @@ class StepTable:
 
     A state's edges are built the first time they are asked for.  Canonical
     equality is id equality, so a search over ids visits exactly the states
-    a search over canonical types visits.  Every type met while building
-    edges, successors and the recursion binders of the cycle cut alike, is
-    remembered with its id, so none is canonicalised twice."""
+    a search over canonical types visits.  `states` maps each id to the first
+    type met with it, not to a canonical form."""
 
     def __init__(self, role: Role | None = None):
         self.role = role
-        self.states: list[AnyType] = []  # canonical type of each id
-        self._ids: dict[AnyType, int] = {}  # types met and canonical forms
-        # The same objects are met again (a recursion binder is substituted
-        # into its own body), so look them up by identity before hashing
-        # them structurally; each entry keeps its object, and so its id, alive.
-        self._met: dict[int, tuple[AnyType, int]] = {}
-        self._edges: list[dict[ActionLabel, int] | None] = []
+        self.ids = CanonicalIds()
+        self.states: dict[int, AnyType] = {}
+        self._edges: dict[int, dict[ActionLabel, int]] = {}
 
     def intern(self, t: AnyType) -> int:
-        met = self._met.get(id(t))
-        if met is not None:
-            return met[1]
-        sid = self._ids.get(t)
-        if sid is None:
-            key = canonicalize(t)
-            sid = self._ids.get(key)
-            if sid is None:
-                sid = self._ids[key] = len(self.states)
-                self.states.append(key)
-                self._edges.append(None)
-            self._ids[t] = sid
-        self._met[id(t)] = (t, sid)
+        """The id of a type from outside the table; InvalidType unless it is
+        a valid closed type.  Successors of valid states are not checked."""
+        validate(t)
+        return self._id(t)
+
+    def _id(self, t: AnyType) -> int:
+        sid = self.ids.of(t)
+        self.states.setdefault(sid, t)
         return sid
 
     def edges(self, sid: int) -> dict[ActionLabel, int]:
-        edges = self._edges[sid]
+        edges = self._edges.get(sid)
         if edges is None:
-            steps = _steps(self.states[sid], self.role, self.intern)
+            steps = _steps(self.states[sid], self.role, self.ids)
             if self.role is None:
                 steps = _sorted_steps(steps)
-            edges = self._edges[sid] = {label: self.intern(succ)
+            edges = self._edges[sid] = {label: self._id(succ)
                                         for label, succ in dict_of_steps(steps).items()}
         return edges
 
@@ -433,7 +418,7 @@ class CompiledConfigurations:
         ids, contents = key
         return Configuration(
             locals=tuple((table.role, table.states[sid]) for table, sid in zip(self.tables, ids)),
-            buffers=tuple(zip(self.pairs, contents)))
+            buffers=tuple(zip(self.pairs, contents))).canonical()
 
 
 def project_configuration(g: GlobalType, roles: tuple[Role, ...] | None = None) -> Configuration:

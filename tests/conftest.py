@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from routedmpst import semantics
+from routedmpst import core, semantics
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
@@ -18,3 +18,19 @@ def rules_restored():
     semantics.RULES.clear()
     semantics.RULES.update(before)
     assert after == before, "the test left semantics.RULES changed"
+
+
+@pytest.fixture
+def unfoldings(monkeypatch):
+    """Every recursion binder `core.unfold_once` unfolds during the test, in
+    call order; a module that imported the name itself would bypass it.  The
+    list keeps the binders, and so their ids, alive."""
+    calls = []
+    real = core.unfold_once
+
+    def recording(t):
+        calls.append(t)
+        return real(t)
+
+    monkeypatch.setattr(core, "unfold_once", recording)
+    return calls

@@ -3,9 +3,15 @@ the canonical form of its whole subterm (quadratic on long sequences).  Kept
 as an oracle for the one in `routedmpst.efsm`, which keys states by
 `core.CanonicalIds`."""
 
-from routedmpst.core import canonicalize, is_closed, validate
-from routedmpst.efsm import Efsm, EfsmState, EfsmTransition, _kind_of, _unwrap
+from routedmpst.core import LRec, canonicalize, is_closed, unfold_once, validate
+from routedmpst.efsm import Efsm, EfsmState, EfsmTransition, _kind_of
 from routedmpst.semantics import local_head_steps
+
+
+def _unwrap(t):
+    while isinstance(t, LRec):
+        t = unfold_once(t)
+    return t
 
 
 def build_efsm(t, self_role):

@@ -118,6 +118,17 @@ def test_deadlock_freedom_corpus():
         assert report.passed, name
 
 
+def test_deadlock_search_unfolds_each_binder_once(unfoldings):
+    """The step rules unfold through the table's interner, and an unfolding
+    copies no subterm it leaves unchanged, so the states of a search share
+    each binder's one unfolding: no binder is unfolded twice, not even as a
+    structurally equal copy."""
+    router = Role(CORPUS_ROUTERS["Battleships"])
+    assert check_deadlock_freedom(encode_global(load("Battleships"), router), router).passed
+    assert unfoldings
+    assert len(set(unfoldings)) == len(unfoldings)
+
+
 def test_deadlock_freedom_end():
     assert check_deadlock_freedom(GEnd(), Role("any")).passed
 

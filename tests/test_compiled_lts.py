@@ -5,14 +5,21 @@ from."""
 
 import pytest
 
-from routedmpst.core import InvalidType, LEnd, LVar, Role, canonicalize, direct_send
+from routedmpst.analysis import (
+    check_trace_equivalence, config_traces, global_traces, reachable_states,
+)
+from routedmpst.core import (
+    GComm, GEnd, GRec, GVar, InvalidType, LEnd, LRec, LSelect, LVar, Role, canonicalize,
+    direct_send,
+)
 from routedmpst.encoding import encode_global
 from routedmpst.semantics import (
-    CompiledConfigurations, StepTable, config_steps, dict_of_steps,
+    CompiledConfigurations, Configuration, StepTable, config_steps, dict_of_steps,
     global_steps, project_configuration,
 )
+from routedmpst.simulator import SessionLog, validate_log
 
-from corpus import CORPUS_ROUTERS, M1, load
+from corpus import A, B, CORPUS_ROUTERS, M1, S, load
 from mutation import GLOBAL_RULES, rules_disabled
 from strategies import ROLE_POOL
 
@@ -23,7 +30,7 @@ def _check_global_table(g, limit=None):
     `global_steps`, canonicalised, are exactly its edges, in the same order."""
     table = StepTable()
     start = table.intern(g)
-    assert table.states[start] == canonicalize(g)
+    assert canonicalize(table.states[start]) == canonicalize(g)
     seen = {start}
     frontier = [start]
     expanded = 0
@@ -33,12 +40,12 @@ def _check_global_table(g, limit=None):
         want = [(label, canonicalize(succ))
                 for label, succ in global_steps(table.states[sid])]
         got = list(table.edges(sid).items())
-        assert [(label, table.states[succ]) for label, succ in got] == want
+        assert [(label, canonicalize(table.states[succ])) for label, succ in got] == want
         for _, succ in got:
             if succ not in seen:
                 seen.add(succ)
                 frontier.append(succ)
-    assert len(set(table.states)) == len(table.states)
+    assert len({canonicalize(t) for t in table.states.values()}) == len(table.states)
     return len(seen)
 
 
@@ -93,3 +100,39 @@ def test_conflicting_duplicate_label_raises():
     assert dict_of_steps([(label, LEnd()), (label, LEnd())]) == {label: LEnd()}
     with pytest.raises(InvalidType):
         dict_of_steps([(label, LEnd()), (label, LVar("t"))])
+
+
+# Malformed types a step table must not explore, global and local: duplicate
+# labels, an empty branch set, a non-contractive binder.
+MALFORMED = {
+    "duplicate-labels": (GComm(A, B, ((M1, GEnd()), (M1, GEnd()))),
+                         LSelect(B, ((M1, LEnd()), (M1, LEnd())))),
+    "empty-branches": (GComm(A, B, ()), LSelect(B, ())),
+    "non-contractive": (GRec("x", GRec("y", GVar("x"))), LRec("x", LRec("y", LVar("x")))),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED))
+def test_malformed_types_are_rejected_at_every_entry_point(name):
+    """Each type a step table takes from outside is validated; the
+    successors its edges derive from valid states are not checked again."""
+    g, t = MALFORMED[name]
+    entry_points = [
+        lambda: global_traces(g, 4),
+        lambda: reachable_states(g, 4),
+        lambda: CompiledConfigurations(Configuration.make({A: t, B: LEnd()})),
+    ]
+    # The others project `g` first.  An empty branch set fails inside
+    # projection, before any table; projection drops bare binders, which
+    # only the global table of trace equivalence then meets, and hands
+    # duplicate labels on to the local tables.
+    if name != "empty-branches":
+        entry_points.append(lambda: check_trace_equivalence(g, 4))
+    if name == "duplicate-labels":
+        entry_points += [
+            lambda: config_traces(g, 4),
+            lambda: validate_log(g, S, SessionLog((), None, ())),
+        ]
+    for call in entry_points:
+        with pytest.raises(InvalidType):
+            call()

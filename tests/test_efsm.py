@@ -4,7 +4,10 @@ import re
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
-from routedmpst.core import LEnd, LRec, Role, _node_branches, canonicalize, participants
+from routedmpst.core import (
+    LBranch, LEnd, LRec, LSelect, LVar, MsgLabel, Role, _node_branches, canonicalize,
+    participants,
+)
 from routedmpst.efsm import (
     STATE_RECEIVE, STATE_SEND, STATE_TERMINAL, build_efsm, efsm_ir, render_dot,
 )
@@ -158,6 +161,16 @@ def _unfold(t):
 
 def _target_key(e, tr):
     return canonicalize(e.state(tr.target).local_type)
+
+
+def test_back_edges_share_their_binders_unfolding(unfoldings):
+    """k back edges to one binder reach its one unfolding: the binder is
+    unfolded once, not once more per back edge."""
+    labels = [MsgLabel(f"m{i}") for i in range(6)]
+    t = LRec("t", LBranch(B, tuple((m, LSelect(B, ((m, LVar("t")),))) for m in labels)))
+    e = build_efsm(t, A)
+    assert len(e.states) == 1 + len(labels)
+    assert unfoldings == [t]
 
 
 def test_state_count_equals_distinct_canonical_subterms():
