@@ -3,6 +3,7 @@ calculus, on global types, local types and action labels.
 
 Every interaction that does not already touch the router role is rewritten to
 travel through it; interactions with the router as an endpoint stay direct.
+Global types encoded through one identity memo (`_encode_global`) share subterms.
 """
 
 from __future__ import annotations
@@ -39,8 +40,7 @@ def encode_global(g: GlobalType, s: Role) -> GlobalType:
 
 
 def _encode_global(g: GlobalType, s: Role, memo: dict) -> GlobalType:
-    """`encode_global` memoised in `memo`, `{id(node): (node, encoding)}`:
-    types encoded through one memo share the encodings of shared subterms."""
+    """`encode_global` through the identity memo `{id(node): (node, encoding)}`."""
     if isinstance(g, (GEnd, GVar)):
         return g
     if id(g) in memo:
