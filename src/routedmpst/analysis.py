@@ -224,7 +224,7 @@ def check_deadlock_freedom(g: GlobalType, router: Role,
     table = StepTable()
 
     def visit(sid, trace, edges):
-        if not edges and not isinstance(table.states[sid], GEnd):
+        if not edges and not isinstance(canonicalize(table.states[sid]), GEnd):
             state = pretty_global(canonicalize(table.states[sid]))
             yield Counterexample(trace, f"stuck non-terminal state:\n{state}")
         yield from edges.items()

@@ -414,8 +414,7 @@ def substitute(t: AnyType, var: str, replacement: AnyType) -> AnyType:
 
     Shadowing binders are respected; the replacement is expected to be closed
     (always the case for recursion unfolding), so no capture can occur.  A
-    subterm that does not change is returned as it is, not copied.
-    """
+    subterm that does not change is returned as it is, not copied."""
     if isinstance(t, (GEnd, LEnd)):
         return t
     if isinstance(t, (GVar, LVar)):

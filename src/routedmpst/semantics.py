@@ -52,14 +52,16 @@ def _sorted_steps(steps):
 def global_steps(g: GlobalType) -> Steps:
     """All one-step successors of a closed global type, in deterministic
     label order.  The relation is label-deterministic, so each label appears
-    at most once."""
+    at most once.  InvalidType unless `g` is a valid closed type."""
+    validate(g)
     return _sorted_steps(_steps(g, None, CanonicalIds()))
 
 
 def local_steps(t: LocalType, self_role: Role) -> LocalSteps:
     """All one-step successors of a local type, labelled from the point of
     view of `self_role` (which fills in the endpoint the syntax leaves
-    implicit)."""
+    implicit).  InvalidType unless `t` is a valid closed type."""
+    validate(t)
     return _sorted_steps(_steps(t, self_role, CanonicalIds()))
 
 
@@ -281,11 +283,12 @@ class Configuration:
 
 
 def config_steps(c: Configuration) -> list[tuple[ActionLabel, Configuration]]:
-    """All one-step successors of a configuration.
-
-    Sends append to the sender->receiver buffer; receives pop its head.
-    Routed actions additionally require (and advance) the router's local type.
-    """
+    """All one-step successors of a configuration; InvalidType unless every
+    local type is a valid closed type.  Sends append to the sender->receiver
+    buffer; receives pop its head.  Routed actions additionally require (and
+    advance) the router's local type."""
+    for _, t in c.locals:
+        validate(t)
     ids = CanonicalIds()
     steps_by_role = {r: dict_of_steps(_steps(t, r, ids)) for r, t in c.locals}
     return _sorted_steps((label, c._update(movers, {pair: content}))
@@ -334,8 +337,7 @@ def _apply_label(label: ActionLabel, steps_by_role, buffers):
 
 class StepTable:
     """One LTS, compiled: states keyed by their `core.CanonicalIds` id, each
-    with its full edges (head and commuting rules) as `{label: successor
-    id}`.
+    with its full edges (head and commuting rules) as `{label: successor id}`.
 
     With a `role` it is that role's local LTS (edges in rule order); without
     one it is the global LTS (edges in the label order of `global_steps`).
@@ -426,8 +428,7 @@ def project_configuration(g: GlobalType, roles: tuple[Role, ...] | None = None) 
     plus the buffer contents induced by in-transit markers.
 
     `roles` widens the participant set (dropped-out roles project to end),
-    which keeps mid-trace configurations comparable with the initial one.
-    """
+    which keeps mid-trace configurations comparable with the initial one."""
     parts = sorted(set(roles) if roles else participants(g))
     locals_map = {r: project(g, r) for r in parts}
     buffers: dict[RolePair, tuple[MsgLabel, ...]] = {}

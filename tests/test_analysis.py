@@ -8,7 +8,7 @@ from routedmpst.analysis import (
     global_traces, reachable_states,
 )
 from routedmpst.core import (
-    GEnd, Role, canonicalize, direct_recv, direct_send, routed_recv,
+    GComm, GEnd, GRec, Role, canonicalize, direct_recv, direct_send, routed_recv,
     routed_send,
 )
 from routedmpst.encoding import encode_global
@@ -131,6 +131,19 @@ def test_deadlock_search_unfolds_each_binder_once(unfoldings):
 
 def test_deadlock_freedom_end():
     assert check_deadlock_freedom(GEnd(), Role("any")).passed
+
+
+@pytest.mark.parametrize("g", [
+    GRec("x", GEnd()),
+    GRec("x", GRec("y", GEnd())),
+    GComm(P, Q, ((M1, GRec("x", GEnd())),)),
+    GComm(P, Q, ((M1, GRec("x", GEnd())), (M2, GEnd()))),
+    GComm(P, Q, ((M1, GEnd()), (M2, GRec("x", GEnd())))),
+])
+def test_deadlock_freedom_unused_binder_over_end_is_terminal(g):
+    """A state is terminal when its canonical form is end, whichever
+    structurally different type of that state the search met first."""
+    assert check_deadlock_freedom(g, P).passed
 
 
 def test_deadlock_freedom_requires_routed_wf():

@@ -15,7 +15,7 @@ from routedmpst.core import (
 from routedmpst.encoding import encode_global
 from routedmpst.semantics import (
     CompiledConfigurations, Configuration, StepTable, config_steps, dict_of_steps,
-    global_steps, project_configuration,
+    global_steps, local_steps, project_configuration,
 )
 from routedmpst.simulator import SessionLog, validate_log
 
@@ -114,10 +114,14 @@ MALFORMED = {
 
 @pytest.mark.parametrize("name", list(MALFORMED))
 def test_malformed_types_are_rejected_at_every_entry_point(name):
-    """Each type a step table takes from outside is validated; the
-    successors its edges derive from valid states are not checked again."""
+    """Each type a step table or a step function takes from outside is
+    validated; the successors its edges derive from valid states are not
+    checked again."""
     g, t = MALFORMED[name]
     entry_points = [
+        lambda: global_steps(g),
+        lambda: local_steps(t, A),
+        lambda: config_steps(Configuration.make({A: t, B: LEnd()})),
         lambda: global_traces(g, 4),
         lambda: reachable_states(g, 4),
         lambda: CompiledConfigurations(Configuration.make({A: t, B: LEnd()})),
