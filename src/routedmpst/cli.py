@@ -12,8 +12,9 @@ import sys
 from pathlib import Path
 
 from .analysis import (
-    DEFAULT_STATE_CAP, check_deadlock_freedom, check_encoding_bisim,
-    check_trace_equivalence, config_traces, global_traces,
+    DEFAULT_STATE_CAP, PreconditionError, StateBudgetExceeded,
+    check_deadlock_freedom, check_encoding_bisim, check_trace_equivalence,
+    config_traces, global_traces,
 )
 from .codegen import FLAVORS, emit_skeleton
 from .core import InvalidType, Role, participants, pretty_global, pretty_local
@@ -22,19 +23,21 @@ from .encoding import encode_global
 from .projection import MergeFailure, project
 from .scribble import ScribbleError, elaborate, parse_module, pretty_module
 from .simulator import (
-    BoundedLoopPolicy, MaxStepsExceeded, SimConfig, SimulatorError,
-    run_session, validate_log,
+    BoundedLoopPolicy, SimConfig, SimulatorError, run_session, validate_log,
 )
 from .wellformed import check_wf, check_wf_routed
 
 USAGE_ERROR = 2
 DOMAIN_ERROR = 1
 
+# What `main` reports as a domain failure (exit 1); `_UsageError` and
+# `OSError` exit 2.  Any other exception is a bug and keeps its traceback.
+_DOMAIN_FAILURES = (ScribbleError, InvalidType, MergeFailure, SimulatorError,
+                    PreconditionError, StateBudgetExceeded)
 
-class _CliFailure(Exception):
-    def __init__(self, message: str, code: int = DOMAIN_ERROR):
-        super().__init__(message)
-        self.code = code
+
+class _UsageError(Exception):
+    """A command-line value argparse cannot check, or an unreadable input."""
 
 
 def _int_at_least(low: int):
@@ -51,21 +54,13 @@ def _int_at_least(low: int):
 def _read(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
-        raise _CliFailure(f"cannot read {path}: {exc}", USAGE_ERROR)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _UsageError(f"cannot read {path}: {exc}")
 
 
 def _load(path: str, protocol: str | None):
-    try:
-        decls = parse_module(_read(path), path)
-    except ScribbleError as exc:
-        raise _CliFailure(str(exc))
-    if protocol is None:
-        return decls, None
-    try:
-        return decls, elaborate(decls, protocol)
-    except (ScribbleError, InvalidType) as exc:
-        raise _CliFailure(str(exc))
+    decls = parse_module(_read(path), path)
+    return decls, None if protocol is None else elaborate(decls, protocol)
 
 
 def cmd_parse(args) -> int:
@@ -76,11 +71,7 @@ def cmd_parse(args) -> int:
 
 def cmd_project(args) -> int:
     _, g = _load(args.file, args.protocol)
-    try:
-        local = project(g, args.role)
-    except MergeFailure as exc:
-        raise _CliFailure(str(exc))
-    print(pretty_local(local))
+    print(pretty_local(project(g, args.role)))
     return 0
 
 
@@ -101,10 +92,7 @@ def cmd_check(args) -> int:
 
 def cmd_encode(args) -> int:
     _, g = _load(args.file, args.protocol)
-    try:
-        print(pretty_global(encode_global(g, args.router)))
-    except InvalidType as exc:
-        raise _CliFailure(str(exc))
+    print(pretty_global(encode_global(g, args.router)))
     return 0
 
 
@@ -143,10 +131,7 @@ def cmd_verify(args) -> int:
 
 def cmd_efsm(args) -> int:
     _, g = _load(args.file, args.protocol)
-    try:
-        machine = build_efsm(project(g, args.role), args.role)
-    except MergeFailure as exc:
-        raise _CliFailure(str(exc))
+    machine = build_efsm(project(g, args.role), args.role)
     if args.dot:
         Path(args.dot).write_text(render_dot(machine))
     if args.ir:
@@ -157,12 +142,8 @@ def cmd_efsm(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    decls, g = _load(args.file, args.protocol)
-    try:
-        machine = build_efsm(project(g, args.role), args.role)
-        files = emit_skeleton(machine, args.flavor)
-    except MergeFailure as exc:
-        raise _CliFailure(str(exc))
+    _, g = _load(args.file, args.protocol)
+    files = emit_skeleton(build_efsm(project(g, args.role), args.role), args.flavor)
     out_dir = Path(args.output) / args.protocol / args.role.name
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in sorted(files.items()):
@@ -177,18 +158,15 @@ def cmd_simulate(args) -> int:
     if args.cancel:
         role_name, _, at = args.cancel.partition("@")
         if not at.isdigit():
-            raise _CliFailure("--cancel expects ROLE@STEP", USAGE_ERROR)
+            raise _UsageError("--cancel expects ROLE@STEP")
         try:
             cancel = (Role(role_name), int(at))
         except InvalidType as exc:
-            raise _CliFailure(f"--cancel: {exc}", USAGE_ERROR)
+            raise _UsageError(f"--cancel: {exc}")
     cfg = SimConfig(seed=args.seed, max_steps=args.max_steps,
                     scheduler=args.scheduler, cancel_injection=cancel)
     scripts = {r: BoundedLoopPolicy(args.rounds) for r in participants(g)}
-    try:
-        log = run_session(g, args.router, scripts, cfg)
-    except (SimulatorError, MaxStepsExceeded) as exc:
-        raise _CliFailure(str(exc))
+    log = run_session(g, args.router, scripts, cfg)
     sys.stdout.write(log.serialize())
     if log.cancellation:
         notified = ",".join(sorted(r.name for r in log.cancellation.notified))
@@ -278,9 +256,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _CliFailure as exc:
-        print(str(exc), file=sys.stderr)
-        return exc.code
+    except _DOMAIN_FAILURES as exc:
+        print(exc, file=sys.stderr)
+        return DOMAIN_ERROR
+    except (_UsageError, OSError) as exc:
+        print(exc, file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

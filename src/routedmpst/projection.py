@@ -74,10 +74,12 @@ def merge_all(parts):
 
 
 def project(g: GlobalType, r: Role) -> LocalType:
-    """Project a closed global type onto one role.
+    """Project a valid closed global type (see `core.validate`) onto one role.
 
-    Raises MergeFailure when a communication not involving `r` has
-    incompatible branch projections.
+    The type is not validated here: callers that take types from outside,
+    such as `semantics.project_configuration`, validate once.  Raises
+    MergeFailure when a communication not involving `r` has incompatible
+    branch projections.
     """
     if isinstance(g, GEnd):
         return LEnd()

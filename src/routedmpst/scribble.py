@@ -20,7 +20,9 @@ counterpart in the type grammar and are rejected.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import (
     GComm, GEnd, GRec, GVar, GlobalType, MsgLabel, Role, free_vars, validate,
@@ -29,15 +31,11 @@ from .core import (
 
 @dataclass(frozen=True)
 class SourceSpan:
+    """Where a construct starts."""
+
     file: str
     start_line: int
     start_col: int
-    end_line: int
-    end_col: int
-
-    def __post_init__(self):
-        assert (self.start_line, self.start_col) <= (self.end_line, self.end_col), \
-            "span must not end before it starts"
 
     def __str__(self) -> str:
         return f"{self.file}:{self.start_line}:{self.start_col}"
@@ -141,11 +139,22 @@ class ProtocolDecl:
 
 _KEYWORDS = {"global", "protocol", "role", "from", "to", "choice", "at", "or",
              "do", "aux", "type", "as"}
-_PUNCT = {"(", ")", "{", "}", ",", ";", "<", ">"}
+
+# One alternative per token kind, tried in order.  A string may not span
+# lines; an opening quote that no alternative closes is `open_string`.
+_TOKEN = re.compile(r"""
+    (?P<ident>\w+)
+  | (?P<space>[ \t\r]+)
+  | (?P<punct>[(){},;<>])
+  | (?P<newline>\n)
+  | (?P<comment>//[^\n]*)
+  | (?P<string>"[^"\n]*")
+  | (?P<open_string>")
+  | (?P<error>.)
+""", re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "ident", "string", "punct", "eof"
     text: str
     line: int
@@ -154,54 +163,27 @@ class _Token:
 
 def _tokenize(text: str, filename: str) -> list[_Token]:
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                if text[j] == "\n":
-                    raise SyntaxProblem(SourceSpan(filename, line, col, line, col),
-                                        {"closing quote"}, "newline")
-                j += 1
-            if j >= n:
-                raise SyntaxProblem(SourceSpan(filename, line, col, line, col),
-                                    {"closing quote"}, "end of input")
-            tokens.append(_Token("string", text[i + 1:j], line, col))
-            col += j - i + 1
-            i = j + 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise SyntaxProblem(SourceSpan(filename, line, col, line, col),
-                            {"identifier", "punctuation"}, repr(ch))
-    tokens.append(_Token("eof", "", line, col))
+    line, line_start, eof = 1, 0, len(text)
+    for m in _TOKEN.finditer(text):
+        kind, start = m.lastgroup, m.start()
+        col = start - line_start + 1
+        if kind == "ident" and (text[start].isalpha() or text[start] == "_") \
+                or kind == "punct":
+            tokens.append(_Token(kind, m.group(), line, col))
+        elif kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "comment":
+            if m.end() == len(text):  # a comment does not move the column
+                eof = start
+        elif kind == "string":
+            tokens.append(_Token(kind, m.group()[1:-1], line, col))
+        elif kind == "open_string":
+            found = "newline" if "\n" in text[start:] else "end of input"
+            raise SyntaxProblem(SourceSpan(filename, line, col), {"closing quote"}, found)
+        elif kind != "space":  # an error, or a word that starts with no letter or `_`
+            raise SyntaxProblem(SourceSpan(filename, line, col),
+                                {"identifier", "punctuation"}, repr(text[start]))
+    tokens.append(_Token("eof", "", line, eof - line_start + 1))
     return tokens
 
 
@@ -219,10 +201,10 @@ class _Parser:
     def peek(self) -> _Token:
         return self.tokens[self.pos]
 
-    def span_here(self) -> SourceSpan:
-        tok = self.peek()
-        return SourceSpan(self.filename, tok.line, tok.col, tok.line,
-                          tok.col + max(len(tok.text), 1))
+    def span(self, tok: _Token | None = None) -> SourceSpan:
+        """The span of `tok`, by default of the next token."""
+        tok = tok or self.peek()
+        return SourceSpan(self.filename, tok.line, tok.col)
 
     def take(self) -> _Token:
         tok = self.tokens[self.pos]
@@ -232,94 +214,91 @@ class _Parser:
     def expect(self, text: str) -> _Token:
         tok = self.peek()
         if tok.text != text or tok.kind == "string":
-            raise SyntaxProblem(self.span_here(), {repr(text)},
+            raise SyntaxProblem(self.span(), {repr(text)},
                                 repr(tok.text) if tok.text else "end of input")
         return self.take()
 
-    def expect_ident(self, what: str = "identifier") -> _Token:
+    def expect_ident(self, what: str = "identifier") -> str:
         tok = self.peek()
         if tok.kind != "ident" or tok.text in _KEYWORDS:
-            raise SyntaxProblem(self.span_here(), {what},
+            raise SyntaxProblem(self.span(), {what},
                                 repr(tok.text) if tok.text else "end of input")
-        return self.take()
+        return self.take().text
 
-    def expect_string(self) -> _Token:
+    def expect_string(self) -> str:
         tok = self.peek()
         if tok.kind != "string":
-            raise SyntaxProblem(self.span_here(), {"string literal"}, repr(tok.text))
-        return self.take()
+            raise SyntaxProblem(self.span(), {"string literal"}, repr(tok.text))
+        return self.take().text
 
     def at(self, text: str) -> bool:
         tok = self.peek()
         return tok.kind != "string" and tok.text == text
 
-    def span_from(self, start: _Token) -> SourceSpan:
-        prev = self.tokens[self.pos - 1]
-        return SourceSpan(self.filename, start.line, start.col,
-                          prev.line, prev.col + len(prev.text))
+    def comma_list(self, item) -> tuple:
+        """`"(" [ item { "," item } ] ")"`"""
+        self.expect("(")
+        items = []
+        if not self.at(")"):
+            items.append(item())
+            while self.at(","):
+                self.take()
+                items.append(item())
+        self.expect(")")
+        return tuple(items)
 
     # module = { typeDecl | protocolDecl }*
     def module(self) -> list[ProtocolDecl]:
         aliases: list[TypeAlias] = []
         decls: list[ProtocolDecl] = []
-        while not self.at("") or self.peek().kind != "eof":
-            if self.peek().kind == "eof":
-                break
+        while self.peek().kind != "eof":
             if self.at("type"):
                 aliases.append(self.type_decl())
             elif self.at("aux") or self.at("global"):
                 decls.append(self.protocol_decl(tuple(aliases)))
             else:
-                raise SyntaxProblem(self.span_here(), {"'type'", "'global'", "'aux'"},
+                raise SyntaxProblem(self.span(), {"'type'", "'global'", "'aux'"},
                                     repr(self.peek().text))
         return decls
 
     def type_decl(self) -> TypeAlias:
         start = self.expect("type")
         self.expect("<")
-        lang = self.expect_ident("host language").text
+        lang = self.expect_ident("host language")
         self.expect(">")
-        remote = self.expect_string().text
+        remote = self.expect_string()
         self.expect("from")
-        source = self.expect_string().text
+        source = self.expect_string()
         self.expect("as")
-        alias = self.expect_ident("alias name").text
+        alias = self.expect_ident("alias name")
         self.expect(";")
-        return TypeAlias(alias, lang, remote, source, self.span_from(start))
+        return TypeAlias(alias, lang, remote, source, self.span(start))
 
     def protocol_decl(self, aliases: tuple[TypeAlias, ...]) -> ProtocolDecl:
         start = self.peek()
-        is_aux = False
-        if self.at("aux"):
+        is_aux = self.at("aux")
+        if is_aux:
             self.take()
-            is_aux = True
         self.expect("global")
         self.expect("protocol")
-        name = self.expect_ident("protocol name").text
-        self.expect("(")
+        name = self.expect_ident("protocol name")
         roles: list[str] = []
-        spans: dict[str, SourceSpan] = {}
-        if not self.at(")"):
-            while True:
-                self.expect("role")
-                tok_span = self.span_here()
-                role = self.expect_ident("role name").text
-                if role in roles:
-                    raise DuplicateRole(f"role {role} declared twice", tok_span)
-                roles.append(role)
-                spans[role] = tok_span
-                if self.at(","):
-                    self.take()
-                    continue
-                break
-        self.expect(")")
+
+        def role() -> str:
+            self.expect("role")
+            span = self.span()
+            param = self.expect_ident("role name")
+            if param in roles:
+                raise DuplicateRole(f"role {param} declared twice", span)
+            roles.append(param)
+            return param
+
+        self.comma_list(role)
         self.expect("{")
         body = self.statements()
         self.expect("}")
-        decl = ProtocolDecl(name, tuple(roles), is_aux, body, aliases,
-                            self.span_from(start))
-        self._check_roles(decl)
-        return decl
+        _check_roles_in(body, set(roles))
+        return ProtocolDecl(name, tuple(roles), is_aux, body, aliases, self.span(start))
 
     def statements(self) -> tuple[Stmt, ...]:
         out: list[Stmt] = []
@@ -341,33 +320,24 @@ class _Parser:
 
     def msg_stmt(self) -> MsgStmt:
         start = self.peek()
-        label = self.expect_ident("message label").text
-        self.expect("(")
-        sorts: list[str] = []
-        if not self.at(")"):
-            while True:
-                sorts.append(self.expect_ident("payload sort").text)
-                if self.at(","):
-                    self.take()
-                    continue
-                break
-        self.expect(")")
+        label = self.expect_ident("message label")
+        sorts = self.comma_list(lambda: self.expect_ident("payload sort"))
         self.expect("from")
-        sender = self.expect_ident("role name").text
+        sender = self.expect_ident("role name")
         self.expect("to")
-        receiver = self.expect_ident("role name").text
+        receiver = self.expect_ident("role name")
         self.expect(";")
-        return MsgStmt(label, tuple(sorts), sender, receiver, self.span_from(start))
+        return MsgStmt(label, sorts, sender, receiver, self.span(start))
 
     def choice_stmt(self) -> ChoiceStmt:
         start = self.expect("choice")
         self.expect("at")
-        at = self.expect_ident("role name").text
+        at = self.expect_ident("role name")
         blocks = [self.block()]
         while self.at("or"):
             self.take()
             blocks.append(self.block())
-        return ChoiceStmt(at, tuple(blocks), self.span_from(start))
+        return ChoiceStmt(at, tuple(blocks), self.span(start))
 
     def block(self) -> tuple[Stmt, ...]:
         self.expect("{")
@@ -377,22 +347,10 @@ class _Parser:
 
     def do_stmt(self) -> DoStmt:
         start = self.expect("do")
-        name = self.expect_ident("protocol name").text
-        self.expect("(")
-        args: list[str] = []
-        if not self.at(")"):
-            while True:
-                args.append(self.expect_ident("role name").text)
-                if self.at(","):
-                    self.take()
-                    continue
-                break
-        self.expect(")")
+        name = self.expect_ident("protocol name")
+        args = self.comma_list(lambda: self.expect_ident("role name"))
         self.expect(";")
-        return DoStmt(name, tuple(args), self.span_from(start))
-
-    def _check_roles(self, decl: ProtocolDecl) -> None:
-        _check_roles_in(decl.body, set(decl.role_params))
+        return DoStmt(name, args, self.span(start))
 
 
 # The recursive walkers below are module-level functions rather than nested

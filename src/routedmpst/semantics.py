@@ -428,7 +428,9 @@ def project_configuration(g: GlobalType, roles: tuple[Role, ...] | None = None) 
     plus the buffer contents induced by in-transit markers.
 
     `roles` widens the participant set (dropped-out roles project to end),
-    which keeps mid-trace configurations comparable with the initial one."""
+    which keeps mid-trace configurations comparable with the initial one.
+    Raises InvalidType unless `g` is a valid closed type."""
+    validate(g)
     parts = sorted(set(roles) if roles else participants(g))
     locals_map = {r: project(g, r) for r in parts}
     buffers: dict[RolePair, tuple[MsgLabel, ...]] = {}

@@ -7,9 +7,10 @@ from routedmpst.analysis import (
     check_encoding_bisim, check_trace_equivalence, config_traces,
     global_traces, reachable_states,
 )
+from routedmpst import semantics
 from routedmpst.core import (
     GComm, GEnd, GRec, Role, canonicalize, direct_recv, direct_send, routed_recv,
-    routed_send,
+    routed_send, validate,
 )
 from routedmpst.encoding import encode_global
 from routedmpst.semantics import config_steps, global_steps, project_configuration
@@ -166,6 +167,21 @@ def test_encoding_bisim_example_and_corpus():
     assert check_encoding_bisim(G_TRAVEL, S, 10).passed
     for name, router in CORPUS_ROUTERS.items():
         assert check_encoding_bisim(load(name), Role(router), 8).passed, name
+
+
+def test_encoding_bisim_validates_only_its_input(monkeypatch):
+    """The encoded states are encodings of validated plain states, so the
+    check validates nothing but the type it is given."""
+    calls = []
+
+    def counting(t, **kwargs):
+        calls.append(t)
+        return validate(t, **kwargs)
+
+    monkeypatch.setattr(semantics, "validate", counting)
+    g = load("Battleships")
+    assert check_encoding_bisim(g, Role(CORPUS_ROUTERS["Battleships"]), 12).passed
+    assert calls == [g]
 
 
 def test_encoding_bisim_mutation_detected():

@@ -50,6 +50,14 @@ def test_missing_file_is_usage_error(capsys):
     assert code == 2
 
 
+def test_undecodable_file_is_usage_error(capsys, tmp_path):
+    bad = tmp_path / "bad.scr"
+    bad.write_bytes(b"global protocol P(role A) { }\xff\n")
+    code, _, err = run(capsys, "parse", str(bad))
+    assert code == 2
+    assert err.startswith(f"cannot read {bad}: ") and len(err.splitlines()) == 1
+
+
 def test_project_prints_local_type(capsys):
     code, out, _ = run(capsys, "project", TRAVEL, "TravelAgency", "A")
     assert code == 0
@@ -199,6 +207,19 @@ def test_bad_argument_values_are_usage_errors(capsys, argv):
     # One message line; argparse may print its usage lines above it.
     message = [line for line in err.splitlines() if not line.startswith(("usage:", " "))]
     assert len(message) == 1, err
+
+
+@pytest.mark.parametrize("command", ["efsm", "gen"])
+def test_unwritable_output_is_an_io_error(capsys, tmp_path, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    if command == "efsm":  # a DOT file under a missing directory
+        argv = ["efsm", TRAVEL, "TravelAgency", "A", "--dot", str(tmp_path / "no" / "a.dot")]
+    else:  # an output directory that is a file
+        argv = ["gen", TRAVEL, "TravelAgency", "S", "--flavor", "server", "-o", str(blocker)]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert len(err.splitlines()) == 1 and "Traceback" not in err, err
 
 
 def test_usage_error_exit_two(capsys):

@@ -125,18 +125,12 @@ def test_malformed_types_are_rejected_at_every_entry_point(name):
         lambda: global_traces(g, 4),
         lambda: reachable_states(g, 4),
         lambda: CompiledConfigurations(Configuration.make({A: t, B: LEnd()})),
+        # These project `g`; `project_configuration` validates it first.
+        lambda: project_configuration(g),
+        lambda: check_trace_equivalence(g, 4),
+        lambda: config_traces(g, 4),
+        lambda: validate_log(g, S, SessionLog((), None, ())),
     ]
-    # The others project `g` first.  An empty branch set fails inside
-    # projection, before any table; projection drops bare binders, which
-    # only the global table of trace equivalence then meets, and hands
-    # duplicate labels on to the local tables.
-    if name != "empty-branches":
-        entry_points.append(lambda: check_trace_equivalence(g, 4))
-    if name == "duplicate-labels":
-        entry_points += [
-            lambda: config_traces(g, 4),
-            lambda: validate_log(g, S, SessionLog((), None, ())),
-        ]
     for call in entry_points:
         with pytest.raises(InvalidType):
             call()

@@ -183,3 +183,45 @@ def test_round_trip_all_corpus_modules():
 def test_self_message_rejected():
     with pytest.raises(ScribbleError):
         elaborate(parse_module("global protocol P(role A, role B) { M() from A to A; }"), "P")
+
+
+def _syntax_error(text):
+    with pytest.raises(SyntaxProblem) as err:
+        parse_module(text, "f")
+    return str(err.value), (err.value.span.start_line, err.value.span.start_col)
+
+
+@pytest.mark.parametrize("text, message", [
+    # An identifier starts with a letter (`str.isalpha`) or `_`; a digit,
+    # even one `\w` accepts such as `²`, is an error at that character.
+    ("global protocol P(role A) { 1a", "f:1:29: expected identifier, punctuation, found '1'"),
+    ("global protocol P(role ²x) { }", "f:1:24: expected identifier, punctuation, found '²'"),
+    ("global protocol P(role A) {\xa0}", "f:1:28: expected identifier, punctuation, found '\\xa0'"),
+    ("global protocol P(role A) {\n\t// c\n}  $", "f:3:4: expected identifier, punctuation, found '$'"),
+])
+def test_lexer_rejects_characters_outside_the_token_grammar(text, message):
+    assert _syntax_error(text)[0] == message
+
+
+def test_identifiers_continue_with_any_word_character():
+    decls = parse_module("global protocol P(role é) {\r M(a²) from é to é; }")
+    assert decls[0].role_params == ("é",)
+    assert decls[0].body[0].payload_sorts == ("a²",)
+
+
+@pytest.mark.parametrize("text, message", [
+    ('type <j> "x\nfrom "y" as Z;', "f:1:10: expected closing quote, found newline"),
+    ('type <j> "x', "f:1:10: expected closing quote, found end of input"),
+    # `"x from "` is a string; the quote after `y` opens another.
+    ('type <j> "x from "y" as Z;', "f:1:20: expected closing quote, found end of input"),
+])
+def test_unterminated_string_is_reported_at_its_opening_quote(text, message):
+    assert _syntax_error(text)[0] == message
+
+
+def test_comment_does_not_move_the_column():
+    # End of input after a trailing comment is reported where it starts.
+    assert _syntax_error("global protocol P(role A) { // c") == \
+        ("f:1:29: expected message label, found end of input", (1, 29))
+    assert _syntax_error("global protocol P(role A) { // c\n") == \
+        ("f:2:1: expected message label, found end of input", (2, 1))
