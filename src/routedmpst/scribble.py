@@ -13,9 +13,10 @@ Grammar accepted here:
     block        = "{" stmt* "}"
     doCall       = "do" Ident "(" identList ")" ";"
 
-Comments run from `//` to the end of the line.  A `do` or a `choice` must be
-the last statement of its block; general continuations after them have no
-counterpart in the type grammar and are rejected.
+Comments run from `//` to the end of the line.  An alias is declared at most
+once per module, and a protocol must follow its declaration.  A `do` or a
+`choice` must be the last statement of its block; general continuations
+after them have no counterpart in the type grammar and are rejected.
 """
 
 from __future__ import annotations
@@ -57,6 +58,10 @@ class SyntaxProblem(ScribbleError):
 
 
 class DuplicateRole(ScribbleError):
+    pass
+
+
+class DuplicateAlias(ScribbleError):
     pass
 
 
@@ -253,12 +258,21 @@ class _Parser:
         decls: list[ProtocolDecl] = []
         while self.peek().kind != "eof":
             if self.at("type"):
-                aliases.append(self.type_decl())
+                alias = self.type_decl()
+                if any(a.alias == alias.alias for a in aliases):
+                    raise DuplicateAlias(f"type {alias.alias} declared twice", alias.span)
+                aliases.append(alias)
             elif self.at("aux") or self.at("global"):
                 decls.append(self.protocol_decl(tuple(aliases)))
             else:
                 raise SyntaxProblem(self.span(), {"'type'", "'global'", "'aux'"},
                                     repr(self.peek().text))
+        # A protocol carries every alias declared before it.
+        covered = len(decls[-1].type_aliases) if decls else 0
+        if len(aliases) > covered:
+            first = aliases[covered]
+            raise ScribbleError(f"type {first.alias} is not followed by a protocol",
+                                first.span)
         return decls
 
     def type_decl(self) -> TypeAlias:

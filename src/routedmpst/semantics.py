@@ -16,8 +16,15 @@ fires first:
 - `_unfold`: Gr3 and Lr3, recursion with a cycle cut, keyed and unfolded
   through one `core.CanonicalIds` interner.
 - `_commute_all`: Gr4/Gr8, Lr8 and Lr10/Lr11; the subject filter depends on
-  the node's class.
+  the node's class.  It steps the branches in order and stops at the first
+  one that leaves no candidate label.
 - `_commute_chosen`: Gr5/Gr9 and Lr9.
+
+`_steps` derives the steps of a (node object, role, cut stack) once per
+interner: the interner (`_StepIds`) memoises them, and a table's interner
+lives as long as the table, so the states of one checker call share the
+steps of their common subterms.  The one-shot `global_steps`,
+`local_steps` and `config_steps` make a fresh interner per call.
 
 Both LTSs have a compiled form, `StepTable`: states keyed by their
 `CanonicalIds` id, each with its edges as `{label: successor id}`; canonical
@@ -54,7 +61,7 @@ def global_steps(g: GlobalType) -> Steps:
     label order.  The relation is label-deterministic, so each label appears
     at most once.  InvalidType unless `g` is a valid closed type."""
     validate(g)
-    return _sorted_steps(_steps(g, None, CanonicalIds()))
+    return _sorted_steps(_steps(g, None, _StepIds()))
 
 
 def local_steps(t: LocalType, self_role: Role) -> LocalSteps:
@@ -62,7 +69,7 @@ def local_steps(t: LocalType, self_role: Role) -> LocalSteps:
     view of `self_role` (which fills in the endpoint the syntax leaves
     implicit).  InvalidType unless `t` is a valid closed type."""
     validate(t)
-    return _sorted_steps(_steps(t, self_role, CanonicalIds()))
+    return _sorted_steps(_steps(t, self_role, _StepIds()))
 
 
 def local_head_steps(node: LocalType, me: Role) -> LocalSteps:
@@ -77,17 +84,39 @@ def local_head_steps(node: LocalType, me: Role) -> LocalSteps:
     return RULES[rules[0]](node, me, None, frozenset()) if rules else []
 
 
-def _steps(t: AnyType, me: Role | None, ids: CanonicalIds,
-           stack: frozenset = frozenset()) -> list:
+class _StepIds(CanonicalIds):
+    """A `CanonicalIds` interner that also memoises `_steps`, keyed by
+    `(id(node), me, stack)`.  Each entry keeps its node alive, so an id is
+    not reused while the memo lives; the memo lives as long as the interner,
+    and `RULES` must not change in that time."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.derived: dict[tuple, tuple[AnyType, tuple]] = {}
+
+
+def _steps(t: AnyType, me: Role | None, ids: _StepIds,
+           stack: frozenset = frozenset()) -> tuple:
     """The steps of the closed type `t` by the rules of its node class, in
     rule order.  The recursion rules key and unfold binders with `ids`;
-    `stack` holds the ids of the binders unfolded on the way down."""
+    `stack` holds the ids of the binders unfolded on the way down.
+
+    The steps are a pure function of the node object, `me`, `stack` and
+    `RULES`, so `ids.derived` keeps them for the interner's life and a
+    repeat returns them as they are: a tuple, whose successors are shared,
+    not copied."""
+    key = (id(t), me, stack)
+    met = ids.derived.get(key)
+    if met is not None:
+        return met[1]
     rules = _NODE_RULES.get(type(t))
     if rules is None:
         raise InvalidType(f"not a session type: {type(t).__name__}")
     out = []
     for name in rules:
         out.extend(RULES[name](t, me, ids, stack))
+    out = tuple(out)
+    ids.derived[key] = (t, out)
     return out
 
 
@@ -117,20 +146,31 @@ def _commute_all(node, me, ids, stack) -> list:
     fires under the prefix, and every branch moves past it.  Under a direct
     local prefix (Lr10/Lr11) these are the routing actions of `me` whose
     subject is not the direct peer; under any other prefix, the actions
-    whose subject is neither its sender nor its receiver."""
-    direct = isinstance(node, (LSelect, LBranch))
-    per_branch = [dict_of_steps(_steps(cont, me, ids, stack))
-                  for _, cont in node.branches]
-    out = []
-    for label in per_branch[0]:
-        if direct:
-            allowed = label.via == me and label.subject != node.peer
+    whose subject is neither its sender nor its receiver.
+
+    The branches are stepped in order, and the first one that leaves no
+    candidate label ends the rule: the branches after it are not stepped."""
+    per_branch = []
+    candidates = None
+    for _, cont in node.branches:
+        steps = dict_of_steps(_steps(cont, me, ids, stack))
+        if candidates is None:
+            if isinstance(node, (LSelect, LBranch)):
+                candidates = [label for label in steps
+                              if label.via == me and label.subject != node.peer]
+            else:
+                candidates = [label for label in steps
+                              if label.subject not in (node.sender, node.receiver)]
         else:
-            allowed = label.subject not in (node.sender, node.receiver)
-        if allowed and all(label in branch for branch in per_branch[1:]):
-            branches = tuple((lbl, per_branch[i][label])
-                             for i, (lbl, _) in enumerate(node.branches))
-            out.append((label, _with_branches(node, branches)))
+            candidates = [label for label in candidates if label in steps]
+        if not candidates:
+            return []
+        per_branch.append(steps)
+    out = []
+    for label in candidates:
+        branches = tuple((lbl, steps[label])
+                         for (lbl, _), steps in zip(node.branches, per_branch))
+        out.append((label, _with_branches(node, branches)))
     return out
 
 
@@ -289,7 +329,7 @@ def config_steps(c: Configuration) -> list[tuple[ActionLabel, Configuration]]:
     advance) the router's local type."""
     for _, t in c.locals:
         validate(t)
-    ids = CanonicalIds()
+    ids = _StepIds()
     steps_by_role = {r: dict_of_steps(_steps(t, r, ids)) for r, t in c.locals}
     return _sorted_steps((label, c._update(movers, {pair: content}))
                          for label, (movers, pair, content)
@@ -344,14 +384,16 @@ class StepTable:
     Edges follow the rules in `RULES` when the table builds them, so a table
     lives for one checker call, and a call under other rules makes its own.
 
-    A state's edges are built the first time they are asked for.  Canonical
-    equality is id equality, so a search over ids visits exactly the states
-    a search over canonical types visits.  `states` maps each id to the first
-    type met with it, not to a canonical form."""
+    A state's edges are built the first time they are asked for, from steps
+    the table's interner derives once per (node, role, cut stack) and keeps
+    for the table's life.  Canonical equality is id equality, so a search
+    over ids visits exactly the states a search over canonical types visits.
+    `states` maps each id to the first type met with it, not to a canonical
+    form."""
 
     def __init__(self, role: Role | None = None):
         self.role = role
-        self.ids = CanonicalIds()
+        self.ids = _StepIds()
         self.states: dict[int, AnyType] = {}
         self._edges: dict[int, dict[ActionLabel, int]] = {}
 

@@ -1,16 +1,18 @@
 """The compiled LTSs against the plain step functions: the global step
-table against `global_steps`, the configuration LTS (per-role step tables
-over id tuples) against `config_steps`, and the step maps they are built
-from."""
+table against `global_steps`, each local step table against `local_steps`,
+the configuration LTS (per-role step tables over id tuples) against
+`config_steps`, and the step maps they are built from."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
 
 from routedmpst.analysis import (
     check_trace_equivalence, config_traces, global_traces, reachable_states,
 )
 from routedmpst.core import (
     GComm, GEnd, GRec, GVar, InvalidType, LEnd, LRec, LSelect, LVar, Role, canonicalize,
-    direct_send,
+    direct_send, participants,
 )
 from routedmpst.encoding import encode_global
 from routedmpst.semantics import (
@@ -18,28 +20,33 @@ from routedmpst.semantics import (
     global_steps, local_steps, project_configuration,
 )
 from routedmpst.simulator import SessionLog, validate_log
+from routedmpst.wellformed import check_wf
 
 from corpus import A, B, CORPUS_ROUTERS, M1, S, load
 from mutation import GLOBAL_RULES, rules_disabled
-from strategies import ROLE_POOL
+from strategies import ROLE_POOL, global_types
 
 
-def _check_global_table(g, limit=None):
-    """Breadth-first over the global step table from `g`, through at most
-    `limit` states: each id stands for a distinct canonical state whose
-    `global_steps`, canonicalised, are exactly its edges, in the same order."""
-    table = StepTable()
-    start = table.intern(g)
-    assert canonicalize(table.states[start]) == canonicalize(g)
+def _check_table(t, role=None, limit=None):
+    """Breadth-first over the step table of `role` (None: the global table)
+    from `t`, through at most `limit` states: each id stands for a distinct
+    canonical state whose `global_steps` (or `local_steps`), canonicalised,
+    are exactly its edges; a global table keeps their order too."""
+    table = StepTable(role)
+    start = table.intern(t)
+    assert canonicalize(table.states[start]) == canonicalize(t)
     seen = {start}
     frontier = [start]
     expanded = 0
     while frontier and expanded != limit:
         sid = frontier.pop(0)
         expanded += 1
-        want = [(label, canonicalize(succ))
-                for label, succ in global_steps(table.states[sid])]
+        state = table.states[sid]
+        want = [(label, canonicalize(succ)) for label, succ in
+                (global_steps(state) if role is None else local_steps(state, role))]
         got = list(table.edges(sid).items())
+        if role is not None:
+            got.sort(key=lambda step: step[0].sort_key())
         assert [(label, canonicalize(table.states[succ])) for label, succ in got] == want
         for _, succ in got:
             if succ not in seen:
@@ -57,7 +64,7 @@ def _corpus_type(name, encoded):
 @pytest.mark.parametrize("encoded", [False, True], ids=["plain", "encoded"])
 @pytest.mark.parametrize("name", sorted(CORPUS_ROUTERS))
 def test_global_step_table_matches_global_steps(name, encoded):
-    assert _check_global_table(_corpus_type(name, encoded)) > 1
+    assert _check_table(_corpus_type(name, encoded)) > 1
 
 
 # The Battleships LTS has 165 states, plain and encoded, and `global_steps`
@@ -68,7 +75,22 @@ def test_global_step_table_with_each_rule_disabled(name, encoded):
     g = _corpus_type(name, encoded)
     for rule in GLOBAL_RULES:
         with rules_disabled(rule):
-            _check_global_table(g, 20 if name == "Battleships" else None)
+            _check_table(g, limit=20 if name == "Battleships" else None)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(global_types(depth=4, roles=ROLE_POOL), st.data())
+def test_step_tables_match_step_functions_on_well_formed_types(g, data):
+    """Beyond the corpus: the global table of a generated `wf` type and of
+    its encoding, and every role's local table of both projections.  Some of
+    these LTSs are infinite, so each check stops after 50 states."""
+    assume(check_wf(g).ok and participants(g))
+    router = data.draw(st.sampled_from(sorted(participants(g), key=lambda r: r.name)))
+    for t in (g, encode_global(g, router)):
+        _check_table(t, limit=50)
+        for role, local in project_configuration(t).locals:
+            _check_table(local, role, limit=50)
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS_ROUTERS))

@@ -23,7 +23,8 @@ ODD = ["//", '"', "1a", "²", "é", "\t", "\r", "\f", "\xa0", "$"]
 
 TOKENS = ODD + ["(", ")", "{", "}", ",", ";", "<", ">", "\n", "global", "aux",
                 "protocol", "role", "type", "from", "to", "as", "choice", "at",
-                "or", "do", "A", "B", "P", "M", "int", '"s"']
+                "or", "do", "A", "B", "P", "M", "int", '"s"',
+                'type <j> "x" from "y" as Z;']
 
 FUZZ = settings(max_examples=300, deadline=None, derandomize=True,
                 suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])

@@ -4,7 +4,7 @@ from routedmpst.core import (
     GComm, GEnd, GRec, GVar, MsgLabel, Role, canonically_equal, free_vars,
 )
 from routedmpst.scribble import (
-    ArityMismatch, ChoiceStmt, DoStmt, DuplicateRole, NonTailCall,
+    ArityMismatch, ChoiceStmt, DoStmt, DuplicateAlias, DuplicateRole, NonTailCall,
     ScribbleError, SyntaxProblem, UnknownProtocol, UnknownRole, elaborate,
     parse_module, pretty_module,
 )
@@ -119,6 +119,40 @@ def test_elaborate_battleships_uses_aux():
 def test_duplicate_role_rejected():
     with pytest.raises(DuplicateRole):
         parse_module("global protocol P(role A, role A) { }")
+
+
+ALIAS = 'type <j> "x" from "y" as Z;'
+
+
+def test_alias_declared_twice_is_rejected_at_the_second_declaration():
+    for between in ("\n", "\nglobal protocol P(role A) { }\n"):
+        with pytest.raises(DuplicateAlias) as err:
+            parse_module(ALIAS + between + ALIAS + "\nglobal protocol Q(role A) { }", "f")
+        line = between.count("\n") + 1
+        assert str(err.value) == f"f:{line}:1: type Z declared twice"
+
+
+@pytest.mark.parametrize("text, message", [
+    (ALIAS, "f:1:1: type Z is not followed by a protocol"),
+    ("global protocol P(role A) { }\n" + ALIAS, "f:2:1: type Z is not followed by a protocol"),
+    # The first alias no protocol sees is reported.
+    (ALIAS + "\nglobal protocol P(role A) { }\n" + ALIAS.replace("Z", "Y") + "\n"
+     + ALIAS.replace("Z", "W"), "f:3:1: type Y is not followed by a protocol"),
+])
+def test_alias_with_no_protocol_after_it_is_rejected(text, message):
+    # A protocol's aliases are printed before it, so an alias that no
+    # protocol sees would be lost in a round trip through `pretty_module`.
+    with pytest.raises(ScribbleError) as err:
+        parse_module(text, "f")
+    assert str(err.value) == message
+
+
+def test_distinct_aliases_round_trip():
+    text = ALIAS + "\nglobal protocol P(role A) { }\n" + ALIAS.replace("Z", "Y") + \
+        "\nglobal protocol Q(role A) { }"
+    decls = parse_module(text)
+    assert [a.alias for a in decls[1].type_aliases] == ["Z", "Y"]
+    assert parse_module(pretty_module(decls)) == decls
 
 
 def test_unknown_role_rejected():

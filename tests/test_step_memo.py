@@ -1,0 +1,94 @@
+"""The step memo and the early stop of the commuting rules: within one
+checker call each rule derives the steps of a (node, role, cut stack) once,
+and `_commute_all` steps no branch after the first one that leaves no
+candidate label."""
+
+from contextlib import contextmanager
+
+import pytest
+
+from routedmpst import semantics
+from routedmpst.analysis import check_deadlock_freedom, check_trace_equivalence
+from routedmpst.core import LEnd, LSelect, LRoutedSelect, Role, direct_send
+from routedmpst.encoding import encode_global
+from routedmpst.semantics import StepTable, project_configuration
+
+from corpus import A, B, C, CORPUS_ROUTERS, M1, M2, load
+
+
+@contextmanager
+def rules_counted():
+    """Within the block every rule of `semantics.RULES` counts its calls.
+    Yields `{(rule, id(node), role, stack): [node, calls]}`; each entry keeps
+    its node alive, so an id is not reused while the map lives."""
+    saved = dict(semantics.RULES)
+    calls: dict = {}
+
+    def counted(name, rule):
+        def count(node, me, ids, stack):
+            calls.setdefault((name, id(node), me, stack), [node, 0])[1] += 1
+            return rule(node, me, ids, stack)
+        return count
+
+    semantics.RULES.update({name: counted(name, rule) for name, rule in saved.items()})
+    try:
+        yield calls
+    finally:
+        semantics.RULES.update(saved)
+
+
+CHECKS = {
+    "deadlock_freedom": lambda g, router: check_deadlock_freedom(g, router),
+    "trace_equivalence": lambda g, router: check_trace_equivalence(g, 8),
+}
+
+
+@pytest.mark.parametrize("check", list(CHECKS))
+@pytest.mark.parametrize("name", sorted(CORPUS_ROUTERS))
+def test_each_step_is_derived_once_per_checker_call(name, check):
+    router = Role(CORPUS_ROUTERS[name])
+    g = encode_global(load(name), router)
+    with rules_counted() as calls:
+        assert CHECKS[check](g, router).passed
+    assert calls
+    assert sorted(key[0] for key, (_, n) in calls.items() if n > 1) == []
+
+
+@pytest.fixture
+def stepped(monkeypatch):
+    """The node of every call to `semantics._steps`, in call order."""
+    nodes: list = []
+    real = semantics._steps
+
+    def record(t, *args):
+        nodes.append(t)
+        return real(t, *args)
+
+    monkeypatch.setattr(semantics, "_steps", record)
+    return nodes
+
+
+def test_commuting_rule_stops_at_the_first_empty_branch(stepped):
+    # Lr10 at A's selection: branch M1 (end) offers no routing action, so
+    # branch M2 is never stepped.
+    late = LRoutedSelect(B, C, ((M1, LEnd()),))
+    t = LSelect(B, ((M1, LEnd()), (M2, late)))
+    table = StepTable(A)
+    assert list(table.edges(table.intern(t))) == [direct_send(A, B, M1),
+                                                 direct_send(A, B, M2)]
+    assert any(node is t for node in stepped)
+    assert not any(node is late for node in stepped)
+
+
+def test_initial_local_edges_of_the_battleships_encoding_step_few_nodes(stepped):
+    """The first edges of each role's local table: stepping every branch of
+    every commuting rule would call `_steps` 20 (P1), 22 (P2) and 40 (Svr)
+    times."""
+    c = project_configuration(encode_global(load("Battleships"), Role("Svr")))
+    calls = {}
+    for role, t in c.locals:
+        before = len(stepped)
+        table = StepTable(role)
+        table.edges(table.intern(t))
+        calls[role.name] = len(stepped) - before
+    assert calls == {"P1": 6, "P2": 6, "Svr": 10}
