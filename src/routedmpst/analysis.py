@@ -13,7 +13,12 @@ or, for trace equivalence, pairs of such an id and a
 `semantics.CompiledConfigurations` key.  Keys are equal exactly when
 canonical states are, so the states counted are canonical states (or pairs
 of them); only states printed or returned are put in canonical form.
-Traces are enumerated path by path; the tables live for one call.
+Traces are enumerated path by path.
+
+Each checker takes the `semantics.Tables` to search as a keyword: `verify`
+passes one to all four checks, so a state one check compiled is not
+compiled again by the next.  Without it a checker makes fresh tables, which
+live for the call.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 
 from .core import ActionLabel, GEnd, GlobalType, Role, canonicalize, pretty_global
 from .encoding import _encode_global, encode_label
-from .semantics import CompiledConfigurations, StepTable, project_configuration
+from .semantics import CompiledConfigurations, StepTable, Tables, project_configuration
 from .wellformed import check_wf, check_wf_routed
 
 DEFAULT_STATE_CAP = 10 ** 6
@@ -144,15 +149,17 @@ def config_traces(g: GlobalType, depth: int,
 
 
 def check_trace_equivalence(g: GlobalType, depth: int,
-                            state_cap: int = DEFAULT_STATE_CAP) -> ExplorationReport:
+                            state_cap: int = DEFAULT_STATE_CAP, *,
+                            tables: Tables | None = None) -> ExplorationReport:
     """Compare the global LTS against the configuration LTS of the projected
     initial configuration, up to `depth`: the trace sets agree exactly when
     every pair (global state id, configuration key) found within `depth - 1`
     steps enables the same labels on both sides.  The search follows labels
     in the global table's `sort_key` order, so the first mismatch it meets
     gives the least witness: shortest, then least by `sort_key`."""
-    table = StepTable()
-    lts = CompiledConfigurations(project_configuration(g))
+    tables = Tables() if tables is None else tables
+    table = tables.table()
+    lts = CompiledConfigurations(project_configuration(g), tables)
 
     def steps(pair):
         sid, key = pair
@@ -214,14 +221,15 @@ def _explore(name: str, start, steps, visit, depth: int | None,
 
 
 def check_deadlock_freedom(g: GlobalType, router: Role,
-                           state_cap: int = DEFAULT_STATE_CAP) -> ExplorationReport:
+                           state_cap: int = DEFAULT_STATE_CAP, *,
+                           tables: Tables | None = None) -> ExplorationReport:
     """Every reachable state of a routed-well-formed type is terminal or can
     step.  Exploration is exhaustive over canonical states (finite for the
     corpus), bounded by `state_cap`."""
     wf = check_wf_routed(g, router)
     if not wf.ok:
         raise PreconditionError(f"type not well-formed for router {router}: {wf.describe()}")
-    table = StepTable()
+    table = (Tables() if tables is None else tables).table()
 
     def visit(sid, trace, edges):
         if not edges and not isinstance(canonicalize(table.states[sid]), GEnd):
@@ -234,30 +242,31 @@ def check_deadlock_freedom(g: GlobalType, router: Role,
 
 
 def check_encoding_bisim(g: GlobalType, s: Role, depth: int,
-                         state_cap: int = DEFAULT_STATE_CAP) -> ExplorationReport:
+                         state_cap: int = DEFAULT_STATE_CAP, *,
+                         tables: Tables | None = None) -> ExplorationReport:
     """Check, over all states reachable from `g` within `depth`, that the
     encoding maps transitions one-to-one: l is enabled at G' exactly when its
     encoding is enabled at the encoding of G', with successors related by the
     encoding again.
 
-    Plain and encoded states live in two step tables; a successor pair is
-    related when the encoded table gives the encoding of the plain successor
-    the same id as the encoded successor."""
+    Plain and encoded states live in one global step table, whose ids are
+    canonical; a successor pair is related when the encoding of the plain
+    successor has the id of the encoded successor."""
     wf = check_wf(g)
     if not wf.ok:
         raise PreconditionError(f"type not well-formed: {wf.describe()}")
-    plain, encoded = StepTable(), StepTable()
+    table = (Tables() if tables is None else tables).table()
     encoded_id: dict[int, int] = {}
     memo: dict = {}  # encoded states share subterms as the plain ones do
 
     def encode(sid):
         if sid not in encoded_id:
             # Encodings of valid states are valid: skip `intern`'s validation.
-            encoded_id[sid] = encoded._id(_encode_global(plain.states[sid], s, memo))
+            encoded_id[sid] = table._id(_encode_global(table.states[sid], s, memo))
         return encoded_id[sid]
 
     def visit(sid, trace, edges):
-        enc_edges = encoded.edges(encode(sid))
+        enc_edges = table.edges(encode(sid))
         if len(edges) != len(enc_edges):
             extra = set(enc_edges) - {encode_label(l, s) for l in edges}
             yield Counterexample(
@@ -272,7 +281,7 @@ def check_encoding_bisim(g: GlobalType, s: Role, depth: int,
             else:
                 yield label, succ
 
-    return _explore("encoding_bisim", plain.intern(g), plain.edges, visit, depth, state_cap)[0]
+    return _explore("encoding_bisim", table.intern(g), table.edges, visit, depth, state_cap)[0]
 
 
 def reachable_states(g: GlobalType, depth: int,

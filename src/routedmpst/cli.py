@@ -22,6 +22,7 @@ from .efsm import build_efsm, efsm_ir, render_dot
 from .encoding import encode_global
 from .projection import MergeFailure, project
 from .scribble import ScribbleError, elaborate, parse_module, pretty_module
+from .semantics import Tables
 from .simulator import (
     BoundedLoopPolicy, SimConfig, SimulatorError, run_session, validate_log,
 )
@@ -112,11 +113,12 @@ def cmd_verify(args) -> int:
         print(wf.describe(), file=sys.stderr)
         return DOMAIN_ERROR
     encoded = encode_global(g, args.router)
+    tables = Tables()  # all four checks explore `g` and `encoded`
     reports = [
-        check_trace_equivalence(g, args.depth, args.state_cap),
-        check_trace_equivalence(encoded, args.depth, args.state_cap),
-        check_deadlock_freedom(encoded, args.router, args.state_cap),
-        check_encoding_bisim(g, args.router, args.depth, args.state_cap),
+        check_trace_equivalence(g, args.depth, args.state_cap, tables=tables),
+        check_trace_equivalence(encoded, args.depth, args.state_cap, tables=tables),
+        check_deadlock_freedom(encoded, args.router, args.state_cap, tables=tables),
+        check_encoding_bisim(g, args.router, args.depth, args.state_cap, tables=tables),
     ]
     names = ["trace_equivalence", "trace_equivalence_encoded",
              "deadlock_freedom", "encoding_bisim"]
@@ -176,84 +178,80 @@ def cmd_simulate(args) -> int:
     return 0 if verdict is True else DOMAIN_ERROR
 
 
+def _arg(*flags, **options):
+    return flags, options
+
+
+_FILE, _PROTOCOL, _ROLE = _arg("file"), _arg("protocol"), _arg("role", type=Role)
+_ROUTER = _arg("--router", type=Role, required=True)
+_DEPTH = _arg("--depth", type=_int_at_least(0), default=8)
+
+# Every command: its help line, its handler and its arguments, as
+# `(flags, add_argument options)`, in the order the help lists them.
+_COMMANDS = {
+    "parse": ("parse a module and pretty-print it", cmd_parse, [_FILE]),
+    "project": ("project a protocol onto a role", cmd_project, [_FILE, _PROTOCOL, _ROLE]),
+    "check": ("well-formedness (optionally router-aware)", cmd_check,
+              [_FILE, _PROTOCOL, _arg("--router", type=Role)]),
+    "encode": ("encode through a router role", cmd_encode, [_FILE, _PROTOCOL, _ROUTER]),
+    "traces": ("list bounded traces", cmd_traces, [
+        _FILE, _PROTOCOL, _DEPTH,
+        _arg("--config", action="store_true",
+             help="use the configuration semantics instead of the global one")]),
+    "verify": ("run the four theorem checks", cmd_verify, [
+        _FILE, _PROTOCOL, _ROUTER, _DEPTH,
+        _arg("--state-cap", type=_int_at_least(1), default=DEFAULT_STATE_CAP)]),
+    "efsm": ("endpoint state machine (DOT and/or JSON IR)", cmd_efsm,
+             [_FILE, _PROTOCOL, _ROLE, _arg("--dot"), _arg("--ir")]),
+    "gen": ("emit endpoint skeleton files", cmd_gen, [
+        _FILE, _PROTOCOL, _ROLE, _arg("--flavor", choices=FLAVORS, required=True),
+        _arg("-o", "--output", required=True)]),
+    "simulate": ("run one deterministic session", cmd_simulate, [
+        _FILE, _PROTOCOL, _ROUTER,
+        _arg("--seed", type=int, default=0),
+        _arg("--rounds", type=_int_at_least(1), default=2),
+        _arg("--scheduler", choices=["round-robin", "seeded-random"],
+             default="round-robin"),
+        _arg("--max-steps", type=_int_at_least(1), default=100_000),
+        _arg("--cancel", help="ROLE@STEP cancellation injection")]),
+}
+
+
+def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    _, fn, arguments = _COMMANDS[name]
+    for flags, options in arguments:
+        parser.add_argument(*flags, **options)
+    parser.set_defaults(fn=fn)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="routedmpst",
         description="Routed multiparty session type toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("parse", help="parse a module and pretty-print it")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_parse)
-
-    p = sub.add_parser("project", help="project a protocol onto a role")
-    p.add_argument("file")
-    p.add_argument("protocol")
-    p.add_argument("role", type=Role)
-    p.set_defaults(fn=cmd_project)
-
-    p = sub.add_parser("check", help="well-formedness (optionally router-aware)")
-    p.add_argument("file")
-    p.add_argument("protocol")
-    p.add_argument("--router", type=Role)
-    p.set_defaults(fn=cmd_check)
-
-    p = sub.add_parser("encode", help="encode through a router role")
-    p.add_argument("file")
-    p.add_argument("protocol")
-    p.add_argument("--router", type=Role, required=True)
-    p.set_defaults(fn=cmd_encode)
-
-    p = sub.add_parser("traces", help="list bounded traces")
-    p.add_argument("file")
-    p.add_argument("protocol")
-    p.add_argument("--depth", type=_int_at_least(0), default=8)
-    p.add_argument("--config", action="store_true",
-                   help="use the configuration semantics instead of the global one")
-    p.set_defaults(fn=cmd_traces)
-
-    p = sub.add_parser("verify", help="run the three theorem checks")
-    p.add_argument("file")
-    p.add_argument("protocol")
-    p.add_argument("--router", type=Role, required=True)
-    p.add_argument("--depth", type=_int_at_least(0), default=8)
-    p.add_argument("--state-cap", type=_int_at_least(1), default=DEFAULT_STATE_CAP)
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("efsm", help="endpoint state machine (DOT and/or JSON IR)")
-    p.add_argument("file")
-    p.add_argument("protocol")
-    p.add_argument("role", type=Role)
-    p.add_argument("--dot")
-    p.add_argument("--ir")
-    p.set_defaults(fn=cmd_efsm)
-
-    p = sub.add_parser("gen", help="emit endpoint skeleton files")
-    p.add_argument("file")
-    p.add_argument("protocol")
-    p.add_argument("role", type=Role)
-    p.add_argument("--flavor", choices=FLAVORS, required=True)
-    p.add_argument("-o", "--output", required=True)
-    p.set_defaults(fn=cmd_gen)
-
-    p = sub.add_parser("simulate", help="run one deterministic session")
-    p.add_argument("file")
-    p.add_argument("protocol")
-    p.add_argument("--router", type=Role, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rounds", type=_int_at_least(1), default=2)
-    p.add_argument("--scheduler", choices=["round-robin", "seeded-random"],
-                   default="round-robin")
-    p.add_argument("--max-steps", type=_int_at_least(1), default=100_000)
-    p.add_argument("--cancel", help="ROLE@STEP cancellation injection")
-    p.set_defaults(fn=cmd_simulate)
-
+    for name, (help_line, _, _) in _COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_line), name)
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)`, building only the named command's
+    parser when that is enough: building every command's parser costs
+    milliseconds, a large share of a small command.  Anything the
+    one-command parser leaves over, and any first argument that is not a
+    command, goes to the full parser, so help and usage errors read as it
+    words them."""
+    if argv and argv[0] in _COMMANDS:
+        parser = _add_command(argparse.ArgumentParser(prog=f"routedmpst {argv[0]}"), argv[0])
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.fn(args)
     except _DOMAIN_FAILURES as exc:

@@ -21,10 +21,10 @@ fires first:
 - `_commute_chosen`: Gr5/Gr9 and Lr9.
 
 `_steps` derives the steps of a (node object, role, cut stack) once per
-interner: the interner (`_StepIds`) memoises them, and a table's interner
-lives as long as the table, so the states of one checker call share the
-steps of their common subterms.  The one-shot `global_steps`,
-`local_steps` and `config_steps` make a fresh interner per call.
+interner: the interner (`_StepIds`) memoises them for its life, so the
+states of a search share the steps of their common subterms.  The one-shot
+`global_steps`, `local_steps` and `config_steps` make a fresh interner per
+call.
 
 Both LTSs have a compiled form, `StepTable`: states keyed by their
 `CanonicalIds` id, each with its edges as `{label: successor id}`; canonical
@@ -32,7 +32,10 @@ forms are built only where a state is printed or returned.  A global table
 (no role) is what the checkers in `analysis` search.  One local table per role
 backs `CompiledConfigurations`, which steps over tuples of state ids plus
 buffers and shares the configuration rule (`_enabled`) with `config_steps`,
-the form over `Configuration` values.
+the form over `Configuration` values.  `Tables` holds the global and local
+tables of one run over one interner, so several checks of the same
+protocol and its encoding compile each state once; a checker given none
+makes its own.
 """
 
 from __future__ import annotations
@@ -382,18 +385,21 @@ class StepTable:
     With a `role` it is that role's local LTS (edges in rule order); without
     one it is the global LTS (edges in the label order of `global_steps`).
     Edges follow the rules in `RULES` when the table builds them, so a table
-    lives for one checker call, and a call under other rules makes its own.
+    is used only while `RULES` is as it was then: for one checker call, or
+    for one run of several checks through `Tables`.
 
     A state's edges are built the first time they are asked for, from steps
-    the table's interner derives once per (node, role, cut stack) and keeps
-    for the table's life.  Canonical equality is id equality, so a search
-    over ids visits exactly the states a search over canonical types visits.
-    `states` maps each id to the first type met with it, not to a canonical
-    form."""
+    the table's interner `ids` derives once per (node, role, cut stack) and
+    keeps for the interner's life; the tables of one `Tables` share their
+    interner.  Canonical equality is id equality, so a search over ids
+    visits exactly the states a search over canonical types visits, and a
+    global table may hold the states of several types, such as a protocol
+    and its encoding.  `states` maps each id to the first type met with it,
+    not to a canonical form."""
 
-    def __init__(self, role: Role | None = None):
+    def __init__(self, role: Role | None = None, ids: _StepIds | None = None):
         self.role = role
-        self.ids = _StepIds()
+        self.ids = _StepIds() if ids is None else ids
         self.states: dict[int, AnyType] = {}
         self._edges: dict[int, dict[ActionLabel, int]] = {}
 
@@ -419,20 +425,48 @@ class StepTable:
         return edges
 
 
+class RuleTableChanged(RuntimeError):
+    """Step tables were asked for under other `RULES` than they follow."""
+
+
+class Tables:
+    """The step tables of one run of several checks: one interner, one
+    global `StepTable` (role None) and one local `StepTable` per role, each
+    made when first asked for.  A check that shares them finds the steps
+    and edges an earlier check derived.
+
+    The tables follow `RULES` as it was when this object was made; `table`
+    raises RuleTableChanged if `RULES` has changed since."""
+
+    def __init__(self) -> None:
+        self.rules = dict(RULES)
+        self.ids = _StepIds()
+        self._tables: dict[Role | None, StepTable] = {}
+
+    def table(self, role: Role | None = None) -> StepTable:
+        if self.rules != RULES:
+            raise RuleTableChanged("step tables built under other RULES")
+        table = self._tables.get(role)
+        if table is None:
+            table = self._tables[role] = StepTable(role, self.ids)
+        return table
+
+
 class CompiledConfigurations:
     """The configuration LTS over per-role step tables.
 
     A configuration is a key `(ids, contents)`: one local `StepTable` id per
     role and one buffer content per ordered role pair, both in the order of
     the `Configuration` it was compiled from.  Two keys are equal exactly
-    when the canonical forms of their configurations are equal.  The tables
-    live as long as this object."""
+    when the canonical forms of their configurations are equal.  The local
+    tables are those of `tables`, fresh ones if it is None."""
 
-    def __init__(self, c: Configuration):
+    def __init__(self, c: Configuration, tables: Tables | None = None):
+        tables = Tables() if tables is None else tables
         self.roles = c.roles
         self.pairs = tuple(pair for pair, _ in c.buffers)
         self._pair_index = {pair: i for i, pair in enumerate(self.pairs)}
-        self.tables = tuple(StepTable(r) for r in self.roles)
+        self.tables = tuple(tables.table(r) for r in self.roles)
         self._steps: dict[tuple, tuple] = {}
         self.initial = (tuple(table.intern(t) for table, (_, t) in zip(self.tables, c.locals)),
                         tuple(content for _, content in c.buffers))

@@ -1,5 +1,5 @@
-"""Mutation testing of the checkers: switch rules of `semantics.RULES` off
-for the length of a `with` block."""
+"""Mutation testing of the checkers: switch rules of `semantics.RULES` off,
+or count their calls, for the length of a `with` block."""
 
 from contextlib import contextmanager
 
@@ -12,10 +12,32 @@ GLOBAL_RULES = tuple(name for name in semantics.RULES if name.startswith("Gr"))
 def rules_disabled(*names):
     """Within the block the named rules (e.g. "Gr4") never fire.  Unknown
     names raise KeyError.  Step tables made inside the block follow the
-    disabled rules; do not use them after it."""
+    disabled rules; do not use them after it (a `semantics.Tables` made on
+    one side of the block raises on the other)."""
     saved = {name: semantics.RULES[name] for name in names}
     semantics.RULES.update(dict.fromkeys(names, semantics.no_steps))
     try:
         yield
+    finally:
+        semantics.RULES.update(saved)
+
+
+@contextmanager
+def rules_counted():
+    """Within the block every rule of `semantics.RULES` counts its calls.
+    Yields `{(rule, id(node), role, stack): [node, calls]}`; each entry keeps
+    its node alive, so an id is not reused while the map lives."""
+    saved = dict(semantics.RULES)
+    calls: dict = {}
+
+    def counted(name, rule):
+        def count(node, me, ids, stack):
+            calls.setdefault((name, id(node), me, stack), [node, 0])[1] += 1
+            return rule(node, me, ids, stack)
+        return count
+
+    semantics.RULES.update({name: counted(name, rule) for name, rule in saved.items()})
+    try:
+        yield calls
     finally:
         semantics.RULES.update(saved)

@@ -3,8 +3,6 @@ checker call each rule derives the steps of a (node, role, cut stack) once,
 and `_commute_all` steps no branch after the first one that leaves no
 candidate label."""
 
-from contextlib import contextmanager
-
 import pytest
 
 from routedmpst import semantics
@@ -14,27 +12,7 @@ from routedmpst.encoding import encode_global
 from routedmpst.semantics import StepTable, project_configuration
 
 from corpus import A, B, C, CORPUS_ROUTERS, M1, M2, load
-
-
-@contextmanager
-def rules_counted():
-    """Within the block every rule of `semantics.RULES` counts its calls.
-    Yields `{(rule, id(node), role, stack): [node, calls]}`; each entry keeps
-    its node alive, so an id is not reused while the map lives."""
-    saved = dict(semantics.RULES)
-    calls: dict = {}
-
-    def counted(name, rule):
-        def count(node, me, ids, stack):
-            calls.setdefault((name, id(node), me, stack), [node, 0])[1] += 1
-            return rule(node, me, ids, stack)
-        return count
-
-    semantics.RULES.update({name: counted(name, rule) for name, rule in saved.items()})
-    try:
-        yield calls
-    finally:
-        semantics.RULES.update(saved)
+from mutation import rules_counted
 
 
 CHECKS = {
