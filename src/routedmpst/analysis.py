@@ -16,9 +16,9 @@ of them); only states printed or returned are put in canonical form.
 Traces are enumerated path by path.
 
 Each checker takes the `semantics.Tables` to search as a keyword: `verify`
-passes one to all four checks, so a state one check compiled is not
-compiled again by the next.  Without it a checker makes fresh tables, which
-live for the call.
+passes one to all four checks, so a state one check compiled, or a role one
+check or precondition projected, is not compiled or projected again by the
+next.  Without it a checker makes fresh tables, which live for the call.
 """
 
 from __future__ import annotations
@@ -159,7 +159,7 @@ def check_trace_equivalence(g: GlobalType, depth: int,
     gives the least witness: shortest, then least by `sort_key`."""
     tables = Tables() if tables is None else tables
     table = tables.table()
-    lts = CompiledConfigurations(project_configuration(g), tables)
+    lts = CompiledConfigurations(project_configuration(g, tables=tables), tables)
 
     def steps(pair):
         sid, key = pair
@@ -226,10 +226,11 @@ def check_deadlock_freedom(g: GlobalType, router: Role,
     """Every reachable state of a routed-well-formed type is terminal or can
     step.  Exploration is exhaustive over canonical states (finite for the
     corpus), bounded by `state_cap`."""
-    wf = check_wf_routed(g, router)
+    tables = Tables() if tables is None else tables
+    wf = check_wf_routed(g, router, tables=tables)
     if not wf.ok:
         raise PreconditionError(f"type not well-formed for router {router}: {wf.describe()}")
-    table = (Tables() if tables is None else tables).table()
+    table = tables.table()
 
     def visit(sid, trace, edges):
         if not edges and not isinstance(canonicalize(table.states[sid]), GEnd):
@@ -252,10 +253,11 @@ def check_encoding_bisim(g: GlobalType, s: Role, depth: int,
     Plain and encoded states live in one global step table, whose ids are
     canonical; a successor pair is related when the encoding of the plain
     successor has the id of the encoded successor."""
-    wf = check_wf(g)
+    tables = Tables() if tables is None else tables
+    wf = check_wf(g, tables=tables)
     if not wf.ok:
         raise PreconditionError(f"type not well-formed: {wf.describe()}")
-    table = (Tables() if tables is None else tables).table()
+    table = tables.table()
     encoded_id: dict[int, int] = {}
     memo: dict = {}  # encoded states share subterms as the plain ones do
 

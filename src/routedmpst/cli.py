@@ -1,8 +1,8 @@
 """Command-line surface for the toolkit.
 
 Exit codes: 0 on success/pass, 1 on a domain failure (syntax, merge, centroid
-or verdict failure), 2 on usage or I/O errors.  Diagnostics go to stderr,
-data to stdout.
+or verdict failure, or input nested too deeply), 2 on usage or I/O errors.
+Diagnostics go to stderr, data to stdout.
 """
 
 from __future__ import annotations
@@ -33,8 +33,11 @@ DOMAIN_ERROR = 1
 
 # What `main` reports as a domain failure (exit 1); `_UsageError` and
 # `OSError` exit 2.  Any other exception is a bug and keeps its traceback.
+# Parsing, projection and the pretty printers recurse once per nesting
+# level, so input nested too deeply for the interpreter's stack raises
+# RecursionError, a limit of the input like a state budget.
 _DOMAIN_FAILURES = (ScribbleError, InvalidType, MergeFailure, SimulatorError,
-                    PreconditionError, StateBudgetExceeded)
+                    PreconditionError, StateBudgetExceeded, RecursionError)
 
 
 class _UsageError(Exception):
@@ -107,13 +110,13 @@ def cmd_traces(args) -> int:
 
 def cmd_verify(args) -> int:
     _, g = _load(args.file, args.protocol)
-    wf = check_wf(g)
+    tables = Tables()  # all four checks project and explore `g` and `encoded`
+    wf = check_wf(g, tables=tables)
     if not wf.ok:
         print("wf=fail", file=sys.stderr)
         print(wf.describe(), file=sys.stderr)
         return DOMAIN_ERROR
     encoded = encode_global(g, args.router)
-    tables = Tables()  # all four checks explore `g` and `encoded`
     reports = [
         check_trace_equivalence(g, args.depth, args.state_cap, tables=tables),
         check_trace_equivalence(encoded, args.depth, args.state_cap, tables=tables),

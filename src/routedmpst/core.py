@@ -8,7 +8,7 @@ All values are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -26,15 +26,32 @@ class NotRecursive(ValueError):
     """unfold_once applied to a non-recursive type."""
 
 
+# Roles, message labels and action labels are the atoms every step table
+# hashes.  Each computes its hash once, when it is built, into a `_hash`
+# slot that equality, ordering and repr ignore.  The value is the hash the
+# dataclass would compute from the fields, so sets and dicts of atoms
+# iterate as they would without the cache.  A string's hash depends on the
+# process's hash seed, so the cached hash must never cross processes:
+# `__reduce__` rebuilds an atom from its fields, for pickle and for `copy`.
+
+
 @dataclass(frozen=True, slots=True, order=True)
 class Role:
     """A protocol participant, identified by a case-sensitive name."""
 
     name: str
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not _IDENT_RE.match(self.name):
             raise InvalidType(f"invalid role name: {self.name!r}")
+        object.__setattr__(self, "_hash", hash((self.name,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Role, (self.name,)
 
     def __str__(self) -> str:
         return self.name
@@ -50,10 +67,18 @@ class MsgLabel:
 
     name: str
     payload_sorts: tuple[str, ...] = ()
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not _IDENT_RE.match(self.name):
             raise InvalidType(f"invalid message label: {self.name!r}")
+        object.__setattr__(self, "_hash", hash((self.name, self.payload_sorts)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return MsgLabel, (self.name, self.payload_sorts)
 
     def __str__(self) -> str:
         if self.payload_sorts:
@@ -246,6 +271,7 @@ class ActionLabel:
     receiver: Role
     msg: MsgLabel
     via: Role | None = None
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.direction not in (SEND, RECV):
@@ -254,6 +280,14 @@ class ActionLabel:
             raise InvalidType("action sender and receiver must differ")
         if self.via is not None and self.via in (self.sender, self.receiver):
             raise InvalidType("router of a routed action must differ from both endpoints")
+        object.__setattr__(self, "_hash", hash((self.direction, self.sender, self.receiver,
+                                                self.msg, self.via)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return ActionLabel, (self.direction, self.sender, self.receiver, self.msg, self.via)
 
     @property
     def routed(self) -> bool:

@@ -33,9 +33,9 @@ forms are built only where a state is printed or returned.  A global table
 backs `CompiledConfigurations`, which steps over tuples of state ids plus
 buffers and shares the configuration rule (`_enabled`) with `config_steps`,
 the form over `Configuration` values.  `Tables` holds the global and local
-tables of one run over one interner, so several checks of the same
-protocol and its encoding compile each state once; a checker given none
-makes its own.
+tables of one run over one interner, and the projections made in that run,
+so several checks of the same protocol and its encoding compile each state
+and project each role once; a checker given none makes its own.
 """
 
 from __future__ import annotations
@@ -433,7 +433,8 @@ class Tables:
     """The step tables of one run of several checks: one interner, one
     global `StepTable` (role None) and one local `StepTable` per role, each
     made when first asked for.  A check that shares them finds the steps
-    and edges an earlier check derived.
+    and edges an earlier check derived, and the projections an earlier
+    check or precondition made.
 
     The tables follow `RULES` as it was when this object was made; `table`
     raises RuleTableChanged if `RULES` has changed since."""
@@ -442,6 +443,17 @@ class Tables:
         self.rules = dict(RULES)
         self.ids = _StepIds()
         self._tables: dict[Role | None, StepTable] = {}
+        self._projected: dict[tuple[int, Role], tuple[GlobalType, LocalType]] = {}
+
+    def project(self, g: GlobalType, r: Role) -> LocalType:
+        """`projection.project(g, r)`, made once per (type object, role) for
+        this object's life.  Each entry keeps its type, so an id is not
+        reused; a MergeFailure is raised again on every call, not kept."""
+        key = (id(g), r)
+        met = self._projected.get(key)
+        if met is None:
+            met = self._projected[key] = (g, project(g, r))
+        return met[1]
 
     def table(self, role: Role | None = None) -> StepTable:
         if self.rules != RULES:
@@ -499,16 +511,19 @@ class CompiledConfigurations:
             buffers=tuple(zip(self.pairs, contents))).canonical()
 
 
-def project_configuration(g: GlobalType, roles: tuple[Role, ...] | None = None) -> Configuration:
+def project_configuration(g: GlobalType, roles: tuple[Role, ...] | None = None, *,
+                          tables: Tables | None = None) -> Configuration:
     """The projected configuration of a global type: every role's projection
     plus the buffer contents induced by in-transit markers.
 
     `roles` widens the participant set (dropped-out roles project to end),
     which keeps mid-trace configurations comparable with the initial one.
-    Raises InvalidType unless `g` is a valid closed type."""
+    The projections are those of `tables` if given.  Raises InvalidType
+    unless `g` is a valid closed type."""
     validate(g)
     parts = sorted(set(roles) if roles else participants(g))
-    locals_map = {r: project(g, r) for r in parts}
+    proj = project if tables is None else tables.project
+    locals_map = {r: proj(g, r) for r in parts}
     buffers: dict[RolePair, tuple[MsgLabel, ...]] = {}
     _fill_buffers(g, buffers)
     return Configuration.make(locals_map, buffers)

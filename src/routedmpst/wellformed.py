@@ -11,6 +11,7 @@ from .core import (
     Role, participants,
 )
 from .projection import MergeFailure, project
+from .semantics import Tables
 
 
 @dataclass(frozen=True)
@@ -75,20 +76,22 @@ class WfReport:
         return "; ".join(parts)
 
 
-def check_wf(g: GlobalType) -> WfReport:
-    """Canonical well-formedness: projection defined for every participant."""
+def check_wf(g: GlobalType, *, tables: Tables | None = None) -> WfReport:
+    """Canonical well-formedness: projection defined for every participant.
+    The projections are those of `tables` if given."""
+    proj = project if tables is None else tables.project
     failures = []
     for p in sorted(participants(g)):
         try:
-            project(g, p)
+            proj(g, p)
         except MergeFailure as exc:
             failures.append((p.name, str(exc).splitlines()[0]))
     return WfReport(not failures, tuple(failures))
 
 
-def check_wf_routed(g: GlobalType, s: Role) -> WfReport:
+def check_wf_routed(g: GlobalType, s: Role, *, tables: Tables | None = None) -> WfReport:
     """Well-formedness with respect to `s` acting as the router: every
     projection exists and `s` is a centroid of the type."""
-    base = check_wf(g)
+    base = check_wf(g, tables=tables)
     cent = is_centroid(g, s)
     return WfReport(base.ok and cent.ok, base.projection_failures, cent)

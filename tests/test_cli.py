@@ -112,6 +112,20 @@ def test_deep_verify_and_traces_run_without_recursion(capsys):
     assert len(max(out.splitlines(), key=len).split(" . ")) == 1100
 
 
+@pytest.mark.parametrize("command", [("verify", "--router", "S"), ("project", "A")])
+def test_input_nested_too_deeply_is_a_domain_error(capsys, tmp_path, command):
+    # 600 messages in sequence nest 600 levels deep, past what the
+    # recursive frontend and projection reach under the default limit.
+    pairs = [("A", "S"), ("S", "B"), ("B", "A")]
+    body = "".join(f"  m{i}() from {pairs[i % 3][0]} to {pairs[i % 3][1]};\n"
+                   for i in range(600))
+    path = tmp_path / "long.scr"
+    path.write_text(f"global protocol Long(role A, role S, role B) {{\n{body}}}\n")
+    code, out, err = run(capsys, command[0], str(path), "Long", *command[1:])
+    assert code == 1 and out == ""
+    assert "maximum recursion depth exceeded" in err and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("golden, protocol, extra, exit_code", [
     *((f"verify_{name}.txt", name, (), 0) for name in sorted(CORPUS_ROUTERS)),
     # A cap below every checker's state count: all four are inconclusive.

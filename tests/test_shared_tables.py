@@ -1,11 +1,13 @@
 """The four checks of `verify` on one `semantics.Tables`: their reports are
 those of the checkers called one by one on fresh tables, no step is derived
-twice across them, and tables made under other rules raise."""
+and no role projected twice across them, and tables made under other rules
+raise."""
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 
+from routedmpst import cli, semantics, simulator, wellformed
 from routedmpst.analysis import (
     DEFAULT_STATE_CAP, PreconditionError, check_deadlock_freedom, check_encoding_bisim,
     check_trace_equivalence,
@@ -71,6 +73,24 @@ def test_verify_derives_each_step_once_across_its_checks(name, capsys):
     capsys.readouterr()
     assert calls
     assert sorted(key[0] for key, (_, n) in calls.items() if n > 1) == []
+
+
+def test_verify_projects_each_role_of_each_type_once(monkeypatch, capsys):
+    # Every module that imported `project` calls it at the top level; the
+    # recursive calls inside `projection` are not counted.
+    calls = []
+    for module in (cli, semantics, simulator, wellformed):
+        def counting(g, r, real=module.project):
+            calls.append((g, r))
+            return real(g, r)
+        monkeypatch.setattr(module, "project", counting)
+    path = str(PROTOCOL_DIR / "Battleships.scr")
+    assert main(["verify", path, "Battleships", "--router", CORPUS_ROUTERS["Battleships"],
+                 "--depth", "12"]) == 0
+    capsys.readouterr()
+    # The protocol and its encoding, each projected onto P1, P2 and Svr.
+    assert len({(id(g), r) for g, r in calls}) == 6
+    assert len(calls) == 6
 
 
 def test_tables_made_under_other_rules_raise():
