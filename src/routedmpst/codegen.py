@@ -11,8 +11,11 @@ state factories with Initial/Terminal aliases.  Output is a pure function of
 
 from __future__ import annotations
 
+import functools
 import re
+from collections.abc import Mapping
 from importlib import resources
+from types import MappingProxyType
 
 from .efsm import Efsm, STATE_SEND, STATE_TERMINAL
 
@@ -54,18 +57,34 @@ def load_fragments(text: str) -> dict[str, str]:
 
 
 def _fill(fragment: str, **values) -> str:
-    def sub(match):
-        key = match.group(1)
-        if key not in values:
-            raise KeyError(f"template placeholder {{{{{key}}}}} has no value")
-        return str(values[key])
+    """Substitute `values` for the `{{placeholder}}`s of a fragment.
 
-    return _PLACEHOLDER.sub(sub, fragment)
+    Each distinct fragment text is compiled once (`_compile`) into a
+    `str.format_map` string.  A placeholder without a value raises KeyError.
+    """
+    try:
+        return _compile(fragment).format_map(values)
+    except KeyError as missing:
+        key = missing.args[0]
+        raise KeyError(f"template placeholder {{{{{key}}}}} has no value") from None
 
 
-def _default_templates(flavor: str) -> dict[str, str]:
+@functools.lru_cache(maxsize=1024)
+def _compile(fragment: str) -> str:
+    """The fragment as a `str.format_map` string: literal braces doubled,
+    each `{{name}}` turned into `{name}`."""
+    parts = _PLACEHOLDER.split(fragment)  # literal, name, literal, ..., literal
+    parts[::2] = [lit.replace("{", "{{").replace("}", "}}") for lit in parts[::2]]
+    parts[1::2] = [f"{{{name}}}" for name in parts[1::2]]
+    return "".join(parts)
+
+
+@functools.cache
+def _default_templates(flavor: str) -> Mapping[str, str]:
+    """The shipped fragments of a flavor, read once per process and shared
+    read-only."""
     data = resources.files(__package__).joinpath("templates", f"{flavor}.tmpl")
-    return load_fragments(data.read_text())
+    return MappingProxyType(load_fragments(data.read_text()))
 
 
 def _peer_of(e: Efsm, transitions) -> str:

@@ -612,18 +612,26 @@ class CanonicalIds:
 
 
 def participants(g: GlobalType) -> frozenset[Role]:
-    """The set of roles taking part in a global type."""
-    if isinstance(g, (GEnd, GVar)):
-        return frozenset()
-    if isinstance(g, GRec):
-        return participants(g.body)
-    if isinstance(g, (GComm, GTransit)):
-        base = frozenset((g.sender, g.receiver))
-    elif isinstance(g, (GRouted, GRoutedTransit)):
-        base = frozenset((g.sender, g.receiver, g.router))
-    else:
-        raise InvalidType(f"not a global type: {type(g).__name__}")
-    return base.union(*(participants(c) for _, c in g.branches))
+    """The set of roles taking part in a global type (one iterative walk, so
+    the depth of `g` is not bounded by the recursion limit)."""
+    roles: set[Role] = set()
+    todo = [g]
+    while todo:
+        u = todo.pop()
+        if isinstance(u, GRec):
+            todo.append(u.body)
+            continue
+        if isinstance(u, (GComm, GTransit)):
+            roles.add(u.sender)
+            roles.add(u.receiver)
+        elif isinstance(u, (GRouted, GRoutedTransit)):
+            roles.update((u.sender, u.receiver, u.router))
+        elif isinstance(u, (GEnd, GVar)):
+            continue
+        else:
+            raise InvalidType(f"not a global type: {type(u).__name__}")
+        todo.extend(cont for _, cont in u.branches)
+    return frozenset(roles)
 
 
 # ---------------------------------------------------------------------------

@@ -139,33 +139,44 @@ def render_dot(e: Efsm) -> str:
 
 
 def efsm_ir(e: Efsm) -> str:
-    """Stable JSON IR: {states, transitions, initial, role}, sorted keys."""
-    payload = {
-        "role": e.role.name,
-        "initial": e.initial,
-        "states": [{"id": st.id, "kind": st.kind} for st in e.states],
-        "transitions": [_transition_ir(tr, e.role) for tr in
-                        sorted(e.transitions, key=lambda t: (t.source, t.action.sort_key()))],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Stable JSON IR: {initial, role, states, transitions}, sorted keys.
+
+    The text is written directly for this fixed schema and is byte-equal to
+    `json.dumps(payload, indent=2, sort_keys=True) + "\\n"`, whose indenting
+    encoder is pure Python; strings still go through `json.dumps`.
+    """
+    states = ",\n".join(
+        f'    {{\n      "id": {st.id},\n      "kind": {json.dumps(st.kind)}\n    }}'
+        for st in e.states)
+    transitions = ",\n".join(
+        _transition_ir(tr, e.role)
+        for tr in sorted(e.transitions, key=lambda t: (t.source, t.action.sort_key())))
+    return (f'{{\n  "initial": {e.initial},\n  "role": {json.dumps(e.role.name)},\n'
+            f'  "states": {_ir_list(states, "  ")},\n'
+            f'  "transitions": {_ir_list(transitions, "  ")}\n}}\n')
 
 
-def _transition_ir(tr: EfsmTransition, me: Role) -> dict:
+def _ir_list(items: str, indent: str) -> str:
+    """A JSON list of already indented, comma-joined items; `[]` when empty."""
+    return f"[\n{items}\n{indent}]" if items else "[]"
+
+
+def _transition_ir(tr: EfsmTransition, me: Role) -> str:
     act = tr.action
     if me in (act.sender, act.receiver):
         peer = act.receiver if act.sender == me else act.sender
+        from_role = None
     else:
         peer = act.receiver  # router forwarding: the delivery target
-    out = {
-        "from": tr.source,
-        "to": tr.target,
-        "peer": peer.name,
-        "dir": act.direction,
-        "label": act.msg.name,
-        "payloads": list(act.msg.payload_sorts),
-    }
+        from_role = act.sender  # router machines need both endpoints
+    payloads = ",\n".join(f"        {json.dumps(sort)}" for sort in act.msg.payload_sorts)
+    fields = [f'"dir": {json.dumps(act.direction)}', f'"from": {tr.source}']
+    if from_role is not None:
+        fields.append(f'"from_role": {json.dumps(from_role.name)}')
+    fields += [f'"label": {json.dumps(act.msg.name)}',
+               f'"payloads": {_ir_list(payloads, "      ")}',
+               f'"peer": {json.dumps(peer.name)}',
+               f'"to": {tr.target}']
     if act.via is not None:
-        out["via"] = act.via.name
-    if me not in (act.sender, act.receiver):
-        out["from_role"] = act.sender.name  # router machines need both endpoints
-    return out
+        fields.append(f'"via": {json.dumps(act.via.name)}')
+    return "    {\n      " + ",\n      ".join(fields) + "\n    }"

@@ -33,9 +33,13 @@ def merge(a: LocalType, b: LocalType) -> LocalType:
 
     Branch-like types from the same peer (and router, for routed branching)
     merge labelwise: disjoint labels union, shared labels merge recursively.
-    Selections, routers and everything else merge only when identical.
+    Selections, routers and everything else merge only when canonically
+    equal.  The structural cases are tried first and `canonically_equal`
+    last: when `a` and `b` are canonically equal, each structural case
+    already returns a type equal to `a`, so only a pair that no structural
+    case fits pays for canonicalising both sides.
     """
-    if canonically_equal(a, b):
+    if a == b:
         return a
     if isinstance(a, LBranch) and isinstance(b, LBranch) and a.peer == b.peer:
         return LBranch(a.peer, _merge_branches(a, b))
@@ -44,6 +48,8 @@ def merge(a: LocalType, b: LocalType) -> LocalType:
         return LRoutedBranch(a.peer, a.via, _merge_branches(a, b))
     if isinstance(a, LRec) and isinstance(b, LRec) and a.var == b.var:
         return LRec(a.var, merge(a.body, b.body))
+    if canonically_equal(a, b):
+        return a
     raise MergeFailure(a, b)
 
 
@@ -98,22 +104,25 @@ def project(g: GlobalType, r: Role) -> LocalType:
             return body
         return LRec(g.var, body)
 
+    if (isinstance(g, GComm) and r != g.sender and r != g.receiver
+            or isinstance(g, GRouted) and r not in (g.sender, g.receiver, g.router)):
+        # A communication `r` takes no part in: merge its branch projections.
+        if len(g.branches) == 1:
+            return project(g.branches[0][1], r)
+        return merge_all([project(cont, r) for _, cont in g.branches])
+
     conts = tuple((lbl, project(cont, r)) for lbl, cont in g.branches)
 
     if isinstance(g, GComm):
         if r == g.sender:
             return LSelect(g.receiver, conts)
-        if r == g.receiver:
-            return LBranch(g.sender, conts)
-        return merge_all([c for _, c in conts])
+        return LBranch(g.sender, conts)
     if isinstance(g, GRouted):
         if r == g.sender:
             return LRoutedSelect(g.receiver, g.router, conts)
         if r == g.receiver:
             return LRoutedBranch(g.sender, g.router, conts)
-        if r == g.router:
-            return LRouter(g.sender, g.receiver, conts)
-        return merge_all([c for _, c in conts])
+        return LRouter(g.sender, g.receiver, conts)
     if isinstance(g, GTransit):
         if r == g.receiver:
             return LBranch(g.sender, conts)

@@ -1,10 +1,14 @@
 """A reference `canonicalize`: the earlier quadratic version, which
 recomputes the free variables of a body at every binder.  Kept as an oracle
-for the linear one in `routedmpst.core`."""
+for the linear one in `routedmpst.core`.  Also the earlier `merge`, which
+compares canonical forms before any structural case, as an oracle for the
+structural-first one in `routedmpst.projection`."""
 
 from routedmpst.core import (
-    GEnd, GRec, GVar, LEnd, LRec, LVar, _node_branches, _with_branches, validate,
+    GEnd, GRec, GVar, LBranch, LEnd, LRec, LRoutedBranch, LVar, _node_branches,
+    _with_branches, validate,
 )
+from routedmpst.projection import MergeFailure
 
 
 def canonicalize(t):
@@ -40,3 +44,35 @@ def _canonical(u, env, depth, reserved):
                              for lbl, c in _node_branches(u)),
                             key=lambda item: item[0].name))
     return _with_branches(u, branches)
+
+
+def merge(a, b):
+    if canonicalize(a) == canonicalize(b):
+        return a
+    if isinstance(a, LBranch) and isinstance(b, LBranch) and a.peer == b.peer:
+        return LBranch(a.peer, _merge_branches(a, b))
+    if (isinstance(a, LRoutedBranch) and isinstance(b, LRoutedBranch)
+            and a.peer == b.peer and a.via == b.via):
+        return LRoutedBranch(a.peer, a.via, _merge_branches(a, b))
+    if isinstance(a, LRec) and isinstance(b, LRec) and a.var == b.var:
+        return LRec(a.var, merge(a.body, b.body))
+    raise MergeFailure(a, b)
+
+
+def _merge_branches(a, b):
+    out = []
+    b_by_name = {lbl.name: (lbl, cont) for lbl, cont in b.branches}
+    seen = set()
+    for lbl, cont in a.branches:
+        seen.add(lbl.name)
+        if lbl.name in b_by_name:
+            other_lbl, other_cont = b_by_name[lbl.name]
+            if other_lbl != lbl:
+                raise MergeFailure(a, b, f"payload sorts differ on label {lbl.name}")
+            out.append((lbl, merge(cont, other_cont)))
+        else:
+            out.append((lbl, cont))
+    for lbl, cont in b.branches:
+        if lbl.name not in seen:
+            out.append((lbl, cont))
+    return tuple(out)

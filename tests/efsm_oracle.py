@@ -1,7 +1,10 @@
 """A reference `build_efsm`: the earlier version, which keys each state by
 the canonical form of its whole subterm (quadratic on long sequences).  Kept
 as an oracle for the one in `routedmpst.efsm`, which keys states by
-`core.CanonicalIds`."""
+`core.CanonicalIds`.  Also the earlier IR, built as a dict and serialised by
+`json.dumps`, as an oracle for `efsm_ir`, which writes the text directly."""
+
+import json
 
 from routedmpst.core import LRec, canonicalize, is_closed, unfold_once, validate
 from routedmpst.efsm import Efsm, EfsmState, EfsmTransition, _kind_of
@@ -51,3 +54,35 @@ def build_efsm(t, self_role):
             transitions.append(EfsmTransition(sid, state_id(cont), action))
 
     return Efsm(self_role, tuple(states), tuple(transitions))
+
+
+def efsm_ir(e):
+    payload = {
+        "role": e.role.name,
+        "initial": e.initial,
+        "states": [{"id": st.id, "kind": st.kind} for st in e.states],
+        "transitions": [_transition_ir(tr, e.role) for tr in
+                        sorted(e.transitions, key=lambda t: (t.source, t.action.sort_key()))],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _transition_ir(tr, me):
+    act = tr.action
+    if me in (act.sender, act.receiver):
+        peer = act.receiver if act.sender == me else act.sender
+    else:
+        peer = act.receiver
+    out = {
+        "from": tr.source,
+        "to": tr.target,
+        "peer": peer.name,
+        "dir": act.direction,
+        "label": act.msg.name,
+        "payloads": list(act.msg.payload_sorts),
+    }
+    if act.via is not None:
+        out["via"] = act.via.name
+    if me not in (act.sender, act.receiver):
+        out["from_role"] = act.sender.name
+    return out

@@ -175,6 +175,8 @@ def test_efsm_dot_and_ir_outputs(capsys, tmp_path):
     assert text.count("[shape=doublecircle]") == 1
     payload = json.loads(ir.read_text())
     assert len(payload["states"]) == 9 and len(payload["transitions"]) == 10
+    assert text == (GOLDEN / "efsm_TravelAgency_A.dot").read_text()
+    assert ir.read_text() == (GOLDEN / "efsm_TravelAgency_A.json").read_text()
 
 
 def test_gen_writes_under_output_dir_only(capsys, tmp_path):

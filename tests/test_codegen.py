@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from routedmpst.codegen import UnsupportedFlavor, emit_skeleton, load_fragments
+from routedmpst.codegen import (
+    FLAVORS, UnsupportedFlavor, _default_templates, _fill, emit_skeleton, load_fragments,
+)
 from routedmpst.efsm import build_efsm
 from routedmpst.core import LEnd, Role
 from routedmpst.projection import project
@@ -155,3 +157,46 @@ terminal = {{state}}
     assert files["state.ts"].startswith("# role S (server)")
     assert "state 2 send to A" in files["state.ts"]
     assert "initial = 1" in files["factory.ts"]
+
+
+def _fill_reference(fragment, **values):
+    """The earlier `_fill`: one regex substitution with a callback."""
+    def sub(match):
+        key = match.group(1)
+        if key not in values:
+            raise KeyError(f"template placeholder {{{{{key}}}}} has no value")
+        return str(values[key])
+
+    return re.sub(r"\{\{([a-z_]+)\}\}", sub, fragment)
+
+
+BRACE_FRAGMENTS = (
+    "{ {{role}} }",             # single literal braces around a placeholder
+    "{{{role}}}",               # a placeholder inside literal braces
+    "{{inits}}    }}",          # the literal `}}` of client.tmpl's state_send
+    "x }} {{role}}}}{{",        # doubled and unmatched literal braces
+    "{0} {role} {role!r} {role:>3}",  # format syntax is literal text here
+    "{{Role}} {{ role }}",      # not placeholders: upper case, spaces
+    "{{role}}-{{role}}-{{inits}}",    # a repeated placeholder
+    "",
+)
+
+
+@pytest.mark.parametrize("fragment", BRACE_FRAGMENTS)
+def test_fill_keeps_literal_braces_and_repeats_placeholders(fragment):
+    values = {"role": "A", "inits": 7, "unused": "x"}
+    assert _fill(fragment, **values) == _fill_reference(fragment, **values)
+
+
+def test_fill_matches_the_regex_substitution_on_the_shipped_fragments():
+    values = dict.fromkeys(("role", "flavor", "state", "label", "payloads", "successor",
+                            "peer", "args", "items", "inits", "methods"), "V")
+    for flavor in FLAVORS:
+        for fragment in _default_templates(flavor).values():
+            assert _fill(fragment, **values) == _fill_reference(fragment, **values)
+
+
+def test_fill_names_a_placeholder_without_a_value():
+    with pytest.raises(KeyError) as raised:
+        _fill("{ {{role}} {{nope}} }", role="A")
+    assert raised.value.args == ("template placeholder {{nope}} has no value",)

@@ -122,6 +122,15 @@ def test_participants_unaffected_by_rec():
     assert participants(g) == participants(g.body)
 
 
+def test_participants_of_a_deep_chain_needs_no_recursion():
+    # 20,000 nested messages, far beyond the default recursion limit.
+    roles = (A, B, S)
+    g = GEnd()
+    for i in range(20_000):
+        g = GComm(roles[i % 3], roles[(i + 1) % 3], one(M1, g))
+    assert participants(GRec("t", g)) == frozenset({A, B, S})
+
+
 def test_branch_participants_subset_of_whole():
     for _, cont in G_TRAVEL.body.branches:
         assert participants(cont) <= participants(G_TRAVEL)

@@ -244,3 +244,24 @@ def test_router_machine_ir_names_both_endpoints():
     first = forwarding[0]
     assert first["via"] == "S"
     assert {first["from_role"], first["peer"]} <= {"A", "B"}
+
+
+def test_ir_is_byte_equal_to_the_indented_json_of_its_payload():
+    # `efsm_ir` writes its text directly; the oracle builds the payload as a
+    # dict and serialises it with json.dumps(indent=2, sort_keys=True).
+    machines = []
+    for name, router in sorted(CORPUS_ROUTERS.items()):
+        plain = load(name)
+        for g in (plain, encode_global(plain, Role(router))):
+            machines += [build_efsm(project(g, role), role) for role in sorted(participants(g))]
+    machines.append(build_efsm(LEnd(), A))
+    # Zero, one and two payload sorts, one with characters JSON escapes.
+    labels = (MsgLabel("none"), MsgLabel("one", ("int",)),
+              MsgLabel("two", ("int", 'Map<"k", é>')))
+    for node in (LSelect, LBranch):
+        machines.append(build_efsm(node(B, tuple((lbl, LEnd()) for lbl in labels)), A))
+    texts = [efsm_ir(m) for m in machines]
+    assert texts == [efsm_oracle.efsm_ir(m) for m in machines]
+    assert any('"from_role"' in t and '"via"' in t for t in texts)
+    assert '"transitions": []' in texts[-3]
+    assert '"Map<\\"k\\", \\u00e9>"' in texts[-1]

@@ -1,14 +1,22 @@
-import pytest
+from unittest import mock
 
+import hypothesis.strategies as st
+import pytest
+from hypothesis import HealthCheck, given, settings
+
+from routedmpst import projection
 from routedmpst.core import (
-    GEnd, LBranch, LEnd, LRec, LRoutedBranch, LSelect, MsgLabel,
+    GEnd, LBranch, LEnd, LRec, LRoutedBranch, LSelect, LVar, MsgLabel, participants,
 )
+from routedmpst.encoding import encode_global
 from routedmpst.projection import MergeFailure, merge, project
 
+import canonical_oracle
 from corpus import (
     A, B, BYE, C, G1_MERGE, G2_MERGE, G_TRAVEL, HELLO, M1, M2, P, S, SR, load,
     one,
 )
+from strategies import ROLE_POOL, global_types
 
 
 def test_project_merge_example_succeeds_for_c():
@@ -49,6 +57,17 @@ def test_merge_selections_only_identical():
     with pytest.raises(MergeFailure):
         merge(left, right)
     assert merge(left, left) == left
+
+
+def test_merge_falls_back_to_canonical_equality():
+    # No structural case fits these pairs; each side is the other up to
+    # branch order or the name of a binder, so the merge is the left side.
+    left = LSelect(A, ((HELLO, LEnd()), (BYE, LEnd())))
+    right = LSelect(A, ((BYE, LEnd()), (HELLO, LEnd())))
+    assert merge(left, right) is left
+    loop_x = LRec("x", LSelect(A, one(HELLO, LVar("x"))))
+    loop_y = LRec("y", LSelect(A, one(HELLO, LVar("y"))))
+    assert merge(loop_x, loop_y) is loop_x
 
 
 def test_merge_reflexive_on_travel_agency_projections():
@@ -99,3 +118,31 @@ def test_projection_and_participation_on_corpus():
         for role_name in ("A", "B", "S", "C", "Svr", "P1", "P2", "Zed"):
             role = Role(role_name)
             assert (project(g, role) == LEnd()) == (role not in participants(g))
+
+
+def _projections(g):
+    """Each role's projection of `g`, or the message of its MergeFailure."""
+    out = {}
+    for role in ROLE_POOL:
+        try:
+            out[role] = project(g, role)
+        except MergeFailure as failure:
+            out[role] = str(failure)
+    return out
+
+
+@settings(max_examples=600, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(g=global_types(depth=5, roles=ROLE_POOL), data=st.data())
+def test_structural_merge_agrees_with_the_canonical_first_merge(g, data):
+    # Same local type, or a MergeFailure with the same message, for every
+    # role of the type and of its encoding, under both merges.
+    types = [g]
+    roles = sorted(participants(g))
+    if roles:
+        types.append(encode_global(g, data.draw(st.sampled_from(roles))))
+    for t in types:
+        got = _projections(t)
+        with mock.patch.object(projection, "merge", canonical_oracle.merge):
+            want = _projections(t)
+        assert got == want
