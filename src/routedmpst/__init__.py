@@ -10,9 +10,9 @@ from .core import (
     ActionLabel, GComm, GEnd, GRec, GRouted, GRoutedTransit, GTransit, GVar,
     GlobalType, InvalidType, LBranch, LEnd, LRec, LRouter, LRouterTransit,
     LRoutedBranch, LRoutedSelect, LSelect, LVar, LocalType, MsgLabel,
-    NotRecursive, Role, canonicalize, canonically_equal, direct_recv,
-    direct_send, free_vars, is_closed, participants, pretty_global,
-    pretty_local, routed_recv, routed_send, unfold_once, validate,
+    NotRecursive, Role, canonicalize, direct_recv, direct_send, free_vars,
+    is_closed, participants, pretty_global, pretty_local, routed_recv,
+    routed_send, unfold_once, validate,
 )
 from .scribble import ProtocolDecl, ScribbleError, elaborate, parse_module, pretty_module
 from .projection import MergeFailure, merge, project

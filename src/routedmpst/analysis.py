@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ActionLabel, GEnd, GlobalType, Role, canonicalize, pretty_global
+from .core import ActionLabel, GEnd, GlobalType, Role, pretty_global
 from .encoding import _encode_global, encode_label
 from .semantics import CompiledConfigurations, StepTable, Tables, project_configuration
 from .wellformed import check_wf, check_wf_routed
@@ -233,8 +233,8 @@ def check_deadlock_freedom(g: GlobalType, router: Role,
     table = tables.table()
 
     def visit(sid, trace, edges):
-        if not edges and not isinstance(canonicalize(table.states[sid]), GEnd):
-            state = pretty_global(canonicalize(table.states[sid]))
+        if not edges and sid != table.ids.of(GEnd()):
+            state = pretty_global(table.ids.form(sid))
             yield Counterexample(trace, f"stuck non-terminal state:\n{state}")
         yield from edges.items()
 
@@ -294,4 +294,4 @@ def reachable_states(g: GlobalType, depth: int,
                             lambda sid, trace, edges: edges.items(), depth, state_cap)
     if report.verdict == INCONCLUSIVE:
         raise StateBudgetExceeded(state_cap, report.states_visited)
-    return [canonicalize(table.states[sid]) for sid in seen]
+    return [table.ids.form(sid) for sid in seen]

@@ -1,6 +1,7 @@
 """Core intermediate representation: roles, message labels, global and local
 type grammars (including routed and in-transit constructs), LTS action labels,
-and the canonicalisation / substitution machinery shared by every other module.
+and the canonical-form (`CanonicalIds`) and substitution machinery shared by
+every other module.
 
 All values are immutable after construction and safe to share across threads.
 """
@@ -421,22 +422,15 @@ def _validate(u: AnyType, bound: frozenset[str], allow_free: bool) -> None:
         _validate(cont, bound, allow_free)
 
 
-def free_vars(t: AnyType, used: set[int] | None = None) -> frozenset[str]:
-    """The free variables of `t`, computed bottom up in one walk.  If `used`
-    is given, the id of every binder under `t` whose variable occurs in its
-    body is added to it."""
+def free_vars(t: AnyType) -> frozenset[str]:
+    """The free variables of `t`, computed bottom up in one walk."""
     if isinstance(t, (GEnd, LEnd)):
         return frozenset()
     if isinstance(t, (GVar, LVar)):
         return frozenset((t.var,))
     if isinstance(t, (GRec, LRec)):
-        inner = free_vars(t.body, used)
-        if t.var not in inner:
-            return inner
-        if used is not None:
-            used.add(id(t))
-        return inner - {t.var}
-    return frozenset().union(*(free_vars(c, used) for _, c in _node_branches(t)))
+        return free_vars(t.body) - {t.var}
+    return frozenset().union(*(free_vars(c) for _, c in _node_branches(t)))
 
 
 def is_closed(t: AnyType) -> bool:
@@ -474,43 +468,12 @@ def canonicalize(t: AnyType) -> AnyType:
     branch maps lexicographically by label name.
 
     Two types are structurally equal exactly when their canonical forms are
-    equal; the output is idempotent under re-canonicalisation.
+    equal; the output is idempotent under re-canonicalisation.  Built from
+    the keys of a fresh `CanonicalIds`; InvalidType unless `t` is closed.
     """
-    validate(t, allow_free=True)
-    # One bottom-up walk finds the free variables of `t` and the binders
-    # whose variable is used, so the renaming walk below never recomputes
-    # the free variables of a body: the call is linear in the size of `t`.
-    used: set[int] = set()
-    # Free variables keep their names, so depth-indexed binder names must
-    # avoid them (relevant only when re-canonicalising open subterms whose
-    # free variables already carry canonical names).
-    reserved = free_vars(t, used)
-    return _canonical(t, {}, 0, reserved, used)
-
-
-def _canonical(u: AnyType, env: dict[str, str], depth: int,
-               reserved: frozenset[str], used: set[int]) -> AnyType:
-    if isinstance(u, (GEnd, LEnd)):
-        return u
-    if isinstance(u, (GVar, LVar)):
-        return type(u)(env.get(u.var, u.var))
-    if isinstance(u, (GRec, LRec)):
-        if id(u) not in used:
-            return _canonical(u.body, env, depth, reserved, used)
-        name = f"{_CANON_VAR_PREFIX}{depth}"
-        while name in reserved:
-            name = _CANON_VAR_PREFIX + name
-        inner = dict(env)
-        inner[u.var] = name
-        return type(u)(name, _canonical(u.body, inner, depth + 1, reserved, used))
-    branches = tuple(sorted(((lbl, _canonical(c, env, depth, reserved, used))
-                             for lbl, c in _node_branches(u)),
-                            key=lambda item: item[0].name))
-    return _with_branches(u, branches)
-
-
-def canonically_equal(a: AnyType, b: AnyType) -> bool:
-    return canonicalize(a) == canonicalize(b)
+    validate(t)
+    ids = CanonicalIds()
+    return ids.form(ids.of(t))
 
 
 _NO_VARS: frozenset[str] = frozenset()
@@ -526,15 +489,17 @@ class CanonicalIds:
     identity, records the free variables of every node and the id of every
     closed one, keyed as the root of its own canonical form.  An open node
     (under a used binder) is keyed as a node of the canonical form of its
-    nearest closed ancestor, binders named by level as in `canonicalize`;
+    nearest closed ancestor, binders named `%<level>` below it;
     its key is never memoised, since one object can sit under different
     binders.  A closed binder is named at level 0 and an open one at a level
     above 0, so an open key never equals a closed one.  Each memo entry
     keeps its object, and so its identity, alive as long as the interner;
-    `unfold` unfolds each binder object once, so its callers share subterms."""
+    `unfold` unfolds each binder object once, so its callers share subterms.
+    `form(sid)` rebuilds the canonical form an id stands for from its keys."""
 
     def __init__(self) -> None:
         self._ids: dict[AnyType, int] = {}
+        self._keys: list[AnyType] = []  # id -> key
         self._met: dict[int, tuple[AnyType, frozenset[str], int | None]] = {}
         self._unfolded: dict[int, tuple[AnyType, AnyType]] = {}
 
@@ -557,11 +522,29 @@ class CanonicalIds:
     def _intern(self, key: AnyType) -> int:
         sid = self._ids.get(key)
         if sid is None:
-            sid = self._ids[key] = len(self._ids)
+            sid = self._ids[key] = len(self._keys)
+            self._keys.append(key)
         return sid
 
-    # `_walk` and `_open` loop over branches instead of using generator
+    # `form`, `_walk` and `_open` loop over branches instead of using generator
     # expressions, so each takes one stack frame per nesting level.
+
+    def form(self, sid: int, env: dict[str, str] | None = None, depth: int = 0) -> AnyType:
+        """The canonical form of the closed id `sid`, binders named by depth
+        from the root.  A closed sub-key names its binders from level 0 again,
+        so `env` maps the names of a key to those of the form at `depth`."""
+        key = self._keys[sid]
+        if isinstance(key, (GEnd, LEnd)):
+            return key
+        if isinstance(key, (GVar, LVar)):
+            return type(key)(env[key.var])
+        if isinstance(key, (GRec, LRec)):
+            name = f"{_CANON_VAR_PREFIX}{depth}"
+            return type(key)(name, self.form(key.body, {**(env or {}), key.var: name}, depth + 1))
+        branches = []
+        for lbl, c in _node_branches(key):
+            branches.append((lbl, self.form(c, env, depth)))
+        return _with_branches(key, tuple(branches))
 
     def _walk(self, t: AnyType) -> tuple[AnyType, frozenset[str], int | None]:
         met = self._met

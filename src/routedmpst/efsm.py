@@ -5,8 +5,8 @@ States are the distinct canonical subterms reached by structural traversal,
 with recursion resolved to back-edges.  A subterm is unfolded down to its
 first structural node and keyed by that node's `core.CanonicalIds` id, which
 is equal for two subterms exactly when their canonical forms are; the ids
-are hash-consed, so keying costs one walk per node met, not one
-canonicalisation per state; a back edge reaches its binder's one unfolding
+are hash-consed, so keying costs one walk per node met, and no canonical
+form is built; a back edge reaches its binder's one unfolding
 (`CanonicalIds.unfold`).  The edges of a state are the local head rules of
 its node (`semantics.local_head_steps`); actions that commute past a prefix
 are left out.  Numbering is breadth-first from the initial state

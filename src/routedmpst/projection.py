@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from .core import (
     GComm, GEnd, GRec, GRouted, GRoutedTransit, GTransit, GVar, GlobalType,
-    LBranch, LEnd, LRec, LRouter, LRouterTransit, LRoutedBranch, LRoutedSelect,
-    LSelect, LVar, LocalType, Role, branch_for, canonically_equal, free_vars,
+    CanonicalIds, LBranch, LEnd, LRec, LRouter, LRouterTransit, LRoutedBranch,
+    LRoutedSelect, LSelect, LVar, LocalType, Role, branch_for, free_vars,
     participants, pretty_local,
 )
 
@@ -34,10 +34,10 @@ def merge(a: LocalType, b: LocalType) -> LocalType:
     Branch-like types from the same peer (and router, for routed branching)
     merge labelwise: disjoint labels union, shared labels merge recursively.
     Selections, routers and everything else merge only when canonically
-    equal.  The structural cases are tried first and `canonically_equal`
+    equal.  The structural cases are tried first and canonical equality
     last: when `a` and `b` are canonically equal, each structural case
     already returns a type equal to `a`, so only a pair that no structural
-    case fits pays for canonicalising both sides.
+    case fits pays for keying both sides.
     """
     if a == b:
         return a
@@ -48,9 +48,22 @@ def merge(a: LocalType, b: LocalType) -> LocalType:
         return LRoutedBranch(a.peer, a.via, _merge_branches(a, b))
     if isinstance(a, LRec) and isinstance(b, LRec) and a.var == b.var:
         return LRec(a.var, merge(a.body, b.body))
-    if canonically_equal(a, b):
+    if _canonically_equal(a, b):
         return a
     raise MergeFailure(a, b)
+
+
+def _canonically_equal(a: LocalType, b: LocalType) -> bool:
+    """Canonical equality of possibly open types (projections under a binder):
+    free variables keep their names, so they must agree; then both types are
+    closed by the same binders and compared by `CanonicalIds` id."""
+    ids = CanonicalIds()
+    free = ids.free_vars(a)
+    if free != ids.free_vars(b):
+        return False
+    for var in sorted(free):
+        a, b = LRec(var, a), LRec(var, b)
+    return ids.of(a) == ids.of(b)
 
 
 def _merge_branches(a, b):

@@ -28,7 +28,7 @@ call.
 
 Both LTSs have a compiled form, `StepTable`: states keyed by their
 `CanonicalIds` id, each with its edges as `{label: successor id}`; canonical
-forms are built only where a state is printed or returned.  A global table
+forms are built from ids where a state is printed or returned.  A global table
 (no role) is what the checkers in `analysis` search.  One local table per role
 backs `CompiledConfigurations`, which steps over tuples of state ids plus
 buffers and shares the configuration rule (`_enabled`) with `config_steps`,
@@ -46,7 +46,7 @@ from .core import (
     ActionLabel, AnyType, CanonicalIds, GComm, GEnd, GRec, GRouted, GRoutedTransit,
     GTransit, GVar, GlobalType, InvalidType, LBranch, LEnd, LRec, LRouter,
     LRouterTransit, LRoutedBranch, LRoutedSelect, LSelect, LVar, LocalType, MsgLabel,
-    Role, SEND, _with_branches, branch_for, canonicalize, direct_recv, direct_send,
+    Role, SEND, _with_branches, branch_for, direct_recv, direct_send,
     participants, routed_recv, routed_send, validate,
 )
 from .projection import project
@@ -315,10 +315,8 @@ class Configuration:
         )
 
     def canonical(self) -> "Configuration":
-        return Configuration(
-            locals=tuple((r, canonicalize(t)) for r, t in self.locals),
-            buffers=self.buffers,
-        )
+        ids = CanonicalIds()
+        return Configuration(tuple((r, ids.form(ids.of(t))) for r, t in self.locals), self.buffers)
 
     def is_terminal(self) -> bool:
         return all(isinstance(t, LEnd) for _, t in self.locals) and \
@@ -505,10 +503,10 @@ class CompiledConfigurations:
 
     def configuration(self, key) -> Configuration:
         """The canonical configuration a key stands for."""
-        ids, contents = key
+        sids, contents = key
         return Configuration(
-            locals=tuple((table.role, table.states[sid]) for table, sid in zip(self.tables, ids)),
-            buffers=tuple(zip(self.pairs, contents))).canonical()
+            locals=tuple((t.role, t.ids.form(sid)) for t, sid in zip(self.tables, sids)),
+            buffers=tuple(zip(self.pairs, contents)))
 
 
 def project_configuration(g: GlobalType, roles: tuple[Role, ...] | None = None, *,

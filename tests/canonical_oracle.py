@@ -1,7 +1,11 @@
 """A reference `canonicalize`: the earlier quadratic version, which
-recomputes the free variables of a body at every binder.  Kept as an oracle
-for the linear one in `routedmpst.core`.  Also the earlier `merge`, which
-compares canonical forms before any structural case, as an oracle for the
+recomputes the free variables of a body at every binder and builds the form
+directly.  It is the oracle for the one canonical-form algorithm of
+`routedmpst.core`, `CanonicalIds`: for its ids, for `canonicalize`, which
+rebuilds forms from its keys, and for the open-type equality of `merge`.
+It also takes open types, whose free variables keep their names and whose
+binders avoid those names.  Also the earlier `merge`, which compares
+canonical forms before any structural case, as an oracle for the
 structural-first one in `routedmpst.projection`."""
 
 from routedmpst.core import (

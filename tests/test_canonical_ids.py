@@ -1,5 +1,7 @@
-"""`core.CanonicalIds` against `canonicalize`: within one interner, two closed
-types get the same id exactly when their canonical forms are equal.  And its
+"""`core.CanonicalIds` against the reference `canonical_oracle.canonicalize`:
+within one interner, two closed types get the same id exactly when their
+canonical forms are equal, and `form` rebuilds that form from the id.  The
+open-type equality of `projection.merge` against the same oracle.  And its
 cost: one walk per node, however many of its subterms are keyed."""
 
 import hypothesis.strategies as st
@@ -8,10 +10,12 @@ from hypothesis import HealthCheck, given, settings
 
 from routedmpst.core import (
     CanonicalIds, GRec, LRec, LSelect, LVar, MsgLabel, _node_branches,
-    _with_branches, canonicalize, free_vars, unfold_once,
+    _with_branches, free_vars, unfold_once,
 )
+from routedmpst.projection import MergeFailure, _canonically_equal, project
 from routedmpst.semantics import global_steps, local_steps
 
+import canonical_oracle
 from corpus import A, B, C
 from strategies import ROLE_POOL, global_types, local_types, with_unused_binders
 
@@ -41,11 +45,12 @@ def _pool(types, steps):
 
 def _agrees(pool, order):
     """Key the pool in `order` with one interner; ids and canonical forms
-    must partition it the same way."""
+    must partition it the same way, and each id's form must be the oracle's."""
     ids = CanonicalIds()
     by_id, by_form = {}, {}
     for i in order:
-        form, sid = canonicalize(pool[i]), ids.of(pool[i])
+        form, sid = canonical_oracle.canonicalize(pool[i]), ids.of(pool[i])
+        assert ids.form(sid) == form
         assert by_id.setdefault(sid, form) == form
         assert by_form.setdefault(form, sid) == sid
 
@@ -80,6 +85,37 @@ def test_agrees_with_canonicalize_on_global_types(drawn):
     local_types(role, depth=4, roles=ROLE_POOL), lambda t: local_steps(t, role))))
 def test_agrees_with_canonicalize_on_local_types(drawn):
     _agrees(*drawn)
+
+
+# Free names of open projections, some of them already canonical binder
+# names, which a canonical form must not confuse with its own binders.
+OPEN_NAMES = ("x", "y", "%0", "%1", "%%0")
+
+
+@st.composite
+def _projected_pools(draw):
+    """The subterms, open and closed, of every role's projection of an open
+    global type and of a variant with unused binders and mirrored branches."""
+    g = draw(global_types(depth=4, roles=ROLE_POOL, free_vars=OPEN_NAMES))
+    pool = []
+    for t in (g, _mirrored(draw(with_unused_binders(g)))):
+        for role in ROLE_POOL:
+            try:
+                pool += _subterms(project(t, role))
+            except MergeFailure:
+                pass
+    return pool
+
+
+@PROPERTY
+@given(_projected_pools())
+def test_merge_equality_agrees_with_canonical_forms_on_open_types(pool):
+    """`merge`'s last-resort test against the oracle's canonical forms,
+    whose free variables keep their names, on every pair of the pool."""
+    forms = [canonical_oracle.canonicalize(t) for t in pool]
+    for a, form_a in zip(pool, forms):
+        for b, form_b in zip(pool, forms):
+            assert _canonically_equal(a, b) == (form_a == form_b)
 
 
 def _sel(peer, *branches):

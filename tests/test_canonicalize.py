@@ -14,10 +14,6 @@ from strategies import ROLE_POOL, global_types, local_types, with_unused_binders
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
 
-# Free variables that already carry canonical names, as in the open
-# subterms met when a canonical body is canonicalised again.
-CANONICAL_NAMES = ("%0", "%1", "%%0")
-
 
 def _agrees(t):
     assert canonicalize(t) == canonical_oracle.canonicalize(t)
@@ -37,19 +33,7 @@ def test_agrees_on_local_types(t):
 
 
 @PROPERTY
-@given(global_types(depth=4, roles=ROLE_POOL, free_vars=CANONICAL_NAMES))
-def test_agrees_on_open_terms_with_canonical_free_names(g):
-    _agrees(g)
-    # A used binder around `g` is renamed to a canonical name, which must
-    # avoid the free names of `g`.
-    _agrees(GRec("x", GComm(A, B, ((M1, g), (M2, GVar("x"))))))
-    if isinstance(canonicalize(g), GRec):
-        _agrees(canonicalize(g).body)
-
-
-@PROPERTY
-@given(global_types(depth=3, roles=ROLE_POOL, free_vars=CANONICAL_NAMES)
-       .flatmap(with_unused_binders))
+@given(global_types(depth=3, roles=ROLE_POOL).flatmap(with_unused_binders))
 def test_agrees_with_nested_unused_binders(g):
     _agrees(g)
 
@@ -61,20 +45,21 @@ def _tree_size(t) -> int:
 
 
 def test_each_node_is_walked_once_per_pass(monkeypatch):
-    """Deep nests of unused binders, used binders and branching: the free
-    variable pass and the renaming pass each visit every node once."""
+    """Deep nests of unused binders, used binders and branching: keying
+    walks every node once, and rebuilding the form visits every node of the
+    form once."""
     body = GComm(A, B, ((M1, GVar("x")), (M2, GEnd())))
     for i in range(60):
         body = GRec(f"u{i}", body)
     g = GRec("x", GComm(B, A, one(M1, body)))
-    calls = {"free_vars": 0, "_canonical": 0}
+    calls = {"_walk": 0, "form": 0}
     for name in calls:
-        original = getattr(core, name)
+        original = getattr(core.CanonicalIds, name)
 
         def counted(*args, _original=original, _name=name):
             calls[_name] += 1
             return _original(*args)
-        monkeypatch.setattr(core, name, counted)
+        monkeypatch.setattr(core.CanonicalIds, name, counted)
     out = canonicalize(g)
-    assert calls == {"free_vars": _tree_size(g), "_canonical": _tree_size(g)}
+    assert calls == {"_walk": _tree_size(g), "form": _tree_size(out)}
     assert out == canonical_oracle.canonicalize(g)

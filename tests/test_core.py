@@ -2,7 +2,7 @@ import pytest
 
 from routedmpst.core import (
     GComm, GEnd, GRec, GRouted, GVar, InvalidType, MsgLabel, NotRecursive,
-    Role, canonicalize, canonically_equal, direct_send, free_vars,
+    Role, canonicalize, direct_send, free_vars,
     participants, routed_send, unfold_once, validate,
 )
 
@@ -46,7 +46,7 @@ def test_canonicalize_alpha_variants_of_travel_agency():
 
     variant = rename(G_TRAVEL, "t", "loop")
     assert variant != G_TRAVEL
-    assert canonically_equal(variant, G_TRAVEL)
+    assert canonicalize(variant) == canonicalize(G_TRAVEL)
 
 
 def test_canonicalize_end_identity():
@@ -65,17 +65,11 @@ def test_canonicalize_drops_unused_binder():
     assert canonicalize(g) == GComm(A, B, one(M1, GEnd()))
 
 
-def test_canonicalize_avoids_free_canonical_names():
-    # Re-canonicalising an open subterm whose free variable already carries a
-    # canonical name must not capture it.
-    m2 = MsgLabel("m2")
-    open_term = GComm(A, B, ((M1, GVar("%0")),
-                             (m2, GRec("x", GComm(A, B, one(M1, GVar("x")))))))
-    out = canonicalize(open_term)
-    assert free_vars(out) == frozenset({"%0"})
-    rec_branch = dict((l.name, c) for l, c in out.branches)["m2"]
-    assert rec_branch.var != "%0"
-    assert canonicalize(out) == out
+def test_canonicalize_rejects_open_types():
+    # Free variables would keep their names in a canonical form; open
+    # subterms are compared by `projection.merge`, not canonicalised.
+    with pytest.raises(InvalidType):
+        canonicalize(GComm(A, B, one(M1, GVar("x"))))
 
 
 def test_unfold_once_substitutes_binder():
@@ -99,7 +93,7 @@ def test_unfold_then_canonicalize_stable_prefix():
     once = unfold_once(pingpong)
     assert isinstance(once, GComm)
     twice_src = once.branches[0][1].branches[0][1]  # continuation after PONG
-    assert canonically_equal(twice_src, pingpong)
+    assert canonicalize(twice_src) == canonicalize(pingpong)
     assert isinstance(canonicalize(once), GComm)
     assert canonicalize(once).sender == canonicalize(unfold_once(pingpong)).sender
 

@@ -3,7 +3,7 @@ import warnings
 
 from routedmpst.core import (
     GComm, GEnd, GRouted, GRoutedTransit, GTransit, LBranch, LEnd,
-    LRoutedSelect, LSelect, canonically_equal, direct_recv, direct_send,
+    LRoutedSelect, LSelect, canonicalize, direct_recv, direct_send,
     routed_send,
 )
 from routedmpst.encoding import (
@@ -19,7 +19,7 @@ from corpus import (
 
 
 def test_encode_travel_agency_matches_reference_routed_term():
-    assert canonically_equal(encode_global(G_TRAVEL, S), G_TRAVEL_ROUTED)
+    assert canonicalize(encode_global(G_TRAVEL, S)) == canonicalize(G_TRAVEL_ROUTED)
 
 
 def test_encodings_through_one_memo_share_encoded_subterms():
@@ -104,4 +104,4 @@ def test_projection_encoding_correspondence_on_travel_agency():
     for role in (A, B):
         lhs = project(encode_global(G_TRAVEL, S), role)
         rhs = encode_local(project(G_TRAVEL, role), role, S)
-        assert canonically_equal(lhs, rhs)
+        assert canonicalize(lhs) == canonicalize(rhs)
