@@ -137,12 +137,13 @@ def cmd_verify(args) -> int:
 def cmd_efsm(args) -> int:
     _, g = _load(args.file, args.protocol)
     machine = build_efsm(project(g, args.role), args.role)
-    if args.dot:
-        Path(args.dot).write_text(render_dot(machine))
-    if args.ir:
-        Path(args.ir).write_text(efsm_ir(machine))
-    if not args.dot and not args.ir:
-        sys.stdout.write(render_dot(machine))
+    # Without either flag the DOT goes to stdout; "-" also names stdout.
+    dot = args.dot if args.dot or args.ir else "-"
+    for path, render in ((dot, render_dot), (args.ir, efsm_ir)):
+        if path == "-":
+            sys.stdout.write(render(machine))
+        elif path:
+            Path(path).write_text(render(machine))
     return 0
 
 
@@ -205,7 +206,8 @@ _COMMANDS = {
         _FILE, _PROTOCOL, _ROUTER, _DEPTH,
         _arg("--state-cap", type=_int_at_least(1), default=DEFAULT_STATE_CAP)]),
     "efsm": ("endpoint state machine (DOT and/or JSON IR)", cmd_efsm,
-             [_FILE, _PROTOCOL, _ROLE, _arg("--dot"), _arg("--ir")]),
+             [_FILE, _PROTOCOL, _ROLE, _arg("--dot", help="DOT output file, - for stdout"),
+              _arg("--ir", help="JSON IR output file, - for stdout (after the DOT)")]),
     "gen": ("emit endpoint skeleton files", cmd_gen, [
         _FILE, _PROTOCOL, _ROLE, _arg("--flavor", choices=FLAVORS, required=True),
         _arg("-o", "--output", required=True)]),

@@ -509,17 +509,14 @@ class CompiledConfigurations:
             buffers=tuple(zip(self.pairs, contents)))
 
 
-def project_configuration(g: GlobalType, roles: tuple[Role, ...] | None = None, *,
-                          tables: Tables | None = None) -> Configuration:
+def project_configuration(g: GlobalType, *, tables: Tables | None = None) -> Configuration:
     """The projected configuration of a global type: every role's projection
     plus the buffer contents induced by in-transit markers.
 
-    `roles` widens the participant set (dropped-out roles project to end),
-    which keeps mid-trace configurations comparable with the initial one.
     The projections are those of `tables` if given.  Raises InvalidType
     unless `g` is a valid closed type."""
     validate(g)
-    parts = sorted(set(roles) if roles else participants(g))
+    parts = sorted(participants(g))
     proj = project if tables is None else tables.project
     locals_map = {r: proj(g, r) for r in parts}
     buffers: dict[RolePair, tuple[MsgLabel, ...]] = {}

@@ -13,11 +13,12 @@ function of the protocol, the scripts and the configuration seed.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import (
-    GComm, GEnd, GRec, GRouted, GVar, GlobalType, LEnd, MsgLabel, RECV, Role,
-    SEND, participants,
+    GComm, GEnd, GRec, GRouted, GVar, GlobalType, MsgLabel, RECV, Role, SEND,
+    participants,
 )
 from .analysis import StateBudgetExceeded
 from .efsm import Efsm, STATE_RECEIVE, STATE_SEND, STATE_TERMINAL, build_efsm
@@ -201,54 +202,24 @@ class BoundedLoopPolicy(ChoicePolicy):
 
 
 def _decode_routed(g: GlobalType, router: Role) -> GlobalType:
-    """Strip routing annotations, requiring the designated router everywhere."""
+    """Strip routing annotations, requiring the designated router everywhere.
+    A subterm with none is returned as it is, not copied, so `g` itself comes
+    back exactly when it routes nothing."""
     if isinstance(g, (GEnd, GVar)):
         return g
     if isinstance(g, GRec):
-        return GRec(g.var, _decode_routed(g.body, router))
+        body = _decode_routed(g.body, router)
+        return g if body is g.body else GRec(g.var, body)
     branches = tuple((lbl, _decode_routed(c, router)) for lbl, c in g.branches)
     if isinstance(g, GComm):
+        if all(new is old for (_, new), (_, old) in zip(branches, g.branches)):
+            return g
         return GComm(g.sender, g.receiver, branches)
     if isinstance(g, GRouted):
         if g.router != router:
             raise NotEncodable(f"interaction routed via {g.router}, expected {router}")
         return GComm(g.sender, g.receiver, branches)
     raise NotEncodable(f"cannot run sessions from transit state {type(g).__name__}")
-
-
-def _has_routing(g: GlobalType) -> bool:
-    if isinstance(g, (GEnd, GVar)):
-        return False
-    if isinstance(g, GRec):
-        return _has_routing(g.body)
-    if isinstance(g, GRouted):
-        return True
-    return any(_has_routing(c) for _, c in g.branches)
-
-
-class _Endpoint:
-    def __init__(self, role: Role, machine: Efsm):
-        self.role = role
-        self.machine = machine
-        self.state = machine.initial
-        self.observations: list[tuple[str, str, str]] = []
-
-    @property
-    def kind(self) -> str:
-        return self.machine.state(self.state).kind
-
-    def expected_receives(self):
-        return [(tr.action.sender, tr.action.msg, tr.target)
-                for tr in self.machine.outgoing(self.state)]
-
-    def send_options(self):
-        outs = self.machine.outgoing(self.state)
-        return outs[0].action.receiver, tuple(tr.action.msg for tr in outs), \
-            {tr.action.msg: tr.target for tr in outs}
-
-    def advance(self, direction: str, peer: Role, msg: MsgLabel, target: int):
-        self.observations.append((direction, peer.name, msg.name))
-        self.state = target
 
 
 def run_session(g: GlobalType, router: Role,
@@ -259,36 +230,37 @@ def run_session(g: GlobalType, router: Role,
     `g` may be the canonical protocol (messages delivered directly) or its
     routed encoding (client-to-client messages forwarded by the router); the
     machines driving the endpoints are identical either way, so client
-    observations do not depend on the mode.
+    observations do not depend on the mode.  Raises SimulatorError if
+    `cfg.cancel_injection` names a role outside the session.
     """
-    routed_mode = _has_routing(g)
     canonical = _decode_routed(g, router)
+    routed_mode = canonical is not g
     wf = check_wf_routed(encode_global(canonical, router), router)
     if not wf.ok:
         raise SimulatorError(f"protocol not realisable through {router}: {wf.describe()}")
 
-    roles = sorted(participants(canonical))
-    endpoints = {r: _Endpoint(r, build_efsm(project(canonical, r), r)) for r in roles}
-    if router not in endpoints and roles:
-        # A router with no interactions of its own still forwards and
-        # propagates cancellations; give it an empty machine and a slot in
-        # the schedule.
-        endpoints[router] = _Endpoint(router, build_efsm(LEnd(), router))
-        roles = sorted(endpoints)
-    scripts = dict(scripts or {})
+    # A router with no interactions of its own still forwards and propagates
+    # cancellations: it has a slot in the schedule and projects to end.  The
+    # empty protocol, whose one role is the router, has no schedule at all.
+    roles = participants(canonical) | {router}
+    if cfg.cancel_injection is not None and cfg.cancel_injection[0] not in roles:
+        raise SimulatorError(f"cannot inject a cancellation by {cfg.cancel_injection[0]}: "
+                             "not a role of this session")
+    roles = sorted(roles) if len(roles) > 1 else []
+    machines = {r: build_efsm(project(canonical, r), r) for r in roles}
+    state = {r: machines[r].initial for r in roles}
+    observed: dict[Role, list[tuple[str, str, str]]] = {r: [] for r in roles}
+    scripts = {r: BoundedLoopPolicy() for r in roles} | (scripts or {})
     for r in roles:
-        if r not in scripts:
-            scripts[r] = BoundedLoopPolicy()
-        policy = scripts[r]
-        if isinstance(policy, BoundedLoopPolicy):
-            policy.bind(endpoints[r].machine)
+        if isinstance(scripts[r], BoundedLoopPolicy):
+            scripts[r].bind(machines[r])
 
     rng = random.Random(cfg.seed)
     queues: dict[tuple[Role, Role], list[Envelope]] = \
         {(p, q): [] for p in roles for q in roles if p != q}
     staging: list[Envelope] = []  # router hop for client-to-client traffic
     control: list[Envelope] = []  # cancellations travel to the router
-    payload_counters: dict[str, int] = {}
+    payload_counters: Counter[str] = Counter()
     records: list[LogRecord] = []
     cancellation: CancellationRecord | None = None
     cancel_sent = False
@@ -300,31 +272,27 @@ def run_session(g: GlobalType, router: Role,
         # payloads deterministic and distinguishable across runs.
         parts = []
         for sort in msg.payload_sorts:
-            n = payload_counters.get(sort, 0)
-            payload_counters[sort] = n + 1
-            parts.append(f"{sort}#{cfg.seed}.{n}")
+            parts.append(f"{sort}#{cfg.seed}.{payload_counters[sort]}")
+            payload_counters[sort] += 1
         return ",".join(parts).encode()
-
-    def wants_cancel(role: Role) -> bool:
-        return (cfg.cancel_injection is not None and not cancel_sent
-                and role == cfg.cancel_injection[0]
-                and step >= cfg.cancel_injection[1]
-                and endpoints[role].kind != STATE_TERMINAL)
 
     def ready_action(role: Role):
         """The micro action `role` could take now, or None."""
-        ep = endpoints[role]
         if role == router and (control or staging):
             return ("route",)
-        if wants_cancel(role):
+        here = machines[role].state(state[role]).kind
+        if (cfg.cancel_injection is not None and not cancel_sent
+                and role == cfg.cancel_injection[0]
+                and step >= cfg.cancel_injection[1]
+                and here != STATE_TERMINAL):
             return ("cancel",)
-        if ep.kind == STATE_SEND:
+        if here == STATE_SEND:
             return ("send",)
-        if ep.kind == STATE_RECEIVE:
-            for peer, msg, target in ep.expected_receives():
-                q = queues[(peer, role)]
-                if q and q[0].kind == DATA and q[0].msg == msg:
-                    return ("recv", peer, msg, target)
+        if here == STATE_RECEIVE:
+            for tr in machines[role].outgoing(state[role]):
+                q = queues[(tr.action.sender, role)]
+                if q and q[0].kind == DATA and q[0].msg == tr.action.msg:
+                    return ("recv", tr)
         return None
 
     def propagate_cancel(initiator: Role, reason: str):
@@ -344,24 +312,23 @@ def run_session(g: GlobalType, router: Role,
     while step < cfg.max_steps:
         if cancellation is not None:
             break
-        ready = [r for r in roles if ready_action(r) is not None]
+        ready = {r: action for r in roles if (action := ready_action(r)) is not None}
         if not ready:
-            if all(ep.kind == STATE_TERMINAL for ep in endpoints.values()) \
+            if all(machines[r].state(state[r]).kind == STATE_TERMINAL for r in roles) \
                     and not staging and not control \
                     and all(not q for q in queues.values()):
                 break
             raise ConformanceViolation("session stuck with endpoints mid-protocol")
 
         if cfg.scheduler == "seeded-random":
-            actor = ready[rng.randrange(len(ready))]
+            actor = list(ready)[rng.randrange(len(ready))]
         else:
             while roles[rr_index % len(roles)] not in ready:
                 rr_index += 1
             actor = roles[rr_index % len(roles)]
             rr_index += 1
 
-        action = ready_action(actor)
-        ep = endpoints[actor]
+        action = ready[actor]
         if action[0] == "route":
             if control:
                 env = control.pop(0)
@@ -382,25 +349,28 @@ def run_session(g: GlobalType, router: Role,
             else:
                 control.append(Envelope(actor, router, None, reason.encode(), CANCEL, reason))
         elif action[0] == "send":
-            receiver, labels, targets = ep.send_options()
-            msg = scripts[actor].choose(ep.state, labels, rng)
+            outs = machines[actor].outgoing(state[actor])
+            receiver = outs[0].action.receiver
+            msg = scripts[actor].choose(state[actor], tuple(tr.action.msg for tr in outs), rng)
             env = Envelope(actor, receiver, msg, payload_for(msg))
             if routed_mode and router not in (actor, receiver):
                 staging.append(env)
             else:
                 queues[(actor, receiver)].append(env)
-            ep.advance(SEND, receiver, msg, targets[msg])
+            observed[actor].append((SEND, receiver.name, msg.name))
+            state[actor] = {tr.action.msg: tr.target for tr in outs}[msg]
             step += 1
         else:
-            _, peer, msg, target = action
-            env = queues[(peer, actor)].pop(0)
-            ep.advance(RECV, peer, msg, target)
+            _, tr = action
+            env = queues[(tr.action.sender, actor)].pop(0)
+            observed[actor].append((RECV, tr.action.sender.name, tr.action.msg.name))
+            state[actor] = tr.target
             records.append(LogRecord(step, env))
             step += 1
     else:
         raise MaxStepsExceeded(f"no termination within {cfg.max_steps} steps")
 
-    observations = tuple((r, tuple(endpoints[r].observations)) for r in roles)
+    observations = tuple((r, tuple(observed[r])) for r in roles)
     return SessionLog(tuple(records), cancellation, observations)
 
 
@@ -462,37 +432,23 @@ def validate_log(g: GlobalType, router: Role, log: SessionLog,
     envelope (0-based among them) that no interleaving can deliver.  Raises
     StateBudgetExceeded after `state_cap` configurations are expanded.
     """
-    canonical = _decode_routed(g, router)
-    encoded = encode_global(canonical, router)
+    encoded = encode_global(_decode_routed(g, router), router)
     deliveries: list[Envelope] = []
     for rec in log.records:
         if rec.envelope.kind != DATA:
             break
         deliveries.append(rec.envelope)
-
-    targets = []
-    for env in deliveries:
-        via = router if router not in (env.sender, env.receiver) else None
-        targets.append(_delivery_key(
-            ActionLabel(RECV, env.sender, env.receiver, env.msg, via=via)))
-
-    remaining: dict[tuple[Role, Role], int] = {}
-    pair_counts: list[dict[tuple[Role, Role], int]] = []
-    for env in reversed(deliveries):
-        remaining = dict(remaining)
-        key = (env.sender, env.receiver)
-        remaining[key] = remaining.get(key, 0) + 1
-        pair_counts.append(remaining)
-    pair_counts.reverse()
-    pair_counts.append({})
+    # owed[pair]: deliveries on `pair` from the current envelope onwards.
+    owed = Counter((env.sender, env.receiver) for env in deliveries)
 
     # Configurations are compiled keys; dicts serve as insertion-ordered sets
     # so the search order does not depend on hashing.
     lts = CompiledConfigurations(project_configuration(encoded))
     frontier = {lts.initial: None}
     explored = 0
-    for i, target in enumerate(targets):
-        needed = pair_counts[i]
+    for i, env in enumerate(deliveries):
+        via = "" if router in (env.sender, env.receiver) else router.name
+        target = (RECV, env.sender.name, env.receiver.name, via, env.msg.name)
         next_frontier = {}
         seen = set(frontier)
         stack = list(frontier)
@@ -506,14 +462,14 @@ def validate_log(g: GlobalType, router: Role, log: SessionLog,
                     next_frontier[succ] = None
                 elif label.direction == SEND:
                     pair = (label.sender, label.receiver)
-                    if len(lts.buffer(conf, *pair)) >= needed.get(pair, 0):
+                    if len(lts.buffer(conf, *pair)) >= owed[pair]:
                         continue  # nothing left in the log could consume it
                     if succ not in seen:
                         seen.add(succ)
                         stack.append(succ)
         if not next_frontier:
-            return Violation(i, f"delivery {deliveries[i].sender}->"
-                                f"{deliveries[i].receiver} "
-                                f"{deliveries[i].msg.name} not realisable here")
+            return Violation(i, f"delivery {env.sender}->{env.receiver} "
+                                f"{env.msg.name} not realisable here")
+        owed[(env.sender, env.receiver)] -= 1
         frontier = next_frontier
     return True

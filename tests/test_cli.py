@@ -179,6 +179,19 @@ def test_efsm_dot_and_ir_outputs(capsys, tmp_path):
     assert ir.read_text() == (GOLDEN / "efsm_TravelAgency_A.json").read_text()
 
 
+def test_efsm_dash_writes_to_stdout_dot_first(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "efsm", TRAVEL, "TravelAgency", "A", "--dot", "-", "--ir", "-")
+    assert code == 0
+    assert out == ((GOLDEN / "efsm_TravelAgency_A.dot").read_text()
+                   + (GOLDEN / "efsm_TravelAgency_A.json").read_text())
+    assert list(tmp_path.iterdir()) == []  # no file named "-"
+    code, out, _ = run(capsys, "efsm", TRAVEL, "TravelAgency", "A",
+                       "--dot", "a.dot", "--ir", "-")
+    assert code == 0 and out == (GOLDEN / "efsm_TravelAgency_A.json").read_text()
+    assert (tmp_path / "a.dot").read_text() == (GOLDEN / "efsm_TravelAgency_A.dot").read_text()
+
+
 def test_gen_writes_under_output_dir_only(capsys, tmp_path):
     out_dir = tmp_path / "out"
     code, out, _ = run(capsys, "gen", TRAVEL, "TravelAgency", "S",
@@ -202,6 +215,28 @@ def test_simulate_with_cancellation(capsys):
                        "--router", "S", "--cancel", "A@3")
     assert code == 0
     assert "# cancelled by A notified B,S" in out
+
+
+@pytest.mark.parametrize("golden, protocol, extra", [
+    ("simulate_TravelAgency_seeded_random_3.txt", "TravelAgency",
+     ("--scheduler", "seeded-random", "--seed", "3")),
+    ("simulate_Battleships_rounds_2.txt", "Battleships", ("--rounds", "2")),
+    ("simulate_PingPong_cancel_C3.txt", "PingPong", ("--cancel", "C@3")),
+    # The router cancels: no hop, it notifies both clients itself.
+    ("simulate_Game_cancel_Svr2.txt", "Game", ("--cancel", "Svr@2")),
+])
+def test_simulate_output_matches_golden_file(capsys, golden, protocol, extra):
+    code, out, err = run(capsys, "simulate", str(PROTOCOL_DIR / f"{protocol}.scr"), protocol,
+                         "--router", CORPUS_ROUTERS[protocol], *extra)
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / golden).read_text(), f"{golden} drifted"
+
+
+def test_simulate_cancel_by_a_role_outside_the_session_is_a_domain_error(capsys):
+    code, out, err = run(capsys, "simulate", PINGPONG, "PingPong",
+                         "--router", "S", "--cancel", "Zed@0")
+    assert code == 1 and out == ""
+    assert "Zed" in err and len(err.splitlines()) == 1, err
 
 
 @pytest.mark.parametrize("argv", [

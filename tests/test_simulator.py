@@ -1,16 +1,19 @@
+from pathlib import Path
+
 import pytest
 
-from routedmpst.core import GEnd, Role
+from routedmpst.core import GComm, GEnd, MsgLabel, Role
 from routedmpst.encoding import encode_global
 from routedmpst.simulator import (
     CANCEL, DATA, ConformanceViolation, Envelope, FixedScript, LogRecord,
-    MaxStepsExceeded, SeededRandomPolicy, SessionLog, SimConfig, Violation,
-    run_session, validate_log,
+    MaxStepsExceeded, SeededRandomPolicy, SessionLog, SimConfig, SimulatorError,
+    Violation, run_session, validate_log,
 )
 
 from corpus import A, B, G_TRAVEL, S, load
 
 C, SP = Role("C"), Role("S")
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def pingpong_scripts(rounds=100):
@@ -105,7 +108,6 @@ def test_swapped_envelopes_are_rejected():
 
 
 def test_foreign_label_rejected_with_index():
-    from routedmpst.core import MsgLabel
     log = run_session(load("PingPong"), SP, pingpong_scripts(4), SimConfig(seed=0))
     bogus = Envelope(C, SP, MsgLabel("PING", ("int",)), b"")
     records = log.records[:3] + (LogRecord(99, bogus),)
@@ -147,7 +149,6 @@ def test_log_serialisation_format():
 def test_pure_forwarder_router_outside_the_protocol():
     # The router need not take part in the protocol itself: it still has to
     # forward the routed traffic between the actual participants.
-    from routedmpst.core import GComm, GEnd, MsgLabel
     g = GComm(A, B, ((MsgLabel("M", ("int",)), GEnd()),))
     router = Role("R")
     direct = run_session(g, router, None, SimConfig(seed=0))
@@ -167,3 +168,28 @@ def test_external_log_round_trips_through_validation():
     tampered = parse_session_log(
         log.serialize().replace("data,Query", "data,Reject", 1))
     assert isinstance(validate_log(g, Role("S"), tampered), Violation)
+
+
+def test_routed_session_matches_golden_file():
+    log = run_session(encode_global(G_TRAVEL, S), S)
+    assert log.serialize() == (GOLDEN / "simulate_TravelAgency_routed.txt").read_text()
+
+
+def test_cancel_by_a_role_outside_the_session_is_rejected():
+    with pytest.raises(SimulatorError, match="Zed"):
+        run_session(G_TRAVEL, S, None, SimConfig(cancel_injection=(Role("Zed"), 0)))
+
+
+def test_long_chain_runs_and_validates_without_recursion():
+    # 400 messages in sequence nest 400 levels deep.  Under the default
+    # recursion limit that leaves room for the recursive projection and
+    # encoding, but not for a further recursive walk of the simulator's own.
+    pairs = [(A, S), (S, B), (B, A)]
+    g = GEnd()
+    for i in reversed(range(400)):
+        sender, receiver = pairs[i % 3]
+        g = GComm(sender, receiver, ((MsgLabel(f"m{i}"), g),))
+    for source in (g, encode_global(g, S)):
+        log = run_session(source, S)
+        assert len(log.data_records) == 400
+        assert validate_log(source, S, log) is True
