@@ -23,9 +23,7 @@ next.  Without it a checker makes fresh tables, which live for the call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import ActionLabel, GEnd, GlobalType, Role, pretty_global
+from .core import ActionLabel, GEnd, GlobalType, Role, pretty_global, record
 from .encoding import _encode_global, encode_label
 from .semantics import CompiledConfigurations, StepTable, Tables, project_configuration
 from .wellformed import check_wf, check_wf_routed
@@ -50,7 +48,7 @@ class PreconditionError(ValueError):
     """A checker was invoked on input violating its stated precondition."""
 
 
-@dataclass(frozen=True)
+@record
 class TraceSet:
     """A prefix-closed set of action sequences up to a bounded depth."""
 
@@ -64,7 +62,7 @@ class TraceSet:
         return all(trace[:-1] in self.traces for trace in self.traces if trace)
 
 
-@dataclass(frozen=True)
+@record
 class Counterexample:
     trace: tuple[ActionLabel, ...]
     detail: str
@@ -74,7 +72,7 @@ class Counterexample:
         return f"{shown} -- {self.detail}"
 
 
-@dataclass(frozen=True)
+@record
 class ExplorationReport:
     check: str
     verdict: str

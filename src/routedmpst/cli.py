@@ -172,12 +172,15 @@ def cmd_simulate(args) -> int:
     cfg = SimConfig(seed=args.seed, max_steps=args.max_steps,
                     scheduler=args.scheduler, cancel_injection=cancel)
     scripts = {r: BoundedLoopPolicy(args.rounds) for r in participants(g)}
-    log = run_session(g, args.router, scripts, cfg)
+    # The frontend builds no routed interaction, so `g` is its own canonical
+    # form.  The session's precondition and the log check share its encoding.
+    encoded, tables = encode_global(g, args.router), Tables()
+    log = run_session(g, args.router, scripts, cfg, encoded=encoded, tables=tables)
     sys.stdout.write(log.serialize())
     if log.cancellation:
         notified = ",".join(sorted(r.name for r in log.cancellation.notified))
         print(f"# cancelled by {log.cancellation.initiator} notified {notified}")
-    verdict = validate_log(g, args.router, log)
+    verdict = validate_log(g, args.router, log, encoded=encoded, tables=tables)
     print(f"# conformance={'ok' if verdict is True else verdict}")
     return 0 if verdict is True else DOMAIN_ERROR
 

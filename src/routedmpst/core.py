@@ -9,7 +9,8 @@ All values are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from functools import cache
+from types import CodeType, FunctionType
 from typing import Union
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -27,21 +28,150 @@ class NotRecursive(ValueError):
     """unfold_once applied to a non-recursive type."""
 
 
+# ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+_MISSING = object()
+_object_setattr = object.__setattr__  # the generated `__init__` assigns with this
+_OPS = {"__eq__": "==", "__lt__": "<", "__le__": "<=", "__gt__": ">", "__ge__": ">="}
+
+
+class Field:
+    """A record field's options, given as its class attribute: whether
+    `__init__`, `repr` and comparison (`==`, hash, ordering) use it."""
+
+    __slots__ = ("name", "default", "init", "repr", "compare")
+
+    def __init__(self, *, init: bool = True, repr: bool = True, compare: bool = True):
+        self.name, self.default = "", _MISSING
+        self.init, self.repr, self.compare = init, repr, compare
+
+
+@cache
+def _template(kind: str, n: int) -> CodeType:
+    """The code of method `kind` over the fields `_f0`..`_f<n-1>`, compiled
+    once per (kind, n).  Kind `__post_init__` is an `__init__` that ends by
+    calling `self.__post_init__()`."""
+    fs = [f"_f{i}" for i in range(n)]
+
+    def tup(obj: str) -> str:
+        return "(" + "".join(f"{obj}.{f}," for f in fs) + ")"
+    if kind == "__hash__":
+        src = f"def __hash__(self):\n return hash({tup('self')})"
+    elif kind in _OPS:
+        src = (f"def {kind}(self, other):\n if other.__class__ is self.__class__:\n"
+               f"  return {tup('self')} {_OPS[kind]} {tup('other')}\n return NotImplemented")
+    else:
+        body = "".join(f"\n _object_setattr(self, {f!r}, {f})" for f in fs)
+        body += "\n self.__post_init__()" if kind == "__post_init__" else "\n pass"
+        src = f"def __init__(self{''.join(', ' + f for f in fs)}):{body}"
+    module = compile(src, f"<record {kind}>", "exec")
+    return next(c for c in module.co_consts if isinstance(c, CodeType))
+
+
+def _method(cls: type, kind: str, names: list[str], defaults: tuple = ()) -> FunctionType:
+    """`cls`'s own copy of a template, its placeholders renamed to `names`."""
+    code = _template(kind, len(names))
+    rename = {f"_f{i}": name for i, name in enumerate(names)}
+
+    def renamed(items: tuple) -> tuple:
+        return tuple(rename.get(x, x) if type(x) is str else x for x in items)
+    code = code.replace(co_names=renamed(code.co_names), co_varnames=renamed(code.co_varnames),
+                        co_consts=renamed(code.co_consts))
+    fn = FunctionType(code, globals(), code.co_name, defaults)
+    fn.__qualname__ = f"{cls.__qualname__}.{code.co_name}"  # names it in a TypeError
+    return fn
+
+
+def _repr(self) -> str:
+    shown = ", ".join(f"{f.name}={getattr(self, f.name)!r}"
+                      for f in self.__record_fields__ if f.repr)
+    return f"{type(self).__qualname__}({shown})"
+
+
+def _frozen(self, name: str, *value) -> None:
+    raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+
+def _reduce(self):
+    return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
+def record(cls: type | None = None, /, *, order: bool = False, slots: bool = False):
+    """Class decorator: an immutable record of the annotated fields.
+
+    Keeps of `dataclass(frozen=True)` with the same `order` and `slots`:
+    fields in annotation order, a class attribute as a default or a `Field`;
+    `__init__` by position or keyword, then `__post_init__` if defined;
+    `__repr__`; `==`, hash and, with `order`, `<`, `<=`, `>`, `>=` on the
+    tuple of compared fields, between instances of exactly one class;
+    `__match_args__`; a frozen guard (a plain `AttributeError`); with
+    `slots`, a rebuilt class slotted by its fields; and every method the
+    class body defines.  Pickle and `copy` call the class with the `init`
+    fields, so a field `__post_init__` computes never crosses processes.
+    Left out: `dataclasses.fields`/`replace`/`asdict`/`is_dataclass`,
+    default factories, `ClassVar`/`InitVar`/`KW_ONLY`, mutable records, the
+    generated `__doc__` and `repr`'s recursion guard.
+
+    No source is compiled per class.  `__init__`, `==`, hash and ordering
+    are the class's own copies of a template code object per (method,
+    field count), renamed by `CodeType.replace`: the straight-line code
+    `dataclass` generates, as fast.  `repr`, the guard and `__reduce__` are
+    never hot, so they are shared generic functions."""
+    if cls is None:
+        return lambda cls: record(cls, order=order, slots=slots)
+    fields = []
+    for name in cls.__dict__.get("__annotations__", ()):
+        value = cls.__dict__.get(name, _MISSING)
+        f = value if isinstance(value, Field) else Field()
+        if f is not value:  # a plain class attribute is the default
+            f.default = value
+        elif not slots:  # a rebuilt slotted class drops it anyway
+            delattr(cls, name)
+        f.name = name
+        fields.append(f)
+    if slots:
+        names = {f.name for f in fields} | {"__dict__", "__weakref__"}
+        body = {k: v for k, v in cls.__dict__.items() if k not in names}
+        body.update(__slots__=tuple(f.name for f in fields), __qualname__=cls.__qualname__)
+        cls = type(cls)(cls.__name__, cls.__bases__, body)
+    init = [f for f in fields if f.init]
+    compared = [f.name for f in fields if f.compare]
+    methods = {
+        "__init__": _method(cls, "__post_init__" if hasattr(cls, "__post_init__") else "__init__",
+                            [f.name for f in init],
+                            tuple(f.default for f in init if f.default is not _MISSING)),
+        "__repr__": _repr, "__eq__": _method(cls, "__eq__", compared),
+        "__hash__": _method(cls, "__hash__", compared),
+        "__setattr__": _frozen, "__delattr__": _frozen, "__reduce__": _reduce,
+        "__match_args__": tuple(f.name for f in init), "__record_fields__": tuple(fields),
+    }
+    if order:
+        for op in ("__lt__", "__le__", "__gt__", "__ge__"):
+            methods[op] = _method(cls, op, compared)
+    for name, value in methods.items():
+        if name not in cls.__dict__:
+            setattr(cls, name, value)
+    return cls
+
+
 # Roles, message labels and action labels are the atoms every step table
 # hashes.  Each computes its hash once, when it is built, into a `_hash`
-# slot that equality, ordering and repr ignore.  The value is the hash the
-# dataclass would compute from the fields, so sets and dicts of atoms
-# iterate as they would without the cache.  A string's hash depends on the
-# process's hash seed, so the cached hash must never cross processes:
-# `__reduce__` rebuilds an atom from its fields, for pickle and for `copy`.
+# slot that equality, ordering and repr ignore.  The value is the hash of
+# the tuple of compared fields, the hash every other record computes, so
+# sets and dicts of atoms iterate as they would without the cache.  A
+# string's hash depends on the process's hash seed, so the cached hash must
+# never cross processes: the record's `__reduce__` rebuilds an atom from its
+# fields, for pickle and for `copy`.
 
 
-@dataclass(frozen=True, slots=True, order=True)
+@record(slots=True, order=True)
 class Role:
     """A protocol participant, identified by a case-sensitive name."""
 
     name: str
-    _hash: int = field(init=False, repr=False, compare=False)
+    _hash: int = Field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not _IDENT_RE.match(self.name):
@@ -51,14 +181,11 @@ class Role:
     def __hash__(self) -> int:
         return self._hash
 
-    def __reduce__(self):
-        return Role, (self.name,)
-
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True, slots=True, order=True)
+@record(slots=True, order=True)
 class MsgLabel:
     """A message label plus its (inert) payload sorts.
 
@@ -68,7 +195,7 @@ class MsgLabel:
 
     name: str
     payload_sorts: tuple[str, ...] = ()
-    _hash: int = field(init=False, repr=False, compare=False)
+    _hash: int = Field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not _IDENT_RE.match(self.name):
@@ -77,9 +204,6 @@ class MsgLabel:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __reduce__(self):
-        return MsgLabel, (self.name, self.payload_sorts)
 
     def __str__(self) -> str:
         if self.payload_sorts:
@@ -101,23 +225,23 @@ class GlobalType:
 GBranches = tuple[tuple[MsgLabel, GlobalType], ...]
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class GEnd(GlobalType):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class GVar(GlobalType):
     var: str
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class GRec(GlobalType):
     var: str
     body: GlobalType
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class GComm(GlobalType):
     """Direct communication: sender offers receiver a choice of labels."""
 
@@ -126,7 +250,7 @@ class GComm(GlobalType):
     branches: GBranches
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class GRouted(GlobalType):
     """Routed communication: the selection travels through the router role."""
 
@@ -136,7 +260,7 @@ class GRouted(GlobalType):
     branches: GBranches
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class GTransit(GlobalType):
     """A direct message sent but not yet received (asynchrony marker)."""
 
@@ -146,7 +270,7 @@ class GTransit(GlobalType):
     branches: GBranches
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class GRoutedTransit(GlobalType):
     """A routed message handed to the router but not yet delivered."""
 
@@ -171,23 +295,23 @@ class LocalType:
 LBranches = tuple[tuple[MsgLabel, LocalType], ...]
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class LEnd(LocalType):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class LVar(LocalType):
     var: str
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class LRec(LocalType):
     var: str
     body: LocalType
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class LSelect(LocalType):
     """Internal choice: send one of the labels to `peer`."""
 
@@ -195,7 +319,7 @@ class LSelect(LocalType):
     branches: LBranches
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class LBranch(LocalType):
     """External choice: receive one of the labels from `peer`."""
 
@@ -203,7 +327,7 @@ class LBranch(LocalType):
     branches: LBranches
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class LRoutedSelect(LocalType):
     """Send a selection intended for `peer`, delivered through `via`."""
 
@@ -212,7 +336,7 @@ class LRoutedSelect(LocalType):
     branches: LBranches
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class LRoutedBranch(LocalType):
     """Receive a selection made by `peer`, delivered through `via`."""
 
@@ -221,7 +345,7 @@ class LRoutedBranch(LocalType):
     branches: LBranches
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class LRouter(LocalType):
     """The router's view of forwarding a selection from sender to receiver."""
 
@@ -230,7 +354,7 @@ class LRouter(LocalType):
     branches: LBranches
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class LRouterTransit(LocalType):
     """Router holds a message accepted from sender, not yet delivered."""
 
@@ -258,7 +382,7 @@ SEND = "!"
 RECV = "?"
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class ActionLabel:
     """One LTS action: a send or receive, direct or through a router.
 
@@ -272,7 +396,7 @@ class ActionLabel:
     receiver: Role
     msg: MsgLabel
     via: Role | None = None
-    _hash: int = field(init=False, repr=False, compare=False)
+    _hash: int = Field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.direction not in (SEND, RECV):
@@ -286,9 +410,6 @@ class ActionLabel:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __reduce__(self):
-        return ActionLabel, (self.direction, self.sender, self.receiver, self.msg, self.via)
 
     @property
     def routed(self) -> bool:

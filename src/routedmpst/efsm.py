@@ -17,10 +17,9 @@ golden files stable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 
-from .core import ActionLabel, CanonicalIds, LRec, LocalType, Role, SEND, validate
+from .core import ActionLabel, CanonicalIds, LRec, LocalType, Role, SEND, record, validate
 from .semantics import local_head_steps
 
 STATE_SEND = "send"
@@ -28,14 +27,14 @@ STATE_RECEIVE = "receive"
 STATE_TERMINAL = "terminal"
 
 
-@dataclass(frozen=True)
+@record
 class EfsmState:
     id: int
     kind: str
     local_type: LocalType  # closed form of the subterm this state stands for
 
 
-@dataclass(frozen=True)
+@record
 class EfsmTransition:
     source: int
     target: int
@@ -62,7 +61,7 @@ class EfsmTransition:
         return base
 
 
-@dataclass(frozen=True)
+@record
 class Efsm:
     role: Role
     states: tuple[EfsmState, ...]

@@ -22,15 +22,14 @@ after them have no counterpart in the type grammar and are rejected.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .core import (
-    GComm, GEnd, GRec, GVar, GlobalType, MsgLabel, Role, free_vars, validate,
+    Field, GComm, GEnd, GRec, GVar, GlobalType, MsgLabel, Role, free_vars, record, validate,
 )
 
 
-@dataclass(frozen=True)
+@record
 class SourceSpan:
     """Where a construct starts."""
 
@@ -90,49 +89,49 @@ class UnboundedCall(ScribbleError):
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class MsgStmt:
     label: str
     payload_sorts: tuple[str, ...]
     sender: str
     receiver: str
-    span: SourceSpan = field(compare=False)
+    span: SourceSpan = Field(compare=False)
 
 
-@dataclass(frozen=True)
+@record
 class ChoiceStmt:
     at: str
     blocks: tuple[tuple["Stmt", ...], ...]
-    span: SourceSpan = field(compare=False)
+    span: SourceSpan = Field(compare=False)
 
 
-@dataclass(frozen=True)
+@record
 class DoStmt:
     protocol: str
     args: tuple[str, ...]
-    span: SourceSpan = field(compare=False)
+    span: SourceSpan = Field(compare=False)
 
 
 Stmt = MsgStmt | ChoiceStmt | DoStmt
 
 
-@dataclass(frozen=True)
+@record
 class TypeAlias:
     alias: str
     language: str
     remote_name: str
     source: str
-    span: SourceSpan = field(compare=False)
+    span: SourceSpan = Field(compare=False)
 
 
-@dataclass(frozen=True)
+@record
 class ProtocolDecl:
     name: str
     role_params: tuple[str, ...]
     is_aux: bool
     body: tuple[Stmt, ...]
     type_aliases: tuple[TypeAlias, ...]
-    span: SourceSpan = field(compare=False)
+    span: SourceSpan = Field(compare=False)
 
     def roles(self) -> tuple[Role, ...]:
         return tuple(Role(r) for r in self.role_params)
@@ -491,16 +490,16 @@ def elaborate(decls: list[ProtocolDecl], entry: str,
     return result
 
 
-@dataclass
 class _Elaboration:
     """The state of one `elaborate` call, passed to `_expand` and `_seq`."""
 
-    by_name: dict[str, ProtocolDecl]
-    alias_map: dict[str, str]
-    # The binder of each (protocol, role tuple) being expanded.
-    binders: dict[tuple[str, tuple[Role, ...]], str] = field(default_factory=dict)
-    used_binders: set[str] = field(default_factory=set)
-    counter: int = 0
+    def __init__(self, by_name: dict[str, ProtocolDecl], alias_map: dict[str, str]) -> None:
+        self.by_name = by_name
+        self.alias_map = alias_map
+        # The binder of each (protocol, role tuple) being expanded.
+        self.binders: dict[tuple[str, tuple[Role, ...]], str] = {}
+        self.used_binders: set[str] = set()
+        self.counter = 0
 
     def label(self, stmt: MsgStmt) -> MsgLabel:
         return MsgLabel(stmt.label,

@@ -40,14 +40,12 @@ and project each role once; a checker given none makes its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     ActionLabel, AnyType, CanonicalIds, GComm, GEnd, GRec, GRouted, GRoutedTransit,
     GTransit, GVar, GlobalType, InvalidType, LBranch, LEnd, LRec, LRouter,
     LRouterTransit, LRoutedBranch, LRoutedSelect, LSelect, LVar, LocalType, MsgLabel,
     Role, SEND, _with_branches, branch_for, direct_recv, direct_send,
-    participants, routed_recv, routed_send, validate,
+    participants, record, routed_recv, routed_send, validate,
 )
 from .projection import project
 
@@ -264,7 +262,7 @@ _NODE_RULES = {
 RolePair = tuple[Role, Role]
 
 
-@dataclass(frozen=True, slots=True)
+@record(slots=True)
 class Configuration:
     """Joint state of a session: one local type per role plus a FIFO buffer
     for every ordered pair of distinct roles.

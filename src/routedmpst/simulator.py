@@ -14,17 +14,16 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 
 from .core import (
     GComm, GEnd, GRec, GRouted, GVar, GlobalType, MsgLabel, RECV, Role, SEND,
-    participants,
+    participants, record,
 )
 from .analysis import StateBudgetExceeded
 from .efsm import Efsm, STATE_RECEIVE, STATE_SEND, STATE_TERMINAL, build_efsm
 from .encoding import encode_global
 from .projection import project
-from .semantics import ActionLabel, CompiledConfigurations, project_configuration
+from .semantics import ActionLabel, CompiledConfigurations, Tables, project_configuration
 from .wellformed import check_wf_routed
 
 DATA = "data"
@@ -47,7 +46,7 @@ class NotEncodable(SimulatorError):
     """The input type routes through a role other than the designated router."""
 
 
-@dataclass(frozen=True)
+@record
 class Envelope:
     sender: Role
     receiver: Role
@@ -61,7 +60,7 @@ class Envelope:
         assert self.kind in (DATA, CANCEL)
 
 
-@dataclass(frozen=True)
+@record
 class SimConfig:
     seed: int = 0
     scheduler: str = "round-robin"  # or "seeded-random"
@@ -75,7 +74,7 @@ class SimConfig:
             raise ValueError(f"unknown scheduler {self.scheduler!r}")
 
 
-@dataclass(frozen=True)
+@record
 class LogRecord:
     step: int
     envelope: Envelope
@@ -86,13 +85,13 @@ class LogRecord:
         return f"{self.step},{env.sender},{env.receiver},{env.kind},{label}"
 
 
-@dataclass(frozen=True)
+@record
 class CancellationRecord:
     initiator: Role
     notified: frozenset[Role]
 
 
-@dataclass(frozen=True)
+@record
 class SessionLog:
     records: tuple[LogRecord, ...]
     cancellation: CancellationRecord | None
@@ -156,8 +155,9 @@ class SeededRandomPolicy(ChoicePolicy):
 class BoundedLoopPolicy(ChoicePolicy):
     """Takes looping branches a fixed number of times, then escapes.
 
-    A branch loops when its target can reach the current state again; the
-    first non-looping branch is the escape.  Keeps recursive protocols
+    A branch loops when its target can reach the current state again, that
+    is, when both lie in one strongly connected component of the machine;
+    the first non-looping branch is the escape.  Keeps recursive protocols
     terminating without a per-protocol script.
     """
 
@@ -165,32 +165,53 @@ class BoundedLoopPolicy(ChoicePolicy):
         self.rounds = rounds
         self._visits: dict[int, int] = {}
         self._efsm: Efsm | None = None
-        self._reach: dict[int, frozenset[int]] = {}
+        self._component: dict[int, int] = {}
 
     def bind(self, e: Efsm) -> "BoundedLoopPolicy":
+        """Name each strongly connected component of `e` by the state that
+        closes it, in one iterative pass of Tarjan's algorithm."""
         self._efsm = e
-        adj: dict[int, set[int]] = {s.id: set() for s in e.states}
-        for tr in e.transitions:
-            adj[tr.source].add(tr.target)
-        for sid in adj:
-            seen = set()
-            stack = [sid]
-            while stack:
-                cur = stack.pop()
-                for nxt in adj[cur]:
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-            self._reach[sid] = frozenset(seen)
+        index: dict[int, int] = {}
+        low: dict[int, int] = {}
+        component = self._component = {}
+        open_states: list[int] = []  # visited, component not yet closed
+        for root in (s.id for s in e.states):
+            if root in index:
+                continue
+            index[root] = low[root] = len(index)
+            open_states.append(root)
+            work = [(root, iter(e.outgoing(root)))]
+            while work:
+                v, edges = work[-1]
+                for tr in edges:
+                    w = tr.target
+                    if w not in index:
+                        index[w] = low[w] = len(index)
+                        open_states.append(w)
+                        work.append((w, iter(e.outgoing(w))))
+                        break
+                    if w not in component:
+                        low[v] = min(low[v], index[w])
+                else:
+                    work.pop()
+                    if work:
+                        low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                    if low[v] == index[v]:
+                        while v not in component:
+                            component[open_states.pop()] = v
         return self
+
+    def loops(self, source: int, target: int) -> bool:
+        """Whether the branch from `source` to `target` can return to `source`."""
+        return self._component[source] == self._component[target]
 
     def choose(self, state_id, labels, rng):
         assert self._efsm is not None, "policy not bound to a machine"
         n = self._visits.get(state_id, 0)
         self._visits[state_id] = n + 1
         by_label = {tr.action.msg: tr.target for tr in self._efsm.outgoing(state_id)}
-        looping = [lbl for lbl in labels if state_id in self._reach[by_label[lbl]]]
-        escaping = [lbl for lbl in labels if state_id not in self._reach[by_label[lbl]]]
+        looping = [lbl for lbl in labels if self.loops(state_id, by_label[lbl])]
+        escaping = [lbl for lbl in labels if not self.loops(state_id, by_label[lbl])]
         if n < self.rounds - 1 and looping:
             return looping[0]
         return (escaping or labels)[0]
@@ -224,7 +245,8 @@ def _decode_routed(g: GlobalType, router: Role) -> GlobalType:
 
 def run_session(g: GlobalType, router: Role,
                 scripts: dict[Role, ChoicePolicy] | None = None,
-                cfg: SimConfig = SimConfig()) -> SessionLog:
+                cfg: SimConfig = SimConfig(), *, encoded: GlobalType | None = None,
+                tables: Tables | None = None) -> SessionLog:
     """Execute one session deterministically and return its delivery log.
 
     `g` may be the canonical protocol (messages delivered directly) or its
@@ -232,10 +254,16 @@ def run_session(g: GlobalType, router: Role,
     machines driving the endpoints are identical either way, so client
     observations do not depend on the mode.  Raises SimulatorError if
     `cfg.cancel_injection` names a role outside the session.
+
+    `encoded`, if given, is `encode_global` of the canonical protocol through
+    `router`, and the realisability precondition projects it with `tables`:
+    a caller that validates the log next passes both to `validate_log` too.
     """
     canonical = _decode_routed(g, router)
     routed_mode = canonical is not g
-    wf = check_wf_routed(encode_global(canonical, router), router)
+    if encoded is None:
+        encoded = encode_global(canonical, router)
+    wf = check_wf_routed(encoded, router, tables=tables)
     if not wf.ok:
         raise SimulatorError(f"protocol not realisable through {router}: {wf.describe()}")
 
@@ -379,7 +407,7 @@ def run_session(g: GlobalType, router: Role,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Violation:
     index: int
     detail: str
@@ -423,7 +451,8 @@ def _delivery_key(label: ActionLabel):
 
 
 def validate_log(g: GlobalType, router: Role, log: SessionLog,
-                 state_cap: int = VALIDATION_STATE_CAP) -> Violation | bool:
+                 state_cap: int = VALIDATION_STATE_CAP, *, encoded: GlobalType | None = None,
+                 tables: Tables | None = None) -> Violation | bool:
     """Check that the log's data-envelope prefix is realisable: there must be
     an interleaving of sends under which the configuration LTS of the encoded
     type performs exactly these deliveries, in order.
@@ -431,8 +460,10 @@ def validate_log(g: GlobalType, router: Role, log: SessionLog,
     Returns True on success, otherwise a `Violation` naming the first data
     envelope (0-based among them) that no interleaving can deliver.  Raises
     StateBudgetExceeded after `state_cap` configurations are expanded.
+    `encoded` and `tables` are as for `run_session`.
     """
-    encoded = encode_global(_decode_routed(g, router), router)
+    if encoded is None:
+        encoded = encode_global(_decode_routed(g, router), router)
     deliveries: list[Envelope] = []
     for rec in log.records:
         if rec.envelope.kind != DATA:
@@ -443,7 +474,7 @@ def validate_log(g: GlobalType, router: Role, log: SessionLog,
 
     # Configurations are compiled keys; dicts serve as insertion-ordered sets
     # so the search order does not depend on hashing.
-    lts = CompiledConfigurations(project_configuration(encoded))
+    lts = CompiledConfigurations(project_configuration(encoded, tables=tables), tables)
     frontier = {lts.initial: None}
     explored = 0
     for i, env in enumerate(deliveries):

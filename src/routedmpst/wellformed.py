@@ -4,17 +4,16 @@ and router-parameterised well-formedness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .core import (
     GComm, GEnd, GRec, GRouted, GRoutedTransit, GTransit, GVar, GlobalType,
-    Role, participants,
+    Role, participants, record,
 )
 from .projection import MergeFailure, project
 from .semantics import Tables
 
 
-@dataclass(frozen=True)
+@record
 class CentroidResult:
     ok: bool
     # Path of branch labels from the root to the first violating construct.
@@ -55,7 +54,7 @@ def _centroid(u: GlobalType, s: Role, path: tuple[str, ...]) -> CentroidResult:
     return CentroidResult(True)
 
 
-@dataclass(frozen=True)
+@record
 class WfReport:
     ok: bool
     # role-name -> failure message, for every role whose projection is undefined

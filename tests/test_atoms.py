@@ -38,8 +38,9 @@ def _atoms():
 
 
 def test_the_cached_hash_is_the_hash_of_the_fields():
-    # The hash the dataclass would compute, so sets and dicts of atoms
-    # iterate in the same order as without the cache.
+    # The hash of the tuple of compared fields, as every other record
+    # computes it, so sets and dicts of atoms iterate in the same order as
+    # without the cache.
     assert hash(A) == hash(("A",))
     assert hash(M) == hash(("Quote", ("number",)))
     assert hash(routed_send(A, B, S, M)) == hash((SEND, A, B, M, S))

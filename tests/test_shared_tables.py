@@ -93,6 +93,29 @@ def test_verify_projects_each_role_of_each_type_once(monkeypatch, capsys):
     assert len(calls) == 6
 
 
+def test_simulate_encodes_once_and_projects_each_role_of_each_type_once(monkeypatch, capsys):
+    # As above; `encode_global` is counted where `cli` and `simulator` call it.
+    calls, encodings = [], []
+    for module in (cli, semantics, simulator, wellformed):
+        def counting(g, r, real=module.project):
+            calls.append((g, r))
+            return real(g, r)
+        monkeypatch.setattr(module, "project", counting)
+    for module in (cli, simulator):
+        def encoding(g, s, real=module.encode_global):
+            encodings.append(g)
+            return real(g, s)
+        monkeypatch.setattr(module, "encode_global", encoding)
+    path = str(PROTOCOL_DIR / "TravelAgency.scr")
+    assert main(["simulate", path, "TravelAgency", "--router", "S"]) == 0
+    assert capsys.readouterr().out.endswith("# conformance=ok\n")
+    # The protocol (for the machines) and its encoding (for the precondition
+    # and the log check), each projected onto A, B and S.
+    assert len(encodings) == 1
+    assert len({(id(g), r) for g, r in calls}) == 6
+    assert len(calls) == 6
+
+
 def test_tables_made_under_other_rules_raise():
     g, router = load("TravelAgency"), Role("S")
     before = Tables()

@@ -1,16 +1,22 @@
+import sys
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from routedmpst.core import GComm, GEnd, MsgLabel, Role
+from routedmpst.core import GComm, GEnd, LEnd, MsgLabel, Role, direct_send, participants
+from routedmpst.efsm import STATE_TERMINAL, Efsm, EfsmState, EfsmTransition, build_efsm
 from routedmpst.encoding import encode_global
+from routedmpst.projection import project
+from routedmpst.scribble import elaborate, parse_module
 from routedmpst.simulator import (
-    CANCEL, DATA, ConformanceViolation, Envelope, FixedScript, LogRecord,
+    CANCEL, DATA, BoundedLoopPolicy, ConformanceViolation, Envelope, FixedScript, LogRecord,
     MaxStepsExceeded, SeededRandomPolicy, SessionLog, SimConfig, SimulatorError,
     Violation, run_session, validate_log,
 )
 
-from corpus import A, B, G_TRAVEL, S, load
+from corpus import A, B, CORPUS_ROUTERS, G_TRAVEL, S, load
 
 C, SP = Role("C"), Role("S")
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -193,3 +199,66 @@ def test_long_chain_runs_and_validates_without_recursion():
         log = run_session(source, S)
         assert len(log.data_records) == 400
         assert validate_log(source, S, log) is True
+
+
+def _reach(e):
+    """The reference for `BoundedLoopPolicy.loops`: one depth-first search
+    per state, for the states it reaches in one or more steps."""
+    adj = {s.id: set() for s in e.states}
+    for tr in e.transitions:
+        adj[tr.source].add(tr.target)
+    reach = {}
+    for sid in adj:
+        seen, stack = set(), [sid]
+        while stack:
+            for nxt in adj[stack.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        reach[sid] = seen
+    return reach
+
+
+def _looping(e):
+    """The looping transitions of `e`, which the policy and the reference agree on."""
+    policy, reach = BoundedLoopPolicy().bind(e), _reach(e)
+    looping = {(tr.source, tr.target) for tr in e.transitions
+               if policy.loops(tr.source, tr.target)}
+    assert looping == {(tr.source, tr.target) for tr in e.transitions
+                       if tr.source in reach[tr.target]}
+    return looping
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_ROUTERS))
+def test_looping_branches_are_those_of_the_per_state_search_on_the_corpus(name):
+    g = load(name)
+    looping = [_looping(build_efsm(project(g, r), r)) for r in sorted(participants(g))]
+    assert any(looping)
+
+
+def test_looping_branches_are_those_of_the_per_state_search_on_long_480():
+    pairs = [("A", "S"), ("S", "B"), ("B", "A")]
+    body = "".join(f"  m{i}() from {pairs[i % 3][0]} to {pairs[i % 3][1]};\n"
+                   for i in range(480))
+    text = f"global protocol Long(role A, role S, role B) {{\n{body}}}\n"
+    # The frontend, projection and validation recurse once per message.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 4000))
+    try:
+        g = elaborate(parse_module(text, "long.scr"), "Long")
+        machines = [build_efsm(project(g, r), r) for r in sorted(participants(g))]
+    finally:
+        sys.setrecursionlimit(limit)
+    for e in machines:
+        assert len(e.states) == 321 and _looping(e) == set()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=3 * n))))
+def test_looping_branches_are_those_of_the_per_state_search_on_random_machines(graph):
+    n, edges = graph
+    states = tuple(EfsmState(i, STATE_TERMINAL, LEnd()) for i in range(1, n + 1))
+    transitions = tuple(EfsmTransition(p, q, direct_send(A, B, MsgLabel(f"m{i}")))
+                        for i, (p, q) in enumerate(edges))
+    _looping(Efsm(A, states, transitions))
