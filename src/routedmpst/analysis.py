@@ -13,7 +13,7 @@ or, for trace equivalence, pairs of such an id and a
 `semantics.CompiledConfigurations` key.  Keys are equal exactly when
 canonical states are, so the states counted are canonical states (or pairs
 of them); only states printed or returned are put in canonical form.
-Traces are enumerated path by path.
+Trace sets are the path products of the edges `_explore` expands.
 
 Each checker takes the `semantics.Tables` to search as a keyword: `verify`
 passes one to all four checks, so a state one check compiled, or a role one
@@ -24,7 +24,7 @@ next.  Without it a checker makes fresh tables, which live for the call.
 from __future__ import annotations
 
 from .core import ActionLabel, GEnd, GlobalType, Role, pretty_global, record
-from .encoding import _encode_global, encode_label
+from .encoding import encode_label
 from .semantics import CompiledConfigurations, StepTable, Tables, project_configuration
 from .wellformed import check_wf, check_wf_routed
 
@@ -57,9 +57,6 @@ class TraceSet:
 
     def __contains__(self, trace) -> bool:
         return tuple(trace) in self.traces
-
-    def is_prefix_closed(self) -> bool:
-        return all(trace[:-1] in self.traces for trace in self.traces if trace)
 
 
 @record
@@ -103,25 +100,20 @@ class ExplorationReport:
 
 
 def _traces(start, steps, depth: int, state_cap: int) -> TraceSet:
-    """The traces of length at most `depth` from the key `start`, one path at
-    a time, level by level.  `steps(key)` gives the (label, successor key)
-    pairs of a key; the LTS is label-deterministic, so distinct paths have
-    distinct traces.  Expanding more than `state_cap` distinct keys raises
-    StateBudgetExceeded."""
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    expanded: set = set()
+    """The traces of length at most `depth` from the key `start`: the path
+    products of the (label, successor key) pairs `steps(key)` gives for the
+    keys `_explore` expands.  The LTS is label-deterministic, so distinct
+    paths have distinct traces.  StateBudgetExceeded where the search is
+    inconclusive."""
+    edges = {}
+    report, _ = _explore("traces", start, steps,
+                         lambda key, _, out: edges.setdefault(key, out), depth, state_cap)
+    if report.verdict == INCONCLUSIVE:
+        raise StateBudgetExceeded(state_cap, report.states_visited)
     paths = [((), start)]
     traces = {()}
     for _ in range(depth):
-        nxt = []
-        for trace, key in paths:
-            if key not in expanded:
-                if len(expanded) >= state_cap:
-                    raise StateBudgetExceeded(state_cap, len(expanded))
-                expanded.add(key)
-            nxt += [(trace + (label,), succ) for label, succ in steps(key)]
-        paths = nxt
+        paths = [(trace + (label,), succ) for trace, key in paths for label, succ in edges[key]]
         traces.update(trace for trace, _ in paths)
     return TraceSet(depth, frozenset(traces))
 
@@ -256,14 +248,10 @@ def check_encoding_bisim(g: GlobalType, s: Role, depth: int,
     if not wf.ok:
         raise PreconditionError(f"type not well-formed: {wf.describe()}")
     table = tables.table()
-    encoded_id: dict[int, int] = {}
-    memo: dict = {}  # encoded states share subterms as the plain ones do
 
     def encode(sid):
-        if sid not in encoded_id:
-            # Encodings of valid states are valid: skip `intern`'s validation.
-            encoded_id[sid] = table._id(_encode_global(table.states[sid], s, memo))
-        return encoded_id[sid]
+        # Encodings of valid states are valid: skip `intern`'s validation.
+        return table._id(tables.encode(table.states[sid], s))
 
     def visit(sid, trace, edges):
         enc_edges = table.edges(encode(sid))

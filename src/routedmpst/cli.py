@@ -116,7 +116,7 @@ def cmd_verify(args) -> int:
         print("wf=fail", file=sys.stderr)
         print(wf.describe(), file=sys.stderr)
         return DOMAIN_ERROR
-    encoded = encode_global(g, args.router)
+    encoded = tables.encode(g, args.router)
     reports = [
         check_trace_equivalence(g, args.depth, args.state_cap, tables=tables),
         check_trace_equivalence(encoded, args.depth, args.state_cap, tables=tables),
@@ -173,14 +173,14 @@ def cmd_simulate(args) -> int:
                     scheduler=args.scheduler, cancel_injection=cancel)
     scripts = {r: BoundedLoopPolicy(args.rounds) for r in participants(g)}
     # The frontend builds no routed interaction, so `g` is its own canonical
-    # form.  The session's precondition and the log check share its encoding.
-    encoded, tables = encode_global(g, args.router), Tables()
-    log = run_session(g, args.router, scripts, cfg, encoded=encoded, tables=tables)
+    # form: the session's precondition and the log check share its encoding.
+    tables = Tables()
+    log = run_session(g, args.router, scripts, cfg, tables=tables)
     sys.stdout.write(log.serialize())
     if log.cancellation:
         notified = ",".join(sorted(r.name for r in log.cancellation.notified))
         print(f"# cancelled by {log.cancellation.initiator} notified {notified}")
-    verdict = validate_log(g, args.router, log, encoded=encoded, tables=tables)
+    verdict = validate_log(g, args.router, log, tables=tables)
     print(f"# conformance={'ok' if verdict is True else verdict}")
     return 0 if verdict is True else DOMAIN_ERROR
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import re
 from collections.abc import Mapping
-from importlib import resources
+from pathlib import Path
 from types import MappingProxyType
 
 from .efsm import Efsm, STATE_SEND, STATE_TERMINAL
@@ -83,8 +83,8 @@ def _compile(fragment: str) -> str:
 def _default_templates(flavor: str) -> Mapping[str, str]:
     """The shipped fragments of a flavor, read once per process and shared
     read-only."""
-    data = resources.files(__package__).joinpath("templates", f"{flavor}.tmpl")
-    return MappingProxyType(load_fragments(data.read_text()))
+    data = Path(__file__).with_name("templates") / f"{flavor}.tmpl"
+    return MappingProxyType(load_fragments(data.read_text(encoding="utf-8")))
 
 
 def _peer_of(e: Efsm, transitions) -> str:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import re
 from functools import cache
 from types import CodeType, FunctionType
-from typing import Union
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -364,7 +363,7 @@ class LRouterTransit(LocalType):
     branches: LBranches
 
 
-AnyType = Union[GlobalType, LocalType]
+AnyType = GlobalType | LocalType
 
 
 def branch_for(branches, label: MsgLabel):
@@ -450,38 +449,28 @@ def routed_recv(p: Role, q: Role, s: Role, m: MsgLabel) -> ActionLabel:
 # ---------------------------------------------------------------------------
 
 
-def _node_branches(t: AnyType):
-    """Branches of a node, or None for leaf/recursion nodes."""
-    if isinstance(t, (GComm, GRouted, GTransit, GRoutedTransit,
-                      LSelect, LBranch, LRoutedSelect, LRoutedBranch,
-                      LRouter, LRouterTransit)):
-        return t.branches
-    return None
+# Each branching node class and how to rebuild one of its nodes with another
+# branch tuple.  Walkers read `.branches` once leaves and binders are ruled
+# out; `validate` rejects a node whose class is not here.
+_REBUILD = {
+    GComm: lambda t, branches: GComm(t.sender, t.receiver, branches),
+    GRouted: lambda t, branches: GRouted(t.sender, t.receiver, t.router, branches),
+    GTransit: lambda t, branches: GTransit(t.sender, t.receiver, t.chosen, branches),
+    GRoutedTransit: lambda t, branches: GRoutedTransit(t.sender, t.receiver, t.router,
+                                                       t.chosen, branches),
+    LSelect: lambda t, branches: LSelect(t.peer, branches),
+    LBranch: lambda t, branches: LBranch(t.peer, branches),
+    LRoutedSelect: lambda t, branches: LRoutedSelect(t.peer, t.via, branches),
+    LRoutedBranch: lambda t, branches: LRoutedBranch(t.peer, t.via, branches),
+    LRouter: lambda t, branches: LRouter(t.sender, t.receiver, branches),
+    LRouterTransit: lambda t, branches: LRouterTransit(t.sender, t.receiver, t.chosen,
+                                                       branches),
+}
 
 
 def _with_branches(t: AnyType, branches):
     """Rebuild a branching node with replaced branch tuple."""
-    if isinstance(t, GComm):
-        return GComm(t.sender, t.receiver, branches)
-    if isinstance(t, LRouter):
-        return LRouter(t.sender, t.receiver, branches)
-    if isinstance(t, GRouted):
-        return GRouted(t.sender, t.receiver, t.router, branches)
-    if isinstance(t, GTransit):
-        return GTransit(t.sender, t.receiver, t.chosen, branches)
-    if isinstance(t, GRoutedTransit):
-        return GRoutedTransit(t.sender, t.receiver, t.router, t.chosen, branches)
-    if isinstance(t, LSelect):
-        return LSelect(t.peer, branches)
-    if isinstance(t, LBranch):
-        return LBranch(t.peer, branches)
-    if isinstance(t, LRoutedSelect):
-        return LRoutedSelect(t.peer, t.via, branches)
-    if isinstance(t, LRoutedBranch):
-        return LRoutedBranch(t.peer, t.via, branches)
-    if isinstance(t, LRouterTransit):
-        return LRouterTransit(t.sender, t.receiver, t.chosen, branches)
-    raise TypeError(type(t))
+    return _REBUILD[type(t)](t, branches)
 
 
 def validate(t: AnyType, *, allow_free: bool = False) -> None:
@@ -516,9 +505,9 @@ def _validate(u: AnyType, bound: frozenset[str], allow_free: bool) -> None:
             raise InvalidType(f"non-contractive recursion at binder {u.var!r}")
         _validate(body, bound | {u.var}, allow_free)
         return
-    branches = _node_branches(u)
-    if branches is None:
+    if type(u) not in _REBUILD:
         raise InvalidType(f"unknown node {type(u).__name__}")
+    branches = u.branches
     if not branches:
         raise InvalidType(f"{type(u).__name__} with empty branch set")
     names = [lbl.name for lbl, _ in branches]
@@ -551,7 +540,7 @@ def free_vars(t: AnyType) -> frozenset[str]:
         return frozenset((t.var,))
     if isinstance(t, (GRec, LRec)):
         return free_vars(t.body) - {t.var}
-    return frozenset().union(*(free_vars(c) for _, c in _node_branches(t)))
+    return frozenset().union(*(free_vars(c) for _, c in t.branches))
 
 
 def is_closed(t: AnyType) -> bool:
@@ -571,8 +560,8 @@ def substitute(t: AnyType, var: str, replacement: AnyType) -> AnyType:
     if isinstance(t, (GRec, LRec)):
         body = t.body if t.var == var else substitute(t.body, var, replacement)
         return t if body is t.body else type(t)(t.var, body)
-    branches = tuple((lbl, substitute(c, var, replacement)) for lbl, c in _node_branches(t))
-    if all(new is old for (_, new), (_, old) in zip(branches, _node_branches(t))):
+    branches = tuple((lbl, substitute(c, var, replacement)) for lbl, c in t.branches)
+    if all(new is old for (_, new), (_, old) in zip(branches, t.branches)):
         return t
     return _with_branches(t, branches)
 
@@ -663,7 +652,7 @@ class CanonicalIds:
             name = f"{_CANON_VAR_PREFIX}{depth}"
             return type(key)(name, self.form(key.body, {**(env or {}), key.var: name}, depth + 1))
         branches = []
-        for lbl, c in _node_branches(key):
+        for lbl, c in key.branches:
             branches.append((lbl, self.form(c, env, depth)))
         return _with_branches(key, tuple(branches))
 
@@ -684,7 +673,7 @@ class CanonicalIds:
                 sid = self._intern(type(t)(name, self._open(t.body, {t.var: name}, 1)))
         else:
             fv, children = _NO_VARS, []
-            for lbl, c in _node_branches(t):
+            for lbl, c in t.branches:
                 _, child_fv, child_id = met.get(id(c)) or self._walk(c)
                 fv = fv | child_fv
                 children.append((lbl, child_id))
@@ -709,7 +698,7 @@ class CanonicalIds:
             return self._intern(type(u)(name, self._open(u.body, {**env, u.var: name},
                                                          depth + 1)))
         children = []
-        for lbl, c in _node_branches(u):
+        for lbl, c in u.branches:
             children.append((lbl, self._open(c, env, depth)))
         children.sort(key=lambda item: item[0].name)
         return self._intern(_with_branches(u, tuple(children)))
@@ -743,62 +732,48 @@ def participants(g: GlobalType) -> frozenset[Role]:
 # ---------------------------------------------------------------------------
 
 
-def _fmt_branches(branches, show, indent: int) -> str:
-    if len(branches) == 1:
-        lbl, cont = branches[0]
-        return f"{lbl} . {show(cont, indent)}"
-    pad = "  " * (indent + 1)
-    inner = ",\n".join(f"{pad}{lbl}: {show(cont, indent + 1)}" for lbl, cont in branches)
-    return "{\n" + inner + "\n" + "  " * indent + "}"
+# The prefix each branching node prints before its branches, a format string
+# over the node.
+_PREFIX = {
+    GComm: "{0.sender}->{0.receiver} ",
+    GRouted: "{0.sender}->{0.receiver} via {0.router} ",
+    GTransit: "{0.sender}->{0.receiver} [{0.chosen.name} in flight] ",
+    GRoutedTransit: "{0.sender}->{0.receiver} via {0.router} [{0.chosen.name} in flight] ",
+    LSelect: "{0.peer}!",
+    LBranch: "{0.peer}?",
+    LRoutedSelect: "{0.peer}(via {0.via})!",
+    LRoutedBranch: "{0.peer}(via {0.via})?",
+    LRouter: "route {0.sender}->{0.receiver} ",
+    LRouterTransit: "route {0.sender}->{0.receiver} [{0.chosen.name} in flight] ",
+}
 
 
 def pretty_global(g: GlobalType, indent: int = 0) -> str:
-    return _show_global(g, indent)
-
-
-def _show_global(u: GlobalType, ind: int) -> str:
-    if isinstance(u, GEnd):
-        return "end"
-    if isinstance(u, GVar):
-        return u.var
-    if isinstance(u, GRec):
-        return f"rec {u.var} . {_show_global(u.body, ind)}"
-    if isinstance(u, GComm):
-        return f"{u.sender}->{u.receiver} " + _fmt_branches(u.branches, _show_global, ind)
-    if isinstance(u, GRouted):
-        return (f"{u.sender}->{u.receiver} via {u.router} "
-                + _fmt_branches(u.branches, _show_global, ind))
-    if isinstance(u, GTransit):
-        return (f"{u.sender}->{u.receiver} [{u.chosen.name} in flight] "
-                + _fmt_branches(u.branches, _show_global, ind))
-    if isinstance(u, GRoutedTransit):
-        return (f"{u.sender}->{u.receiver} via {u.router} [{u.chosen.name} in flight] "
-                + _fmt_branches(u.branches, _show_global, ind))
-    raise InvalidType(type(u).__name__)
+    return _show(g, indent, GlobalType)
 
 
 def pretty_local(t: LocalType, indent: int = 0) -> str:
-    return _show_local(t, indent)
+    return _show(t, indent, LocalType)
 
 
-def _show_local(u: LocalType, ind: int) -> str:
-    if isinstance(u, LEnd):
+def _show(u: AnyType, ind: int, grammar: type) -> str:
+    """`u` printed at indent level `ind`; InvalidType on a node that is not
+    of `grammar`, the base class of the grammar printed."""
+    if not isinstance(u, grammar):
+        raise InvalidType(type(u).__name__)
+    if isinstance(u, (GEnd, LEnd)):
         return "end"
-    if isinstance(u, LVar):
+    if isinstance(u, (GVar, LVar)):
         return u.var
-    if isinstance(u, LRec):
-        return f"rec {u.var} . {_show_local(u.body, ind)}"
-    if isinstance(u, LSelect):
-        return f"{u.peer}!" + _fmt_branches(u.branches, _show_local, ind)
-    if isinstance(u, LBranch):
-        return f"{u.peer}?" + _fmt_branches(u.branches, _show_local, ind)
-    if isinstance(u, LRoutedSelect):
-        return f"{u.peer}(via {u.via})!" + _fmt_branches(u.branches, _show_local, ind)
-    if isinstance(u, LRoutedBranch):
-        return f"{u.peer}(via {u.via})?" + _fmt_branches(u.branches, _show_local, ind)
-    if isinstance(u, LRouter):
-        return f"route {u.sender}->{u.receiver} " + _fmt_branches(u.branches, _show_local, ind)
-    if isinstance(u, LRouterTransit):
-        return (f"route {u.sender}->{u.receiver} [{u.chosen.name} in flight] "
-                + _fmt_branches(u.branches, _show_local, ind))
-    raise InvalidType(type(u).__name__)
+    if isinstance(u, (GRec, LRec)):
+        return f"rec {u.var} . {_show(u.body, ind, grammar)}"
+    if type(u) not in _PREFIX:
+        raise InvalidType(type(u).__name__)
+    prefix = _PREFIX[type(u)].format(u)
+    if len(u.branches) == 1:
+        lbl, cont = u.branches[0]
+        return f"{prefix}{lbl} . {_show(cont, ind, grammar)}"
+    pad = "  " * (ind + 1)
+    inner = ",\n".join(f"{pad}{lbl}: {_show(cont, ind + 1, grammar)}"
+                        for lbl, cont in u.branches)
+    return prefix + "{\n" + inner + "\n" + "  " * ind + "}"

@@ -75,16 +75,11 @@ def _encode_local(t: LocalType, q: Role, s: Role) -> LocalType:
         return t
     if isinstance(t, LRec):
         return LRec(t.var, _encode_local(t.body, q, s))
-    if isinstance(t, LSelect):
+    if isinstance(t, (LSelect, LBranch)):
         branches = tuple((lbl, _encode_local(c, q, s)) for lbl, c in t.branches)
         if s in (t.peer, q):
-            return LSelect(t.peer, branches)
-        return LRoutedSelect(t.peer, s, branches)
-    if isinstance(t, LBranch):
-        branches = tuple((lbl, _encode_local(c, q, s)) for lbl, c in t.branches)
-        if s in (t.peer, q):
-            return LBranch(t.peer, branches)
-        return LRoutedBranch(t.peer, s, branches)
+            return _with_branches(t, branches)
+        return (LRoutedSelect if isinstance(t, LSelect) else LRoutedBranch)(t.peer, s, branches)
     raise NotCanonical(f"cannot encode non-canonical construct {type(t).__name__}")
 
 

@@ -22,7 +22,7 @@ after them have no counterpart in the type grammar and are rejected.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from collections import namedtuple
 
 from .core import (
     Field, GComm, GEnd, GRec, GVar, GlobalType, MsgLabel, Role, free_vars, record, validate,
@@ -158,11 +158,8 @@ _TOKEN = re.compile(r"""
 """, re.VERBOSE)
 
 
-class _Token(NamedTuple):
-    kind: str  # "ident", "string", "punct", "eof"
-    text: str
-    line: int
-    col: int
+# `kind` is "ident", "string", "punct" or "eof".
+_Token = namedtuple("_Token", "kind text line col")
 
 
 def _tokenize(text: str, filename: str) -> list[_Token]:

@@ -47,6 +47,7 @@ from .core import (
     Role, SEND, _with_branches, branch_for, direct_recv, direct_send,
     participants, record, routed_recv, routed_send, validate,
 )
+from .encoding import _encode_global
 from .projection import project
 
 Steps = list[tuple[ActionLabel, GlobalType]]
@@ -429,8 +430,8 @@ class Tables:
     """The step tables of one run of several checks: one interner, one
     global `StepTable` (role None) and one local `StepTable` per role, each
     made when first asked for.  A check that shares them finds the steps
-    and edges an earlier check derived, and the projections an earlier
-    check or precondition made.
+    and edges an earlier check derived, and the projections and encodings
+    an earlier check or precondition made.
 
     The tables follow `RULES` as it was when this object was made; `table`
     raises RuleTableChanged if `RULES` has changed since."""
@@ -440,6 +441,7 @@ class Tables:
         self.ids = _StepIds()
         self._tables: dict[Role | None, StepTable] = {}
         self._projected: dict[tuple[int, Role], tuple[GlobalType, LocalType]] = {}
+        self._encoded: dict[Role, dict] = {}
 
     def project(self, g: GlobalType, r: Role) -> LocalType:
         """`projection.project(g, r)`, made once per (type object, role) for
@@ -450,6 +452,12 @@ class Tables:
         if met is None:
             met = self._projected[key] = (g, project(g, r))
         return met[1]
+
+    def encode(self, g: GlobalType, s: Role) -> GlobalType:
+        """`encoding.encode_global(g, s)`, made once per (type object, router)
+        for this object's life: one identity memo per router, so encodings
+        share subterms as their inputs do."""
+        return _encode_global(g, s, self._encoded.setdefault(s, {}))
 
     def table(self, role: Role | None = None) -> StepTable:
         if self.rules != RULES:

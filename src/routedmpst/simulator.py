@@ -1,10 +1,12 @@
 """Deterministic in-process session execution.
 
 One logical endpoint per role is driven by the state machine of its canonical
-projection; the wire layer routes client-to-client traffic through the router
-endpoint, which inspects envelope metadata and forwards anything not
-addressed to itself.  Cancellation by any endpoint travels to the router and
-is propagated to every other role, after which no data is delivered.
+projection.  Given a canonical protocol, the wire layer delivers
+client-to-client traffic directly; given the protocol's routed encoding, it
+routes that traffic through the router endpoint, which inspects envelope
+metadata and forwards anything not addressed to itself.  Cancellation by any
+endpoint travels to the router and is propagated to every other role, after
+which no data is delivered.
 
 Observable behaviour (delivery order, payload bytes, observations) is a pure
 function of the protocol, the scripts and the configuration seed.
@@ -21,7 +23,6 @@ from .core import (
 )
 from .analysis import StateBudgetExceeded
 from .efsm import Efsm, STATE_RECEIVE, STATE_SEND, STATE_TERMINAL, build_efsm
-from .encoding import encode_global
 from .projection import project
 from .semantics import ActionLabel, CompiledConfigurations, Tables, project_configuration
 from .wellformed import check_wf_routed
@@ -245,7 +246,7 @@ def _decode_routed(g: GlobalType, router: Role) -> GlobalType:
 
 def run_session(g: GlobalType, router: Role,
                 scripts: dict[Role, ChoicePolicy] | None = None,
-                cfg: SimConfig = SimConfig(), *, encoded: GlobalType | None = None,
+                cfg: SimConfig = SimConfig(), *,
                 tables: Tables | None = None) -> SessionLog:
     """Execute one session deterministically and return its delivery log.
 
@@ -255,15 +256,14 @@ def run_session(g: GlobalType, router: Role,
     observations do not depend on the mode.  Raises SimulatorError if
     `cfg.cancel_injection` names a role outside the session.
 
-    `encoded`, if given, is `encode_global` of the canonical protocol through
-    `router`, and the realisability precondition projects it with `tables`:
-    a caller that validates the log next passes both to `validate_log` too.
+    The realisability precondition encodes the canonical protocol and
+    projects its encoding with `tables` (fresh ones if None): a caller that
+    validates the log next passes the same tables to `validate_log`.
     """
     canonical = _decode_routed(g, router)
     routed_mode = canonical is not g
-    if encoded is None:
-        encoded = encode_global(canonical, router)
-    wf = check_wf_routed(encoded, router, tables=tables)
+    tables = Tables() if tables is None else tables
+    wf = check_wf_routed(tables.encode(canonical, router), router, tables=tables)
     if not wf.ok:
         raise SimulatorError(f"protocol not realisable through {router}: {wf.describe()}")
 
@@ -451,7 +451,7 @@ def _delivery_key(label: ActionLabel):
 
 
 def validate_log(g: GlobalType, router: Role, log: SessionLog,
-                 state_cap: int = VALIDATION_STATE_CAP, *, encoded: GlobalType | None = None,
+                 state_cap: int = VALIDATION_STATE_CAP, *,
                  tables: Tables | None = None) -> Violation | bool:
     """Check that the log's data-envelope prefix is realisable: there must be
     an interleaving of sends under which the configuration LTS of the encoded
@@ -460,10 +460,10 @@ def validate_log(g: GlobalType, router: Role, log: SessionLog,
     Returns True on success, otherwise a `Violation` naming the first data
     envelope (0-based among them) that no interleaving can deliver.  Raises
     StateBudgetExceeded after `state_cap` configurations are expanded.
-    `encoded` and `tables` are as for `run_session`.
+    `tables` is as for `run_session`.
     """
-    if encoded is None:
-        encoded = encode_global(_decode_routed(g, router), router)
+    tables = Tables() if tables is None else tables
+    encoded = tables.encode(_decode_routed(g, router), router)
     deliveries: list[Envelope] = []
     for rec in log.records:
         if rec.envelope.kind != DATA:

@@ -9,8 +9,7 @@ canonical forms before any structural case, as an oracle for the
 structural-first one in `routedmpst.projection`."""
 
 from routedmpst.core import (
-    GEnd, GRec, GVar, LBranch, LEnd, LRec, LRoutedBranch, LVar, _node_branches,
-    _with_branches, validate,
+    GEnd, GRec, GVar, LBranch, LEnd, LRec, LRoutedBranch, LVar, _with_branches, validate,
 )
 from routedmpst.projection import MergeFailure
 
@@ -27,7 +26,7 @@ def free_vars(t) -> frozenset[str]:
         return frozenset((t.var,))
     if isinstance(t, (GRec, LRec)):
         return free_vars(t.body) - {t.var}
-    return frozenset().union(*(free_vars(c) for _, c in _node_branches(t)))
+    return frozenset().union(*(free_vars(c) for _, c in t.branches))
 
 
 def _canonical(u, env, depth, reserved):
@@ -45,7 +44,7 @@ def _canonical(u, env, depth, reserved):
         inner[u.var] = name
         return type(u)(name, _canonical(u.body, inner, depth + 1, reserved))
     branches = tuple(sorted(((lbl, _canonical(c, env, depth, reserved))
-                             for lbl, c in _node_branches(u)),
+                             for lbl, c in u.branches),
                             key=lambda item: item[0].name))
     return _with_branches(u, branches)
 

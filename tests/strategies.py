@@ -9,8 +9,7 @@ import hypothesis.strategies as st
 
 from routedmpst.core import (
     GComm, GEnd, GRec, GVar, LBranch, LEnd, LRec, LRoutedBranch,
-    LRoutedSelect, LSelect, LVar, LocalType, MsgLabel, Role, _node_branches,
-    _with_branches,
+    LRoutedSelect, LSelect, LVar, LocalType, MsgLabel, Role, _with_branches,
 )
 
 ROLE_POOL = tuple(Role(n) for n in ("A", "B", "C", "D"))
@@ -140,9 +139,9 @@ def with_unused_binders(draw, t):
         return t
     if isinstance(t, (GRec, LRec)):
         t = type(t)(t.var, draw(with_unused_binders(t.body)))
-    elif _node_branches(t) is not None:
+    elif getattr(t, "branches", None) is not None:
         t = _with_branches(t, tuple((lbl, draw(with_unused_binders(c)))
-                                    for lbl, c in _node_branches(t)))
+                                    for lbl, c in t.branches))
     rec = LRec if isinstance(t, LocalType) else GRec
     for i in range(draw(st.integers(0, 2))):
         t = rec(f"unused{i}", t)

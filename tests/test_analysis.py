@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 
 from routedmpst.analysis import (
-    FAIL, INCONCLUSIVE, PreconditionError, check_deadlock_freedom,
+    FAIL, INCONCLUSIVE, PreconditionError, StateBudgetExceeded, check_deadlock_freedom,
     check_encoding_bisim, check_trace_equivalence, config_traces,
     global_traces, reachable_states,
 )
@@ -16,6 +16,7 @@ from routedmpst.encoding import encode_global
 from routedmpst.semantics import config_steps, global_steps, project_configuration
 
 import naive_enumerator
+from trace_set_oracle import is_prefix_closed
 from mutation import rules_disabled
 from corpus import (
     CORPUS_ROUTERS, G_EX, G_EX_ROUTED, G_TRAVEL, G_TRAVEL_ROUTED, M1, M2, P,
@@ -50,8 +51,8 @@ def test_global_traces_of_end():
 
 def test_trace_sets_are_prefix_closed():
     for g in (G_EX, G_EX_ROUTED, G_TRAVEL):
-        assert global_traces(g, 5).is_prefix_closed()
-        assert config_traces(g, 5).is_prefix_closed()
+        assert is_prefix_closed(global_traces(g, 5))
+        assert is_prefix_closed(config_traces(g, 5))
 
 
 def test_global_traces_agree_with_naive_enumerator():
@@ -266,6 +267,23 @@ def test_reachable_states_budget():
     states = reachable_states(G_TRAVEL_ROUTED, 6)
     assert canonicalize(G_TRAVEL_ROUTED) in states
     assert len(states) > 5
+
+
+def test_trace_sets_and_reachable_states_share_one_state_budget():
+    # Both expand through `_explore`: at every cap, both finish or both
+    # raise, counting the same states.
+    outcomes = []
+    for cap in range(1, 12):
+        both = []
+        for run in (global_traces, reachable_states):
+            try:
+                run(G_TRAVEL_ROUTED, 4, cap)
+                both.append(None)
+            except StateBudgetExceeded as exc:
+                both.append(exc.states)
+        assert both[0] == both[1], cap
+        outcomes.append(both[0])
+    assert outcomes[0] is not None and outcomes[-1] is None
 
 
 def test_report_lines_machine_readable_format():

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from routedmpst.core import (
-    CanonicalIds, GRec, LRec, LSelect, LVar, MsgLabel, _node_branches,
-    _with_branches, free_vars, unfold_once,
+    CanonicalIds, GRec, LRec, LSelect, LVar, MsgLabel, _with_branches, free_vars,
+    unfold_once,
 )
 from routedmpst.projection import MergeFailure, _canonically_equal, project
 from routedmpst.semantics import global_steps, local_steps
@@ -27,7 +27,7 @@ def _subterms(t):
     yield t
     if isinstance(t, (GRec, LRec)):
         yield from _subterms(t.body)
-    for _, c in _node_branches(t) or ():
+    for _, c in getattr(t, "branches", None) or ():
         yield from _subterms(c)
 
 
@@ -59,10 +59,9 @@ def _mirrored(t):
     """`t` with the branches of every node in reverse order."""
     if isinstance(t, (GRec, LRec)):
         return type(t)(t.var, _mirrored(t.body))
-    if _node_branches(t) is None:
+    if getattr(t, "branches", None) is None:
         return t
-    return _with_branches(t, tuple((lbl, _mirrored(c))
-                                   for lbl, c in reversed(_node_branches(t))))
+    return _with_branches(t, tuple((lbl, _mirrored(c)) for lbl, c in reversed(t.branches)))
 
 
 @st.composite

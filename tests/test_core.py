@@ -1,9 +1,9 @@
 import pytest
 
 from routedmpst.core import (
-    GComm, GEnd, GRec, GRouted, GVar, InvalidType, MsgLabel, NotRecursive,
-    Role, canonicalize, direct_send, free_vars,
-    participants, routed_send, unfold_once, validate,
+    GComm, GEnd, GRec, GRouted, GVar, GlobalType, InvalidType, LEnd, LSelect, MsgLabel,
+    NotRecursive, Role, canonicalize, direct_send, free_vars, participants, pretty_global,
+    pretty_local, routed_send, unfold_once, validate,
 )
 
 from corpus import A, B, G_TRAVEL, M1, P, Q, S, SR, one
@@ -158,6 +158,24 @@ def test_validate_rejects_router_overlap():
         validate(GRouted(P, Q, P, one(M1, GEnd())))
 
 
+def test_validate_rejects_unknown_nodes():
+    class GOther(GlobalType):
+        pass
+    with pytest.raises(InvalidType, match="unknown node GOther"):
+        validate(GComm(A, B, one(M1, GOther())))
+
+
 def test_free_vars():
     g = GRec("t", GComm(A, B, ((M1, GVar("t")), (MsgLabel("M2"), GVar("u")))))
     assert free_vars(g) == frozenset({"u"})
+
+
+@pytest.mark.parametrize("printer, t", [
+    (pretty_global, LEnd()),
+    (pretty_local, GEnd()),
+    (pretty_global, GRec("t", GComm(A, B, one(M1, LEnd())))),
+    (pretty_local, LSelect(A, one(M1, GEnd()))),
+], ids=["global-of-LEnd", "local-of-GEnd", "global-over-local", "local-over-global"])
+def test_each_printer_rejects_the_other_grammar(printer, t):
+    with pytest.raises(InvalidType):
+        printer(t)

@@ -209,14 +209,15 @@ def test_the_machines_cached_index_is_per_instance_and_survives_copies():
 
 
 def test_importing_the_cli_loads_no_dataclasses():
+    # Without `site` (`-S`), which on some installs loads modules of its own.
     script = ("import json, sys; before = set(sys.modules); import routedmpst.cli; "
               "print(json.dumps(sorted(set(sys.modules) - before)))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    loaded = json.loads(subprocess.run([sys.executable, "-c", script], env=env,
+    loaded = json.loads(subprocess.run([sys.executable, "-S", "-c", script], env=env,
                                        capture_output=True, text=True, timeout=60,
                                        check=True).stdout)
-    assert "dataclasses" not in loaded
+    assert not {"dataclasses", "typing", "importlib.resources"} & set(loaded)
     modules = ["analysis", "cli", "codegen", "core", "efsm", "encoding", "projection",
                "scribble", "semantics", "simulator", "wellformed"]
     assert [m for m in loaded if m.startswith("routedmpst")] == \

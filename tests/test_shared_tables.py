@@ -93,25 +93,48 @@ def test_verify_projects_each_role_of_each_type_once(monkeypatch, capsys):
     assert len(calls) == 6
 
 
+def _encodings(monkeypatch, protocol):
+    """The encodings of `protocol` that `Tables.encode` returns while the
+    test runs.  The `encode` command's `encode_global` fails the test: an op
+    encodes only through its `Tables`."""
+    made = []
+
+    def counting(self, g, s, real=Tables.encode):
+        out = real(self, g, s)
+        if g == protocol:
+            made.append(out)
+        return out
+    monkeypatch.setattr(Tables, "encode", counting)
+    monkeypatch.setattr(cli, "encode_global", lambda g, s: pytest.fail("encode_global"))
+    return made
+
+
+def test_verify_encodes_its_protocol_once(monkeypatch, capsys):
+    # The encoded trace equivalence and deadlock checks take the encoding
+    # `cli` makes, and the bisimulation finds it again for its initial state.
+    made = _encodings(monkeypatch, load("Battleships"))
+    path = str(PROTOCOL_DIR / "Battleships.scr")
+    assert main(["verify", path, "Battleships", "--router", CORPUS_ROUTERS["Battleships"]]) == 0
+    capsys.readouterr()
+    assert len(made) == 2 and made[0] is made[1]
+
+
 def test_simulate_encodes_once_and_projects_each_role_of_each_type_once(monkeypatch, capsys):
-    # As above; `encode_global` is counted where `cli` and `simulator` call it.
-    calls, encodings = [], []
+    # As above; the precondition of `run_session` and `validate_log` each
+    # ask `Tables.encode` for the encoding.
+    calls = []
     for module in (cli, semantics, simulator, wellformed):
         def counting(g, r, real=module.project):
             calls.append((g, r))
             return real(g, r)
         monkeypatch.setattr(module, "project", counting)
-    for module in (cli, simulator):
-        def encoding(g, s, real=module.encode_global):
-            encodings.append(g)
-            return real(g, s)
-        monkeypatch.setattr(module, "encode_global", encoding)
+    made = _encodings(monkeypatch, load("TravelAgency"))
     path = str(PROTOCOL_DIR / "TravelAgency.scr")
     assert main(["simulate", path, "TravelAgency", "--router", "S"]) == 0
     assert capsys.readouterr().out.endswith("# conformance=ok\n")
     # The protocol (for the machines) and its encoding (for the precondition
     # and the log check), each projected onto A, B and S.
-    assert len(encodings) == 1
+    assert len(made) == 2 and made[0] is made[1]
     assert len({(id(g), r) for g, r in calls}) == 6
     assert len(calls) == 6
 

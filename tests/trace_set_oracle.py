@@ -1,6 +1,7 @@
 """A reference trace equivalence: the earlier definition, which builds both
 bounded trace sets whole and compares them.  Kept as an oracle for the
-pair search of `routedmpst.analysis.check_trace_equivalence`."""
+pair search of `routedmpst.analysis.check_trace_equivalence`.  Also the
+prefix-closure law of a `routedmpst.analysis.TraceSet`."""
 
 from routedmpst.analysis import config_traces, global_traces
 
@@ -15,3 +16,8 @@ def trace_difference(g, depth):
         return None
     witness = min(gset ^ cset, key=lambda tr: (len(tr), tuple(a.sort_key() for a in tr)))
     return witness, "global-only" if witness in gset else "configuration-only"
+
+
+def is_prefix_closed(trace_set):
+    """Every trace's prefix one label shorter is in the set too."""
+    return all(trace[:-1] in trace_set.traces for trace in trace_set.traces if trace)
