@@ -7,9 +7,9 @@ Diagnostics go to stderr, data to stdout.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .analysis import (
     DEFAULT_STATE_CAP, PreconditionError, StateBudgetExceeded,
@@ -49,6 +49,7 @@ def _int_at_least(low: int):
     def convert(text: str) -> int:
         value = int(text)
         if value < low:
+            import argparse  # a command that runs never loads it
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
     convert.__name__ = "int"  # keeps argparse's "invalid int value" message
@@ -225,37 +226,71 @@ _COMMANDS = {
 }
 
 
-def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    _, fn, arguments = _COMMANDS[name]
-    for flags, options in arguments:
-        parser.add_argument(*flags, **options)
-    parser.set_defaults(fn=fn)
-    return parser
-
-
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # its first use costs milliseconds: help and usage errors only
     parser = argparse.ArgumentParser(
         prog="routedmpst",
         description="Routed multiparty session type toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, _, _) in _COMMANDS.items():
-        _add_command(sub.add_parser(name, help=help_line), name)
+    for name, (help_line, fn, arguments) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_line)
+        for flags, options in arguments:
+            command.add_argument(*flags, **options)
+        command.set_defaults(fn=fn)
     return parser
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """`build_parser().parse_args(argv)`, building only the named command's
-    parser when that is enough: building every command's parser costs
-    milliseconds, a large share of a small command.  Anything the
-    one-command parser leaves over, and any first argument that is not a
-    command, goes to the full parser, so help and usage errors read as it
-    words them."""
-    if argv and argv[0] in _COMMANDS:
-        parser = _add_command(argparse.ArgumentParser(prog=f"routedmpst {argv[0]}"), argv[0])
-        args, rest = parser.parse_known_args(argv[1:])
-        if not rest:
-            return args
-    return build_parser().parse_args(argv)
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace `build_parser()` makes of a plain argv, read from its
+    command's `_COMMANDS` entry.  None for a first word that is no command, a
+    word that starts with "-" and is no flag of the command (help, `--opt=x`,
+    `--`, abbreviations, negative numbers), a flag without a value or with one
+    that starts with "-", a value its type or choices reject, a missing or
+    surplus argument."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, fn, arguments = _COMMANDS[argv[0]]
+    flags = {f: (names, options) for names, options in arguments
+             for f in names if f.startswith("-")}
+    positionals = [(names, options) for names, options in arguments
+                   if not names[0].startswith("-")]
+    given, words = {}, iter(argv[1:])
+    for word in words:
+        if word in flags:
+            names, options = flags[word]
+            if options.get("action") == "store_true":
+                given[names] = True
+                continue
+            word = next(words, "-")
+        elif positionals:
+            names, options = positionals.pop(0)
+        else:
+            return None
+        if word.startswith("-"):
+            return None
+        try:
+            value = options.get("type", str)(word)
+        except Exception:  # the full parser words it, or raises it, as argparse does
+            return None
+        if value not in options.get("choices", (value,)):
+            return None
+        given[names] = value
+    values = {"command": argv[0], "fn": fn}
+    for names, options in arguments:
+        if names not in given and (options.get("required") or not names[0].startswith("-")):
+            return None
+        # argparse's dest: the first long flag, else the first name
+        dest = next((f for f in names if f.startswith("--")), names[0])
+        values[dest.lstrip("-").replace("-", "_")] = given.get(names, options.get(
+            "default", False if options.get("action") == "store_true" else None))
+    return SimpleNamespace(**values)
+
+
+def _parse(argv: list[str]) -> SimpleNamespace | argparse.Namespace:
+    """`build_parser().parse_args(argv)`; argparse, whose first use costs
+    milliseconds, only where `_read_argv` does not read `argv`."""
+    args = _read_argv(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv: list[str] | None = None) -> int:

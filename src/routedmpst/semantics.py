@@ -430,8 +430,8 @@ class Tables:
     """The step tables of one run of several checks: one interner, one
     global `StepTable` (role None) and one local `StepTable` per role, each
     made when first asked for.  A check that shares them finds the steps
-    and edges an earlier check derived, and the projections and encodings
-    an earlier check or precondition made.
+    and edges an earlier check derived, and the projections, encodings and
+    decodings an earlier check or precondition made.
 
     The tables follow `RULES` as it was when this object was made; `table`
     raises RuleTableChanged if `RULES` has changed since."""
@@ -440,18 +440,22 @@ class Tables:
         self.rules = dict(RULES)
         self.ids = _StepIds()
         self._tables: dict[Role | None, StepTable] = {}
-        self._projected: dict[tuple[int, Role], tuple[GlobalType, LocalType]] = {}
+        self._once: dict[tuple, tuple] = {}
         self._encoded: dict[Role, dict] = {}
 
-    def project(self, g: GlobalType, r: Role) -> LocalType:
-        """`projection.project(g, r)`, made once per (type object, role) for
-        this object's life.  Each entry keeps its type, so an id is not
-        reused; a MergeFailure is raised again on every call, not kept."""
-        key = (id(g), r)
-        met = self._projected.get(key)
+    def once(self, fn, g: GlobalType, r: Role):
+        """`fn(g, r)`, made once per (function, type object, role) for this
+        object's life.  Each entry keeps its type, so an id is not reused;
+        an exception is raised again on every call, not kept."""
+        key = (fn, id(g), r)
+        met = self._once.get(key)
         if met is None:
-            met = self._projected[key] = (g, project(g, r))
+            met = self._once[key] = (g, fn(g, r))
         return met[1]
+
+    def project(self, g: GlobalType, r: Role) -> LocalType:
+        """`projection.project(g, r)`, made once per (type object, role)."""
+        return self.once(project, g, r)
 
     def encode(self, g: GlobalType, s: Role) -> GlobalType:
         """`encoding.encode_global(g, s)`, made once per (type object, router)

@@ -260,9 +260,9 @@ def run_session(g: GlobalType, router: Role,
     projects its encoding with `tables` (fresh ones if None): a caller that
     validates the log next passes the same tables to `validate_log`.
     """
-    canonical = _decode_routed(g, router)
-    routed_mode = canonical is not g
     tables = Tables() if tables is None else tables
+    canonical = tables.once(_decode_routed, g, router)
+    routed_mode = canonical is not g
     wf = check_wf_routed(tables.encode(canonical, router), router, tables=tables)
     if not wf.ok:
         raise SimulatorError(f"protocol not realisable through {router}: {wf.describe()}")
@@ -463,7 +463,7 @@ def validate_log(g: GlobalType, router: Role, log: SessionLog,
     `tables` is as for `run_session`.
     """
     tables = Tables() if tables is None else tables
-    encoded = tables.encode(_decode_routed(g, router), router)
+    encoded = tables.encode(tables.once(_decode_routed, g, router), router)
     deliveries: list[Envelope] = []
     for rec in log.records:
         if rec.envelope.kind != DATA:

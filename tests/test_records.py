@@ -2,7 +2,8 @@
 reference `dataclasses.dataclass` built from the same fields and options:
 construction, `==`, hash, ordering, repr, `__match_args__`, the frozen
 guard, pickle and copy.  And importing the CLI does not load `dataclasses`,
-whose code generation the records exist to avoid."""
+whose code generation the records exist to avoid, nor `argparse`, which only
+help and usage errors need."""
 
 import copy
 import dataclasses
@@ -217,7 +218,8 @@ def test_importing_the_cli_loads_no_dataclasses():
     loaded = json.loads(subprocess.run([sys.executable, "-S", "-c", script], env=env,
                                        capture_output=True, text=True, timeout=60,
                                        check=True).stdout)
-    assert not {"dataclasses", "typing", "importlib.resources"} & set(loaded)
+    assert not {"dataclasses", "typing", "importlib.resources", "argparse", "gettext",
+                "locale"} & set(loaded)
     modules = ["analysis", "cli", "codegen", "core", "efsm", "encoding", "projection",
                "scribble", "semantics", "simulator", "wellformed"]
     assert [m for m in loaded if m.startswith("routedmpst")] == \

@@ -139,6 +139,27 @@ def test_simulate_encodes_once_and_projects_each_role_of_each_type_once(monkeypa
     assert len(calls) == 6
 
 
+@pytest.mark.parametrize("routed", [False, True], ids=["canonical", "routed"])
+def test_a_session_and_its_log_check_project_each_role_of_each_type_once(
+        monkeypatch, routed):
+    # The machines run the protocol's projections, the precondition and the
+    # log check its encoding's; a routed input is decoded once, so the
+    # encoding memo finds the same protocol object both times.
+    calls = []
+    for module in (semantics, simulator, wellformed):
+        def counting(g, r, real=module.project):
+            calls.append((g, r))
+            return real(g, r)
+        monkeypatch.setattr(module, "project", counting)
+    router = Role("S")
+    g = encode_global(load("TravelAgency"), router) if routed else load("TravelAgency")
+    tables = Tables()
+    log = simulator.run_session(g, router, tables=tables)
+    assert simulator.validate_log(g, router, log, tables=tables) is True
+    assert len({(id(g), r) for g, r in calls}) == 6
+    assert len(calls) == 6
+
+
 def test_tables_made_under_other_rules_raise():
     g, router = load("TravelAgency"), Role("S")
     before = Tables()
