@@ -11,7 +11,7 @@ from .core import (
     GlobalType, InvalidType, LBranch, LEnd, LRec, LRouter, LRouterTransit,
     LRoutedBranch, LRoutedSelect, LSelect, LVar, LocalType, MsgLabel,
     NotRecursive, Role, canonicalize, direct_recv, direct_send, free_vars,
-    is_closed, participants, pretty_global, pretty_local, routed_recv,
+    participants, pretty_global, pretty_local, routed_recv,
     routed_send, unfold_once, validate,
 )
 from .scribble import ProtocolDecl, ScribbleError, elaborate, parse_module, pretty_module

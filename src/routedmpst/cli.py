@@ -246,7 +246,7 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
     word that starts with "-" and is no flag of the command (help, `--opt=x`,
     `--`, abbreviations, negative numbers), a flag without a value or with one
     that starts with "-", a value its type or choices reject, a missing or
-    surplus argument."""
+    surplus argument.  A lone "-" is a value, as argparse reads it."""
     if not argv or argv[0] not in _COMMANDS:
         return None
     _, fn, arguments = _COMMANDS[argv[0]]
@@ -261,12 +261,12 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
             if options.get("action") == "store_true":
                 given[names] = True
                 continue
-            word = next(words, "-")
+            word = next(words, None)
         elif positionals:
             names, options = positionals.pop(0)
         else:
             return None
-        if word.startswith("-"):
+        if word is None or (word.startswith("-") and word != "-"):
             return None
         try:
             value = options.get("type", str)(word)

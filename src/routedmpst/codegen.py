@@ -2,11 +2,12 @@
 
 Emission is template-driven: fragments live in data files using a
 `{{placeholder}}` grammar ({{role}}, {{state}}, {{label}}, {{payloads}},
-{{successor}}, {{peer}}, {{args}}, {{items}}, ...) and may target any surface
-syntax; the shipped defaults mimic TypeScript declarations.  Four units are
-produced per role: message shapes, handler signatures, state classes, and
-state factories with Initial/Terminal aliases.  Output is a pure function of
-(machine, flavor, templates) and byte-identical across runs.
+{{successor}}, {{peer}}, {{args}}, {{items}}, ...) and mimic TypeScript
+declarations, as do the union members, fields and argument lists that
+`emit_skeleton` writes itself.  Four units are produced per role: message
+shapes, handler signatures, state classes, and state factories with
+Initial/Terminal aliases.  Output is a pure function of (machine, flavor) and
+byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -105,8 +106,7 @@ def _args(tr) -> str:
                      for i, sort in enumerate(tr.action.msg.payload_sorts))
 
 
-def emit_skeleton(e: Efsm, flavor: str,
-                  templates: dict[str, str] | None = None) -> dict[str, str]:
+def emit_skeleton(e: Efsm, flavor: str) -> dict[str, str]:
     """Emit the four skeleton units for one role's machine.
 
     Returns a mapping of file name to file text; the caller owns placement
@@ -116,7 +116,7 @@ def emit_skeleton(e: Efsm, flavor: str,
     """
     if flavor not in FLAVORS:
         raise UnsupportedFlavor(f"flavor must be one of {FLAVORS}, got {flavor!r}")
-    frag = templates if templates is not None else _default_templates(flavor)
+    frag = _default_templates(flavor)
     header = _fill(frag["file_header"], role=e.role.name, flavor=flavor)
 
     messages: list[str] = [header]
@@ -124,7 +124,7 @@ def emit_skeleton(e: Efsm, flavor: str,
     states: list[str] = [header]
     factories: list[str] = [header]
 
-    if flavor == "server" and "state_preamble" in frag:
+    if flavor == "server":
         states.append(frag["state_preamble"])
 
     terminal_id = None

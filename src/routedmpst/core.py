@@ -543,10 +543,6 @@ def free_vars(t: AnyType) -> frozenset[str]:
     return frozenset().union(*(free_vars(c) for _, c in t.branches))
 
 
-def is_closed(t: AnyType) -> bool:
-    return not free_vars(t)
-
-
 def substitute(t: AnyType, var: str, replacement: AnyType) -> AnyType:
     """Substitute `replacement` for free occurrences of `var` in `t`.
 
@@ -748,12 +744,12 @@ _PREFIX = {
 }
 
 
-def pretty_global(g: GlobalType, indent: int = 0) -> str:
-    return _show(g, indent, GlobalType)
+def pretty_global(g: GlobalType) -> str:
+    return _show(g, 0, GlobalType)
 
 
-def pretty_local(t: LocalType, indent: int = 0) -> str:
-    return _show(t, indent, LocalType)
+def pretty_local(t: LocalType) -> str:
+    return _show(t, 0, LocalType)
 
 
 def _show(u: AnyType, ind: int, grammar: type) -> str:

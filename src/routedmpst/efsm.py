@@ -40,14 +40,6 @@ class EfsmTransition:
     target: int
     action: ActionLabel
 
-    @property
-    def direction(self) -> str:
-        return self.action.direction
-
-    @property
-    def via(self) -> Role | None:
-        return self.action.via
-
     def display(self, self_role: Role) -> str:
         """Diagram edge label, e.g. "B?Suggest" or "B!Quote (via S)"."""
         act = self.action
@@ -80,10 +72,6 @@ class Efsm:
         for tr in self.transitions:
             by_source.setdefault(tr.source, []).append(tr)
         return {sid: tuple(trs) for sid, trs in by_source.items()}
-
-    @property
-    def terminal_ids(self) -> tuple[int, ...]:
-        return tuple(s.id for s in self.states if s.kind == STATE_TERMINAL)
 
 
 def _kind_of(actions) -> str:

@@ -122,11 +122,6 @@ def _steps(t: AnyType, me: Role | None, ids: _StepIds,
     return out
 
 
-def no_steps(node, me, ids, stack) -> list:
-    """A rule that never fires."""
-    return []
-
-
 def _unfold(node, me, ids, stack) -> list:
     """Gr3, Lr3: a recursion binder steps as its unfolding.  Cut at canonical
     repeats: the prefix rules propagate one label downward, so a derivable
@@ -293,18 +288,6 @@ class Configuration:
     def roles(self) -> tuple[Role, ...]:
         return tuple(r for r, _ in self.locals)
 
-    def local(self, r: Role) -> LocalType:
-        for role, t in self.locals:
-            if role == r:
-                return t
-        raise KeyError(r)
-
-    def buffer(self, p: Role, q: Role) -> tuple[MsgLabel, ...]:
-        for pair, content in self.buffers:
-            if pair == (p, q):
-                return content
-        raise KeyError((p, q))
-
     def _update(self, role_updates: dict[Role, LocalType],
                 buffer_updates: dict[RolePair, tuple[MsgLabel, ...]]) -> "Configuration":
         return Configuration(
@@ -316,10 +299,6 @@ class Configuration:
     def canonical(self) -> "Configuration":
         ids = CanonicalIds()
         return Configuration(tuple((r, ids.form(ids.of(t))) for r, t in self.locals), self.buffers)
-
-    def is_terminal(self) -> bool:
-        return all(isinstance(t, LEnd) for _, t in self.locals) and \
-            all(not content for _, content in self.buffers)
 
 
 def config_steps(c: Configuration) -> list[tuple[ActionLabel, Configuration]]:
@@ -510,13 +489,6 @@ class CompiledConfigurations:
 
     def buffer(self, key, p: Role, q: Role) -> tuple[MsgLabel, ...]:
         return key[1][self._pair_index[(p, q)]]
-
-    def configuration(self, key) -> Configuration:
-        """The canonical configuration a key stands for."""
-        sids, contents = key
-        return Configuration(
-            locals=tuple((t.role, t.ids.form(sid)) for t, sid in zip(self.tables, sids)),
-            buffers=tuple(zip(self.pairs, contents)))
 
 
 def project_configuration(g: GlobalType, *, tables: Tables | None = None) -> Configuration:

@@ -103,12 +103,6 @@ class SessionLog:
     def data_records(self) -> tuple[LogRecord, ...]:
         return tuple(r for r in self.records if r.envelope.kind == DATA)
 
-    def observed(self, role: Role) -> tuple[tuple[str, str, str], ...]:
-        for r, events in self.observations:
-            if r == role:
-                return events
-        raise KeyError(role)
-
     def serialize(self) -> str:
         return "\n".join(r.line() for r in self.records) + ("\n" if self.records else "")
 
@@ -128,29 +122,6 @@ class ChoicePolicy:
     def choose(self, state_id: int, labels: tuple[MsgLabel, ...],
                rng: random.Random) -> MsgLabel:
         raise NotImplementedError
-
-
-class FixedScript(ChoicePolicy):
-    """Selects labels from a fixed list, by name, in order."""
-
-    def __init__(self, labels):
-        self._labels = list(labels)
-        self._next = 0
-
-    def choose(self, state_id, labels, rng):
-        if self._next >= len(self._labels):
-            raise ConformanceViolation("fixed script exhausted")
-        want = self._labels[self._next]
-        self._next += 1
-        for lbl in labels:
-            if lbl.name == want:
-                return lbl
-        raise ConformanceViolation(f"scripted label {want!r} not enabled")
-
-
-class SeededRandomPolicy(ChoicePolicy):
-    def choose(self, state_id, labels, rng):
-        return labels[rng.randrange(len(labels))]
 
 
 class BoundedLoopPolicy(ChoicePolicy):

@@ -6,7 +6,7 @@ as an oracle for the one in `routedmpst.efsm`, which keys states by
 
 import json
 
-from routedmpst.core import LRec, canonicalize, is_closed, unfold_once, validate
+from routedmpst.core import LRec, canonicalize, free_vars, unfold_once, validate
 from routedmpst.efsm import Efsm, EfsmState, EfsmTransition, _kind_of
 from routedmpst.semantics import local_head_steps
 
@@ -19,7 +19,7 @@ def _unwrap(t):
 
 def build_efsm(t, self_role):
     validate(t)
-    if not is_closed(t):
+    if free_vars(t):
         raise ValueError("EFSM construction requires a closed local type")
 
     ids = {}

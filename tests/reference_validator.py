@@ -67,7 +67,7 @@ class ReferenceValidator:
                         next_frontier.add(succ)
                     elif label.direction == SEND:
                         pair = (label.sender, label.receiver)
-                        if len(conf.buffer(*pair)) >= needed[i].get(pair, 0):
+                        if len(dict(conf.buffers)[pair]) >= needed[i].get(pair, 0):
                             continue
                         if succ not in seen:
                             seen.add(succ)

@@ -20,13 +20,14 @@ from routedmpst.encoding import encode_global
 from routedmpst.projection import MergeFailure, project
 from routedmpst.semantics import global_steps
 from routedmpst.simulator import (
-    DATA, FixedScript, SimConfig, run_session, validate_log,
+    DATA, SimConfig, run_session, validate_log,
 )
 from routedmpst.scribble import elaborate, parse_module
 
 import naive_enumerator
 import property_suites
 from mutation import rules_disabled
+from policies import FixedScript
 from corpus import (
     A, B, BYE, C, CORPUS_ROUTERS, G1_MERGE, G2_MERGE, G_EX, G_TRAVEL,
     G_TRAVEL_ROUTED, HELLO, M1, M2, P, PROTOCOL_DIR, Q, S, SR, load,
@@ -189,7 +190,7 @@ def test_criterion_9_simulator():
         direct = run_session(G_TRAVEL, S, None, SimConfig(seed=seed))
         routed = run_session(encoded, S, None, SimConfig(seed=seed))
         transparent = transparent and all(
-            direct.observed(r) == routed.observed(r) for r in (A, B, S))
+            dict(direct.observations)[r] == dict(routed.observations)[r] for r in (A, B, S))
 
     cancelled = run_session(G_TRAVEL, S, None,
                             SimConfig(seed=1, cancel_injection=(A, 3)))

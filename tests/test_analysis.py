@@ -245,7 +245,7 @@ def test_send_enabledness_in_reachable_configurations():
         for conf in frontier:
             for label, succ in config_steps(conf):
                 if label.direction == "?":
-                    assert conf.buffer(label.sender, label.receiver)[0] == label.msg
+                    assert dict(conf.buffers)[(label.sender, label.receiver)][0] == label.msg
                 key = succ.canonical()
                 if key not in seen:
                     seen.add(key)

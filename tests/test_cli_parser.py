@@ -74,6 +74,8 @@ ARGVS = [
     SIMULATE + ["--seed", "-3"], VERIFY + ["--router", "--depth", "2"],
     ["parse", "-"], ["parse", ""], VERIFY + ["--router", ""],
     ["efsm", TRAVEL, "TravelAgency", "A", "--dot", "-"],
+    ["efsm", TRAVEL, "TravelAgency", "A", "--dot", "-", "--ir", "-"],
+    SIMULATE + ["--cancel", "-"], ["efsm", TRAVEL, "TravelAgency", "A", "--dot"],
     # more commands that run (the test's working directory is a scratch one)
     ["gen", TRAVEL, "TravelAgency", "S", "--flavor", "client", "-oout"],
     ["gen", TRAVEL, "TravelAgency", "S", "--flavor", "client", "-o", "out"],
@@ -163,7 +165,9 @@ def _run(argv):
 
 
 @pytest.mark.parametrize("argv", [VERIFY + ["--router", "S", "--depth", "3"],
-                                  SIMULATE + ["--rounds", "1"]], ids=" ".join)
+                                  SIMULATE + ["--rounds", "1"],
+                                  ["efsm", TRAVEL, "TravelAgency", "A", "--dot", "-", "--ir", "-"]],
+                         ids=" ".join)
 def test_a_command_that_runs_loads_no_argparse(argv):
     code, out, err, loaded = _run(argv)
     assert (code, err, loaded) == (0, "", "[]") and out

@@ -61,7 +61,7 @@ def test_every_transition_appears_once_in_handler_unit():
         handler = emit_skeleton(e, flavor)["handler.ts"]
         for tr in e.transitions:
             pattern = (rf'"{tr.action.msg.name}": \(Next: typeof Factory.S{tr.target}'
-                       if flavor == "server" and tr.direction == "?"
+                       if flavor == "server" and tr.action.direction == "?"
                        else rf"S{tr.source}_{tr.action.msg.name}")
             hits = re.findall(pattern, handler)
             assert hits, (role.name, tr)
@@ -96,67 +96,14 @@ def test_unsupported_flavor_rejected():
         emit_skeleton(machine(S), "desktop")
 
 
-def test_custom_templates_supported():
-    custom = load_fragments("""
-@fragment file_header
-# role {{role}} ({{flavor}})
-@end
-@fragment message_interface
-msg {{state}} {{label}} [{{payloads}}]
-@end
-@fragment message_union
-union {{state}} = {{items}}
-@end
-@fragment handler_send_open
-send {{state}}: {{items}}
-@end
-@fragment handler_send_item
-{{label}}->{{successor}}
-@end
-@fragment handler_recv_open
-recv {{state}} {
-@end
-@fragment handler_recv_item
-  {{label}} -> {{successor}}
-@end
-@fragment handler_recv_close
-}
-@end
-@fragment state_preamble
-kinds: send recv terminal
-@end
-@fragment state_send
-state {{state}} send to {{peer}}
-@end
-@fragment state_recv
-state {{state}} recv from {{peer}}
-@end
-@fragment state_terminal
-state {{state}} terminal
-@end
-@fragment factory_send_fn
-mk {{state}} {{label}} -> {{successor}}
-@end
-@fragment factory_send_obj
-factory {{state}}: {{items}}
-@end
-@fragment factory_recv
-factory {{state}}
-@end
-@fragment factory_terminal
-factory {{state}} terminal
-@end
-@fragment factory_initial
-initial = {{state}}
-@end
-@fragment factory_terminal_alias
-terminal = {{state}}
-@end
-""")
-    files = emit_skeleton(machine(S), "server", templates=custom)
-    assert files["state.ts"].startswith("# role S (server)")
-    assert "state 2 send to A" in files["state.ts"]
-    assert "initial = 1" in files["factory.ts"]
+@pytest.mark.parametrize("text,message", [
+    ("@fragment a\n@fragment b\n@end\n", "nested fragment inside a"),
+    ("@end\n", "@end outside a fragment"),
+    ("@fragment a\nx\n", "unterminated fragment a"),
+])
+def test_load_fragments_rejects_a_malformed_file(text, message):
+    with pytest.raises(ValueError, match=message):
+        load_fragments(text)
 
 
 def _fill_reference(fragment, **values):

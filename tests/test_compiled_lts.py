@@ -93,6 +93,14 @@ def test_step_tables_match_step_functions_on_well_formed_types(g, data):
             _check_table(local, role, limit=50)
 
 
+def configuration(lts, key):
+    """The canonical configuration a key of `lts` stands for."""
+    sids, contents = key
+    return Configuration(
+        locals=tuple((t.role, t.ids.form(sid)) for t, sid in zip(lts.tables, sids)),
+        buffers=tuple(zip(lts.pairs, contents)))
+
+
 @pytest.mark.parametrize("name", sorted(CORPUS_ROUTERS))
 def test_compiled_configurations_match_config_steps(name):
     """Breadth-first over the encoded configuration LTS: each compiled key
@@ -104,15 +112,16 @@ def test_compiled_configurations_match_config_steps(name):
     frontier = [lts.initial]
     while frontier:
         key = frontier.pop(0)
-        want = [(label, succ.canonical()) for label, succ in config_steps(lts.configuration(key))]
+        want = [(label, succ.canonical())
+                for label, succ in config_steps(configuration(lts, key))]
         got = sorted(lts.steps(key), key=lambda step: step[0].sort_key())
-        assert [(label, lts.configuration(succ)) for label, succ in got] == want
+        assert [(label, configuration(lts, succ)) for label, succ in got] == want
         for _, succ in got:
             if succ not in seen:
                 seen.add(succ)
                 frontier.append(succ)
     assert len(seen) > 1
-    assert lts.configuration(lts.initial) == \
+    assert configuration(lts, lts.initial) == \
         project_configuration(encode_global(load(name), router)).canonical()
 
 

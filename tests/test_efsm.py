@@ -45,7 +45,7 @@ def test_travel_agency_role_a_matches_reference_machine():
     got = {(t.source, t.display(A), t.target) for t in e.transitions}
     assert got == TRAVEL_A_MACHINE
     assert e.initial == 1
-    assert e.terminal_ids == (9,)
+    assert [s.id for s in e.states if s.kind == STATE_TERMINAL] == [9]
 
 
 def test_states_partition_into_send_receive_terminal():
@@ -55,9 +55,9 @@ def test_states_partition_into_send_receive_terminal():
     assert kinds[9] == STATE_TERMINAL
     for tr in e.transitions:
         if kinds[tr.source] == STATE_SEND:
-            assert tr.direction == "!"
+            assert tr.action.direction == "!"
         else:
-            assert tr.direction == "?"
+            assert tr.action.direction == "?"
 
 
 def test_end_machine():
@@ -79,17 +79,17 @@ def test_routed_transitions_carry_via():
     g = encode_global(G_TRAVEL, S)
     e = build_efsm(project(g, A), A)
     assert len(e.states) == 9
-    vias = {t.display(A) for t in e.transitions if t.via is not None}
+    vias = {t.display(A) for t in e.transitions if t.action.via is not None}
     assert "B?Suggest (via S)" in vias
     assert "B!Quote (via S)" in vias
-    assert {t.display(A) for t in e.transitions if t.via is None} == \
+    assert {t.display(A) for t in e.transitions if t.action.via is None} == \
         {"S!Query", "S?Full", "S?Available", "S!Confirm", "S!Reject"}
 
 
 def test_router_machine_includes_forwarding_states():
     g = encode_global(G_TRAVEL, S)
     e = build_efsm(project(g, S), S)
-    routed = [t for t in e.transitions if t.via == S]
+    routed = [t for t in e.transitions if t.action.via == S]
     assert routed, "router machine should expose forwarding transitions"
     # Forwarding accept and delivery alternate through in-transit states.
     for tr in routed:

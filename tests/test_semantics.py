@@ -141,20 +141,22 @@ def test_routed_send_moves_router_and_fills_buffer():
     conf = project_configuration(G_EX_ROUTED)
     steps = dict(config_steps(conf))
     sent = steps[routed_send(P, Q, SR, M1)]
-    assert sent.buffer(P, Q) == (M1,)
-    assert isinstance(sent.local(SR), LRouterTransit)
+    assert dict(sent.buffers)[(P, Q)] == (M1,)
+    before, after = dict(conf.locals), dict(sent.locals)
+    assert isinstance(after[SR], LRouterTransit)
     # The sender advanced as well; the receiver did not.
-    assert sent.local(P) == LEnd()
-    assert sent.local(Q) == conf.local(Q)
+    assert after[P] == LEnd()
+    assert after[Q] == before[Q]
 
 
 def test_config_direct_send_only_moves_sender():
     conf = project_configuration(G_EX_ROUTED)
     steps = dict(config_steps(conf))
-    after = steps[direct_send(SR, Q, M2)]
-    assert after.buffer(SR, Q) == (M2,)
-    assert after.local(P) == conf.local(P)
-    assert after.local(Q) == conf.local(Q)
+    sent = steps[direct_send(SR, Q, M2)]
+    assert dict(sent.buffers)[(SR, Q)] == (M2,)
+    before, after = dict(conf.locals), dict(sent.locals)
+    assert after[P] == before[P]
+    assert after[Q] == before[Q]
 
 
 def test_project_configuration_no_transit_means_empty_buffers():
@@ -165,10 +167,10 @@ def test_project_configuration_no_transit_means_empty_buffers():
 def test_project_configuration_routed_transit_buffer():
     g = GRoutedTransit(P, Q, SR, M1, one(M1, GEnd()))
     conf = project_configuration(g)
-    assert conf.buffer(P, Q) == (M1,)
-    assert conf.local(SR) == LRouterTransit(P, Q, M1, one(M1, LEnd()))
-    assert conf.local(Q) == LRoutedBranch(P, SR, one(M1, LEnd()))
-    assert conf.local(P) == LEnd()
+    assert dict(conf.buffers)[(P, Q)] == (M1,)
+    assert dict(conf.locals) == {SR: LRouterTransit(P, Q, M1, one(M1, LEnd())),
+                                 Q: LRoutedBranch(P, SR, one(M1, LEnd())),
+                                 P: LEnd()}
 
 
 def test_project_configuration_matches_stepped_mid_trace_states():
@@ -186,7 +188,8 @@ def test_project_configuration_matches_stepped_mid_trace_states():
         projected = Configuration.make({r: project(state, r) for r in roles},
                                        dict(project_configuration(state).buffers))
         assert conf.canonical() == projected.canonical()
-    assert conf.is_terminal()
+    # terminal: every role at end, every buffer empty
+    assert conf == Configuration.make(dict.fromkeys(roles, LEnd()))
 
 
 # ---------------------------------------------------------------------------

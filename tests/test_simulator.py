@@ -11,12 +11,13 @@ from routedmpst.encoding import encode_global
 from routedmpst.projection import project
 from routedmpst.scribble import elaborate, parse_module
 from routedmpst.simulator import (
-    CANCEL, DATA, BoundedLoopPolicy, ConformanceViolation, Envelope, FixedScript, LogRecord,
-    MaxStepsExceeded, SeededRandomPolicy, SessionLog, SimConfig, SimulatorError,
-    Violation, run_session, validate_log,
+    CANCEL, DATA, BoundedLoopPolicy, ConformanceViolation, Envelope, LogRecord,
+    MaxStepsExceeded, SessionLog, SimConfig, SimulatorError, Violation, run_session,
+    validate_log,
 )
 
 from corpus import A, B, CORPUS_ROUTERS, G_TRAVEL, S, load
+from policies import FixedScript, SeededRandomPolicy
 
 C, SP = Role("C"), Role("S")
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -54,7 +55,7 @@ def test_router_transparency_on_travel_agency():
         direct = run_session(G_TRAVEL, S, None, SimConfig(seed=seed))
         routed = run_session(encoded, S, None, SimConfig(seed=seed))
         for role in (A, B, S):
-            assert direct.observed(role) == routed.observed(role), (seed, role)
+            assert dict(direct.observations)[role] == dict(routed.observations)[role], (seed, role)
 
 
 def test_seeded_random_scheduler_is_deterministic():
@@ -160,7 +161,7 @@ def test_pure_forwarder_router_outside_the_protocol():
     direct = run_session(g, router, None, SimConfig(seed=0))
     routed = run_session(encode_global(g, router), router, None, SimConfig(seed=0))
     assert len(direct.data_records) == len(routed.data_records) == 1
-    assert direct.observed(A) == routed.observed(A)
+    assert dict(direct.observations)[A] == dict(routed.observations)[A]
     assert validate_log(encode_global(g, router), router, routed) is True
 
 
