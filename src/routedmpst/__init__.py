@@ -31,4 +31,23 @@ from .analysis import (
     global_traces,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # submodules the imports above load
+    "analysis", "core", "encoding", "projection", "scribble", "semantics", "wellformed",
+    # core
+    "ActionLabel", "GComm", "GEnd", "GRec", "GRouted", "GRoutedTransit", "GTransit", "GVar",
+    "GlobalType", "InvalidType", "LBranch", "LEnd", "LRec", "LRouter", "LRouterTransit",
+    "LRoutedBranch", "LRoutedSelect", "LSelect", "LVar", "LocalType", "MsgLabel",
+    "NotRecursive", "Role", "canonicalize", "direct_recv", "direct_send", "free_vars",
+    "participants", "pretty_global", "pretty_local", "routed_recv", "routed_send",
+    "unfold_once", "validate",
+    # scribble, projection, wellformed, encoding
+    "ProtocolDecl", "ScribbleError", "elaborate", "parse_module", "pretty_module",
+    "MergeFailure", "merge", "project", "check_wf", "check_wf_routed", "is_centroid",
+    "AlreadyRouted", "NotCanonical", "RouterPerspectiveWarning", "encode_global",
+    "encode_label", "encode_local",
+    # semantics, analysis
+    "Configuration", "config_steps", "global_steps", "local_steps", "project_configuration",
+    "ExplorationReport", "StateBudgetExceeded", "TraceSet", "check_deadlock_freedom",
+    "check_encoding_bisim", "check_trace_equivalence", "config_traces", "global_traces",
+]

@@ -98,52 +98,80 @@ def project(g: GlobalType, r: Role) -> LocalType:
     The type is not validated here: callers that take types from outside,
     such as `semantics.project_configuration`, validate once.  Raises
     MergeFailure when a communication not involving `r` has incompatible
-    branch projections.
+    branch projections.  One walk: each node's class is tested once, and a
+    single branch is projected without a generator frame.
     """
-    if isinstance(g, GEnd):
+    kind = type(g)
+    if kind is GEnd:
         return LEnd()
-    if isinstance(g, GVar):
+    if kind is GVar:
         return LVar(g.var)
-    if isinstance(g, GRec):
-        if r not in participants(g.body):
-            # A role outside the loop contributes nothing to it; projecting
-            # the body would otherwise strand its back-edge variables in
-            # merges.  This keeps projection total on non-participants.
+    if kind is GRec:
+        try:
+            body = project(g.body, r)
+        except MergeFailure:
+            # A role outside the loop contributes nothing to it, but its
+            # branch projections can strand the loop's back-edge variables
+            # in merges: it projects to `LEnd`, which keeps projection
+            # total on non-participants.  Only a failure pays for the walk.
+            if r in participants(g.body):
+                raise
             return LEnd()
-        body = project(g.body, r)
-        if isinstance(body, LVar):
+        # Merges of `LEnd` and variables that succeed give `LEnd` or a
+        # variable, so a role outside the loop projects to `LEnd` here too.
+        if type(body) is LVar:
             return LEnd()
         if g.var not in free_vars(body):
             return body
         return LRec(g.var, body)
 
-    if (isinstance(g, GComm) and r != g.sender and r != g.receiver
-            or isinstance(g, GRouted) and r not in (g.sender, g.receiver, g.router)):
+    # The local node `r` sees: `make(*head, branch projections)`, or None
+    # for a communication `r` takes no part in.  Roles are compared by name,
+    # which is what `Role.__eq__` compares, without its Python call per test.
+    me = r.name
+    if kind is GComm:
+        if me == g.sender.name:
+            make, head = LSelect, (g.receiver,)
+        elif me == g.receiver.name:
+            make, head = LBranch, (g.sender,)
+        else:
+            make = None
+    elif kind is GRouted:
+        if me == g.sender.name:
+            make, head = LRoutedSelect, (g.receiver, g.router)
+        elif me == g.receiver.name:
+            make, head = LRoutedBranch, (g.sender, g.router)
+        elif me == g.router.name:
+            make, head = LRouter, (g.sender, g.receiver)
+        else:
+            make = None
+    elif kind is GTransit:
+        if me == g.receiver.name:
+            make, head = LBranch, (g.sender,)
+        else:
+            make, head = _chosen, (g.chosen,)
+    elif kind is GRoutedTransit:
+        if me == g.receiver.name:
+            make, head = LRoutedBranch, (g.sender, g.router)
+        elif me == g.router.name:
+            make, head = LRouterTransit, (g.sender, g.receiver, g.chosen)
+        else:
+            make, head = _chosen, (g.chosen,)
+    else:
+        raise TypeError(kind.__name__)
+
+    branches = g.branches
+    if make is None:
         # A communication `r` takes no part in: merge its branch projections.
-        if len(g.branches) == 1:
-            return project(g.branches[0][1], r)
-        return merge_all([project(cont, r) for _, cont in g.branches])
+        if len(branches) == 1:
+            return project(branches[0][1], r)
+        return merge_all([project(cont, r) for _, cont in branches])
+    if len(branches) == 1:
+        lbl, cont = branches[0]
+        return make(*head, ((lbl, project(cont, r)),))
+    return make(*head, tuple([(lbl, project(cont, r)) for lbl, cont in branches]))
 
-    conts = tuple((lbl, project(cont, r)) for lbl, cont in g.branches)
 
-    if isinstance(g, GComm):
-        if r == g.sender:
-            return LSelect(g.receiver, conts)
-        return LBranch(g.sender, conts)
-    if isinstance(g, GRouted):
-        if r == g.sender:
-            return LRoutedSelect(g.receiver, g.router, conts)
-        if r == g.receiver:
-            return LRoutedBranch(g.sender, g.router, conts)
-        return LRouter(g.sender, g.receiver, conts)
-    if isinstance(g, GTransit):
-        if r == g.receiver:
-            return LBranch(g.sender, conts)
-        return branch_for(conts, g.chosen)
-    if isinstance(g, GRoutedTransit):
-        if r == g.receiver:
-            return LRoutedBranch(g.sender, g.router, conts)
-        if r == g.router:
-            return LRouterTransit(g.sender, g.receiver, g.chosen, conts)
-        return branch_for(conts, g.chosen)
-    raise TypeError(type(g).__name__)
+def _chosen(label, conts):
+    """The projection of the message in flight, once every branch projects."""
+    return branch_for(conts, label)

@@ -25,7 +25,8 @@ import re
 from collections import namedtuple
 
 from .core import (
-    Field, GComm, GEnd, GRec, GVar, GlobalType, MsgLabel, Role, free_vars, record, validate,
+    Field, GComm, GEnd, GRec, GVar, GlobalType, InvalidType, MsgLabel, Role, free_vars, record,
+    validate,
 )
 
 
@@ -481,9 +482,14 @@ def elaborate(decls: list[ProtocolDecl], entry: str,
 
     st = _Elaboration(by_name, {a.alias: a.remote_name for a in root.type_aliases})
     result = _expand(st, root, tuple(args), is_entry=True)
-    if free_vars(result):
-        raise UnboundedCall(f"expansion left unbound recursion: {sorted(free_vars(result))}")
-    validate(result)
+    try:
+        validate(result)
+    except InvalidType:
+        # Only an invalid result pays for a second walk, to name the cause.
+        unbound = free_vars(result)
+        if unbound:
+            raise UnboundedCall(f"expansion left unbound recursion: {sorted(unbound)}") from None
+        raise
     return result
 
 

@@ -30,28 +30,36 @@ def is_centroid(g: GlobalType, s: Role) -> CentroidResult:
     On failure the result carries the branch-label path to the outermost
     violating construct.
     """
-    return _centroid(g, s, ())
-
-
-def _centroid(u: GlobalType, s: Role, path: tuple[str, ...]) -> CentroidResult:
-    if isinstance(u, (GEnd, GVar)):
+    failure = _centroid(g, s)
+    if failure is None:
         return CentroidResult(True)
-    if isinstance(u, GRec):
-        return _centroid(u.body, s, path)
-    if isinstance(u, (GComm, GTransit)):
-        if s not in (u.sender, u.receiver):
-            return CentroidResult(False, path, f"{u.sender}->{u.receiver} does not involve {s}")
-    elif isinstance(u, (GRouted, GRoutedTransit)):
-        if u.router != s:
-            return CentroidResult(False, path,
-                                  f"{u.sender}->{u.receiver} routed via {u.router}, not {s}")
+    path, witness = failure
+    return CentroidResult(False, tuple(reversed(path)), witness)
+
+
+def _centroid(u: GlobalType, s: Role) -> tuple[list[str], str] | None:
+    """None if `s` is a centroid of `u`; else the first violation's label
+    path from `u`, innermost label first, and its witness.  The path is
+    built only on the way out of a failure, so the walk is linear."""
+    kind = type(u)
+    if kind is GEnd or kind is GVar:
+        return None
+    if kind is GRec:
+        return _centroid(u.body, s)
+    if kind is GComm or kind is GTransit:
+        if s.name != u.sender.name and s.name != u.receiver.name:  # by name, as `project`
+            return [], f"{u.sender}->{u.receiver} does not involve {s}"
+    elif kind is GRouted or kind is GRoutedTransit:
+        if u.router.name != s.name:
+            return [], f"{u.sender}->{u.receiver} routed via {u.router}, not {s}"
     else:
-        raise TypeError(type(u).__name__)
+        raise TypeError(kind.__name__)
     for lbl, cont in u.branches:
-        sub = _centroid(cont, s, path + (lbl.name,))
-        if not sub.ok:
-            return sub
-    return CentroidResult(True)
+        failure = _centroid(cont, s)
+        if failure is not None:
+            failure[0].append(lbl.name)
+            return failure
+    return None
 
 
 @record

@@ -5,13 +5,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from routedmpst import projection
+from routedmpst.analysis import reachable_states
 from routedmpst.core import (
-    GEnd, LBranch, LEnd, LRec, LRoutedBranch, LSelect, LVar, MsgLabel, participants,
+    GComm, GEnd, GRec, GVar, LBranch, LEnd, LRec, LRoutedBranch, LSelect, LVar, MsgLabel,
+    participants,
 )
 from routedmpst.encoding import encode_global
 from routedmpst.projection import MergeFailure, merge, project
+from routedmpst.scribble import elaborate, parse_module
+from routedmpst.wellformed import is_centroid
 
 import canonical_oracle
+import projection_oracle
 from corpus import (
     A, B, BYE, C, G1_MERGE, G2_MERGE, G_TRAVEL, HELLO, M1, M2, P, S, SR, load,
     one,
@@ -146,3 +151,67 @@ def test_structural_merge_agrees_with_the_canonical_first_merge(g, data):
         with mock.patch.object(projection, "merge", canonical_oracle.merge):
             want = _projections(t)
         assert got == want
+
+
+def _projections_and_centroids(t, project_fn, centroid_fn):
+    """Each `ROLE_POOL` role's projection of `t` (or its MergeFailure
+    message) and its `CentroidResult`."""
+    out = {}
+    for role in ROLE_POOL:
+        try:
+            local = project_fn(t, role)
+        except MergeFailure as failure:
+            local = str(failure)
+        out[role] = (local, centroid_fn(t, role))
+    return out
+
+
+@settings(max_examples=600, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(g=global_types(depth=5, roles=ROLE_POOL), data=st.data())
+def test_one_walk_projection_and_centroid_agree_with_the_reference(g, data):
+    # The type, its encoding and the states both reach in 3 steps (which
+    # hold `GTransit` and `GRoutedTransit` nodes), projected onto every
+    # role of the pool, participant or not.
+    types = [g]
+    roles = sorted(participants(g))
+    if roles:
+        types.append(encode_global(g, data.draw(st.sampled_from(roles))))
+    types += [state for t in types for state in reachable_states(t, 3)]
+    for t in types:
+        got = _projections_and_centroids(t, project, is_centroid)
+        want = _projections_and_centroids(t, projection_oracle.project,
+                                          projection_oracle.is_centroid)
+        assert got == want
+
+
+def _ring(n):
+    """Scribble text of a ring of n roles: R0 chooses to pass Go round the
+    ring and start again, or to pass Stop round it."""
+    roles = [f"R{i}" for i in range(n)]
+    hops = [(roles[i], roles[(i + 1) % n]) for i in range(n)]
+    go = " ".join(f"Go(int) from {a} to {b};" for a, b in hops)
+    stop = " ".join(f"Stop() from {a} to {b};" for a, b in hops)
+    params = ", ".join(f"role {r}" for r in roles)
+    return (f"global protocol Ring({params}) {{\n  choice at R0\n"
+            f"  {{ {go} do Ring({', '.join(roles)}); }}\n  or {{ {stop} }}\n}}\n")
+
+
+def test_projecting_every_role_of_a_ring_walks_no_loop_body_for_participants():
+    g = elaborate(parse_module(_ring(8)), "Ring")
+    roles = sorted(participants(g))
+    assert len(roles) == 8
+    with mock.patch.object(projection, "participants", wraps=participants) as walk:
+        for role in roles:
+            project(g, role)
+    assert walk.call_count == 0
+
+
+def test_a_loop_a_role_takes_no_part_in_projects_to_end_after_a_failed_merge():
+    # C is outside the loop, where its branches project to `X` and `end`,
+    # which do not merge: only then is the loop body walked for its roles.
+    loop = GRec("X", GComm(A, B, ((HELLO, GVar("X")), (BYE, GEnd()))))
+    g = GComm(A, C, one(M1, loop))
+    with mock.patch.object(projection, "participants", wraps=participants) as walk:
+        assert project(g, C) == LBranch(A, one(M1, LEnd()))
+    assert walk.call_count == 1

@@ -5,7 +5,7 @@ from routedmpst.core import (
 )
 from routedmpst.scribble import (
     ArityMismatch, ChoiceStmt, DoStmt, DuplicateAlias, DuplicateRole, NonTailCall,
-    ScribbleError, SyntaxProblem, UnknownProtocol, UnknownRole, elaborate,
+    ScribbleError, SyntaxProblem, UnboundedCall, UnknownProtocol, UnknownRole, elaborate,
     parse_module, pretty_module,
 )
 
@@ -171,6 +171,15 @@ def test_arity_mismatch_rejected():
     """
     with pytest.raises(ArityMismatch):
         parse_module(src)
+
+
+def test_calls_that_only_call_each_other_leave_an_unbound_variable():
+    # P's body is Q's, which is a bare back-edge to P: nothing to wrap.
+    decls = parse_module("global protocol P(role A, role B) { do Q(A, B); }\n"
+                         "global protocol Q(role A, role B) { do P(A, B); }\n")
+    with pytest.raises(UnboundedCall) as raised:
+        elaborate(decls, "P")
+    assert str(raised.value) == "expansion left unbound recursion: ['t0']"
 
 
 def test_non_tail_do_rejected():

@@ -1,4 +1,4 @@
-from routedmpst.core import GEnd, Role
+from routedmpst.core import GComm, GEnd, MsgLabel, Role
 from routedmpst.encoding import encode_global
 from routedmpst.wellformed import check_wf, check_wf_routed, is_centroid
 
@@ -16,6 +16,19 @@ def test_centroid_fails_on_plain_travel_agency_with_witness():
     # The outermost violation is the opening interaction between B and A.
     assert result.witness_path == ()
     assert "B->A" in result.witness
+
+
+def test_centroid_violation_three_choices_deep_reports_its_path_from_the_root():
+    def choice(sender, receiver, go, inner):
+        return GComm(sender, receiver, ((MsgLabel("Stay"), GEnd()), (MsgLabel(go), inner)))
+    bypass = GComm(A, B, ((MsgLabel("Bypass"), GEnd()),))
+    g = choice(S, A, "Go1", choice(A, S, "Go2", choice(S, B, "Go3", bypass)))
+    result = is_centroid(g, S)
+    assert (result.ok, result.witness_path, result.witness) == \
+        (False, ("Go1", "Go2", "Go3"), "A->B does not involve S")
+    # (A and B cannot merge their `end` and `Go` branches either.)
+    assert check_wf_routed(g, S).describe().split("; ")[-1] == \
+        "centroid violated at Go1/Go2/Go3: A->B does not involve S"
 
 
 def test_centroid_end_axiom():
