@@ -18,7 +18,9 @@ Trace sets are the path products of the edges `_explore` expands.
 Each checker takes the `semantics.Tables` to search as a keyword: `verify`
 passes one to all four checks, so a state one check compiled, or a role one
 check or precondition projected, is not compiled or projected again by the
-next.  Without it a checker makes fresh tables, which live for the call.
+next, and the encoded trace-equivalence check of a protocol whose encoding
+is canonically itself reads the plain check's report.  Without it a checker
+makes fresh tables, which live for the call.
 """
 
 from __future__ import annotations
@@ -146,8 +148,22 @@ def check_trace_equivalence(g: GlobalType, depth: int,
     every pair (global state id, configuration key) found within `depth - 1`
     steps enables the same labels on both sides.  The search follows labels
     in the global table's `sort_key` order, so the first mismatch it meets
-    gives the least witness: shortest, then least by `sort_key`."""
+    gives the least witness: shortest, then least by `sort_key`.
+
+    Both LTSs, and so the report, are functions of the canonical form of
+    `g`: `tables.reports` keeps it, and a canonically equal type checked
+    again in the same tables gets it back with no search."""
     tables = Tables() if tables is None else tables
+    table = tables.table()
+    start = table.intern(g)
+    key = (start, depth, state_cap)
+    report = tables.reports.get(key)
+    if report is None:
+        report = tables.reports[key] = _trace_equivalence(g, start, depth, state_cap, tables)
+    return report
+
+
+def _trace_equivalence(g, start, depth, state_cap, tables) -> ExplorationReport:
     table = tables.table()
     lts = CompiledConfigurations(project_configuration(g, tables=tables), tables)
 
@@ -165,7 +181,7 @@ def check_trace_equivalence(g: GlobalType, depth: int,
         for label, sid in g_edges.items():
             yield label, (sid, c_edges[label])
 
-    return _explore("trace_equivalence", (table.intern(g), lts.initial), steps, visit,
+    return _explore("trace_equivalence", (start, lts.initial), steps, visit,
                     depth, state_cap)[0]
 
 
@@ -250,8 +266,7 @@ def check_encoding_bisim(g: GlobalType, s: Role, depth: int,
     table = tables.table()
 
     def encode(sid):
-        # Encodings of valid states are valid: skip `intern`'s validation.
-        return table._id(tables.encode(table.states[sid], s))
+        return tables.encode_id(sid, s)
 
     def visit(sid, trace, edges):
         enc_edges = table.edges(encode(sid))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from functools import cache
+from operator import itemgetter
 from types import CodeType, FunctionType
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -33,18 +34,16 @@ class NotRecursive(ValueError):
 
 _MISSING = object()
 _object_setattr = object.__setattr__  # the generated `__init__` assigns with this
-_OPS = {"__eq__": "==", "__lt__": "<", "__le__": "<=", "__gt__": ">", "__ge__": ">="}
 
 
 class Field:
     """A record field's options, given as its class attribute: whether
-    `__init__`, `repr` and comparison (`==`, hash, ordering) use it."""
+    comparison (`==` and hash) uses it."""
 
-    __slots__ = ("name", "default", "init", "repr", "compare")
+    __slots__ = ("name", "default", "compare")
 
-    def __init__(self, *, init: bool = True, repr: bool = True, compare: bool = True):
-        self.name, self.default = "", _MISSING
-        self.init, self.repr, self.compare = init, repr, compare
+    def __init__(self, *, compare: bool = True):
+        self.name, self.default, self.compare = "", _MISSING, compare
 
 
 @cache
@@ -58,9 +57,9 @@ def _template(kind: str, n: int) -> CodeType:
         return "(" + "".join(f"{obj}.{f}," for f in fs) + ")"
     if kind == "__hash__":
         src = f"def __hash__(self):\n return hash({tup('self')})"
-    elif kind in _OPS:
-        src = (f"def {kind}(self, other):\n if other.__class__ is self.__class__:\n"
-               f"  return {tup('self')} {_OPS[kind]} {tup('other')}\n return NotImplemented")
+    elif kind == "__eq__":
+        src = (f"def __eq__(self, other):\n if other.__class__ is self.__class__:\n"
+               f"  return {tup('self')} == {tup('other')}\n return NotImplemented")
     else:
         body = "".join(f"\n _object_setattr(self, {f!r}, {f})" for f in fs)
         body += "\n self.__post_init__()" if kind == "__post_init__" else "\n pass"
@@ -83,9 +82,12 @@ def _method(cls: type, kind: str, names: list[str], defaults: tuple = ()) -> Fun
     return fn
 
 
+# `repr` and `__reduce__` of records and atoms alike: over `__match_args__`,
+# which names every field.
+
+
 def _repr(self) -> str:
-    shown = ", ".join(f"{f.name}={getattr(self, f.name)!r}"
-                      for f in self.__record_fields__ if f.repr)
+    shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
     return f"{type(self).__qualname__}({shown})"
 
 
@@ -97,29 +99,29 @@ def _reduce(self):
     return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
 
-def record(cls: type | None = None, /, *, order: bool = False, slots: bool = False):
+def record(cls: type | None = None, /, *, slots: bool = False):
     """Class decorator: an immutable record of the annotated fields.
 
-    Keeps of `dataclass(frozen=True)` with the same `order` and `slots`:
-    fields in annotation order, a class attribute as a default or a `Field`;
+    Keeps of `dataclass(frozen=True)` with the same `slots`: fields in
+    annotation order, a class attribute as a default or a `Field`;
     `__init__` by position or keyword, then `__post_init__` if defined;
-    `__repr__`; `==`, hash and, with `order`, `<`, `<=`, `>`, `>=` on the
-    tuple of compared fields, between instances of exactly one class;
-    `__match_args__`; a frozen guard (a plain `AttributeError`); with
-    `slots`, a rebuilt class slotted by its fields; and every method the
-    class body defines.  Pickle and `copy` call the class with the `init`
-    fields, so a field `__post_init__` computes never crosses processes.
-    Left out: `dataclasses.fields`/`replace`/`asdict`/`is_dataclass`,
-    default factories, `ClassVar`/`InitVar`/`KW_ONLY`, mutable records, the
-    generated `__doc__` and `repr`'s recursion guard.
+    `__repr__`; `==` and hash on the tuple of compared fields, between
+    instances of exactly one class; `__match_args__`; a frozen guard (a
+    plain `AttributeError`); with `slots`, a rebuilt class slotted by its
+    fields; and every method the class body defines.  Pickle and `copy`
+    call the class with the fields.  Left out: ordering,
+    `dataclasses.fields`/`replace`/`asdict`/`is_dataclass`, default
+    factories, fields left out of `__init__` or `repr`,
+    `ClassVar`/`InitVar`/`KW_ONLY`, mutable records, the generated
+    `__doc__` and `repr`'s recursion guard.
 
-    No source is compiled per class.  `__init__`, `==`, hash and ordering
-    are the class's own copies of a template code object per (method,
-    field count), renamed by `CodeType.replace`: the straight-line code
-    `dataclass` generates, as fast.  `repr`, the guard and `__reduce__` are
-    never hot, so they are shared generic functions."""
+    No source is compiled per class.  `__init__`, `==` and hash are the
+    class's own copies of a template code object per (method, field count),
+    renamed by `CodeType.replace`: the straight-line code `dataclass`
+    generates, as fast.  `repr`, the guard and `__reduce__` are never hot,
+    so they are shared generic functions."""
     if cls is None:
-        return lambda cls: record(cls, order=order, slots=slots)
+        return lambda cls: record(cls, slots=slots)
     fields = []
     for name in cls.__dict__.get("__annotations__", ()):
         value = cls.__dict__.get(name, _MISSING)
@@ -135,20 +137,16 @@ def record(cls: type | None = None, /, *, order: bool = False, slots: bool = Fal
         body = {k: v for k, v in cls.__dict__.items() if k not in names}
         body.update(__slots__=tuple(f.name for f in fields), __qualname__=cls.__qualname__)
         cls = type(cls)(cls.__name__, cls.__bases__, body)
-    init = [f for f in fields if f.init]
+    names = [f.name for f in fields]
     compared = [f.name for f in fields if f.compare]
     methods = {
         "__init__": _method(cls, "__post_init__" if hasattr(cls, "__post_init__") else "__init__",
-                            [f.name for f in init],
-                            tuple(f.default for f in init if f.default is not _MISSING)),
+                            names, tuple(f.default for f in fields if f.default is not _MISSING)),
         "__repr__": _repr, "__eq__": _method(cls, "__eq__", compared),
         "__hash__": _method(cls, "__hash__", compared),
         "__setattr__": _frozen, "__delattr__": _frozen, "__reduce__": _reduce,
-        "__match_args__": tuple(f.name for f in init), "__record_fields__": tuple(fields),
+        "__match_args__": tuple(names), "__record_fields__": tuple(fields),
     }
-    if order:
-        for op in ("__lt__", "__le__", "__gt__", "__ge__"):
-            methods[op] = _method(cls, op, compared)
     for name, value in methods.items():
         if name not in cls.__dict__:
             setattr(cls, name, value)
@@ -156,53 +154,52 @@ def record(cls: type | None = None, /, *, order: bool = False, slots: bool = Fal
 
 
 # Roles, message labels and action labels are the atoms every step table
-# hashes.  Each computes its hash once, when it is built, into a `_hash`
-# slot that equality, ordering and repr ignore.  The value is the hash of
-# the tuple of compared fields, the hash every other record computes, so
-# sets and dicts of atoms iterate as they would without the cache.  A
-# string's hash depends on the process's hash seed, so the cached hash must
-# never cross processes: the record's `__reduce__` rebuilds an atom from its
-# fields, for pickle and for `copy`.
+# hashes.  Each is a `tuple` of its fields, so `==`, hash and ordering run in
+# C: the hash is the hash of the field tuple, the one every record computes,
+# so sets and dicts of atoms iterate as records of the same fields would.
+# An atom equals a plain tuple of the same fields.
+# `__new__` validates, a field is read by `property(itemgetter(i))`, and
+# pickle and `copy` rebuild an atom through its class from its fields.
 
 
-@record(slots=True, order=True)
-class Role:
+class _Atom(tuple):
+    __slots__ = ()
+    __repr__ = _repr
+    __reduce__ = _reduce
+
+
+class Role(_Atom):
     """A protocol participant, identified by a case-sensitive name."""
 
-    name: str
-    _hash: int = Field(init=False, repr=False, compare=False)
+    __slots__ = ()
+    __match_args__ = ("name",)
+    name = property(itemgetter(0))
 
-    def __post_init__(self) -> None:
-        if not _IDENT_RE.match(self.name):
-            raise InvalidType(f"invalid role name: {self.name!r}")
-        object.__setattr__(self, "_hash", hash((self.name,)))
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, name: str):
+        if not _IDENT_RE.match(name):
+            raise InvalidType(f"invalid role name: {name!r}")
+        return tuple.__new__(cls, (name,))
 
     def __str__(self) -> str:
         return self.name
 
 
-@record(slots=True, order=True)
-class MsgLabel:
+class MsgLabel(_Atom):
     """A message label plus its (inert) payload sorts.
 
     Payload sorts are carried verbatim from the source and never inspected by
     the transition semantics.
     """
 
-    name: str
-    payload_sorts: tuple[str, ...] = ()
-    _hash: int = Field(init=False, repr=False, compare=False)
+    __slots__ = ()
+    __match_args__ = ("name", "payload_sorts")
+    name = property(itemgetter(0))
+    payload_sorts = property(itemgetter(1))
 
-    def __post_init__(self) -> None:
-        if not _IDENT_RE.match(self.name):
-            raise InvalidType(f"invalid message label: {self.name!r}")
-        object.__setattr__(self, "_hash", hash((self.name, self.payload_sorts)))
-
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, name: str, payload_sorts: tuple[str, ...] = ()):
+        if not _IDENT_RE.match(name):
+            raise InvalidType(f"invalid message label: {name!r}")
+        return tuple.__new__(cls, (name, payload_sorts))
 
     def __str__(self) -> str:
         if self.payload_sorts:
@@ -381,34 +378,37 @@ SEND = "!"
 RECV = "?"
 
 
-@record(slots=True)
-class ActionLabel:
+def _unordered(self, other):
+    return NotImplemented
+
+
+class ActionLabel(_Atom):
     """One LTS action: a send or receive, direct or through a router.
 
     `via` is present exactly for routed actions.  The subject (the role that
     initiates the action) is the sender for sends and the receiver for
-    receives, whether or not the action is routed.
+    receives, whether or not the action is routed.  Labels are not ordered:
+    `sort_key` orders them.
     """
 
-    direction: str  # SEND or RECV
-    sender: Role
-    receiver: Role
-    msg: MsgLabel
-    via: Role | None = None
-    _hash: int = Field(init=False, repr=False, compare=False)
+    __slots__ = ()
+    __match_args__ = ("direction", "sender", "receiver", "msg", "via")
+    direction = property(itemgetter(0))  # SEND or RECV
+    sender = property(itemgetter(1))
+    receiver = property(itemgetter(2))
+    msg = property(itemgetter(3))
+    via = property(itemgetter(4))
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
 
-    def __post_init__(self) -> None:
-        if self.direction not in (SEND, RECV):
-            raise InvalidType(f"bad action direction: {self.direction!r}")
-        if self.sender == self.receiver:
+    def __new__(cls, direction: str, sender: Role, receiver: Role, msg: MsgLabel,
+                via: Role | None = None):
+        if direction not in (SEND, RECV):
+            raise InvalidType(f"bad action direction: {direction!r}")
+        if sender == receiver:
             raise InvalidType("action sender and receiver must differ")
-        if self.via is not None and self.via in (self.sender, self.receiver):
+        if via is not None and via in (sender, receiver):
             raise InvalidType("router of a routed action must differ from both endpoints")
-        object.__setattr__(self, "_hash", hash((self.direction, self.sender, self.receiver,
-                                                self.msg, self.via)))
-
-    def __hash__(self) -> int:
-        return self._hash
+        return tuple.__new__(cls, (direction, sender, receiver, msg, via))
 
     @property
     def routed(self) -> bool:
@@ -600,14 +600,18 @@ class CanonicalIds:
     binders.  A closed binder is named at level 0 and an open one at a level
     above 0, so an open key never equals a closed one.  Each memo entry
     keeps its object, and so its identity, alive as long as the interner;
-    `unfold` unfolds each binder object once, so its callers share subterms.
-    `form(sid)` rebuilds the canonical form an id stands for from its keys."""
+    `unfold` unfolds each binder object once, so its callers share subterms,
+    and `unfold_id` each binder id once.  `form(sid)` rebuilds the canonical
+    form an id stands for from its keys, `keys[sid]` is the key node of an
+    id, and `key_id` interns one: a key node built from the children of
+    others gets its id without a walk."""
 
     def __init__(self) -> None:
         self._ids: dict[AnyType, int] = {}
-        self._keys: list[AnyType] = []  # id -> key
+        self.keys: list[AnyType] = []  # id -> key node
         self._met: dict[int, tuple[AnyType, frozenset[str], int | None]] = {}
         self._unfolded: dict[int, tuple[AnyType, AnyType]] = {}
+        self._unfolded_ids: dict[int, int] = {}
 
     def of(self, t: AnyType) -> int:
         _, fv, sid = self._met.get(id(t)) or self._walk(t)
@@ -625,11 +629,21 @@ class CanonicalIds:
             met = self._unfolded[id(t)] = (t, unfold_once(t))
         return met[1]
 
-    def _intern(self, key: AnyType) -> int:
+    def unfold_id(self, sid: int) -> int:
+        """The id of `unfold_once` of the binder whose id is `sid`, made
+        once: from its canonical form, built for this alone."""
+        out = self._unfolded_ids.get(sid)
+        if out is None:
+            out = self._unfolded_ids[sid] = self.of(unfold_once(self.form(sid)))
+        return out
+
+    def key_id(self, key: AnyType) -> int:
+        """The id of a key node (a node whose children are ids, branches
+        sorted by label name), interned if new."""
         sid = self._ids.get(key)
         if sid is None:
-            sid = self._ids[key] = len(self._keys)
-            self._keys.append(key)
+            sid = self._ids[key] = len(self.keys)
+            self.keys.append(key)
         return sid
 
     # `form`, `_walk` and `_open` loop over branches instead of using generator
@@ -639,7 +653,7 @@ class CanonicalIds:
         """The canonical form of the closed id `sid`, binders named by depth
         from the root.  A closed sub-key names its binders from level 0 again,
         so `env` maps the names of a key to those of the form at `depth`."""
-        key = self._keys[sid]
+        key = self.keys[sid]
         if isinstance(key, (GEnd, LEnd)):
             return key
         if isinstance(key, (GVar, LVar)):
@@ -656,7 +670,7 @@ class CanonicalIds:
         met = self._met
         sid = None
         if isinstance(t, (GEnd, LEnd)):
-            fv, sid = _NO_VARS, self._intern(t)
+            fv, sid = _NO_VARS, self.key_id(t)
         elif isinstance(t, (GVar, LVar)):
             fv = frozenset((t.var,))
         elif isinstance(t, (GRec, LRec)):
@@ -666,7 +680,7 @@ class CanonicalIds:
                 sid = body_id
             elif not fv:
                 name = f"{_CANON_VAR_PREFIX}0"
-                sid = self._intern(type(t)(name, self._open(t.body, {t.var: name}, 1)))
+                sid = self.key_id(type(t)(name, self._open(t.body, {t.var: name}, 1)))
         else:
             fv, children = _NO_VARS, []
             for lbl, c in t.branches:
@@ -675,7 +689,7 @@ class CanonicalIds:
                 children.append((lbl, child_id))
             if not fv:
                 children.sort(key=lambda item: item[0].name)
-                sid = self._intern(_with_branches(t, tuple(children)))
+                sid = self.key_id(_with_branches(t, tuple(children)))
         entry = met[id(t)] = (t, fv, sid)
         return entry
 
@@ -686,18 +700,18 @@ class CanonicalIds:
         if sid is not None:
             return sid
         if isinstance(u, (GVar, LVar)):
-            return self._intern(type(u)(env[u.var]))
+            return self.key_id(type(u)(env[u.var]))
         if isinstance(u, (GRec, LRec)):
             if u.var not in self._met[id(u.body)][1]:
                 return self._open(u.body, env, depth)
             name = f"{_CANON_VAR_PREFIX}{depth}"
-            return self._intern(type(u)(name, self._open(u.body, {**env, u.var: name},
+            return self.key_id(type(u)(name, self._open(u.body, {**env, u.var: name},
                                                          depth + 1)))
         children = []
         for lbl, c in u.branches:
             children.append((lbl, self._open(c, env, depth)))
         children.sort(key=lambda item: item[0].name)
-        return self._intern(_with_branches(u, tuple(children)))
+        return self.key_id(_with_branches(u, tuple(children)))
 
 
 def participants(g: GlobalType) -> frozenset[Role]:

@@ -3,7 +3,8 @@ calculus, on global types, local types and action labels.
 
 Every interaction that does not already touch the router role is rewritten to
 travel through it; interactions with the router as an endpoint stay direct.
-Global types encoded through one identity memo (`_encode_global`) share subterms.
+Global types encoded through one identity memo (`_encode_global`) share
+subterms; `_encode_id` encodes canonical ids without building a type.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import warnings
 
 from .core import (
-    ActionLabel, GComm, GEnd, GRec, GRouted, GRoutedTransit, GTransit, GVar,
+    ActionLabel, CanonicalIds, GComm, GEnd, GRec, GRouted, GRoutedTransit, GTransit, GVar,
     GlobalType, LBranch, LEnd, LRec, LRoutedBranch, LRoutedSelect, LSelect,
     LVar, LocalType, Role, _with_branches,
 )
@@ -45,20 +46,41 @@ def _encode_global(g: GlobalType, s: Role, memo: dict) -> GlobalType:
         return g
     if id(g) in memo:
         return memo[id(g)][1]
-    if isinstance(g, GRec):
-        out = GRec(g.var, _encode_global(g.body, s, memo))
-    elif not isinstance(g, (GComm, GTransit)):
-        raise NotCanonical(f"cannot encode non-canonical construct {type(g).__name__}")
-    else:
-        branches = tuple((lbl, _encode_global(c, s, memo)) for lbl, c in g.branches)
-        if s in (g.sender, g.receiver):
-            out = _with_branches(g, branches)
-        elif isinstance(g, GComm):
-            out = GRouted(g.sender, g.receiver, s, branches)
-        else:
-            out = GRoutedTransit(g.sender, g.receiver, s, g.chosen, branches)
+    out = _encode_node(g, s, _encode_global, (memo,))
     memo[id(g)] = (g, out)
     return out
+
+
+def _encode_id(sid: int, s: Role, ids: CanonicalIds, memo: dict) -> int:
+    """The id in `ids` of `encode_global` of the type whose id is `sid`,
+    through the memo `{(sid, s): encoded id}`.  The encoding keeps binders
+    and branch labels, so it maps the key node of each id to the key node
+    of its encoding, with no type built.  Open ids are encoded alike."""
+    out = memo.get((sid, s))
+    if out is None:
+        key = ids.keys[sid]
+        out = memo[(sid, s)] = sid if isinstance(key, (GEnd, GVar)) else \
+            ids.key_id(_encode_node(key, s, _encode_id, (ids, memo)))
+    return out
+
+
+def _encode_node(g: GlobalType, s: Role, encode, args: tuple) -> GlobalType:
+    """The binder or communication `g` encoded through `s`, its body or each
+    continuation `c` replaced by `encode(c, s, *args)`.  NotCanonical on a
+    routed node.  A loop, not a comprehension: one stack frame per level."""
+    if isinstance(g, GRec):
+        return GRec(g.var, encode(g.body, s, *args))
+    if not isinstance(g, (GComm, GTransit)):
+        raise NotCanonical(f"cannot encode non-canonical construct {type(g).__name__}")
+    branches = []
+    for lbl, c in g.branches:
+        branches.append((lbl, encode(c, s, *args)))
+    branches = tuple(branches)
+    if s in (g.sender, g.receiver):
+        return _with_branches(g, branches)
+    if isinstance(g, GComm):
+        return GRouted(g.sender, g.receiver, s, branches)
+    return GRoutedTransit(g.sender, g.receiver, s, g.chosen, branches)
 
 
 def encode_local(t: LocalType, q: Role, s: Role) -> LocalType:

@@ -22,10 +22,18 @@ class MergeFailure(Exception):
         self.left = left
         self.right = right
         self.reason = reason
-        detail = f" ({reason})" if reason else ""
         super().__init__(
-            f"cannot merge{detail}:\n  {pretty_local(left)}\n  {pretty_local(right)}"
+            f"{self._head()}:\n  {pretty_local(left)}\n  {pretty_local(right)}"
         )
+
+    def _head(self) -> str:
+        return f"cannot merge ({self.reason})" if self.reason else "cannot merge"
+
+    def one_line(self) -> str:
+        """The message on one line: both local types, each with its
+        whitespace collapsed, as `cannot merge: L vs R`."""
+        left, right = (" ".join(pretty_local(t).split()) for t in (self.left, self.right))
+        return f"{self._head()}: {left} vs {right}"
 
 
 def merge(a: LocalType, b: LocalType) -> LocalType:
@@ -107,20 +115,23 @@ def project(g: GlobalType, r: Role) -> LocalType:
     if kind is GVar:
         return LVar(g.var)
     if kind is GRec:
+        # The standard rule (Scalas & Yoshida, POPL 2019): a loop projects
+        # to `LEnd` for a role outside it only if the loop is closed, that
+        # is, if its body leaves it through no outer binder's variable.
         try:
             body = project(g.body, r)
         except MergeFailure:
-            # A role outside the loop contributes nothing to it, but its
-            # branch projections can strand the loop's back-edge variables
-            # in merges: it projects to `LEnd`, which keeps projection
-            # total on non-participants.  Only a failure pays for the walk.
-            if r in participants(g.body):
+            # The branch projections of a role outside a closed loop can
+            # strand the loop's back-edge variable in merges: it projects to
+            # `LEnd`, which keeps projection total on such roles.  Only a
+            # failure pays for the walks.
+            if r in participants(g.body) or not free_vars(g.body) <= {g.var}:
                 raise
             return LEnd()
-        # Merges of `LEnd` and variables that succeed give `LEnd` or a
-        # variable, so a role outside the loop projects to `LEnd` here too.
+        # A variable body is a role's jump back: to this loop, which it
+        # takes no part in (`LEnd`), or on to an outer one, which it might.
         if type(body) is LVar:
-            return LEnd()
+            return LEnd() if body.var == g.var else body
         if g.var not in free_vars(body):
             return body
         return LRec(g.var, body)

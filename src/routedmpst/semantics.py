@@ -13,29 +13,33 @@ fires first:
 - head rules: Gr1, Gr2, Gr6, Gr7 and Lr1, Lr2, Lr4-Lr7.  The local ones are
   also the edges of the endpoint state machine (`local_head_steps`, read by
   `efsm.build_efsm`).
-- `_unfold`: Gr3 and Lr3, recursion with a cycle cut, keyed and unfolded
-  through one `core.CanonicalIds` interner.
+- `_unfold`: Gr3 and Lr3, recursion with a cycle cut, each binder unfolded
+  once per `core.CanonicalIds` interner.
 - `_commute_all`: Gr4/Gr8, Lr8 and Lr10/Lr11; the subject filter depends on
   the node's class.  It steps the branches in order and stops at the first
   one that leaves no candidate label.
 - `_commute_chosen`: Gr5/Gr9 and Lr9.
 
-`_steps` derives the steps of a (node object, role, cut stack) once per
-interner: the interner (`_StepIds`) memoises them for its life, so the
-states of a search share the steps of their common subterms.  The one-shot
+`_steps` steps canonical ids, not type objects: a rule reads the key node
+the interner holds for an id (same class, children ids, branches sorted by
+label name), and a successor it builds is a key node, interned as it is, so
+no successor is built as a type or walked.  The interner (`_StepIds`)
+memoises the steps of each (id, role, cut stack) for its life, so
+canonically equal subterms share one derivation.  The one-shot
 `global_steps`, `local_steps` and `config_steps` make a fresh interner per
-call.
+call and return successors in canonical form.
 
-Both LTSs have a compiled form, `StepTable`: states keyed by their
-`CanonicalIds` id, each with its edges as `{label: successor id}`; canonical
-forms are built from ids where a state is printed or returned.  A global table
-(no role) is what the checkers in `analysis` search.  One local table per role
-backs `CompiledConfigurations`, which steps over tuples of state ids plus
-buffers and shares the configuration rule (`_enabled`) with `config_steps`,
-the form over `Configuration` values.  `Tables` holds the global and local
-tables of one run over one interner, and the projections made in that run,
-so several checks of the same protocol and its encoding compile each state
-and project each role once; a checker given none makes its own.
+Both LTSs have a compiled form, `StepTable`: each state id with its edges
+as `{label: successor id}`; canonical forms are built from ids where a state
+is printed or returned.  A global table (no role) is what the checkers in
+`analysis` search.  One local table per role backs
+`CompiledConfigurations`, which steps over tuples of state ids plus buffers
+and shares the configuration rule (`_enabled`) with `config_steps`, the
+form over `Configuration` values.  `Tables` holds the global and local
+tables of one run over one interner, the projections made in that run and
+its trace-equivalence reports, so several checks of the same protocol and
+its encoding compile each state and project each role once; a checker given
+none makes its own.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from .core import (
     Role, SEND, _with_branches, branch_for, direct_recv, direct_send,
     participants, record, routed_recv, routed_send, validate,
 )
-from .encoding import _encode_global
+from .encoding import _encode_global, _encode_id
 from .projection import project
 
 Steps = list[tuple[ActionLabel, GlobalType]]
@@ -59,19 +63,25 @@ def _sorted_steps(steps):
 
 
 def global_steps(g: GlobalType) -> Steps:
-    """All one-step successors of a closed global type, in deterministic
-    label order.  The relation is label-deterministic, so each label appears
-    at most once.  InvalidType unless `g` is a valid closed type."""
-    validate(g)
-    return _sorted_steps(_steps(g, None, _StepIds()))
+    """All one-step successors of a closed global type, in canonical form
+    and deterministic label order.  The relation is label-deterministic, so
+    each label appears at most once.  InvalidType unless `g` is a valid
+    closed type."""
+    return _formed_steps(g, None)
 
 
 def local_steps(t: LocalType, self_role: Role) -> LocalSteps:
-    """All one-step successors of a local type, labelled from the point of
-    view of `self_role` (which fills in the endpoint the syntax leaves
-    implicit).  InvalidType unless `t` is a valid closed type."""
+    """All one-step successors of a local type, in canonical form, labelled
+    from the point of view of `self_role` (which fills in the endpoint the
+    syntax leaves implicit).  InvalidType unless `t` is a valid closed
+    type."""
+    return _formed_steps(t, self_role)
+
+
+def _formed_steps(t: AnyType, me: Role | None) -> list:
     validate(t)
-    return _sorted_steps(_steps(t, self_role, _StepIds()))
+    ids = _StepIds()
+    return [(label, ids.form(succ)) for label, succ in _sorted_steps(_steps(ids.of(t), me, ids))]
 
 
 def local_head_steps(node: LocalType, me: Role) -> LocalSteps:
@@ -81,44 +91,43 @@ def local_head_steps(node: LocalType, me: Role) -> LocalSteps:
 
     These are the edges of the endpoint state machine.  A router node offers
     its forwarding accept (Lr6); the in-transit node it leads to offers the
-    matching delivery (Lr7)."""
+    matching delivery (Lr7).  The head rules are the ones `_steps` applies to
+    key nodes, here applied to a type object."""
     rules = _NODE_RULES[type(node)]
     return RULES[rules[0]](node, me, None, frozenset()) if rules else []
 
 
 class _StepIds(CanonicalIds):
     """A `CanonicalIds` interner that also memoises `_steps`, keyed by
-    `(id(node), me, stack)`.  Each entry keeps its node alive, so an id is
-    not reused while the memo lives; the memo lives as long as the interner,
-    and `RULES` must not change in that time."""
+    `(sid, me, stack)`.  The memo lives as long as the interner, and `RULES`
+    must not change in that time."""
 
     def __init__(self) -> None:
         super().__init__()
-        self.derived: dict[tuple, tuple[AnyType, tuple]] = {}
+        self.derived: dict[tuple, tuple] = {}
 
 
-def _steps(t: AnyType, me: Role | None, ids: _StepIds,
+def _steps(sid: int, me: Role | None, ids: _StepIds,
            stack: frozenset = frozenset()) -> tuple:
-    """The steps of the closed type `t` by the rules of its node class, in
-    rule order.  The recursion rules key and unfold binders with `ids`;
-    `stack` holds the ids of the binders unfolded on the way down.
+    """The steps of the closed id `sid` by the rules of its key node's
+    class, in rule order, each successor an id.  A rule takes the key node
+    and returns its steps with each successor an id or a key node it built,
+    which is interned here.  The recursion rules unfold binder ids with
+    `ids`; `stack` holds the ids of the binders unfolded on the way down.
 
-    The steps are a pure function of the node object, `me`, `stack` and
-    `RULES`, so `ids.derived` keeps them for the interner's life and a
-    repeat returns them as they are: a tuple, whose successors are shared,
-    not copied."""
-    key = (id(t), me, stack)
-    met = ids.derived.get(key)
-    if met is not None:
-        return met[1]
-    rules = _NODE_RULES.get(type(t))
-    if rules is None:
-        raise InvalidType(f"not a session type: {type(t).__name__}")
+    The steps are a pure function of `sid`, `me`, `stack` and `RULES`, so
+    `ids.derived` keeps them for the interner's life and a repeat returns
+    them as they are."""
+    key = (sid, me, stack)
+    out = ids.derived.get(key)
+    if out is not None:
+        return out
+    node = ids.keys[sid]
     out = []
-    for name in rules:
-        out.extend(RULES[name](t, me, ids, stack))
-    out = tuple(out)
-    ids.derived[key] = (t, out)
+    for name in _NODE_RULES[type(node)]:
+        for label, succ in RULES[name](node, me, ids, stack):
+            out.append((label, succ if type(succ) is int else ids.key_id(succ)))
+    out = ids.derived[key] = tuple(out)
     return out
 
 
@@ -127,10 +136,10 @@ def _unfold(node, me, ids, stack) -> list:
     repeats: the prefix rules propagate one label downward, so a derivable
     step never needs to unfold the same recursive state twice along one
     derivation path."""
-    key = ids.of(node)
-    if key in stack:
+    sid = ids.key_id(node)
+    if sid in stack:
         return []
-    return _steps(ids.unfold(node), me, ids, stack | {key})
+    return _steps(ids.unfold_id(sid), me, ids, stack | {sid})
 
 
 # The table's entries are plain functions that call `_steps` themselves: a
@@ -305,14 +314,15 @@ def config_steps(c: Configuration) -> list[tuple[ActionLabel, Configuration]]:
     """All one-step successors of a configuration; InvalidType unless every
     local type is a valid closed type.  Sends append to the sender->receiver
     buffer; receives pop its head.  Routed actions additionally require (and
-    advance) the router's local type."""
+    advance) the router's local type.  A role that moves is in canonical
+    form in the successor; the others keep their local types."""
     for _, t in c.locals:
         validate(t)
     ids = _StepIds()
-    steps_by_role = {r: dict_of_steps(_steps(t, r, ids)) for r, t in c.locals}
-    return _sorted_steps((label, c._update(movers, {pair: content}))
-                         for label, (movers, pair, content)
-                         in _enabled(steps_by_role, dict(c.buffers)).items())
+    steps_by_role = {r: dict_of_steps(_steps(ids.of(t), r, ids)) for r, t in c.locals}
+    return _sorted_steps(
+        (label, c._update({r: ids.form(succ) for r, succ in movers.items()}, {pair: content}))
+        for label, (movers, pair, content) in _enabled(steps_by_role, dict(c.buffers)).items())
 
 
 def _enabled(steps_by_role, buffers):
@@ -355,8 +365,8 @@ def _apply_label(label: ActionLabel, steps_by_role, buffers):
 
 
 class StepTable:
-    """One LTS, compiled: states keyed by their `core.CanonicalIds` id, each
-    with its full edges (head and commuting rules) as `{label: successor id}`.
+    """One LTS, compiled: states are `core.CanonicalIds` ids, each with its
+    full edges (head and commuting rules) as `{label: successor id}`.
 
     With a `role` it is that role's local LTS (edges in rule order); without
     one it is the global LTS (edges in the label order of `global_steps`).
@@ -365,39 +375,31 @@ class StepTable:
     for one run of several checks through `Tables`.
 
     A state's edges are built the first time they are asked for, from steps
-    the table's interner `ids` derives once per (node, role, cut stack) and
+    the table's interner `ids` derives once per (id, role, cut stack) and
     keeps for the interner's life; the tables of one `Tables` share their
     interner.  Canonical equality is id equality, so a search over ids
     visits exactly the states a search over canonical types visits, and a
     global table may hold the states of several types, such as a protocol
-    and its encoding.  `states` maps each id to the first type met with it,
-    not to a canonical form."""
+    and its encoding.  `ids.form(sid)` is the canonical form of a state."""
 
     def __init__(self, role: Role | None = None, ids: _StepIds | None = None):
         self.role = role
         self.ids = _StepIds() if ids is None else ids
-        self.states: dict[int, AnyType] = {}
         self._edges: dict[int, dict[ActionLabel, int]] = {}
 
     def intern(self, t: AnyType) -> int:
         """The id of a type from outside the table; InvalidType unless it is
         a valid closed type.  Successors of valid states are not checked."""
         validate(t)
-        return self._id(t)
-
-    def _id(self, t: AnyType) -> int:
-        sid = self.ids.of(t)
-        self.states.setdefault(sid, t)
-        return sid
+        return self.ids.of(t)
 
     def edges(self, sid: int) -> dict[ActionLabel, int]:
         edges = self._edges.get(sid)
         if edges is None:
-            steps = _steps(self.states[sid], self.role, self.ids)
+            steps = _steps(sid, self.role, self.ids)
             if self.role is None:
                 steps = _sorted_steps(steps)
-            edges = self._edges[sid] = {label: self._id(succ)
-                                        for label, succ in dict_of_steps(steps).items()}
+            edges = self._edges[sid] = dict_of_steps(steps)
         return edges
 
 
@@ -410,7 +412,10 @@ class Tables:
     global `StepTable` (role None) and one local `StepTable` per role, each
     made when first asked for.  A check that shares them finds the steps
     and edges an earlier check derived, and the projections, encodings and
-    decodings an earlier check or precondition made.
+    decodings an earlier check or precondition made.  `reports` keeps each
+    trace-equivalence report under `(canonical id, depth, state cap)`, which
+    determine it: a protocol whose encoding is canonically itself is
+    searched once.
 
     The tables follow `RULES` as it was when this object was made; `table`
     raises RuleTableChanged if `RULES` has changed since."""
@@ -418,9 +423,11 @@ class Tables:
     def __init__(self) -> None:
         self.rules = dict(RULES)
         self.ids = _StepIds()
+        self.reports: dict[tuple[int, int, int], object] = {}
         self._tables: dict[Role | None, StepTable] = {}
         self._once: dict[tuple, tuple] = {}
         self._encoded: dict[Role, dict] = {}
+        self._encoded_ids: dict[tuple[int, Role], int] = {}
 
     def once(self, fn, g: GlobalType, r: Role):
         """`fn(g, r)`, made once per (function, type object, role) for this
@@ -441,6 +448,12 @@ class Tables:
         for this object's life: one identity memo per router, so encodings
         share subterms as their inputs do."""
         return _encode_global(g, s, self._encoded.setdefault(s, {}))
+
+    def encode_id(self, sid: int, s: Role) -> int:
+        """The id of the encoding through `s` of the state `sid`, made once
+        per (id, router) for this object's life, with no type built.
+        NotCanonical if the state has a routed node."""
+        return _encode_id(sid, s, self.ids, self._encoded_ids)
 
     def table(self, role: Role | None = None) -> StepTable:
         if self.rules != RULES:

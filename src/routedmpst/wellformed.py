@@ -65,7 +65,8 @@ def _centroid(u: GlobalType, s: Role) -> tuple[list[str], str] | None:
 @record
 class WfReport:
     ok: bool
-    # role-name -> failure message, for every role whose projection is undefined
+    # role-name -> one-line failure message, for every role whose projection
+    # is undefined
     projection_failures: tuple[tuple[str, str], ...] = ()
     centroid: CentroidResult | None = None
 
@@ -92,7 +93,7 @@ def check_wf(g: GlobalType, *, tables: Tables | None = None) -> WfReport:
         try:
             proj(g, p)
         except MergeFailure as exc:
-            failures.append((p.name, str(exc).splitlines()[0]))
+            failures.append((p.name, exc.one_line()))
     return WfReport(not failures, tuple(failures))
 
 

@@ -1,12 +1,20 @@
-"""The earlier `project` and `is_centroid`, kept verbatim as references for
-the one-walk versions in `routedmpst.projection` and `routedmpst.wellformed`.
+"""The earlier `project` and `is_centroid`, kept verbatim, but for the loop
+rule, as references for the one-walk versions in `routedmpst.projection`
+and `routedmpst.wellformed`.
 
-This `project` walks the loop body for its participants at every binder,
-before projecting it, and tests each node's class through an `isinstance`
-chain; this `_centroid` threads the label path down the walk, copying it at
-every level.  `tests/test_projection.py` checks that both give the same
-local types, `MergeFailure` messages and `CentroidResult`s.  `project`
-recurses into itself, so the reference never calls the production one."""
+This `project` walks the loop body for its participants and free variables
+at every binder, before projecting it, and tests each node's class through
+an `isinstance` chain; this `_centroid` threads the label path down the
+walk, copying it at every level.  `tests/test_projection.py` checks that
+both give the same local types, `MergeFailure` messages and
+`CentroidResult`s.  `project` recurses into itself, so the reference never
+calls the production one.
+
+Its loop rule is the standard one, not the earlier `project`'s: a loop
+projects to `end` for a role outside it only when the loop is closed, and a
+body that projects to an outer binder's variable projects to that variable
+(Scalas & Yoshida, POPL 2019).  The earlier rule dropped a role's jump back
+to an outer loop it takes part in, which broke trace equivalence."""
 
 from routedmpst.core import (
     GComm, GEnd, GRec, GRouted, GRoutedTransit, GTransit, GVar, GlobalType,
@@ -30,14 +38,14 @@ def project(g: GlobalType, r: Role) -> LocalType:
     if isinstance(g, GVar):
         return LVar(g.var)
     if isinstance(g, GRec):
-        if r not in participants(g.body):
-            # A role outside the loop contributes nothing to it; projecting
-            # the body would otherwise strand its back-edge variables in
-            # merges.  This keeps projection total on non-participants.
+        if r not in participants(g.body) and free_vars(g.body) <= {g.var}:
+            # A role outside a closed loop contributes nothing to it;
+            # projecting the body would otherwise strand its back-edge
+            # variable in merges.  This keeps projection total on them.
             return LEnd()
         body = project(g.body, r)
         if isinstance(body, LVar):
-            return LEnd()
+            return LEnd() if body.var == g.var else body
         if g.var not in free_vars(body):
             return body
         return LRec(g.var, body)

@@ -72,6 +72,29 @@ def test_project_output_matches_golden_file(capsys, role):
     assert out == (GOLDEN / golden).read_text(), f"{golden} drifted"
 
 
+def test_an_inner_loop_projects_back_to_the_outer_loop_it_runs_on_into(capsys):
+    # C sends m4 in every round of P, and takes no part in Q, the loop each
+    # round runs on into: C's projection loops, rather than ending after
+    # one round.
+    path = str(PROTOCOL_DIR / "OuterLoop.scr")
+    code, out, _ = run(capsys, "project", path, "P", "C")
+    assert code == 0 and out == (GOLDEN / "project_OuterLoop_P_C.txt").read_text()
+    code, out, _ = run(capsys, "check", path, "P")
+    assert code == 0 and out == (GOLDEN / "check_OuterLoop_P.txt").read_text()
+
+
+@pytest.mark.parametrize("command", [("check",), ("verify", "--router", "A")])
+def test_a_merge_failure_is_reported_on_one_line(capsys, tmp_path, command):
+    path = tmp_path / "merge.scr"
+    path.write_text("global protocol M(role A, role B, role C) {\n"
+                    "  choice at A { x() from A to B; x() from A to C; }\n"
+                    "  or { y() from A to B; y() from B to C; }\n}\n")
+    code, out, err = run(capsys, command[0], str(path), "M", *command[1:])
+    assert code == 1
+    assert (out + err).splitlines() == [
+        "wf=fail", "projection undefined for C: cannot merge: A?x . end vs B?y . end"]
+
+
 def test_check_wf_and_router(capsys):
     code, out, _ = run(capsys, "check", TRAVEL, "TravelAgency")
     assert code == 0 and "wf=ok" in out

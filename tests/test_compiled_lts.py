@@ -30,29 +30,30 @@ from strategies import ROLE_POOL, global_types
 def _check_table(t, role=None, limit=None):
     """Breadth-first over the step table of `role` (None: the global table)
     from `t`, through at most `limit` states: each id stands for a distinct
-    canonical state whose `global_steps` (or `local_steps`), canonicalised,
-    are exactly its edges; a global table keeps their order too."""
+    canonical state (`table.ids.form(sid)`) whose `global_steps` (or
+    `local_steps`) are exactly its edges, in canonical form; a global table
+    keeps their order too."""
     table = StepTable(role)
     start = table.intern(t)
-    assert canonicalize(table.states[start]) == canonicalize(t)
+    assert table.ids.form(start) == canonicalize(t)
     seen = {start}
     frontier = [start]
     expanded = 0
     while frontier and expanded != limit:
         sid = frontier.pop(0)
         expanded += 1
-        state = table.states[sid]
+        state = table.ids.form(sid)
         want = [(label, canonicalize(succ)) for label, succ in
                 (global_steps(state) if role is None else local_steps(state, role))]
         got = list(table.edges(sid).items())
         if role is not None:
             got.sort(key=lambda step: step[0].sort_key())
-        assert [(label, canonicalize(table.states[succ])) for label, succ in got] == want
+        assert [(label, table.ids.form(succ)) for label, succ in got] == want
         for _, succ in got:
             if succ not in seen:
                 seen.add(succ)
                 frontier.append(succ)
-    assert len({canonicalize(t) for t in table.states.values()}) == len(table.states)
+    assert len({table.ids.form(sid) for sid in seen}) == len(seen)
     return len(seen)
 
 

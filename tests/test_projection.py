@@ -2,18 +2,18 @@ from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 
 from routedmpst import projection
-from routedmpst.analysis import reachable_states
+from routedmpst.analysis import check_trace_equivalence, reachable_states
 from routedmpst.core import (
-    GComm, GEnd, GRec, GVar, LBranch, LEnd, LRec, LRoutedBranch, LSelect, LVar, MsgLabel,
+    GComm, GEnd, GRec, GVar, LBranch, LEnd, LRec, LRoutedBranch, LSelect, LVar, MsgLabel, Role,
     participants,
 )
 from routedmpst.encoding import encode_global
 from routedmpst.projection import MergeFailure, merge, project
 from routedmpst.scribble import elaborate, parse_module
-from routedmpst.wellformed import is_centroid
+from routedmpst.wellformed import check_wf, is_centroid
 
 import canonical_oracle
 import projection_oracle
@@ -215,3 +215,80 @@ def test_a_loop_a_role_takes_no_part_in_projects_to_end_after_a_failed_merge():
     with mock.patch.object(projection, "participants", wraps=participants) as walk:
         assert project(g, C) == LBranch(A, one(M1, LEnd()))
     assert walk.call_count == 1
+
+
+# ---------------------------------------------------------------------------
+# Loops by the standard rule
+# ---------------------------------------------------------------------------
+
+
+def test_a_role_outside_an_inner_loop_jumps_back_to_the_outer_loop():
+    # P: C->B m4; B->D m1; then Q: B->D m3, back to P.  C takes no part in
+    # Q's loop, which runs on into P's, where C sends m4 every round.
+    g = load("OuterLoop", "P")
+    d = Role("D")
+    assert project(g, C) == LRec("t0", LSelect(B, one(MsgLabel("m4"), LVar("t0"))))
+    assert project(g, d) == LRec("t0", LBranch(B, one(MsgLabel("m1"), LBranch(
+        B, one(MsgLabel("m3"), LVar("t0"))))))
+    assert check_trace_equivalence(g, 8).passed
+
+
+def test_a_role_outside_a_closed_loop_still_projects_it_to_end():
+    # `rec X . A->B {Hello: X, Bye: end}` is closed: C, outside it, ends.
+    loop = GRec("X", GComm(A, B, ((HELLO, GVar("X")), (BYE, GEnd()))))
+    assert project(GComm(A, C, one(M1, loop)), C) == LBranch(A, one(M1, LEnd()))
+    # An inner loop C is outside of ends by jumping back to the outer one.
+    outer = GRec("Y", GComm(A, C, one(M1, GRec("X", GComm(A, B, one(HELLO, GVar("Y")))))))
+    assert project(outer, C) == LRec("Y", LBranch(A, one(M1, LVar("Y"))))
+
+
+def _c(p, q, *branches):
+    """`p->q`, its branches given as (label name, continuation) pairs."""
+    return GComm(Role(p), Role(q), tuple((MsgLabel(name), cont) for name, cont in branches))
+
+
+END = GEnd()
+
+# Every well-formed type in 6,000 derandomised `global_types(depth=5,
+# roles=A..D)` draws whose trace equivalence with its projection failed at
+# depth 8 under the earlier loop rule, which projected a role outside an
+# inner loop to `end` even where the loop ran on into an outer one the role
+# takes part in.  The first four are those of the first 2,000 draws.
+LOOP_RULE_COUNTEREXAMPLES = [
+    GRec('r0', _c('D', 'A', ('m1', GRec('r1', _c('D', 'B', ('m2', GVar('r0')), ('m4', GVar('r0'))))))),
+    _c('A', 'C', ('m3', GRec('r0', _c('D', 'A', ('m1', GRec('r1', _c('D', 'B', ('m2', GVar('r0'))))))))),
+    _c('A', 'C', ('m3', GRec('r0', _c('A', 'C', ('m1', GRec('r1', _c('D', 'B', ('m2', GVar('r0'))))))))),
+    GRec('r0', _c('C', 'A', ('m3', _c('B', 'C', ('m4', _c('B', 'C', ('m1', _c('A', 'D', ('m4', GRec(
+        'r1', _c('B', 'A', ('m2', GVar('r0'))))))))))))),
+    _c('D', 'C', ('m3', _c('B', 'C', ('m4', GRec('r0', _c('C', 'B', ('m1', GRec('r1', _c('A', 'D', (
+        'm3', GRec('r2', _c('C', 'D', ('m3', GVar('r0')))))))))))))),
+    _c('D', 'C', ('m3', _c('A', 'D', ('m4', GRec('r0', _c('C', 'B', ('m1', GRec('r1', _c('A', 'D', (
+        'm3', GRec('r2', _c('C', 'D', ('m3', GVar('r0')))))))))))))),
+    _c('D', 'C', ('m1', _c('A', 'D', ('m4', GRec('r0', _c('C', 'B', ('m1', GRec('r1', _c('A', 'D', (
+        'm3', GRec('r2', _c('C', 'D', ('m3', GVar('r0')))))))))))))),
+    _c('B', 'C', ('m4', _c('C', 'A', ('m3', GRec('r0', _c('C', 'A', ('m2', GRec('r1', _c('C', 'A', (
+        'm3', GRec('r2', _c('A', 'B', ('m4', GVar('r1')))))))))))))),
+    GRec('r0', _c('A', 'C', ('m3', _c('D', 'C', ('m4', _c('B', 'D', ('m2', GRec('r1', _c('B', 'D', (
+        'm3', GRec('r2', _c('A', 'C', ('m3', GVar('r0')), ('m4', GVar('r0')))))))))))))),
+    _c('A', 'D', ('m4', _c('A', 'B', ('m4', _c('D', 'B', ('m1', GRec('r0', _c('D', 'A', ('m4', GRec(
+        'r1', _c('A', 'B', ('m1', END), ('m3', GVar('r0'))))))))))))),
+]
+
+
+def _pinned(test):
+    for g in LOOP_RULE_COUNTEREXAMPLES:
+        test = example(g)(test)
+    return test
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(global_types(depth=5, roles=ROLE_POOL))
+@_pinned
+def test_well_formed_types_are_trace_equivalent_to_their_projections_at_depth_8(g):
+    # The paper's theorem, instance-checked deeper than the canonical suite
+    # of `property_suites`: deep enough to reach a second round of nested
+    # loops.  The cap only keeps a runaway search from exhausting memory.
+    assume(check_wf(g).ok)
+    report = check_trace_equivalence(g, 8, 10 ** 5)
+    assert report.passed, str(report.counterexample)

@@ -1,9 +1,11 @@
 """Every record class of the package, made by `core.record`, against a
 reference `dataclasses.dataclass` built from the same fields and options:
-construction, `==`, hash, ordering, repr, `__match_args__`, the frozen
-guard, pickle and copy.  And importing the CLI does not load `dataclasses`,
-whose code generation the records exist to avoid, nor `argparse`, which only
-help and usage errors need."""
+construction, `==`, hash, the absence of ordering, repr, `__match_args__`,
+the frozen guard, pickle and copy.  The atoms (`Role`, `MsgLabel`,
+`ActionLabel`) are tuples, not records: `test_atoms.py` pins them.  And
+importing the CLI does not load `dataclasses`, whose code generation the
+records exist to avoid, nor `argparse`, which only help and usage errors
+need."""
 
 import copy
 import dataclasses
@@ -19,9 +21,8 @@ import pytest
 
 from routedmpst import analysis, core, efsm, scribble, semantics, simulator, wellformed
 from routedmpst.core import (
-    RECV, SEND, ActionLabel, GComm, GEnd, GRec, GRouted, GRoutedTransit, GTransit, GVar,
-    LBranch, LEnd, LRec, LRouter, LRouterTransit, LRoutedBranch, LRoutedSelect, LSelect, LVar,
-    MsgLabel, Role, direct_send,
+    GComm, GEnd, GRec, GRouted, GRoutedTransit, GTransit, GVar, LBranch, LEnd, LRec, LRouter,
+    LRouterTransit, LRoutedBranch, LRoutedSelect, LSelect, LVar, MsgLabel, direct_send,
 )
 from routedmpst.projection import project
 
@@ -39,8 +40,6 @@ TERMINAL = efsm.EfsmState(1, efsm.STATE_TERMINAL, LEND)
 # Two constructor argument tuples per record class (one for the classes
 # with a single value), which differ in at least one compared field.
 SAMPLES = {
-    Role: [("A",), ("B",)],
-    MsgLabel: [("Quote", ("number",)), ("Quote",)],
     GEnd: [()],
     GVar: [("x",), ("y",)],
     GRec: [("x", END), ("y", END)],
@@ -57,7 +56,6 @@ SAMPLES = {
     LRoutedBranch: [(A, S, ((M, LEND),)), (A, B, ((M, LEND),))],
     LRouter: [(A, B, ((M, LEND),)), (B, A, ((M, LEND),))],
     LRouterTransit: [(A, B, M, ((M, LEND),)), (B, A, M, ((M, LEND),))],
-    ActionLabel: [(SEND, A, B, M), (RECV, A, B, M, S)],
     scribble.SourceSpan: [("a.scr", 1, 2), ("a.scr", 1, 3)],
     scribble.MsgStmt: [("m", (), "A", "B", SPAN), ("m", ("int",), "A", "B", SPAN)],
     scribble.ChoiceStmt: [("A", ((),), SPAN), ("B", ((),), SPAN)],
@@ -97,13 +95,13 @@ def _reference(cls):
     """The `dataclass` the record decorator stands in for."""
     fields = []
     for f in cls.__record_fields__:
-        options = dict(init=f.init, repr=f.repr, compare=f.compare)
+        options = dict(compare=f.compare)
         if f.default is not core._MISSING:
             options["default"] = f.default
         fields.append((f.name, "object", dataclasses.field(**options)))
     namespace = {"__post_init__": cls.__post_init__} if hasattr(cls, "__post_init__") else {}
     return dataclasses.make_dataclass(cls.__name__, fields, namespace=namespace, frozen=True,
-                                      order="__lt__" in vars(cls), slots="__slots__" in vars(cls))
+                                      slots="__slots__" in vars(cls))
 
 
 REFERENCES = {cls: _reference(cls) for cls in CLASSES}
@@ -119,15 +117,15 @@ def _pairs(cls):
 
 def test_the_table_covers_every_record_class():
     assert _record_classes() == set(CLASSES)
-    assert len(CLASSES) == 40
+    assert len(CLASSES) == 37
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
 def test_construction_by_position_keyword_and_default(cls):
     ref = REFERENCES[cls]
-    init = [f for f in cls.__record_fields__ if f.init]
-    required = sum(f.default is core._MISSING for f in init)
-    defaults = tuple(f.default for f in init[required:])
+    fields = cls.__record_fields__
+    required = sum(f.default is core._MISSING for f in fields)
+    defaults = tuple(f.default for f in fields[required:])
     for args in SAMPLES[cls]:
         full = args + defaults[len(args) - required:]
         x = cls(*args)
@@ -152,11 +150,8 @@ def test_equality_hash_ordering_repr_and_match_args_are_the_dataclasses(cls):
     for (x, rx), (y, ry) in itertools.product(pairs, repeat=2):
         assert (x == y) is (rx == ry) and (x != y) is (rx != ry)
         assert (x == y) is (x is y or _compared(x) == _compared(y))
-        if "__lt__" in vars(cls):
-            assert [x < y, x <= y, x > y, x >= y] == [rx < ry, rx <= ry, rx > ry, rx >= ry]
-        else:
-            with pytest.raises(TypeError):
-                x < y
+        with pytest.raises(TypeError):
+            x < y
     for x, rx in pairs:
         assert hash(x) == hash(_compared(x)) == hash(rx)
         assert repr(x) == repr(rx)

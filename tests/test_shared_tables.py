@@ -1,7 +1,10 @@
 """The four checks of `verify` on one `semantics.Tables`: their reports are
 those of the checkers called one by one on fresh tables, no step is derived
-and no role projected twice across them, and tables made under other rules
+and no role projected twice across them, a canonically repeated
+trace-equivalence search runs once, and tables made under other rules
 raise."""
+
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -13,7 +16,7 @@ from routedmpst.analysis import (
     check_trace_equivalence,
 )
 from routedmpst.cli import main
-from routedmpst.core import Role, participants
+from routedmpst.core import Role, canonicalize, participants
 from routedmpst.encoding import encode_global
 from routedmpst.semantics import RuleTableChanged, Tables
 from routedmpst.wellformed import check_wf
@@ -21,6 +24,8 @@ from routedmpst.wellformed import check_wf
 from corpus import CORPUS_ROUTERS, PROTOCOL_DIR, load
 from mutation import rules_counted, rules_disabled
 from strategies import ROLE_POOL, global_types
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _checks(g, router, depth, cap):
@@ -111,12 +116,12 @@ def _encodings(monkeypatch, protocol):
 
 def test_verify_encodes_its_protocol_once(monkeypatch, capsys):
     # The encoded trace equivalence and deadlock checks take the encoding
-    # `cli` makes, and the bisimulation finds it again for its initial state.
+    # `cli` makes; the bisimulation encodes state ids, not types.
     made = _encodings(monkeypatch, load("Battleships"))
     path = str(PROTOCOL_DIR / "Battleships.scr")
     assert main(["verify", path, "Battleships", "--router", CORPUS_ROUTERS["Battleships"]]) == 0
     capsys.readouterr()
-    assert len(made) == 2 and made[0] is made[1]
+    assert len(made) == 1
 
 
 def test_simulate_encodes_once_and_projects_each_role_of_each_type_once(monkeypatch, capsys):
@@ -172,3 +177,51 @@ def test_tables_made_under_other_rules_raise():
         with pytest.raises(RuleTableChanged):
             check(tables=during)
     assert not before.ids.derived and not during.ids.derived
+
+
+def _config_steps_counted(monkeypatch):
+    """The number of `CompiledConfigurations.steps` calls so far, in a list."""
+    calls = [0]
+    real = semantics.CompiledConfigurations.steps
+
+    def counting(self, key):
+        calls[0] += 1
+        return real(self, key)
+    monkeypatch.setattr(semantics.CompiledConfigurations, "steps", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_ROUTERS))
+def test_a_canonically_equal_type_reads_the_first_trace_equivalence_report(name, monkeypatch):
+    # Its canonical form has other binder names and sorted branches, so it
+    # is another object with the same canonical id: the second check
+    # returns the first report and steps no configuration.
+    g = load(name)
+    tables = Tables()
+    calls = _config_steps_counted(monkeypatch)
+    first = check_trace_equivalence(g, 6, tables=tables)
+    searched = calls[0]
+    twin = canonicalize(g)
+    assert searched and twin != g
+    assert check_trace_equivalence(twin, 6, tables=tables) is first
+    assert calls[0] == searched
+    # Another depth is another search.
+    check_trace_equivalence(g, 5, tables=tables)
+    assert calls[0] > searched
+
+
+def test_verify_searches_trace_equivalence_once_where_the_encoding_is_the_protocol(
+        monkeypatch, capsys):
+    # Every interaction of Game involves its router, so its encoding is
+    # canonically itself, and both trace-equivalence checks are one search.
+    searches = []
+    real = semantics.CompiledConfigurations.__init__
+
+    def counting(self, c, tables=None):
+        searches.append(c)
+        real(self, c, tables)
+    monkeypatch.setattr(semantics.CompiledConfigurations, "__init__", counting)
+    path = str(PROTOCOL_DIR / "Game.scr")
+    assert main(["verify", path, "Game", "--router", CORPUS_ROUTERS["Game"], "--depth", "6"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "verify_Game.txt").read_text()
+    assert len(searches) == 1

@@ -1,17 +1,18 @@
 """The step memo and the early stop of the commuting rules: within one
-checker call each rule derives the steps of a (node, role, cut stack) once,
-and `_commute_all` steps no branch after the first one that leaves no
-candidate label."""
+checker call each rule derives the steps of a (canonical id, role, cut
+stack) once, and `_commute_all` steps no branch after the first one that
+leaves no candidate label."""
 
 import pytest
 
 from routedmpst import semantics
+from routedmpst.cli import main
 from routedmpst.analysis import check_deadlock_freedom, check_trace_equivalence
 from routedmpst.core import LEnd, LSelect, LRoutedSelect, Role, direct_send
 from routedmpst.encoding import encode_global
 from routedmpst.semantics import StepTable, project_configuration
 
-from corpus import A, B, C, CORPUS_ROUTERS, M1, M2, load
+from corpus import A, B, C, CORPUS_ROUTERS, M1, M2, PROTOCOL_DIR, load
 from mutation import rules_counted
 
 
@@ -34,13 +35,13 @@ def test_each_step_is_derived_once_per_checker_call(name, check):
 
 @pytest.fixture
 def stepped(monkeypatch):
-    """The node of every call to `semantics._steps`, in call order."""
+    """The key node of every call to `semantics._steps`, in call order."""
     nodes: list = []
     real = semantics._steps
 
-    def record(t, *args):
-        nodes.append(t)
-        return real(t, *args)
+    def record(sid, me, ids, *args):
+        nodes.append(ids.keys[sid])
+        return real(sid, me, ids, *args)
 
     monkeypatch.setattr(semantics, "_steps", record)
     return nodes
@@ -54,8 +55,9 @@ def test_commuting_rule_stops_at_the_first_empty_branch(stepped):
     table = StepTable(A)
     assert list(table.edges(table.intern(t))) == [direct_send(A, B, M1),
                                                  direct_send(A, B, M2)]
-    assert any(node is t for node in stepped)
-    assert not any(node is late for node in stepped)
+    key, late_key = (table.ids.keys[table.ids.of(u)] for u in (t, late))
+    assert any(node is key for node in stepped)
+    assert not any(node is late_key for node in stepped)
 
 
 def test_initial_local_edges_of_the_battleships_encoding_step_few_nodes(stepped):
@@ -70,3 +72,21 @@ def test_initial_local_edges_of_the_battleships_encoding_step_few_nodes(stepped)
         table.edges(table.intern(t))
         calls[role.name] = len(stepped) - before
     assert calls == {"P1": 6, "P2": 6, "Svr": 10}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_ROUTERS))
+def test_verify_derives_each_canonical_id_once_across_its_checks(name, monkeypatch, capsys):
+    # Every rule records the interner, the canonical id of its node, the
+    # role and the cut stack it derives; `_steps` calls the rules only when
+    # its memo misses.
+    derived = []
+    for rule_name, rule in dict(semantics.RULES).items():
+        def count(node, me, ids, stack, rule_name=rule_name, rule=rule):
+            derived.append((id(ids), rule_name, ids.key_id(node), me, stack))
+            return rule(node, me, ids, stack)
+        monkeypatch.setitem(semantics.RULES, rule_name, count)
+    path = str(PROTOCOL_DIR / f"{name}.scr")
+    assert main(["verify", path, name, "--router", CORPUS_ROUTERS[name]]) == 0
+    capsys.readouterr()
+    assert len({interner for interner, *_ in derived}) == 1
+    assert len(set(derived)) == len(derived) > 0

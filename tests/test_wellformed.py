@@ -88,3 +88,25 @@ def test_known_gap_routed_wf_does_not_imply_plain_wf():
     ))),))
     assert not check_wf(g).ok
     assert check_wf_routed(encode_global(g, C), C).ok
+
+
+def test_a_merge_failure_keeps_both_local_types_on_one_line():
+    # C must merge a receive from A with a two-way choice from B, which the
+    # printer spreads over lines: the report collapses each side's
+    # whitespace and keeps both on the line of their role.
+    x, y, p, q = (MsgLabel(n) for n in ("x", "y", "p", "q"))
+    choice = GComm(B, C, ((p, GEnd()), (q, GEnd())))
+    g = GComm(A, B, ((x, GComm(A, C, ((x, GEnd()),))), (y, choice)))
+    report = check_wf(g)
+    assert report.projection_failures == (
+        ("C", "cannot merge: A?x . end vs B?{ p: end, q: end }"),)
+    assert report.describe() == \
+        "projection undefined for C: cannot merge: A?x . end vs B?{ p: end, q: end }"
+
+
+def test_a_merge_failure_with_a_reason_keeps_it_on_the_line():
+    x, y = MsgLabel("x"), MsgLabel("y")
+    g = GComm(A, B, ((x, GComm(A, C, ((x, GEnd()),))),
+                     (y, GComm(A, C, ((MsgLabel("x", ("int",)), GEnd()),)))))
+    assert check_wf(g).projection_failures == (
+        ("C", "cannot merge (payload sorts differ on label x): A?x . end vs A?x(int) . end"),)
