@@ -8,7 +8,7 @@ metatheory rather than proving it.  Resource exhaustion is reported as an
 `inconclusive` verdict, never as a pass.
 
 One breadth-first search, `_explore`, runs all four checks and
-`reachable_states`, over keys: global state ids of a `semantics.StepTable`
+`reachable_states`, over keys: global state ids of a `semantics.Tables`
 or, for trace equivalence, pairs of such an id and a
 `semantics.CompiledConfigurations` key.  Keys are equal exactly when
 canonical states are, so the states counted are canonical states (or pairs
@@ -20,14 +20,14 @@ passes one to all four checks, so a state one check compiled, or a role one
 check or precondition projected, is not compiled or projected again by the
 next, and the encoded trace-equivalence check of a protocol whose encoding
 is canonically itself reads the plain check's report.  Without it a checker
-makes fresh tables, which live for the call.
+makes a fresh `Tables`, which lives for the call.
 """
 
 from __future__ import annotations
 
 from .core import ActionLabel, GEnd, GlobalType, Role, pretty_global, record
 from .encoding import encode_label
-from .semantics import CompiledConfigurations, StepTable, Tables, project_configuration
+from .semantics import CompiledConfigurations, Tables, project_configuration
 from .wellformed import check_wf, check_wf_routed
 
 DEFAULT_STATE_CAP = 10 ** 6
@@ -123,8 +123,8 @@ def _traces(start, steps, depth: int, state_cap: int) -> TraceSet:
 def global_traces(g: GlobalType, depth: int,
                   state_cap: int = DEFAULT_STATE_CAP) -> TraceSet:
     """Exact prefix-closed trace set of the global LTS up to `depth`."""
-    table = StepTable()
-    return _traces(table.intern(g), lambda sid: table.edges(sid).items(), depth, state_cap)
+    tables = Tables()
+    return _traces(tables.intern(g), lambda sid: tables.edges(sid).items(), depth, state_cap)
 
 
 def config_traces(g: GlobalType, depth: int,
@@ -147,15 +147,14 @@ def check_trace_equivalence(g: GlobalType, depth: int,
     initial configuration, up to `depth`: the trace sets agree exactly when
     every pair (global state id, configuration key) found within `depth - 1`
     steps enables the same labels on both sides.  The search follows labels
-    in the global table's `sort_key` order, so the first mismatch it meets
+    in the global edges' `sort_key` order, so the first mismatch it meets
     gives the least witness: shortest, then least by `sort_key`.
 
     Both LTSs, and so the report, are functions of the canonical form of
     `g`: `tables.reports` keeps it, and a canonically equal type checked
     again in the same tables gets it back with no search."""
     tables = Tables() if tables is None else tables
-    table = tables.table()
-    start = table.intern(g)
+    start = tables.intern(g)
     key = (start, depth, state_cap)
     report = tables.reports.get(key)
     if report is None:
@@ -164,12 +163,11 @@ def check_trace_equivalence(g: GlobalType, depth: int,
 
 
 def _trace_equivalence(g, start, depth, state_cap, tables) -> ExplorationReport:
-    table = tables.table()
     lts = CompiledConfigurations(project_configuration(g, tables=tables), tables)
 
     def steps(pair):
         sid, key = pair
-        return table.edges(sid), dict(lts.steps(key))
+        return tables.edges(sid), dict(lts.steps(key))
 
     def visit(pair, trace, edges):
         g_edges, c_edges = edges
@@ -236,16 +234,16 @@ def check_deadlock_freedom(g: GlobalType, router: Role,
     wf = check_wf_routed(g, router, tables=tables)
     if not wf.ok:
         raise PreconditionError(f"type not well-formed for router {router}: {wf.describe()}")
-    table = tables.table()
+    start = tables.intern(g)
+    end = tables.key_id(GEnd())
 
     def visit(sid, trace, edges):
-        if not edges and sid != table.ids.of(GEnd()):
-            state = pretty_global(table.ids.form(sid))
+        if not edges and sid != end:
+            state = pretty_global(tables.form(sid))
             yield Counterexample(trace, f"stuck non-terminal state:\n{state}")
         yield from edges.items()
 
-    return _explore("deadlock_freedom", table.intern(g), table.edges, visit, None,
-                    state_cap)[0]
+    return _explore("deadlock_freedom", start, tables.edges, visit, None, state_cap)[0]
 
 
 def check_encoding_bisim(g: GlobalType, s: Role, depth: int,
@@ -256,20 +254,17 @@ def check_encoding_bisim(g: GlobalType, s: Role, depth: int,
     encoding is enabled at the encoding of G', with successors related by the
     encoding again.
 
-    Plain and encoded states live in one global step table, whose ids are
-    canonical; a successor pair is related when the encoding of the plain
-    successor has the id of the encoded successor."""
+    Plain and encoded states are ids of one interner, which are canonical;
+    a successor pair is related when the encoding of the plain successor
+    has the id of the encoded successor."""
     tables = Tables() if tables is None else tables
     wf = check_wf(g, tables=tables)
     if not wf.ok:
         raise PreconditionError(f"type not well-formed: {wf.describe()}")
-    table = tables.table()
-
-    def encode(sid):
-        return tables.encode_id(sid, s)
+    start = tables.intern(g)
 
     def visit(sid, trace, edges):
-        enc_edges = table.edges(encode(sid))
+        enc_edges = tables.edges(tables.encode_id(sid, s))
         if len(edges) != len(enc_edges):
             extra = set(enc_edges) - {encode_label(l, s) for l in edges}
             yield Counterexample(
@@ -278,21 +273,21 @@ def check_encoding_bisim(g: GlobalType, s: Role, depth: int,
             enc_lbl = encode_label(label, s)
             if enc_lbl not in enc_edges:
                 yield Counterexample(trace + (label,), f"{enc_lbl} not enabled on encoded state")
-            elif enc_edges[enc_lbl] != encode(succ):
+            elif enc_edges[enc_lbl] != tables.encode_id(succ, s):
                 yield Counterexample(trace + (label,),
                                      "encoded successor differs from encoding of successor")
             else:
                 yield label, succ
 
-    return _explore("encoding_bisim", table.intern(g), table.edges, visit, depth, state_cap)[0]
+    return _explore("encoding_bisim", start, tables.edges, visit, depth, state_cap)[0]
 
 
 def reachable_states(g: GlobalType, depth: int,
                      state_cap: int = DEFAULT_STATE_CAP) -> list[GlobalType]:
     """Canonical states reachable from g within `depth` steps (BFS order)."""
-    table = StepTable()
-    report, seen = _explore("reachable_states", table.intern(g), table.edges,
+    tables = Tables()
+    report, seen = _explore("reachable_states", tables.intern(g), tables.edges,
                             lambda sid, trace, edges: edges.items(), depth, state_cap)
     if report.verdict == INCONCLUSIVE:
         raise StateBudgetExceeded(state_cap, report.states_visited)
-    return [table.ids.form(sid) for sid in seen]
+    return [tables.form(sid) for sid in seen]

@@ -164,7 +164,7 @@ def cmd_simulate(args) -> int:
     cancel = None
     if args.cancel:
         role_name, _, at = args.cancel.partition("@")
-        if not at.isdigit():
+        if not at.isdecimal():  # exactly the strings `int` accepts here
             raise _UsageError("--cancel expects ROLE@STEP")
         try:
             cancel = (Role(role_name), int(at))

@@ -153,7 +153,7 @@ def record(cls: type | None = None, /, *, slots: bool = False):
     return cls
 
 
-# Roles, message labels and action labels are the atoms every step table
+# Roles, message labels and action labels are the atoms every step memo
 # hashes.  Each is a `tuple` of its fields, so `==`, hash and ordering run in
 # C: the hash is the hash of the field tuple, the one every record computes,
 # so sets and dicts of atoms iterate as records of the same fields would.

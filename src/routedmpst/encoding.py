@@ -3,8 +3,8 @@ calculus, on global types, local types and action labels.
 
 Every interaction that does not already touch the router role is rewritten to
 travel through it; interactions with the router as an endpoint stay direct.
-Global types encoded through one identity memo (`_encode_global`) share
-subterms; `_encode_id` encodes canonical ids without building a type.
+One node encoder, `_encode_node`, serves `encode_global` and `_encode_id`,
+which encodes canonical ids without building a type.
 """
 
 from __future__ import annotations
@@ -37,18 +37,9 @@ def encode_global(g: GlobalType, s: Role) -> GlobalType:
     Direct in-transit markers are encoded too, because the reachable states
     of a canonical type contain them and the bisimulation checker encodes
     those mid-trace states.  Routed constructs are rejected."""
-    return _encode_global(g, s, {})
-
-
-def _encode_global(g: GlobalType, s: Role, memo: dict) -> GlobalType:
-    """`encode_global` through the identity memo `{id(node): (node, encoding)}`."""
     if isinstance(g, (GEnd, GVar)):
         return g
-    if id(g) in memo:
-        return memo[id(g)][1]
-    out = _encode_node(g, s, _encode_global, (memo,))
-    memo[id(g)] = (g, out)
-    return out
+    return _encode_node(g, s, encode_global, ())
 
 
 def _encode_id(sid: int, s: Role, ids: CanonicalIds, memo: dict) -> int:

@@ -23,23 +23,23 @@ fires first:
 `_steps` steps canonical ids, not type objects: a rule reads the key node
 the interner holds for an id (same class, children ids, branches sorted by
 label name), and a successor it builds is a key node, interned as it is, so
-no successor is built as a type or walked.  The interner (`_StepIds`)
-memoises the steps of each (id, role, cut stack) for its life, so
-canonically equal subterms share one derivation.  The one-shot
-`global_steps`, `local_steps` and `config_steps` make a fresh interner per
-call and return successors in canonical form.
+no successor is built as a type or walked.
 
-Both LTSs have a compiled form, `StepTable`: each state id with its edges
-as `{label: successor id}`; canonical forms are built from ids where a state
-is printed or returned.  A global table (no role) is what the checkers in
-`analysis` search.  One local table per role backs
-`CompiledConfigurations`, which steps over tuples of state ids plus buffers
-and shares the configuration rule (`_enabled`) with `config_steps`, the
-form over `Configuration` values.  `Tables` holds the global and local
-tables of one run over one interner, the projections made in that run and
-its trace-equivalence reports, so several checks of the same protocol and
-its encoding compile each state and project each role once; a checker given
-none makes its own.
+`Tables` is the one interner and the one step memo of a run: `derived`
+keeps the steps of each (id, role, cut stack) as `{label: successor id}`,
+built once, so canonically equal subterms share one derivation.  Its
+`edges(sid, role)` are the edges of a state, for the global LTS (role
+None, labels in `sort_key` order) or for that role's local LTS (rule
+order); canonical forms are built from ids only where a state is printed or
+returned.  The checkers in `analysis` search the global edges.  The local
+edges back `CompiledConfigurations`, which steps over tuples of state ids
+plus buffers and shares the configuration rule (`_enabled`) with
+`config_steps`, the form over `Configuration` values.  A `Tables` also keeps
+the projections and encodings made in its run and its trace-equivalence
+reports, so several checks of the same protocol and its encoding derive
+each step and project each role once; a checker given none makes its own,
+and so do the one-shot `global_steps`, `local_steps` and `config_steps`,
+which return successors in canonical form.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .core import (
     Role, SEND, _with_branches, branch_for, direct_recv, direct_send,
     participants, record, routed_recv, routed_send, validate,
 )
-from .encoding import _encode_global, _encode_id
+from .encoding import _encode_id, encode_global
 from .projection import project
 
 Steps = list[tuple[ActionLabel, GlobalType]]
@@ -60,6 +60,9 @@ LocalSteps = list[tuple[ActionLabel, LocalType]]
 
 def _sorted_steps(steps):
     return sorted(steps, key=lambda pair: pair[0].sort_key())
+
+
+_NO_CUTS = frozenset()
 
 
 def global_steps(g: GlobalType) -> Steps:
@@ -79,9 +82,9 @@ def local_steps(t: LocalType, self_role: Role) -> LocalSteps:
 
 
 def _formed_steps(t: AnyType, me: Role | None) -> list:
-    validate(t)
-    ids = _StepIds()
-    return [(label, ids.form(succ)) for label, succ in _sorted_steps(_steps(ids.of(t), me, ids))]
+    tables = Tables()
+    edges = tables.edges(tables.intern(t), me)
+    return [(label, tables.form(succ)) for label, succ in _sorted_steps(edges.items())]
 
 
 def local_head_steps(node: LocalType, me: Role) -> LocalSteps:
@@ -94,44 +97,38 @@ def local_head_steps(node: LocalType, me: Role) -> LocalSteps:
     matching delivery (Lr7).  The head rules are the ones `_steps` applies to
     key nodes, here applied to a type object."""
     rules = _NODE_RULES[type(node)]
-    return RULES[rules[0]](node, me, None, frozenset()) if rules else []
+    return RULES[rules[0]](node, me, None, _NO_CUTS) if rules else []
 
 
-class _StepIds(CanonicalIds):
-    """A `CanonicalIds` interner that also memoises `_steps`, keyed by
-    `(sid, me, stack)`.  The memo lives as long as the interner, and `RULES`
-    must not change in that time."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.derived: dict[tuple, tuple] = {}
-
-
-def _steps(sid: int, me: Role | None, ids: _StepIds,
-           stack: frozenset = frozenset()) -> tuple:
+def _steps(sid: int, me: Role | None, ids: Tables,
+           stack: frozenset = _NO_CUTS) -> dict[ActionLabel, int]:
     """The steps of the closed id `sid` by the rules of its key node's
-    class, in rule order, each successor an id.  A rule takes the key node
-    and returns its steps with each successor an id or a key node it built,
-    which is interned here.  The recursion rules unfold binder ids with
-    `ids`; `stack` holds the ids of the binders unfolded on the way down.
+    class, as `{label: successor id}` (`dict_of_steps`): in `sort_key` order
+    for the global LTS (`me` None), in rule order for a local one.  A rule
+    takes the key node and returns its steps with each successor an id or a
+    key node it built, which is interned here.  The recursion rules unfold
+    binder ids with `ids`; `stack` holds the ids of the binders unfolded on
+    the way down.
 
     The steps are a pure function of `sid`, `me`, `stack` and `RULES`, so
     `ids.derived` keeps them for the interner's life and a repeat returns
-    them as they are."""
+    the same dict."""
     key = (sid, me, stack)
     out = ids.derived.get(key)
     if out is not None:
         return out
     node = ids.keys[sid]
-    out = []
+    steps = []
     for name in _NODE_RULES[type(node)]:
         for label, succ in RULES[name](node, me, ids, stack):
-            out.append((label, succ if type(succ) is int else ids.key_id(succ)))
-    out = ids.derived[key] = tuple(out)
+            steps.append((label, succ if type(succ) is int else ids.key_id(succ)))
+    if me is None:
+        steps = _sorted_steps(steps)
+    out = ids.derived[key] = dict_of_steps(steps)
     return out
 
 
-def _unfold(node, me, ids, stack) -> list:
+def _unfold(node, me, ids, stack):
     """Gr3, Lr3: a recursion binder steps as its unfolding.  Cut at canonical
     repeats: the prefix rules propagate one label downward, so a derivable
     step never needs to unfold the same recursive state twice along one
@@ -139,7 +136,7 @@ def _unfold(node, me, ids, stack) -> list:
     sid = ids.key_id(node)
     if sid in stack:
         return []
-    return _steps(ids.unfold_id(sid), me, ids, stack | {sid})
+    return _steps(ids.unfold_id(sid), me, ids, stack | {sid}).items()
 
 
 # The table's entries are plain functions that call `_steps` themselves: a
@@ -159,7 +156,7 @@ def _commute_all(node, me, ids, stack) -> list:
     per_branch = []
     candidates = None
     for _, cont in node.branches:
-        steps = dict_of_steps(_steps(cont, me, ids, stack))
+        steps = _steps(cont, me, ids, stack)
         if candidates is None:
             if isinstance(node, (LSelect, LBranch)):
                 candidates = [label for label in steps
@@ -185,7 +182,7 @@ def _commute_chosen(node, me, ids, stack) -> list:
     evolves, and the receiver of the pending message must not be the
     subject, which keeps its receive ordered first."""
     out = []
-    for label, succ in _steps(branch_for(node.branches, node.chosen), me, ids, stack):
+    for label, succ in _steps(branch_for(node.branches, node.chosen), me, ids, stack).items():
         if label.subject == node.receiver:
             continue
         branches = tuple((lbl, succ if lbl == node.chosen else cont)
@@ -316,12 +313,10 @@ def config_steps(c: Configuration) -> list[tuple[ActionLabel, Configuration]]:
     buffer; receives pop its head.  Routed actions additionally require (and
     advance) the router's local type.  A role that moves is in canonical
     form in the successor; the others keep their local types."""
-    for _, t in c.locals:
-        validate(t)
-    ids = _StepIds()
-    steps_by_role = {r: dict_of_steps(_steps(ids.of(t), r, ids)) for r, t in c.locals}
+    tables = Tables()
+    steps_by_role = {r: tables.edges(tables.intern(t), r) for r, t in c.locals}
     return _sorted_steps(
-        (label, c._update({r: ids.form(succ) for r, succ in movers.items()}, {pair: content}))
+        (label, c._update({r: tables.form(succ) for r, succ in movers.items()}, {pair: content}))
         for label, (movers, pair, content) in _enabled(steps_by_role, dict(c.buffers)).items())
 
 
@@ -334,7 +329,7 @@ def _enabled(steps_by_role, buffers):
     a label, and for a routed label its router too, must each offer it; they
     move to `movers[role]`.  A send appends its message to the buffer of
     `pair`, a receive pops it from the head; `content` is the new buffer.
-    Successors are opaque here, so the rule serves local types and step-table
+    Successors are opaque here, so the rule serves local types and local state
     ids alike."""
     out = {}
     for steps in steps_by_role.values():
@@ -364,70 +359,53 @@ def _apply_label(label: ActionLabel, steps_by_role, buffers):
     return movers, pair, buf[1:]
 
 
-class StepTable:
-    """One LTS, compiled: states are `core.CanonicalIds` ids, each with its
-    full edges (head and commuting rules) as `{label: successor id}`.
-
-    With a `role` it is that role's local LTS (edges in rule order); without
-    one it is the global LTS (edges in the label order of `global_steps`).
-    Edges follow the rules in `RULES` when the table builds them, so a table
-    is used only while `RULES` is as it was then: for one checker call, or
-    for one run of several checks through `Tables`.
-
-    A state's edges are built the first time they are asked for, from steps
-    the table's interner `ids` derives once per (id, role, cut stack) and
-    keeps for the interner's life; the tables of one `Tables` share their
-    interner.  Canonical equality is id equality, so a search over ids
-    visits exactly the states a search over canonical types visits, and a
-    global table may hold the states of several types, such as a protocol
-    and its encoding.  `ids.form(sid)` is the canonical form of a state."""
-
-    def __init__(self, role: Role | None = None, ids: _StepIds | None = None):
-        self.role = role
-        self.ids = _StepIds() if ids is None else ids
-        self._edges: dict[int, dict[ActionLabel, int]] = {}
-
-    def intern(self, t: AnyType) -> int:
-        """The id of a type from outside the table; InvalidType unless it is
-        a valid closed type.  Successors of valid states are not checked."""
-        validate(t)
-        return self.ids.of(t)
-
-    def edges(self, sid: int) -> dict[ActionLabel, int]:
-        edges = self._edges.get(sid)
-        if edges is None:
-            steps = _steps(sid, self.role, self.ids)
-            if self.role is None:
-                steps = _sorted_steps(steps)
-            edges = self._edges[sid] = dict_of_steps(steps)
-        return edges
-
-
 class RuleTableChanged(RuntimeError):
-    """Step tables were asked for under other `RULES` than they follow."""
+    """A `Tables` was asked to intern under other `RULES` than it follows."""
 
 
-class Tables:
-    """The step tables of one run of several checks: one interner, one
-    global `StepTable` (role None) and one local `StepTable` per role, each
-    made when first asked for.  A check that shares them finds the steps
-    and edges an earlier check derived, and the projections, encodings and
-    decodings an earlier check or precondition made.  `reports` keeps each
+class Tables(CanonicalIds):
+    """The one interner and step memo of a run of several checks, and its
+    other memos.  A check that shares it finds the steps, projections,
+    encodings and decodings an earlier check or precondition made.
+    `derived` maps `(sid, role, cut stack)` to the steps `_steps` derived;
+    `edges(sid, role)` reads a state's entry, with no cut.  Canonical
+    equality is id equality, so a search over ids visits exactly the states
+    a search over canonical types visits.  `reports` keeps each
     trace-equivalence report under `(canonical id, depth, state cap)`, which
-    determine it: a protocol whose encoding is canonically itself is
-    searched once.
-
-    The tables follow `RULES` as it was when this object was made; `table`
-    raises RuleTableChanged if `RULES` has changed since."""
+    determine it.  The steps follow `RULES` as it was when this object was
+    made; `intern` raises RuleTableChanged if `RULES` has changed since."""
 
     def __init__(self) -> None:
+        super().__init__()
         self.rules = dict(RULES)
-        self.ids = _StepIds()
+        self.derived: dict[tuple, dict[ActionLabel, int]] = {}
         self.reports: dict[tuple[int, int, int], object] = {}
-        self._tables: dict[Role | None, StepTable] = {}
         self._once: dict[tuple, tuple] = {}
-        self._encoded: dict[Role, dict] = {}
         self._encoded_ids: dict[tuple[int, Role], int] = {}
+
+    def intern(self, t: AnyType) -> int:
+        """The id of a type from outside the interner; InvalidType unless it
+        is a valid closed type (`check`).  Successors of valid states are not
+        checked."""
+        if self.rules != RULES:
+            raise RuleTableChanged("steps derived under other RULES")
+        self.check(t)
+        return self.of(t)
+
+    def check(self, t: AnyType) -> None:
+        """`core.validate(t)`, unless this interner has met `t` as a closed
+        type already: every object it meets is a valid type or part of one."""
+        met = self._met.get(id(t))
+        if met is None or met[2] is None:
+            validate(t)
+
+    def edges(self, sid: int, role: Role | None = None) -> dict[ActionLabel, int]:
+        """The edges of the state `sid` in the global LTS (role None) or in
+        `role`'s local LTS, derived the first time they are asked for."""
+        try:
+            return self.derived[(sid, role, _NO_CUTS)]
+        except KeyError:
+            return _steps(sid, role, self)
 
     def once(self, fn, g: GlobalType, r: Role):
         """`fn(g, r)`, made once per (function, type object, role) for this
@@ -444,43 +422,32 @@ class Tables:
         return self.once(project, g, r)
 
     def encode(self, g: GlobalType, s: Role) -> GlobalType:
-        """`encoding.encode_global(g, s)`, made once per (type object, router)
-        for this object's life: one identity memo per router, so encodings
-        share subterms as their inputs do."""
-        return _encode_global(g, s, self._encoded.setdefault(s, {}))
+        """`encoding.encode_global(g, s)`, made once per (type object, router)."""
+        return self.once(encode_global, g, s)
 
     def encode_id(self, sid: int, s: Role) -> int:
         """The id of the encoding through `s` of the state `sid`, made once
         per (id, router) for this object's life, with no type built.
         NotCanonical if the state has a routed node."""
-        return _encode_id(sid, s, self.ids, self._encoded_ids)
-
-    def table(self, role: Role | None = None) -> StepTable:
-        if self.rules != RULES:
-            raise RuleTableChanged("step tables built under other RULES")
-        table = self._tables.get(role)
-        if table is None:
-            table = self._tables[role] = StepTable(role, self.ids)
-        return table
+        return _encode_id(sid, s, self, self._encoded_ids)
 
 
 class CompiledConfigurations:
-    """The configuration LTS over per-role step tables.
+    """The configuration LTS over the local LTSs of each role.
 
-    A configuration is a key `(ids, contents)`: one local `StepTable` id per
-    role and one buffer content per ordered role pair, both in the order of
-    the `Configuration` it was compiled from.  Two keys are equal exactly
-    when the canonical forms of their configurations are equal.  The local
-    tables are those of `tables`, fresh ones if it is None."""
+    A configuration is a key `(ids, contents)`: one local state id of
+    `tables` per role and one buffer content per ordered role pair, both in
+    the order of the `Configuration` it was compiled from.  Two keys are
+    equal exactly when the canonical forms of their configurations are
+    equal.  `tables` is fresh if None."""
 
     def __init__(self, c: Configuration, tables: Tables | None = None):
-        tables = Tables() if tables is None else tables
+        self.tables = Tables() if tables is None else tables
         self.roles = c.roles
         self.pairs = tuple(pair for pair, _ in c.buffers)
         self._pair_index = {pair: i for i, pair in enumerate(self.pairs)}
-        self.tables = tuple(tables.table(r) for r in self.roles)
         self._steps: dict[tuple, tuple] = {}
-        self.initial = (tuple(table.intern(t) for table, (_, t) in zip(self.tables, c.locals)),
+        self.initial = (tuple(self.tables.intern(t) for _, t in c.locals),
                         tuple(content for _, content in c.buffers))
 
     def steps(self, key) -> tuple[tuple[ActionLabel, tuple], ...]:
@@ -489,8 +456,8 @@ class CompiledConfigurations:
         once per key: a log search expands the same few keys many times."""
         if key not in self._steps:
             ids, contents = key
-            steps_by_role = {r: table.edges(sid)
-                             for r, table, sid in zip(self.roles, self.tables, ids)}
+            edges = self.tables.edges
+            steps_by_role = {r: edges(sid, r) for r, sid in zip(self.roles, ids)}
             out = []
             for label, (movers, pair, content) in \
                     _enabled(steps_by_role, dict(zip(self.pairs, contents))).items():
@@ -508,12 +475,11 @@ def project_configuration(g: GlobalType, *, tables: Tables | None = None) -> Con
     """The projected configuration of a global type: every role's projection
     plus the buffer contents induced by in-transit markers.
 
-    The projections are those of `tables` if given.  Raises InvalidType
-    unless `g` is a valid closed type."""
-    validate(g)
-    parts = sorted(participants(g))
-    proj = project if tables is None else tables.project
-    locals_map = {r: proj(g, r) for r in parts}
+    The projections are those of `tables`, fresh ones if None.  Raises
+    InvalidType unless `g` is a valid closed type (`Tables.check`)."""
+    tables = Tables() if tables is None else tables
+    tables.check(g)
+    locals_map = {r: tables.project(g, r) for r in sorted(participants(g))}
     buffers: dict[RolePair, tuple[MsgLabel, ...]] = {}
     _fill_buffers(g, buffers)
     return Configuration.make(locals_map, buffers)

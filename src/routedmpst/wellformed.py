@@ -9,7 +9,7 @@ from .core import (
     GComm, GEnd, GRec, GRouted, GRoutedTransit, GTransit, GVar, GlobalType,
     Role, participants, record,
 )
-from .projection import MergeFailure, project
+from .projection import MergeFailure
 from .semantics import Tables
 
 
@@ -86,12 +86,12 @@ class WfReport:
 
 def check_wf(g: GlobalType, *, tables: Tables | None = None) -> WfReport:
     """Canonical well-formedness: projection defined for every participant.
-    The projections are those of `tables` if given."""
-    proj = project if tables is None else tables.project
+    The projections are those of `tables`, fresh ones if None."""
+    tables = Tables() if tables is None else tables
     failures = []
     for p in sorted(participants(g)):
         try:
-            proj(g, p)
+            tables.project(g, p)
         except MergeFailure as exc:
             failures.append((p.name, exc.one_line()))
     return WfReport(not failures, tuple(failures))

@@ -2,8 +2,8 @@
 
 This is the plain search: a depth-first walk over `Configuration` values,
 stepped with the public `config_steps` and deduplicated by
-`Configuration.canonical`.  It shares none of the compiled step tables that
-`validate_log` runs on.  The only speed-up is a memo of the canonical
+`Configuration.canonical`.  It shares no `semantics.Tables` (step memo)
+with `validate_log`.  The only speed-up is a memo of the canonical
 successors of each canonical configuration, which leaves the search itself
 unchanged.
 """

@@ -1,4 +1,4 @@
-"""The atoms every step table hashes: `Role`, `MsgLabel` and `ActionLabel`
+"""The atoms every step memo hashes: `Role`, `MsgLabel` and `ActionLabel`
 are tuples of their fields, so `==`, hash and ordering run in C.  Each
 keeps what it had as a record: construction by position, keyword and
 default, validation, `repr`, `==` and a hash equal to the hash of its field

@@ -276,6 +276,8 @@ def test_simulate_cancel_by_a_role_outside_the_session_is_a_domain_error(capsys)
     ["verify", PINGPONG, "PingPong", "--router", "S", "--depth", "-1"],
     ["check", TRAVEL, "TravelAgency", "--router", "bad-name"],
     ["simulate", TRAVEL, "TravelAgency", "--router", "S", "--cancel", "bad!@3"],
+    # A superscript digit: `str.isdigit` accepts it, `int` does not.
+    ["simulate", PINGPONG, "PingPong", "--router", "S", "--cancel", "C@\u00b2"],
     ["simulate", PINGPONG, "PingPong", "--router", "S", "--max-steps", "0"],
     ["simulate", PINGPONG, "PingPong", "--router", "S", "--rounds", "0"],
     ["verify", PINGPONG, "PingPong", "--router", "S", "--state-cap", "-3"],

@@ -1,6 +1,6 @@
-"""The compiled LTSs against the plain step functions: the global step
-table against `global_steps`, each local step table against `local_steps`,
-the configuration LTS (per-role step tables over id tuples) against
+"""The compiled LTSs against the plain step functions: the global edges
+against `global_steps`, each role's local edges against `local_steps`,
+the configuration LTS (per-role local edges over id tuples) against
 `config_steps`, and the step maps they are built from."""
 
 import hypothesis.strategies as st
@@ -16,7 +16,7 @@ from routedmpst.core import (
 )
 from routedmpst.encoding import encode_global
 from routedmpst.semantics import (
-    CompiledConfigurations, Configuration, StepTable, config_steps, dict_of_steps,
+    CompiledConfigurations, Configuration, Tables, config_steps, dict_of_steps,
     global_steps, local_steps, project_configuration,
 )
 from routedmpst.simulator import SessionLog, validate_log
@@ -28,32 +28,32 @@ from strategies import ROLE_POOL, global_types
 
 
 def _check_table(t, role=None, limit=None):
-    """Breadth-first over the step table of `role` (None: the global table)
-    from `t`, through at most `limit` states: each id stands for a distinct
-    canonical state (`table.ids.form(sid)`) whose `global_steps` (or
-    `local_steps`) are exactly its edges, in canonical form; a global table
-    keeps their order too."""
-    table = StepTable(role)
-    start = table.intern(t)
-    assert table.ids.form(start) == canonicalize(t)
+    """Breadth-first over the edges of `role` (None: the global LTS) from
+    `t`, through at most `limit` states: each id stands for a distinct
+    canonical state (`tables.form(sid)`) whose `global_steps` (or
+    `local_steps`) are exactly its edges, in canonical form; global edges
+    keep their order too."""
+    tables = Tables()
+    start = tables.intern(t)
+    assert tables.form(start) == canonicalize(t)
     seen = {start}
     frontier = [start]
     expanded = 0
     while frontier and expanded != limit:
         sid = frontier.pop(0)
         expanded += 1
-        state = table.ids.form(sid)
+        state = tables.form(sid)
         want = [(label, canonicalize(succ)) for label, succ in
                 (global_steps(state) if role is None else local_steps(state, role))]
-        got = list(table.edges(sid).items())
+        got = list(tables.edges(sid, role).items())
         if role is not None:
             got.sort(key=lambda step: step[0].sort_key())
-        assert [(label, table.ids.form(succ)) for label, succ in got] == want
+        assert [(label, tables.form(succ)) for label, succ in got] == want
         for _, succ in got:
             if succ not in seen:
                 seen.add(succ)
                 frontier.append(succ)
-    assert len({table.ids.form(sid) for sid in seen}) == len(seen)
+    assert len({tables.form(sid) for sid in seen}) == len(seen)
     return len(seen)
 
 
@@ -98,7 +98,7 @@ def configuration(lts, key):
     """The canonical configuration a key of `lts` stands for."""
     sids, contents = key
     return Configuration(
-        locals=tuple((t.role, t.ids.form(sid)) for t, sid in zip(lts.tables, sids)),
+        locals=tuple((r, lts.tables.form(sid)) for r, sid in zip(lts.roles, sids)),
         buffers=tuple(zip(lts.pairs, contents)))
 
 
@@ -134,7 +134,7 @@ def test_conflicting_duplicate_label_raises():
         dict_of_steps([(label, LEnd()), (label, LVar("t"))])
 
 
-# Malformed types a step table must not explore, global and local: duplicate
+# Malformed types an interner must not explore, global and local: duplicate
 # labels, an empty branch set, a non-contractive binder.
 MALFORMED = {
     "duplicate-labels": (GComm(A, B, ((M1, GEnd()), (M1, GEnd()))),
@@ -146,7 +146,7 @@ MALFORMED = {
 
 @pytest.mark.parametrize("name", list(MALFORMED))
 def test_malformed_types_are_rejected_at_every_entry_point(name):
-    """Each type a step table or a step function takes from outside is
+    """Each type an interner or a step function takes from outside is
     validated; the successors its edges derive from valid states are not
     checked again."""
     g, t = MALFORMED[name]

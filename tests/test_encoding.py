@@ -7,8 +7,8 @@ from routedmpst.core import (
     routed_send,
 )
 from routedmpst.encoding import (
-    AlreadyRouted, NotCanonical, RouterPerspectiveWarning, _encode_global,
-    encode_global, encode_label, encode_local,
+    AlreadyRouted, NotCanonical, RouterPerspectiveWarning, encode_global,
+    encode_label, encode_local,
 )
 from routedmpst.projection import project
 
@@ -20,19 +20,6 @@ from corpus import (
 
 def test_encode_travel_agency_matches_reference_routed_term():
     assert canonicalize(encode_global(G_TRAVEL, S)) == canonicalize(G_TRAVEL_ROUTED)
-
-
-def test_encodings_through_one_memo_share_encoded_subterms():
-    """Two states that share a subterm object, encoded through one memo, share
-    its encoding; each still equals its own `encode_global`."""
-    shared = GComm(P, Q, ((M1, GEnd()),))
-    g1 = GComm(SR, P, ((M2, shared),))
-    g2 = GTransit(SR, P, M2, ((M2, shared),))
-    memo = {}
-    e1, e2 = _encode_global(g1, SR, memo), _encode_global(g2, SR, memo)
-    assert e1.branches[0][1] is e2.branches[0][1]
-    assert isinstance(e1.branches[0][1], GRouted)
-    assert (e1, e2) == (encode_global(g1, SR), encode_global(g2, SR))
 
 
 def test_encode_end_fixed_point():

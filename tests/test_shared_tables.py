@@ -1,6 +1,7 @@
 """The four checks of `verify` on one `semantics.Tables`: their reports are
-those of the checkers called one by one on fresh tables, no step is derived
-and no role projected twice across them, a canonically repeated
+those of the checkers called one by one on fresh tables, no step is derived,
+no type object validated and no role projected twice across them, global
+step memo entries are in `sort_key` order, a canonically repeated
 trace-equivalence search runs once, and tables made under other rules
 raise."""
 
@@ -10,7 +11,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 
-from routedmpst import cli, semantics, simulator, wellformed
+from routedmpst import cli, semantics, simulator
 from routedmpst.analysis import (
     DEFAULT_STATE_CAP, PreconditionError, check_deadlock_freedom, check_encoding_bisim,
     check_trace_equivalence,
@@ -84,7 +85,7 @@ def test_verify_projects_each_role_of_each_type_once(monkeypatch, capsys):
     # Every module that imported `project` calls it at the top level; the
     # recursive calls inside `projection` are not counted.
     calls = []
-    for module in (cli, semantics, simulator, wellformed):
+    for module in (cli, semantics, simulator):
         def counting(g, r, real=module.project):
             calls.append((g, r))
             return real(g, r)
@@ -96,6 +97,44 @@ def test_verify_projects_each_role_of_each_type_once(monkeypatch, capsys):
     # The protocol and its encoding, each projected onto P1, P2 and Svr.
     assert len({(id(g), r) for g, r in calls}) == 6
     assert len(calls) == 6
+
+
+def test_verify_validates_each_type_object_at_most_once(monkeypatch, capsys):
+    # The interner validates an object only the first time it meets it, so
+    # the protocol, its encoding and each projection are validated once
+    # across the four checks.  The map keeps each object, so an id is not
+    # reused.
+    calls = {}
+    real = semantics.validate
+
+    def counting(t, **kw):
+        calls.setdefault(id(t), [t, 0])[1] += 1
+        return real(t, **kw)
+    monkeypatch.setattr(semantics, "validate", counting)
+    path = str(PROTOCOL_DIR / "Battleships.scr")
+    assert main(["verify", path, "Battleships", "--router", CORPUS_ROUTERS["Battleships"]]) == 0
+    capsys.readouterr()
+    assert calls
+    assert [t for t, n in calls.values() if n > 1] == []
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_ROUTERS))
+def test_global_memo_entries_are_in_sort_key_order_after_verify(name, monkeypatch, capsys):
+    made = []
+
+    def making():
+        made.append(Tables())
+        return made[-1]
+    monkeypatch.setattr(cli, "Tables", making)
+    path = str(PROTOCOL_DIR / f"{name}.scr")
+    assert main(["verify", path, name, "--router", CORPUS_ROUTERS[name]]) == 0
+    capsys.readouterr()
+    (tables,) = made
+    entries = [steps for (_, role, _), steps in tables.derived.items() if role is None]
+    assert entries
+    for steps in entries:
+        keys = [label.sort_key() for label in steps]
+        assert keys == sorted(keys)
 
 
 def _encodings(monkeypatch, protocol):
@@ -128,7 +167,7 @@ def test_simulate_encodes_once_and_projects_each_role_of_each_type_once(monkeypa
     # As above; the precondition of `run_session` and `validate_log` each
     # ask `Tables.encode` for the encoding.
     calls = []
-    for module in (cli, semantics, simulator, wellformed):
+    for module in (cli, semantics, simulator):
         def counting(g, r, real=module.project):
             calls.append((g, r))
             return real(g, r)
@@ -151,7 +190,7 @@ def test_a_session_and_its_log_check_project_each_role_of_each_type_once(
     # log check its encoding's; a routed input is decoded once, so the
     # encoding memo finds the same protocol object both times.
     calls = []
-    for module in (semantics, simulator, wellformed):
+    for module in (semantics, simulator):
         def counting(g, r, real=module.project):
             calls.append((g, r))
             return real(g, r)
@@ -176,7 +215,7 @@ def test_tables_made_under_other_rules_raise():
     for check in _checks(g, router, 4, DEFAULT_STATE_CAP):
         with pytest.raises(RuleTableChanged):
             check(tables=during)
-    assert not before.ids.derived and not during.ids.derived
+    assert not before.derived and not during.derived
 
 
 def _config_steps_counted(monkeypatch):
