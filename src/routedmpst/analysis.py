@@ -131,7 +131,8 @@ def config_traces(g: GlobalType, depth: int,
                   state_cap: int = DEFAULT_STATE_CAP) -> TraceSet:
     """Trace set of the configuration LTS started from the projected
     configuration of `g`."""
-    lts = CompiledConfigurations(project_configuration(g))
+    tables = Tables()
+    lts = CompiledConfigurations(project_configuration(g, tables=tables), tables)
     return _traces(lts.initial, lts.steps, depth, state_cap)
 
 

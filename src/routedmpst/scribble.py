@@ -199,6 +199,11 @@ class _Parser:
         self.filename = filename
         self.tokens = _tokenize(text, filename)
         self.pos = 0
+        self.roles: set[str] = set()  # declared by the protocol being read
+        # The first role its body names but does not declare, raised after
+        # its closing `}`, so that a syntax error later in the body wins.
+        self.unknown_role: UnknownRole | None = None
+        self.calls: list[DoStmt] = []  # every `do` of the module, in source order
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -236,6 +241,13 @@ class _Parser:
     def at(self, text: str) -> bool:
         tok = self.peek()
         return tok.kind != "string" and tok.text == text
+
+    def role_ref(self, start: _Token) -> str:
+        """A role name in the statement that begins at `start`."""
+        role = self.expect_ident("role name")
+        if role not in self.roles and self.unknown_role is None:
+            self.unknown_role = UnknownRole(f"role {role} not declared", self.span(start))
+        return role
 
     def comma_list(self, item) -> tuple:
         """`"(" [ item { "," item } ] ")"`"""
@@ -293,23 +305,24 @@ class _Parser:
         self.expect("global")
         self.expect("protocol")
         name = self.expect_ident("protocol name")
-        roles: list[str] = []
+        self.roles = set()
 
         def role() -> str:
             self.expect("role")
             span = self.span()
             param = self.expect_ident("role name")
-            if param in roles:
+            if param in self.roles:
                 raise DuplicateRole(f"role {param} declared twice", span)
-            roles.append(param)
+            self.roles.add(param)
             return param
 
-        self.comma_list(role)
+        roles = self.comma_list(role)
         self.expect("{")
         body = self.statements()
         self.expect("}")
-        _check_roles_in(body, set(roles))
-        return ProtocolDecl(name, tuple(roles), is_aux, body, aliases, self.span(start))
+        if self.unknown_role is not None:
+            raise self.unknown_role
+        return ProtocolDecl(name, roles, is_aux, body, aliases, self.span(start))
 
     def statements(self) -> tuple[Stmt, ...]:
         out: list[Stmt] = []
@@ -334,16 +347,16 @@ class _Parser:
         label = self.expect_ident("message label")
         sorts = self.comma_list(lambda: self.expect_ident("payload sort"))
         self.expect("from")
-        sender = self.expect_ident("role name")
+        sender = self.role_ref(start)
         self.expect("to")
-        receiver = self.expect_ident("role name")
+        receiver = self.role_ref(start)
         self.expect(";")
         return MsgStmt(label, sorts, sender, receiver, self.span(start))
 
     def choice_stmt(self) -> ChoiceStmt:
         start = self.expect("choice")
         self.expect("at")
-        at = self.expect_ident("role name")
+        at = self.role_ref(start)
         blocks = [self.block()]
         while self.at("or"):
             self.take()
@@ -359,55 +372,31 @@ class _Parser:
     def do_stmt(self) -> DoStmt:
         start = self.expect("do")
         name = self.expect_ident("protocol name")
-        args = self.comma_list(lambda: self.expect_ident("role name"))
+        args = self.comma_list(lambda: self.role_ref(start))
         self.expect(";")
-        return DoStmt(name, args, self.span(start))
+        self.calls.append(DoStmt(name, args, self.span(start)))
+        return self.calls[-1]
+
+
+def parse_module(text: str, filename: str = "<string>") -> list[ProtocolDecl]:
+    """Parse a protocol module; `do` targets are resolved against the module."""
+    parser = _Parser(text, filename)
+    decls = parser.module()
+    by_name = {d.name: d for d in decls}
+    for call in parser.calls:
+        target = by_name.get(call.protocol)
+        if target is None:
+            raise UnknownProtocol(f"protocol {call.protocol} not defined", call.span)
+        if len(call.args) != len(target.role_params):
+            raise ArityMismatch(
+                f"{call.protocol} takes {len(target.role_params)} roles, "
+                f"got {len(call.args)}", call.span)
+    return decls
 
 
 # The recursive walkers below are module-level functions rather than nested
 # closures: a closure that calls itself is a reference cycle, which every
 # call would leave behind for the cyclic garbage collector.
-
-
-def _check_roles_in(stmts, declared: set[str]) -> None:
-    for stmt in stmts:
-        if isinstance(stmt, MsgStmt):
-            for role in (stmt.sender, stmt.receiver):
-                if role not in declared:
-                    raise UnknownRole(f"role {role} not declared", stmt.span)
-        elif isinstance(stmt, ChoiceStmt):
-            if stmt.at not in declared:
-                raise UnknownRole(f"role {stmt.at} not declared", stmt.span)
-            for blk in stmt.blocks:
-                _check_roles_in(blk, declared)
-        elif isinstance(stmt, DoStmt):
-            for role in stmt.args:
-                if role not in declared:
-                    raise UnknownRole(f"role {role} not declared", stmt.span)
-
-
-def parse_module(text: str, filename: str = "<string>") -> list[ProtocolDecl]:
-    """Parse a protocol module; `do` targets are resolved against the module."""
-    decls = _Parser(text, filename).module()
-    by_name = {d.name: d for d in decls}
-    for decl in decls:
-        _check_calls(decl.body, by_name)
-    return decls
-
-
-def _check_calls(stmts, by_name: dict[str, ProtocolDecl]) -> None:
-    for stmt in stmts:
-        if isinstance(stmt, DoStmt):
-            target = by_name.get(stmt.protocol)
-            if target is None:
-                raise UnknownProtocol(f"protocol {stmt.protocol} not defined", stmt.span)
-            if len(stmt.args) != len(target.role_params):
-                raise ArityMismatch(
-                    f"{stmt.protocol} takes {len(target.role_params)} roles, "
-                    f"got {len(stmt.args)}", stmt.span)
-        elif isinstance(stmt, ChoiceStmt):
-            for blk in stmt.blocks:
-                _check_calls(blk, by_name)
 
 
 # --------------------------------------------------------------------------
@@ -460,8 +449,7 @@ def _pretty_stmts(stmts, depth: int) -> list[str]:
 # --------------------------------------------------------------------------
 
 
-def elaborate(decls: list[ProtocolDecl], entry: str,
-              args: tuple[Role, ...] | None = None) -> GlobalType:
+def elaborate(decls: list[ProtocolDecl], entry: str) -> GlobalType:
     """Expand `do` calls into recursion and produce a closed global type.
 
     Expansion is memoised on (protocol, concrete role tuple): revisiting a key
@@ -475,13 +463,8 @@ def elaborate(decls: list[ProtocolDecl], entry: str,
     root = by_name[entry]
     if root.is_aux:
         raise UnknownProtocol(f"protocol {entry} is aux-only and cannot be an entry point")
-    if args is None:
-        args = root.roles()
-    if len(args) != len(root.role_params):
-        raise ArityMismatch(f"{entry} takes {len(root.role_params)} roles, got {len(args)}")
-
     st = _Elaboration(by_name, {a.alias: a.remote_name for a in root.type_aliases})
-    result = _expand(st, root, tuple(args), is_entry=True)
+    result = _expand(st, root, root.roles(), is_entry=True)
     try:
         validate(result)
     except InvalidType:

@@ -5,10 +5,10 @@ and buffer projection.
 Both LTSs run on one rule table, `RULES`, keyed by the paper's rule names:
 Gr1..Gr9 for global types and Lr1..Lr11 for local types.  `_NODE_RULES`
 gives the rules of each node class, head rule first, and `_steps` applies
-them, for the global LTS when `me` is None and for `me`'s local LTS
-otherwise.  Each node's steps split into head rules, where the node's own
-prefix fires, and commuting rules, where an action from under the prefix
-fires first:
+them, as copied into the `Tables` it steps, for the global LTS when `me`
+is None and for `me`'s local LTS otherwise.  Each node's steps split into
+head rules, where the node's own prefix fires, and commuting rules, where
+an action from under the prefix fires first:
 
 - head rules: Gr1, Gr2, Gr6, Gr7 and Lr1, Lr2, Lr4-Lr7.  The local ones are
   also the edges of the endpoint state machine (`local_head_steps`, read by
@@ -110,17 +110,17 @@ def _steps(sid: int, me: Role | None, ids: Tables,
     binder ids with `ids`; `stack` holds the ids of the binders unfolded on
     the way down.
 
-    The steps are a pure function of `sid`, `me`, `stack` and `RULES`, so
-    `ids.derived` keeps them for the interner's life and a repeat returns
-    the same dict."""
+    The rules are those of `ids.rules`, the table `ids` was made with, so
+    the steps are a pure function of `sid`, `me` and `stack`: `ids.derived`
+    keeps them for the interner's life and a repeat returns the same dict."""
     key = (sid, me, stack)
     out = ids.derived.get(key)
     if out is not None:
         return out
-    node = ids.keys[sid]
+    node, rules = ids.keys[sid], ids.rules
     steps = []
     for name in _NODE_RULES[type(node)]:
-        for label, succ in RULES[name](node, me, ids, stack):
+        for label, succ in rules[name](node, me, ids, stack):
             steps.append((label, succ if type(succ) is int else ids.key_id(succ)))
     if me is None:
         steps = _sorted_steps(steps)
@@ -359,10 +359,6 @@ def _apply_label(label: ActionLabel, steps_by_role, buffers):
     return movers, pair, buf[1:]
 
 
-class RuleTableChanged(RuntimeError):
-    """A `Tables` was asked to intern under other `RULES` than it follows."""
-
-
 class Tables(CanonicalIds):
     """The one interner and step memo of a run of several checks, and its
     other memos.  A check that shares it finds the steps, projections,
@@ -372,8 +368,9 @@ class Tables(CanonicalIds):
     equality is id equality, so a search over ids visits exactly the states
     a search over canonical types visits.  `reports` keeps each
     trace-equivalence report under `(canonical id, depth, state cap)`, which
-    determine it.  The steps follow `RULES` as it was when this object was
-    made; `intern` raises RuleTableChanged if `RULES` has changed since."""
+    determine it.  The steps follow `rules`, a copy of `RULES` as it was
+    when this object was made, so one `Tables` never mixes the derivations
+    of two rule tables: a run under another table makes its own `Tables`."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -387,8 +384,6 @@ class Tables(CanonicalIds):
         """The id of a type from outside the interner; InvalidType unless it
         is a valid closed type (`check`).  Successors of valid states are not
         checked."""
-        if self.rules != RULES:
-            raise RuleTableChanged("steps derived under other RULES")
         self.check(t)
         return self.of(t)
 

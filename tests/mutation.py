@@ -16,9 +16,9 @@ def no_steps(node, me, ids, stack) -> list:
 @contextmanager
 def rules_disabled(*names):
     """Within the block the named rules (e.g. "Gr4") never fire.  Unknown
-    names raise KeyError.  Step tables made inside the block follow the
-    disabled rules; do not use them after it (a `semantics.Tables` made on
-    one side of the block raises on the other)."""
+    names raise KeyError.  A `semantics.Tables` steps by the rules as they
+    were when it was made: one made inside the block keeps the disabled
+    rules after it, and one made before keeps all of them inside it."""
     saved = {name: semantics.RULES[name] for name in names}
     semantics.RULES.update(dict.fromkeys(names, no_steps))
     try:

@@ -87,9 +87,12 @@ def test_game_elaboration_has_two_nested_binders_and_is_closed():
 
 
 def test_elaborate_with_explicit_role_arguments():
-    decls = parse_module(read("Game"), "Game.scr")
-    Svr, P1, P2 = Role("Svr"), Role("P1"), Role("P2")
-    swapped = elaborate(decls, "Game", (Svr, P2, P1))
+    # An entry protocol starts Game with the players' seats swapped.
+    text = read("Game") + (
+        "global protocol Swapped(role Svr, role P1, role P2) { do Game(Svr, P2, P1); }\n")
+    decls = parse_module(text, "Game.scr")
+    P2 = Role("P2")
+    swapped = elaborate(decls, "Swapped")
     default = elaborate(decls, "Game")
     assert not free_vars(swapped)
     # Starting from the swapped seating is the same protocol with the
@@ -197,6 +200,43 @@ def test_statements_after_choice_rejected():
     """
     with pytest.raises(NonTailCall):
         parse_module(src)
+
+
+_CALLS = ("global protocol P(role A, role B) {{ M() from A to B; }}\n"
+          "global protocol Q(role A, role B) {{\n"
+          "  choice at A {{ M() from A to B; {} }} or {{ N() from A to B; {} }}\n}}")
+
+
+@pytest.mark.parametrize("text, error, message", [
+    # An undeclared role is reported after the protocol's closing brace, so
+    # a syntax error later in the same body wins.
+    ("global protocol P(role A, role B) {\n  M() from A to Z;\n  N() from A B;\n}",
+     SyntaxProblem, "p.scr:3:14: expected 'to', found 'B'"),
+    ("global protocol P(role A, role B) {\n  choice at Z { M() from A to B; }\n}",
+     UnknownRole, "p.scr:2:3: role Z not declared"),
+    ("global protocol P(role A, role B) {\n  M() from A to B;\n  do P(B, Z);\n}",
+     UnknownRole, "p.scr:3:3: role Z not declared"),
+    # The first undeclared role in source order is the one reported.
+    ("global protocol P(role A, role B) {\n  M() from Y to B;\n  do P(B, Z);\n}",
+     UnknownRole, "p.scr:2:3: role Y not declared"),
+    # A statement after a tail `do` is rejected before its roles are.
+    ("global protocol P(role A, role B) {\n  do P(A, B);\n  M() from A to Z;\n}",
+     NonTailCall, "p.scr:2:3: statements after a tail 'do' are not supported"),
+    # An undeclared role in one protocol wins over a syntax error in the next.
+    ("global protocol P(role A) { M() from A to B; }\nglobal protocol Q(",
+     UnknownRole, "p.scr:1:29: role B not declared"),
+    # Calls are checked once the module is read, in source order.
+    (_CALLS.format("do P(A);", "do S(A, B);"),
+     ArityMismatch, "p.scr:3:34: P takes 2 roles, got 1"),
+    (_CALLS.format("do S(A, B);", "do P(A);"),
+     UnknownProtocol, "p.scr:3:34: protocol S not defined"),
+], ids=["syntax-after-role", "choice-at", "do-args", "first-role", "after-tail-do",
+        "role-before-next-protocol", "arity-first", "target-first"])
+def test_error_precedence(text, error, message):
+    with pytest.raises(ScribbleError) as raised:
+        parse_module(text, "p.scr")
+    assert type(raised.value) is error
+    assert str(raised.value) == message
 
 
 def test_syntax_error_reports_span_and_expectation():
