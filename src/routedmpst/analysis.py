@@ -7,13 +7,16 @@ All checks are depth- or state-bounded: they verify concrete instances of the
 metatheory rather than proving it.  Resource exhaustion is reported as an
 `inconclusive` verdict, never as a pass.
 
-One breadth-first search, `_explore`, runs all four checks and
-`reachable_states`, over keys: global state ids of a `semantics.Tables`
-or, for trace equivalence, pairs of such an id and a
+One breadth-first search, `_explore`, runs all four checks, the trace
+sets and `reachable_states`, over keys: global state ids of a
+`semantics.Tables` or, for trace equivalence, pairs of such an id and a
 `semantics.CompiledConfigurations` key.  Keys are equal exactly when
 canonical states are, so the states counted are canonical states (or pairs
 of them); only states printed or returned are put in canonical form.
-Trace sets are the path products of the edges `_explore` expands.
+Trace sets are the path products of the edges `_explore` expands.  It keeps
+one parent link per key, not a trace, and rebuilds a trace only for a
+counterexample, so the simulator's log validation and loop test, whose
+keys lie as deep as a whole log or machine, search through it too.
 
 Each checker takes the `semantics.Tables` to search as a keyword: `verify`
 passes one to all four checks, so a state one check compiled, or a role one
@@ -103,19 +106,20 @@ class ExplorationReport:
 
 def _traces(start, steps, depth: int, state_cap: int) -> TraceSet:
     """The traces of length at most `depth` from the key `start`: the path
-    products of the (label, successor key) pairs `steps(key)` gives for the
+    products of the edges `{label: successor key}` `steps(key)` gives for the
     keys `_explore` expands.  The LTS is label-deterministic, so distinct
     paths have distinct traces.  StateBudgetExceeded where the search is
     inconclusive."""
     edges = {}
     report, _ = _explore("traces", start, steps,
-                         lambda key, _, out: edges.setdefault(key, out), depth, state_cap)
+                         lambda key, out: edges.setdefault(key, out).items(), depth, state_cap)
     if report.verdict == INCONCLUSIVE:
         raise StateBudgetExceeded(state_cap, report.states_visited)
     paths = [((), start)]
     traces = {()}
     for _ in range(depth):
-        paths = [(trace + (label,), succ) for trace, key in paths for label, succ in edges[key]]
+        paths = [(trace + (label,), succ)
+                 for trace, key in paths for label, succ in edges[key].items()]
         traces.update(trace for trace, _ in paths)
     return TraceSet(depth, frozenset(traces))
 
@@ -124,7 +128,7 @@ def global_traces(g: GlobalType, depth: int,
                   state_cap: int = DEFAULT_STATE_CAP) -> TraceSet:
     """Exact prefix-closed trace set of the global LTS up to `depth`."""
     tables = Tables()
-    return _traces(tables.intern(g), lambda sid: tables.edges(sid).items(), depth, state_cap)
+    return _traces(tables.intern(g), tables.edges, depth, state_cap)
 
 
 def config_traces(g: GlobalType, depth: int,
@@ -168,15 +172,15 @@ def _trace_equivalence(g, start, depth, state_cap, tables) -> ExplorationReport:
 
     def steps(pair):
         sid, key = pair
-        return tables.edges(sid), dict(lts.steps(key))
+        return tables.edges(sid), lts.steps(key)
 
-    def visit(pair, trace, edges):
+    def visit(pair, edges):
         g_edges, c_edges = edges
         mismatch = g_edges.keys() ^ c_edges.keys()
         if mismatch:
             label = min(mismatch, key=ActionLabel.sort_key)
             side = "global-only" if label in g_edges else "configuration-only"
-            yield Counterexample(trace + (label,), f"trace is {side}")
+            yield Counterexample((label,), f"trace is {side}")
         for label, sid in g_edges.items():
             yield label, (sid, c_edges[label])
 
@@ -189,21 +193,23 @@ def _explore(name: str, start, steps, visit, depth: int | None,
     """Breadth-first search over the keys reachable from the key `start`,
     `depth` levels deep (`None`: until no new key appears).
 
-    `visit(key, trace, steps(key))` sees each expanded key with the shortest
-    trace reaching it; when every `visit` yields its labels in `sort_key`
+    `visit(key, steps(key))` sees each expanded key once.  It yields the
+    (label, successor key) pairs to follow, or a Counterexample whose trace
+    is the part after `key`, which ends the search with `fail`; the search
+    then prepends the shortest trace reaching `key`, rebuilt from the
+    parent links.  When every `visit` yields its labels in `sort_key`
     order, that trace is also the least by `sort_key` among the shortest.
-    It yields the (label, successor key) pairs to follow, or a
-    Counterexample, which ends the search with `fail`.  Successors are
-    recorded as they are yielded, so a failure counts only the keys found
-    before it.  More than `state_cap` keys before an expansion ends the
-    search with `inconclusive`; keys found on the last level of a
-    depth-bounded search are never expanded, so they do not count.
+    Successors are recorded as they are yielded, so a failure counts only
+    the keys found before it.  More than `state_cap` keys before an
+    expansion ends the search with `inconclusive`; keys found on the last
+    level of a depth-bounded search are never expanded, so they do not
+    count.
 
-    Returns the report and the map from each key found to its shortest
-    trace, in BFS order."""
+    Returns the report and the map from each key found to its parent link,
+    (parent key, label), or None for `start`, in BFS order."""
     if depth is not None and depth < 0:
         raise ValueError("depth must be nonnegative")
-    seen = {start: ()}
+    seen = {start: None}
     frontier = [start]
     level = 0
     while frontier and (depth is None or level < depth):
@@ -213,12 +219,17 @@ def _explore(name: str, start, steps, visit, depth: int | None,
         for key in frontier:
             if (found if last_level else len(seen)) > state_cap:
                 return ExplorationReport(name, INCONCLUSIVE, len(seen), level), seen
-            for item in visit(key, seen[key], steps(key)):
+            for item in visit(key, steps(key)):
                 if isinstance(item, Counterexample):
+                    trace, at = item.trace, key
+                    while seen[at] is not None:
+                        at, label = seen[at]
+                        trace = (label,) + trace
+                    item = Counterexample(trace, item.detail)
                     return ExplorationReport(name, FAIL, len(seen), level, item), seen
                 label, succ = item
                 if succ not in seen:
-                    seen[succ] = seen[key] + (label,)
+                    seen[succ] = key, label
                     nxt_frontier.append(succ)
         frontier = nxt_frontier
         level += 1
@@ -238,10 +249,10 @@ def check_deadlock_freedom(g: GlobalType, router: Role,
     start = tables.intern(g)
     end = tables.key_id(GEnd())
 
-    def visit(sid, trace, edges):
+    def visit(sid, edges):
         if not edges and sid != end:
             state = pretty_global(tables.form(sid))
-            yield Counterexample(trace, f"stuck non-terminal state:\n{state}")
+            yield Counterexample((), f"stuck non-terminal state:\n{state}")
         yield from edges.items()
 
     return _explore("deadlock_freedom", start, tables.edges, visit, None, state_cap)[0]
@@ -264,18 +275,18 @@ def check_encoding_bisim(g: GlobalType, s: Role, depth: int,
         raise PreconditionError(f"type not well-formed: {wf.describe()}")
     start = tables.intern(g)
 
-    def visit(sid, trace, edges):
+    def visit(sid, edges):
         enc_edges = tables.edges(tables.encode_id(sid, s))
         if len(edges) != len(enc_edges):
             extra = set(enc_edges) - {encode_label(l, s) for l in edges}
             yield Counterexample(
-                trace, f"enabled-set mismatch, encoded side has {sorted(map(str, extra))}")
+                (), f"enabled-set mismatch, encoded side has {sorted(map(str, extra))}")
         for label, succ in edges.items():
             enc_lbl = encode_label(label, s)
             if enc_lbl not in enc_edges:
-                yield Counterexample(trace + (label,), f"{enc_lbl} not enabled on encoded state")
+                yield Counterexample((label,), f"{enc_lbl} not enabled on encoded state")
             elif enc_edges[enc_lbl] != tables.encode_id(succ, s):
-                yield Counterexample(trace + (label,),
+                yield Counterexample((label,),
                                      "encoded successor differs from encoding of successor")
             else:
                 yield label, succ
@@ -288,7 +299,7 @@ def reachable_states(g: GlobalType, depth: int,
     """Canonical states reachable from g within `depth` steps (BFS order)."""
     tables = Tables()
     report, seen = _explore("reachable_states", tables.intern(g), tables.edges,
-                            lambda sid, trace, edges: edges.items(), depth, state_cap)
+                            lambda sid, edges: edges.items(), depth, state_cap)
     if report.verdict == INCONCLUSIVE:
         raise StateBudgetExceeded(state_cap, report.states_visited)
     return [tables.form(sid) for sid in seen]

@@ -441,25 +441,25 @@ class CompiledConfigurations:
         self.roles = c.roles
         self.pairs = tuple(pair for pair, _ in c.buffers)
         self._pair_index = {pair: i for i, pair in enumerate(self.pairs)}
-        self._steps: dict[tuple, tuple] = {}
+        self._steps: dict[tuple, dict] = {}
         self.initial = (tuple(self.tables.intern(t) for _, t in c.locals),
                         tuple(content for _, content in c.buffers))
 
-    def steps(self, key) -> tuple[tuple[ActionLabel, tuple], ...]:
-        """The successors of a key, one per enabled label, as `config_steps`
+    def steps(self, key) -> dict[ActionLabel, tuple]:
+        """The edges of a key, `{label: successor key}`, as `config_steps`
         gives them for its configuration (not sorted by label).  Computed
-        once per key: a log search expands the same few keys many times."""
+        once per key: a log search expands the same key at many envelope
+        indices."""
         if key not in self._steps:
             ids, contents = key
             edges = self.tables.edges
             steps_by_role = {r: edges(sid, r) for r, sid in zip(self.roles, ids)}
-            out = []
-            for label, (movers, pair, content) in \
-                    _enabled(steps_by_role, dict(zip(self.pairs, contents))).items():
+            out = _enabled(steps_by_role, dict(zip(self.pairs, contents)))
+            for label, (movers, pair, content) in out.items():
                 moved = tuple(movers.get(r, sid) for r, sid in zip(self.roles, ids))
                 at = self._pair_index[pair]
-                out.append((label, (moved, contents[:at] + (content,) + contents[at + 1:])))
-            self._steps[key] = tuple(out)
+                out[label] = (moved, contents[:at] + (content,) + contents[at + 1:])
+            self._steps[key] = out
         return self._steps[key]
 
     def buffer(self, key, p: Role, q: Role) -> tuple[MsgLabel, ...]:

@@ -8,20 +8,23 @@ metadata and forwards anything not addressed to itself.  Cancellation by any
 endpoint travels to the router and is propagated to every other role, after
 which no data is delivered.
 
-Observable behaviour (delivery order, payload bytes, observations) is a pure
-function of the protocol, the scripts and the configuration seed.
+Observable behaviour (delivery order, observations) is a pure function of
+the protocol, the scripts and the configuration seed.
+
+The module has no search loop of its own: log validation (over pairs of a
+configuration and the next envelope to deliver) and the loop policy's test
+(which states a branch target reaches) run `analysis._explore`.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
 
 from .core import (
     GComm, GEnd, GRec, GRouted, GVar, GlobalType, MsgLabel, RECV, Role, SEND,
     participants, record,
 )
-from .analysis import StateBudgetExceeded
+from .analysis import INCONCLUSIVE, StateBudgetExceeded, _explore
 from .efsm import Efsm, STATE_RECEIVE, STATE_SEND, STATE_TERMINAL, build_efsm
 from .projection import project
 from .semantics import ActionLabel, CompiledConfigurations, Tables, project_configuration
@@ -52,7 +55,6 @@ class Envelope:
     sender: Role
     receiver: Role
     msg: MsgLabel | None
-    payload: bytes
     kind: str = DATA
     reason: str = ""
 
@@ -127,9 +129,8 @@ class ChoicePolicy:
 class BoundedLoopPolicy(ChoicePolicy):
     """Takes looping branches a fixed number of times, then escapes.
 
-    A branch loops when its target can reach the current state again, that
-    is, when both lie in one strongly connected component of the machine;
-    the first non-looping branch is the escape.  Keeps recursive protocols
+    A branch loops when its target can reach the current state again; the
+    first non-looping branch is the escape.  Keeps recursive protocols
     terminating without a per-protocol script.
     """
 
@@ -137,48 +138,29 @@ class BoundedLoopPolicy(ChoicePolicy):
         self.rounds = rounds
         self._visits: dict[int, int] = {}
         self._efsm: Efsm | None = None
-        self._component: dict[int, int] = {}
+        self._reach: dict[int, dict] = {}
 
     def bind(self, e: Efsm) -> "BoundedLoopPolicy":
-        """Name each strongly connected component of `e` by the state that
-        closes it, in one iterative pass of Tarjan's algorithm."""
         self._efsm = e
-        index: dict[int, int] = {}
-        low: dict[int, int] = {}
-        component = self._component = {}
-        open_states: list[int] = []  # visited, component not yet closed
-        for root in (s.id for s in e.states):
-            if root in index:
-                continue
-            index[root] = low[root] = len(index)
-            open_states.append(root)
-            work = [(root, iter(e.outgoing(root)))]
-            while work:
-                v, edges = work[-1]
-                for tr in edges:
-                    w = tr.target
-                    if w not in index:
-                        index[w] = low[w] = len(index)
-                        open_states.append(w)
-                        work.append((w, iter(e.outgoing(w))))
-                        break
-                    if w not in component:
-                        low[v] = min(low[v], index[w])
-                else:
-                    work.pop()
-                    if work:
-                        low[work[-1][0]] = min(low[work[-1][0]], low[v])
-                    if low[v] == index[v]:
-                        while v not in component:
-                            component[open_states.pop()] = v
+        self._reach = {}
         return self
 
     def loops(self, source: int, target: int) -> bool:
-        """Whether the branch from `source` to `target` can return to `source`."""
-        return self._component[source] == self._component[target]
+        """Whether the branch from `source` to `target` can return to
+        `source`: one search of the machine per target, made when first
+        asked for."""
+        if target not in self._reach:
+            e = self._efsm
+            self._reach[target] = _explore(
+                "loops", target, e.outgoing,
+                lambda _, out: ((tr.action.msg, tr.target) for tr in out),
+                None, len(e.states))[1]
+        return source in self._reach[target]
 
     def choose(self, state_id, labels, rng):
         assert self._efsm is not None, "policy not bound to a machine"
+        if len(labels) == 1:
+            return labels[0]
         n = self._visits.get(state_id, 0)
         self._visits[state_id] = n + 1
         by_label = {tr.action.msg: tr.target for tr in self._efsm.outgoing(state_id)}
@@ -259,21 +241,11 @@ def run_session(g: GlobalType, router: Role,
         {(p, q): [] for p in roles for q in roles if p != q}
     staging: list[Envelope] = []  # router hop for client-to-client traffic
     control: list[Envelope] = []  # cancellations travel to the router
-    payload_counters: Counter[str] = Counter()
     records: list[LogRecord] = []
     cancellation: CancellationRecord | None = None
     cancel_sent = False
     step = 0
     rr_index = 0
-
-    def payload_for(msg: MsgLabel) -> bytes:
-        # Content is semantically inert: a seeded counter per sort keeps
-        # payloads deterministic and distinguishable across runs.
-        parts = []
-        for sort in msg.payload_sorts:
-            parts.append(f"{sort}#{cfg.seed}.{payload_counters[sort]}")
-            payload_counters[sort] += 1
-        return ",".join(parts).encode()
 
     def ready_action(role: Role):
         """The micro action `role` could take now, or None."""
@@ -300,7 +272,7 @@ def run_session(g: GlobalType, router: Role,
         for r in roles:
             if r in (initiator, router):
                 continue
-            env = Envelope(router, r, None, reason.encode(), CANCEL, reason)
+            env = Envelope(router, r, None, CANCEL, reason)
             records.append(LogRecord(step, env))
             step += 1
             notified.append(r)
@@ -346,12 +318,12 @@ def run_session(g: GlobalType, router: Role,
                 # The router handles its own cancellation without a hop.
                 propagate_cancel(actor, reason)
             else:
-                control.append(Envelope(actor, router, None, reason.encode(), CANCEL, reason))
+                control.append(Envelope(actor, router, None, CANCEL, reason))
         elif action[0] == "send":
             outs = machines[actor].outgoing(state[actor])
             receiver = outs[0].action.receiver
             msg = scripts[actor].choose(state[actor], tuple(tr.action.msg for tr in outs), rng)
-            env = Envelope(actor, receiver, msg, payload_for(msg))
+            env = Envelope(actor, receiver, msg)
             if routed_mode and router not in (actor, receiver):
                 staging.append(env)
             else:
@@ -396,9 +368,8 @@ VALIDATION_STATE_CAP = 50_000
 def parse_session_log(text: str) -> SessionLog:
     """Rebuild a SessionLog from its line serialisation.
 
-    The wire format does not carry payload sorts or bytes, so parsed
-    envelopes have bare labels and empty payloads; validate_log compares
-    labels by name.
+    The wire format does not carry payload sorts, so parsed envelopes have
+    bare labels; validate_log compares labels by name.
     """
     records = []
     for line in text.splitlines():
@@ -407,9 +378,9 @@ def parse_session_log(text: str) -> SessionLog:
             continue
         step, sender, receiver, kind, label = line.split(",")
         if kind == DATA:
-            env = Envelope(Role(sender), Role(receiver), MsgLabel(label), b"")
+            env = Envelope(Role(sender), Role(receiver), MsgLabel(label))
         else:
-            env = Envelope(Role(sender), Role(receiver), None, b"", CANCEL, label)
+            env = Envelope(Role(sender), Role(receiver), None, CANCEL, label)
         records.append(LogRecord(int(step), env))
     return SessionLog(tuple(records), None, ())
 
@@ -428,10 +399,13 @@ def validate_log(g: GlobalType, router: Role, log: SessionLog,
     an interleaving of sends under which the configuration LTS of the encoded
     type performs exactly these deliveries, in order.
 
-    Returns True on success, otherwise a `Violation` naming the first data
-    envelope (0-based among them) that no interleaving can deliver.  Raises
-    StateBudgetExceeded after `state_cap` configurations are expanded.
-    `tables` is as for `run_session`.
+    One `_explore` search over pairs (configuration key, index i of the next
+    envelope to deliver): a send stays at i unless its channel already holds
+    as many messages as the log still owes it from i on, and delivering
+    envelope i moves to i + 1.  Returns True when some pair delivers the
+    last envelope, otherwise a `Violation` naming the largest index reached
+    (0-based among data envelopes).  Raises StateBudgetExceeded when more
+    than `state_cap` pairs are found.  `tables` is as for `run_session`.
     """
     tables = Tables() if tables is None else tables
     encoded = tables.encode(tables.once(_decode_routed, g, router), router)
@@ -440,38 +414,41 @@ def validate_log(g: GlobalType, router: Role, log: SessionLog,
         if rec.envelope.kind != DATA:
             break
         deliveries.append(rec.envelope)
-    # owed[pair]: deliveries on `pair` from the current envelope onwards.
-    owed = Counter((env.sender, env.receiver) for env in deliveries)
-
-    # Configurations are compiled keys; dicts serve as insertion-ordered sets
-    # so the search order does not depend on hashing.
+    targets = [(RECV, env.sender.name, env.receiver.name,
+                "" if router in (env.sender, env.receiver) else router.name, env.msg.name)
+               for env in deliveries]
+    # owed[i][pair]: deliveries on `pair` from envelope i onwards.
+    owed = [{}]
+    for env in reversed(deliveries):
+        pair = (env.sender, env.receiver)
+        owed.append({**owed[-1], pair: owed[-1].get(pair, 0) + 1})
+    owed.reverse()
     lts = CompiledConfigurations(project_configuration(encoded, tables=tables), tables)
-    frontier = {lts.initial: None}
-    explored = 0
-    for i, env in enumerate(deliveries):
-        via = "" if router in (env.sender, env.receiver) else router.name
-        target = (RECV, env.sender.name, env.receiver.name, via, env.msg.name)
-        next_frontier = {}
-        seen = set(frontier)
-        stack = list(frontier)
-        while stack:
-            conf = stack.pop()
-            explored += 1
-            if explored > state_cap:
-                raise StateBudgetExceeded(state_cap, explored)
-            for label, succ in lts.steps(conf):
-                if _delivery_key(label) == target:
-                    next_frontier[succ] = None
-                elif label.direction == SEND:
-                    pair = (label.sender, label.receiver)
-                    if len(lts.buffer(conf, *pair)) >= owed[pair]:
-                        continue  # nothing left in the log could consume it
-                    if succ not in seen:
-                        seen.add(succ)
-                        stack.append(succ)
-        if not next_frontier:
-            return Violation(i, f"delivery {env.sender}->{env.receiver} "
-                                f"{env.msg.name} not realisable here")
-        owed[(env.sender, env.receiver)] -= 1
-        frontier = next_frontier
-    return True
+    if not deliveries:
+        return True
+    delivered = []  # the keys that deliver the last envelope
+
+    def visit(key, edges):
+        conf, i = key
+        target, later = targets[i], owed[i]
+        for label, succ in edges.items():
+            if _delivery_key(label) == target:
+                if i + 1 < len(targets):
+                    yield label, (succ, i + 1)
+                else:
+                    delivered.append(key)
+            elif label.direction == SEND and \
+                    len(lts.buffer(conf, label.sender, label.receiver)) \
+                    < later.get((label.sender, label.receiver), 0):
+                yield label, (succ, i)
+
+    report, seen = _explore("validate_log", (lts.initial, 0), lambda key: lts.steps(key[0]),
+                            visit, None, state_cap)
+    if report.verdict == INCONCLUSIVE:
+        raise StateBudgetExceeded(state_cap, report.states_visited)
+    if delivered:
+        return True
+    i = max(i for _, i in seen)
+    env = deliveries[i]
+    return Violation(i, f"delivery {env.sender}->{env.receiver} "
+                        f"{env.msg.name} not realisable here")

@@ -115,7 +115,7 @@ def test_compiled_configurations_match_config_steps(name):
         key = frontier.pop(0)
         want = [(label, succ.canonical())
                 for label, succ in config_steps(configuration(lts, key))]
-        got = sorted(lts.steps(key), key=lambda step: step[0].sort_key())
+        got = sorted(lts.steps(key).items(), key=lambda step: step[0].sort_key())
         assert [(label, configuration(lts, succ)) for label, succ in got] == want
         for _, succ in got:
             if succ not in seen:

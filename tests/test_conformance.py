@@ -29,7 +29,7 @@ def _mutations(log):
     n = len(records)
     last = records[-1].envelope
     names = sorted({r.envelope.msg.name for r in records} - {last.msg.name}) or ["Bogus"]
-    relabelled = Envelope(last.sender, last.receiver, MsgLabel(names[0]), b"")
+    relabelled = Envelope(last.sender, last.receiver, MsgLabel(names[0]))
     mid = n // 2
     swapped = records[:]
     swapped[mid - 1], swapped[mid] = swapped[mid], swapped[mid - 1]

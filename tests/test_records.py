@@ -34,7 +34,7 @@ M, N = MsgLabel("Quote", ("number",)), MsgLabel("No")
 END, LEND = GEnd(), LEnd()
 SPAN, OTHER_SPAN = scribble.SourceSpan("a.scr", 1, 2), scribble.SourceSpan("b.scr", 3, 4)
 ACT = direct_send(A, B, M)
-ENV = simulator.Envelope(A, B, M, b"x")
+ENV = simulator.Envelope(A, B, M)
 TERMINAL = efsm.EfsmState(1, efsm.STATE_TERMINAL, LEND)
 
 # Two constructor argument tuples per record class (one for the classes
@@ -64,7 +64,7 @@ SAMPLES = {
                          ("str", "java", "java.lang.String", "rt.jar", SPAN)],
     scribble.ProtocolDecl: [("P", ("A", "B"), False, (), (), SPAN),
                             ("P", ("A", "B"), True, (), (), SPAN)],
-    simulator.Envelope: [(A, B, M, b"x"), (A, B, None, b"", simulator.CANCEL, "stop")],
+    simulator.Envelope: [(A, B, M), (A, B, None, simulator.CANCEL, "stop")],
     simulator.SimConfig: [(), (3, "seeded-random", 10, (A, 2))],
     simulator.LogRecord: [(0, ENV), (1, ENV)],
     simulator.CancellationRecord: [(A, frozenset({B})), (B, frozenset())],

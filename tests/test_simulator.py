@@ -1,10 +1,12 @@
 import sys
 from pathlib import Path
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from routedmpst import analysis, simulator
 from routedmpst.core import GComm, GEnd, LEnd, MsgLabel, Role, direct_send, participants
 from routedmpst.efsm import STATE_TERMINAL, Efsm, EfsmState, EfsmTransition, build_efsm
 from routedmpst.encoding import encode_global
@@ -116,7 +118,7 @@ def test_swapped_envelopes_are_rejected():
 
 def test_foreign_label_rejected_with_index():
     log = run_session(load("PingPong"), SP, pingpong_scripts(4), SimConfig(seed=0))
-    bogus = Envelope(C, SP, MsgLabel("PING", ("int",)), b"")
+    bogus = Envelope(C, SP, MsgLabel("PING", ("int",)))
     records = log.records[:3] + (LogRecord(99, bogus),)
     verdict = validate_log(load("PingPong"), SP,
                            SessionLog(records, None, log.observations))
@@ -263,3 +265,15 @@ def test_looping_branches_are_those_of_the_per_state_search_on_random_machines(g
     transitions = tuple(EfsmTransition(p, q, direct_send(A, B, MsgLabel(f"m{i}")))
                         for i, (p, q) in enumerate(edges))
     _looping(Efsm(A, states, transitions))
+
+
+def test_log_validation_and_the_loop_test_search_through_explore():
+    """Neither `validate_log` nor `BoundedLoopPolicy.loops` has a search
+    loop of its own: both run `analysis._explore`, the loop test once per
+    branch target (PONG back to the loop, BYE out of it)."""
+    g = load("PingPong")
+    with mock.patch.object(simulator, "_explore", wraps=analysis._explore) as explore:
+        log = run_session(g, SP, None, SimConfig(seed=0))
+        assert [call.args[:2] for call in explore.call_args_list] == [("loops", 1), ("loops", 3)]
+        assert validate_log(g, SP, log) is True
+    assert [call.args[0] for call in explore.call_args_list] == ["loops", "loops", "validate_log"]
