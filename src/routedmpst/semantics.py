@@ -329,8 +329,8 @@ def _enabled(steps_by_role, buffers):
     a label, and for a routed label its router too, must each offer it; they
     move to `movers[role]`.  A send appends its message to the buffer of
     `pair`, a receive pops it from the head; `content` is the new buffer.
-    Successors are opaque here, so the rule serves local types and local state
-    ids alike."""
+    Successors are opaque here, so the rule serves local types, local state
+    ids and the simulator's machine states alike."""
     out = {}
     for steps in steps_by_role.values():
         for label in steps:
@@ -342,21 +342,19 @@ def _enabled(steps_by_role, buffers):
 
 
 def _apply_label(label: ActionLabel, steps_by_role, buffers):
+    direction, sender, receiver, msg, via = label
+    pair = (sender, receiver)
+    buf = buffers.get(pair)
+    if buf is None or (direction != SEND and (not buf or buf[0] != msg)):
+        return None
+    subject = sender if direction == SEND else receiver
     movers = {}
-    for r in (label.subject, label.via) if label.routed else (label.subject,):
+    for r in (subject,) if via is None else (subject, via):
         succ = steps_by_role.get(r, {}).get(label)
         if succ is None:
             return None
         movers[r] = succ
-    pair = (label.sender, label.receiver)
-    buf = buffers.get(pair)
-    if buf is None:
-        return None
-    if label.direction == SEND:
-        return movers, pair, buf + (label.msg,)
-    if not buf or buf[0] != label.msg:
-        return None
-    return movers, pair, buf[1:]
+    return movers, pair, buf + (msg,) if direction == SEND else buf[1:]
 
 
 class Tables(CanonicalIds):

@@ -1,12 +1,14 @@
 """Deterministic in-process session execution.
 
-One logical endpoint per role is driven by the state machine of its canonical
-projection.  Given a canonical protocol, the wire layer delivers
-client-to-client traffic directly; given the protocol's routed encoding, it
-routes that traffic through the router endpoint, which inspects envelope
-metadata and forwards anything not addressed to itself.  Cancellation by any
-endpoint travels to the router and is propagated to every other role, after
-which no data is delivered.
+Each role runs the state machine of its projection of the session's type,
+and a session is one walk of these machines, with a FIFO buffer per ordered
+role pair, through the configuration rule (`semantics._enabled`): the rule
+log validation searches, so every log is a path of the LTS it checks.
+Given a canonical protocol, client-to-client messages travel directly; given
+the protocol's routed encoding, each role runs its projection of the
+encoding, and the router forwards those messages by its own machine's edges.
+Cancellation by any endpoint travels to the router and is propagated to
+every other role, after which no data is delivered.
 
 Observable behaviour (delivery order, observations) is a pure function of
 the protocol, the scripts and the configuration seed.
@@ -25,9 +27,10 @@ from .core import (
     participants, record,
 )
 from .analysis import INCONCLUSIVE, StateBudgetExceeded, _explore
-from .efsm import Efsm, STATE_RECEIVE, STATE_SEND, STATE_TERMINAL, build_efsm
-from .projection import project
-from .semantics import ActionLabel, CompiledConfigurations, Tables, project_configuration
+from .efsm import Efsm, build_efsm
+from .semantics import (
+    ActionLabel, CompiledConfigurations, Tables, _enabled, project_configuration,
+)
 from .wellformed import check_wf_routed
 
 DATA = "data"
@@ -39,7 +42,8 @@ class SimulatorError(Exception):
 
 
 class ConformanceViolation(SimulatorError):
-    """An endpoint attempted an action its machine does not enable (engine bug)."""
+    """The walk got stuck: no role can move while a machine is short of its
+    end or a buffer holds a message."""
 
 
 class MaxStepsExceeded(SimulatorError):
@@ -139,10 +143,12 @@ class BoundedLoopPolicy(ChoicePolicy):
         self._visits: dict[int, int] = {}
         self._efsm: Efsm | None = None
         self._reach: dict[int, dict] = {}
+        self._looping: dict[int, dict[MsgLabel, bool]] = {}
 
     def bind(self, e: Efsm) -> "BoundedLoopPolicy":
         self._efsm = e
         self._reach = {}
+        self._looping = {}
         return self
 
     def loops(self, source: int, target: int) -> bool:
@@ -163,12 +169,13 @@ class BoundedLoopPolicy(ChoicePolicy):
             return labels[0]
         n = self._visits.get(state_id, 0)
         self._visits[state_id] = n + 1
-        by_label = {tr.action.msg: tr.target for tr in self._efsm.outgoing(state_id)}
-        looping = [lbl for lbl in labels if self.loops(state_id, by_label[lbl])]
-        escaping = [lbl for lbl in labels if not self.loops(state_id, by_label[lbl])]
-        if n < self.rounds - 1 and looping:
-            return looping[0]
-        return (escaping or labels)[0]
+        looping = self._looping.get(state_id)
+        if looping is None:  # each branch of the state tested once
+            looping = self._looping[state_id] = {
+                tr.action.msg: self.loops(state_id, tr.target)
+                for tr in self._efsm.outgoing(state_id)}
+        want = n < self.rounds - 1  # a looping branch, else the escape
+        return next((lbl for lbl in labels if looping[lbl] == want), labels[0])
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +210,15 @@ def run_session(g: GlobalType, router: Role,
                 tables: Tables | None = None) -> SessionLog:
     """Execute one session deterministically and return its delivery log.
 
-    `g` may be the canonical protocol (messages delivered directly) or its
-    routed encoding (client-to-client messages forwarded by the router); the
-    machines driving the endpoints are identical either way, so client
-    observations do not depend on the mode.  Raises SimulatorError if
-    `cfg.cancel_injection` names a role outside the session.
+    Each role runs the machine of its projection of `g`: of the canonical
+    protocol, or of its routed encoding, whose router forwards by its own
+    Lr6/Lr7 edges, so a routed send fires only when the router offers it.
+    Each step fires one label of the configuration rule `validate_log`
+    searches: the scheduler picks an actor among the subjects of enabled
+    labels; at a send its policy picks among them, in source order, and a
+    receive is logged.  Client observations do not depend on the mode.
+    Raises SimulatorError if `cfg.cancel_injection` names a role outside
+    the session.
 
     The realisability precondition encodes the canonical protocol and
     projects its encoding with `tables` (fresh ones if None): a caller that
@@ -215,21 +226,27 @@ def run_session(g: GlobalType, router: Role,
     """
     tables = Tables() if tables is None else tables
     canonical = tables.once(_decode_routed, g, router)
-    routed_mode = canonical is not g
-    wf = check_wf_routed(tables.encode(canonical, router), router, tables=tables)
+    encoded = tables.encode(canonical, router)
+    wf = check_wf_routed(encoded, router, tables=tables)
     if not wf.ok:
         raise SimulatorError(f"protocol not realisable through {router}: {wf.describe()}")
 
     # A router with no interactions of its own still forwards and propagates
-    # cancellations: it has a slot in the schedule and projects to end.  The
-    # empty protocol, whose one role is the router, has no schedule at all.
+    # cancellations: it has a slot in the schedule.  The empty protocol, whose
+    # one role is the router, has no schedule at all.
     roles = participants(canonical) | {router}
-    if cfg.cancel_injection is not None and cfg.cancel_injection[0] not in roles:
-        raise SimulatorError(f"cannot inject a cancellation by {cfg.cancel_injection[0]}: "
+    injector, at = cfg.cancel_injection or (None, 0)
+    if injector is not None and injector not in roles:
+        raise SimulatorError(f"cannot inject a cancellation by {injector}: "
                              "not a role of this session")
     roles = sorted(roles) if len(roles) > 1 else []
-    machines = {r: build_efsm(project(canonical, r), r) for r in roles}
+    source = canonical if canonical is g else encoded
+    machines = {r: build_efsm(tables.project(source, r), r) for r in roles}
+    # edges[r][state]: the machine's transitions as {label: target}, in source order
+    edges = {r: {st.id: {tr.action: tr.target for tr in m.outgoing(st.id)} for st in m.states}
+             for r, m in machines.items()}
     state = {r: machines[r].initial for r in roles}
+    buffers = {(p, q): () for p in roles for q in roles if p != q}
     observed: dict[Role, list[tuple[str, str, str]]] = {r: [] for r in roles}
     scripts = {r: BoundedLoopPolicy() for r in roles} | (scripts or {})
     for r in roles:
@@ -237,107 +254,71 @@ def run_session(g: GlobalType, router: Role,
             scripts[r].bind(machines[r])
 
     rng = random.Random(cfg.seed)
-    queues: dict[tuple[Role, Role], list[Envelope]] = \
-        {(p, q): [] for p in roles for q in roles if p != q}
-    staging: list[Envelope] = []  # router hop for client-to-client traffic
-    control: list[Envelope] = []  # cancellations travel to the router
+    memo: dict[tuple, tuple[dict, set]] = {}  # configuration -> enabled labels, subjects
+    pending: Envelope | None = None  # a cancellation on its way to the router
     records: list[LogRecord] = []
     cancellation: CancellationRecord | None = None
-    cancel_sent = False
     step = 0
     rr_index = 0
 
-    def ready_action(role: Role):
-        """The micro action `role` could take now, or None."""
-        if role == router and (control or staging):
-            return ("route",)
-        here = machines[role].state(state[role]).kind
-        if (cfg.cancel_injection is not None and not cancel_sent
-                and role == cfg.cancel_injection[0]
-                and step >= cfg.cancel_injection[1]
-                and here != STATE_TERMINAL):
-            return ("cancel",)
-        if here == STATE_SEND:
-            return ("send",)
-        if here == STATE_RECEIVE:
-            for tr in machines[role].outgoing(state[role]):
-                q = queues[(tr.action.sender, role)]
-                if q and q[0].kind == DATA and q[0].msg == tr.action.msg:
-                    return ("recv", tr)
-        return None
-
     def propagate_cancel(initiator: Role, reason: str):
         nonlocal cancellation, step
-        notified = []
         for r in roles:
-            if r in (initiator, router):
-                continue
-            env = Envelope(router, r, None, CANCEL, reason)
-            records.append(LogRecord(step, env))
-            step += 1
-            notified.append(r)
-        if router != initiator:
-            notified.append(router)
-        cancellation = CancellationRecord(initiator, frozenset(notified))
+            if r not in (initiator, router):
+                records.append(LogRecord(step, Envelope(router, r, None, CANCEL, reason)))
+                step += 1
+        cancellation = CancellationRecord(initiator, frozenset(roles) - {initiator})
 
     while step < cfg.max_steps:
         if cancellation is not None:
             break
-        ready = {r: action for r in roles if (action := ready_action(r)) is not None}
+        key = (*state.values(), *buffers.values())
+        if key not in memo:
+            enabled = _enabled({r: edges[r][state[r]] for r in roles}, buffers)
+            memo[key] = enabled, {label.subject for label in enabled}
+        enabled, subjects = memo[key]
+        cancel_due = (pending is None and injector is not None and step >= at
+                      and bool(edges[injector][state[injector]]))
+        ready = [r for r in roles if r in subjects or (r == router and pending is not None)
+                 or (r == injector and cancel_due)]
         if not ready:
-            if all(machines[r].state(state[r]).kind == STATE_TERMINAL for r in roles) \
-                    and not staging and not control \
-                    and all(not q for q in queues.values()):
+            if not any(buffers.values()) and not any(edges[r][state[r]] for r in roles):
                 break
             raise ConformanceViolation("session stuck with endpoints mid-protocol")
 
         if cfg.scheduler == "seeded-random":
-            actor = list(ready)[rng.randrange(len(ready))]
+            actor = ready[rng.randrange(len(ready))]
         else:
             while roles[rr_index % len(roles)] not in ready:
                 rr_index += 1
             actor = roles[rr_index % len(roles)]
             rr_index += 1
 
-        action = ready[actor]
-        if action[0] == "route":
-            if control:
-                env = control.pop(0)
-                records.append(LogRecord(step, env))
-                step += 1
-                propagate_cancel(env.sender, env.reason)
-                continue
-            env = staging.pop(0)
-            queues[(env.sender, env.receiver)].append(env)
+        if actor == router and pending is not None:
+            records.append(LogRecord(step, pending))
             step += 1
-        elif action[0] == "cancel":
-            reason = f"cancelled by {actor}"
-            cancel_sent = True
+            propagate_cancel(pending.sender, pending.reason)
+            continue
+        if actor == injector and cancel_due:
             step += 1
-            if actor == router:
-                # The router handles its own cancellation without a hop.
-                propagate_cancel(actor, reason)
+            if actor == router:  # the router handles its own cancellation without a hop
+                propagate_cancel(actor, f"cancelled by {actor}")
             else:
-                control.append(Envelope(actor, router, None, CANCEL, reason))
-        elif action[0] == "send":
-            outs = machines[actor].outgoing(state[actor])
-            receiver = outs[0].action.receiver
-            msg = scripts[actor].choose(state[actor], tuple(tr.action.msg for tr in outs), rng)
-            env = Envelope(actor, receiver, msg)
-            if routed_mode and router not in (actor, receiver):
-                staging.append(env)
-            else:
-                queues[(actor, receiver)].append(env)
-            observed[actor].append((SEND, receiver.name, msg.name))
-            state[actor] = {tr.action.msg: tr.target for tr in outs}[msg]
-            step += 1
+                pending = Envelope(actor, router, None, CANCEL, f"cancelled by {actor}")
+            continue
+        labels = [label for label in edges[actor][state[actor]] if label in enabled]
+        label = labels[0]
+        if label.direction == SEND:
+            msg = scripts[actor].choose(state[actor], tuple(lbl.msg for lbl in labels), rng)
+            label = next(lbl for lbl in labels if lbl.msg == msg)
+            observed[actor].append((SEND, label.receiver.name, msg.name))
         else:
-            _, tr = action
-            env = queues[(tr.action.sender, actor)].pop(0)
-            observed[actor].append((RECV, tr.action.sender.name, tr.action.msg.name))
-            state[actor] = tr.target
-            records.append(LogRecord(step, env))
-            step += 1
+            observed[actor].append((RECV, label.sender.name, label.msg.name))
+            records.append(LogRecord(step, Envelope(label.sender, label.receiver, label.msg)))
+        movers, pair, content = enabled[label]
+        state.update(movers)
+        buffers[pair] = content
+        step += 1
     else:
         raise MaxStepsExceeded(f"no termination within {cfg.max_steps} steps")
 
@@ -427,12 +408,13 @@ def validate_log(g: GlobalType, router: Role, log: SessionLog,
     if not deliveries:
         return True
     delivered = []  # the keys that deliver the last envelope
+    names: dict[ActionLabel, tuple] = {}  # each label's `_delivery_key`, made once
 
     def visit(key, edges):
         conf, i = key
         target, later = targets[i], owed[i]
         for label, succ in edges.items():
-            if _delivery_key(label) == target:
+            if (names.get(label) or names.setdefault(label, _delivery_key(label))) == target:
                 if i + 1 < len(targets):
                     yield label, (succ, i + 1)
                 else:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from routedmpst import analysis, simulator
 from routedmpst.core import GComm, GEnd, LEnd, MsgLabel, Role, direct_send, participants
 from routedmpst.efsm import STATE_TERMINAL, Efsm, EfsmState, EfsmTransition, build_efsm
-from routedmpst.encoding import encode_global
+from routedmpst.encoding import AlreadyRouted, NotCanonical, encode_global
 from routedmpst.projection import project
 from routedmpst.scribble import elaborate, parse_module
 from routedmpst.simulator import (
@@ -17,6 +17,7 @@ from routedmpst.simulator import (
     MaxStepsExceeded, SessionLog, SimConfig, SimulatorError, Violation, run_session,
     validate_log,
 )
+from routedmpst.wellformed import check_wf_routed
 
 from corpus import A, B, CORPUS_ROUTERS, G_TRAVEL, S, load
 from policies import FixedScript, SeededRandomPolicy
@@ -88,14 +89,38 @@ def test_cancellation_by_router_notifies_clients():
     assert log.cancellation.notified == frozenset({A, B})
 
 
-def test_every_corpus_log_validates():
-    for name, router in (("TravelAgency", "S"), ("PingPong", "S"),
-                         ("Game", "Svr"), ("Battleships", "Svr")):
+def _corpus_routers():
+    """Every (protocol, participant) of the corpus whose encoding through
+    that participant exists and is wf^router."""
+    for name in sorted(CORPUS_ROUTERS):
         g = load(name)
-        r = Role(router)
-        for source in (g, encode_global(g, r)):
-            log = run_session(source, r, None, SimConfig(seed=2))
-            assert validate_log(source, r, log) is True, name
+        for router in sorted(participants(g)):
+            try:
+                encoded = encode_global(g, router)
+            except (NotCanonical, AlreadyRouted):
+                continue
+            if check_wf_routed(encoded, router).ok:
+                yield name, g, router, encoded
+
+
+def test_every_corpus_log_validates():
+    # A routed session walks the configuration rule that validation
+    # searches, so its log validates; the router's forwarding is the one
+    # difference from canonical mode, and no role observes it.
+    for name, g, router, encoded in _corpus_routers():
+        for scheduler in ("round-robin", "seeded-random"):
+            for seed in range(4):
+                for rounds in (1, 2, 4):
+                    case = (name, router, scheduler, seed, rounds)
+                    cfg = SimConfig(seed=seed, scheduler=scheduler)
+                    direct, routed = (
+                        run_session(source, router,
+                                    {r: BoundedLoopPolicy(rounds) for r in participants(g)}, cfg)
+                        for source in (g, encoded))
+                    assert validate_log(encoded, router, routed) is True, case
+                    if router == CORPUS_ROUTERS[name]:
+                        assert validate_log(g, router, direct) is True, case
+                    assert direct.observations == routed.observations, case
 
 
 def test_empty_log_validates():
@@ -165,6 +190,16 @@ def test_pure_forwarder_router_outside_the_protocol():
     assert len(direct.data_records) == len(routed.data_records) == 1
     assert dict(direct.observations)[A] == dict(routed.observations)[A]
     assert validate_log(encode_global(g, router), router, routed) is True
+
+
+def test_the_router_forwards_only_what_its_own_projection_offers():
+    # S's projection receives m1 before it routes m2, so B's routed send
+    # waits for S, and m2 cannot overtake m1.
+    g = GComm(A, S, ((MsgLabel("m1"), GComm(B, A, ((MsgLabel("m2"), GEnd()),))),))
+    encoded = encode_global(g, S)
+    log = run_session(encoded, S)
+    assert [r.envelope.msg.name for r in log.data_records] == ["m1", "m2"]
+    assert validate_log(encoded, S, log) is True
 
 
 def test_external_log_round_trips_through_validation():
