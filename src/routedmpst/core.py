@@ -583,6 +583,8 @@ def canonicalize(t: AnyType) -> AnyType:
 
 
 _NO_VARS: frozenset[str] = frozenset()
+_NO_LEVELS: frozenset[int] = frozenset()
+_LEVEL_0 = frozenset((0,))
 
 
 class CanonicalIds:
@@ -601,10 +603,11 @@ class CanonicalIds:
     above 0, so an open key never equals a closed one.  Each memo entry
     keeps its object, and so its identity, alive as long as the interner;
     `unfold` unfolds each binder object once, so its callers share subterms,
-    and `unfold_id` each binder id once.  `form(sid)` rebuilds the canonical
-    form an id stands for from its keys, `keys[sid]` is the key node of an
-    id, and `key_id` interns one: a key node built from the children of
-    others gets its id without a walk."""
+    and `unfold_id` each binder id once, by substitution over keys, with no
+    type built.  `form(sid)` rebuilds the canonical form an id stands for
+    from its keys, `keys[sid]` is the key node of an id, and `key_id`
+    interns one: a key node built from the children of others gets its id
+    without a walk."""
 
     def __init__(self) -> None:
         self._ids: dict[AnyType, int] = {}
@@ -612,6 +615,7 @@ class CanonicalIds:
         self._met: dict[int, tuple[AnyType, frozenset[str], int | None]] = {}
         self._unfolded: dict[int, tuple[AnyType, AnyType]] = {}
         self._unfolded_ids: dict[int, int] = {}
+        self._levels: dict[int, frozenset[int]] = {}  # id -> its free levels
 
     def of(self, t: AnyType) -> int:
         _, fv, sid = self._met.get(id(t)) or self._walk(t)
@@ -631,10 +635,12 @@ class CanonicalIds:
 
     def unfold_id(self, sid: int) -> int:
         """The id of `unfold_once` of the binder whose id is `sid`, made
-        once: from its canonical form, built for this alone."""
+        once, by substituting `sid` for level 0 in its body's keys.  Only
+        the keys on a path to a use of a binder change; a closed sub-key is
+        kept as it is."""
         out = self._unfolded_ids.get(sid)
         if out is None:
-            out = self._unfolded_ids[sid] = self.of(unfold_once(self.form(sid)))
+            out = self._unfolded_ids[sid] = self._subst(self.keys[sid].body, 1, 1, sid, {})
         return out
 
     def key_id(self, key: AnyType) -> int:
@@ -646,8 +652,9 @@ class CanonicalIds:
             self.keys.append(key)
         return sid
 
-    # `form`, `_walk` and `_open` loop over branches instead of using generator
-    # expressions, so each takes one stack frame per nesting level.
+    # `form`, `_walk`, `_open`, `_subst` and `free_levels` loop over branches
+    # instead of using generator expressions, so each takes one stack frame
+    # per nesting level.
 
     def form(self, sid: int, env: dict[str, str] | None = None, depth: int = 0) -> AnyType:
         """The canonical form of the closed id `sid`, binders named by depth
@@ -712,6 +719,55 @@ class CanonicalIds:
             children.append((lbl, self._open(c, env, depth)))
         children.sort(key=lambda item: item[0].name)
         return self.key_id(_with_branches(u, tuple(children)))
+
+    def _subst(self, x: int, c: int, d: int, sid: int, memo: dict) -> int:
+        """The id of the key `x`, `d` binders below the binder `sid`, with
+        `sid` for level 0 and every other level lowered by `c`, the depth of
+        its nearest ancestor that the substitution closes.  A key whose one
+        free level is 0 is such an ancestor: its binders renumber from 0.
+        Substitution never leaves a binder unused, so none is dropped."""
+        levels = self.free_levels(x)
+        if not levels:
+            return x
+        if levels == _LEVEL_0:
+            c = d
+        out = memo.get((x, c, d))
+        if out is not None:
+            return out
+        key = self.keys[x]
+        if isinstance(key, (GVar, LVar)):
+            level = int(key.var[1:])
+            out = sid if level == 0 else self.key_id(type(key)(f"{_CANON_VAR_PREFIX}{level - c}"))
+        elif isinstance(key, (GRec, LRec)):
+            name = f"{_CANON_VAR_PREFIX}{int(key.var[1:]) - c}"
+            out = self.key_id(type(key)(name, self._subst(key.body, c, d + 1, sid, memo)))
+        else:
+            branches = []
+            for lbl, child in key.branches:
+                branches.append((lbl, self._subst(child, c, d, sid, memo)))
+            out = self.key_id(_with_branches(key, tuple(branches)))
+        memo[(x, c, d)] = out
+        return out
+
+    def free_levels(self, x: int) -> frozenset[int]:
+        """The free levels of the key `x`: each `j` of a variable `%j` free
+        in it.  Made on first use, since open keys are also interned by
+        `key_id`, and kept for the interner's life."""
+        out = self._levels.get(x)
+        if out is None:
+            key = self.keys[x]
+            if isinstance(key, (GEnd, LEnd)):
+                out = _NO_LEVELS
+            elif isinstance(key, (GVar, LVar)):
+                out = frozenset((int(key.var[1:]),))
+            elif isinstance(key, (GRec, LRec)):
+                out = self.free_levels(key.body) - {int(key.var[1:])}
+            else:
+                out = _NO_LEVELS
+                for _, child in key.branches:
+                    out = out | self.free_levels(child)
+            self._levels[x] = out
+        return out
 
 
 def participants(g: GlobalType) -> frozenset[Role]:

@@ -25,7 +25,7 @@ import re
 from collections import namedtuple
 
 from .core import (
-    Field, GComm, GEnd, GRec, GVar, GlobalType, InvalidType, MsgLabel, Role, free_vars, record,
+    Field, GComm, GEnd, GRec, GVar, GlobalType, MsgLabel, Role, record,
     validate,
 )
 
@@ -82,7 +82,7 @@ class NonTailCall(ScribbleError):
 
 
 class UnboundedCall(ScribbleError):
-    """A call chain that never closes into a recursion back-edge."""
+    """A protocol whose calls loop back to it without a message."""
 
 
 # --------------------------------------------------------------------------
@@ -455,7 +455,8 @@ def elaborate(decls: list[ProtocolDecl], entry: str) -> GlobalType:
     Expansion is memoised on (protocol, concrete role tuple): revisiting a key
     emits a back-edge to the binder introduced at its first expansion, so
     role-permuting self-calls close after at most one cycle of the
-    permutation.
+    permutation.  UnboundedCall, at the `do` that closes the loop, if a
+    protocol's calls come back to it with no message between.
     """
     by_name = {d.name: d for d in decls}
     if entry not in by_name:
@@ -465,14 +466,7 @@ def elaborate(decls: list[ProtocolDecl], entry: str) -> GlobalType:
         raise UnknownProtocol(f"protocol {entry} is aux-only and cannot be an entry point")
     st = _Elaboration(by_name, {a.alias: a.remote_name for a in root.type_aliases})
     result = _expand(st, root, root.roles(), is_entry=True)
-    try:
-        validate(result)
-    except InvalidType:
-        # Only an invalid result pays for a second walk, to name the cause.
-        unbound = free_vars(result)
-        if unbound:
-            raise UnboundedCall(f"expansion left unbound recursion: {sorted(unbound)}") from None
-        raise
+    validate(result)
     return result
 
 
@@ -484,7 +478,8 @@ class _Elaboration:
         self.alias_map = alias_map
         # The binder of each (protocol, role tuple) being expanded.
         self.binders: dict[tuple[str, tuple[Role, ...]], str] = {}
-        self.used_binders: set[str] = set()
+        # Each binder a back-edge names, and the `do` of its last one.
+        self.used_binders: dict[str, SourceSpan] = {}
         self.counter = 0
 
     def label(self, stmt: MsgStmt) -> MsgLabel:
@@ -501,10 +496,13 @@ def _expand(st: _Elaboration, decl: ProtocolDecl, actuals: tuple[Role, ...],
     env = dict(zip(decl.role_params, actuals))
     body = _seq(st, decl.body, env)
     del st.binders[key]
+    if body == GVar(binder):  # the calls came back here through `do`s alone
+        raise UnboundedCall(f"protocol {decl.name} loops without a message",
+                            st.used_binders[binder])
     # Call expansions are always binder-wrapped; the entry protocol only
     # when its own key is revisited.  Unused binders vanish under
-    # canonicalisation.  Wrapping a bare end/variable would be vacuous or
-    # non-contractive, so those pass through.
+    # canonicalisation.  Wrapping a bare end would be vacuous, and a
+    # variable, bound further out, passes through.
     if (binder in st.used_binders or not is_entry) \
             and not isinstance(body, (GEnd, GVar)):
         return GRec(binder, body)
@@ -526,7 +524,7 @@ def _seq(st: _Elaboration, stmts, env) -> GlobalType:
         actuals = tuple(env[a] for a in head.args)
         key = (head.protocol, actuals)
         if key in st.binders:
-            st.used_binders.add(st.binders[key])
+            st.used_binders[st.binders[key]] = head.span
             return GVar(st.binders[key])
         return _expand(st, target, actuals)
     if isinstance(head, ChoiceStmt):

@@ -13,8 +13,9 @@ an action from under the prefix fires first:
 - head rules: Gr1, Gr2, Gr6, Gr7 and Lr1, Lr2, Lr4-Lr7.  The local ones are
   also the edges of the endpoint state machine (`local_head_steps`, read by
   `efsm.build_efsm`).
-- `_unfold`: Gr3 and Lr3, recursion with a cycle cut, each binder unfolded
-  once per `core.CanonicalIds` interner.
+- `_unfold`: Gr3 and Lr3, recursion with a cycle cut, each binder id
+  unfolded once per `core.CanonicalIds` interner, by substitution over its
+  keys (`unfold_id`), so no unfolding builds or walks a type.
 - `_commute_all`: Gr4/Gr8, Lr8 and Lr10/Lr11; the subject filter depends on
   the node's class.  It steps the branches in order and stops at the first
   one that leaves no candidate label.

@@ -23,14 +23,15 @@ def distinct_roles(draw, n, pool=ROLE_POOL):
 
 @st.composite
 def global_types(draw, depth=3, roles=ROLE_POOL[:3], bound=frozenset(),
-                 free_vars=()):
-    """Canonical-grammar global types; closed unless free_vars are supplied."""
+                 free_vars=(), binders=1):
+    """Canonical-grammar global types; closed unless free_vars are supplied.
+    `binders` weighs a recursion binder against five communications."""
     options = ["end"]
     usable = tuple(bound) + tuple(free_vars)
     if usable:
         options.append("var")
     if depth > 0:
-        options += ["comm"] * 5 + ["rec"]
+        options += ["comm"] * 5 + ["rec"] * binders
     kind = draw(st.sampled_from(options))
     if kind == "end":
         return GEnd()
@@ -38,30 +39,31 @@ def global_types(draw, depth=3, roles=ROLE_POOL[:3], bound=frozenset(),
         return GVar(draw(st.sampled_from(sorted(usable))))
     if kind == "rec":
         var = f"r{len(bound)}"
-        body = draw(_global_comm(depth - 1, roles, bound | {var}, free_vars))
+        body = draw(_global_comm(depth - 1, roles, bound | {var}, free_vars, binders))
         return GRec(var, body)
-    return draw(_global_comm(depth - 1, roles, bound, free_vars))
+    return draw(_global_comm(depth - 1, roles, bound, free_vars, binders))
 
 
 @st.composite
-def _global_comm(draw, depth, roles, bound, free_vars):
+def _global_comm(draw, depth, roles, bound, free_vars, binders=1):
     p, q = draw(distinct_roles(2, roles))
     width = draw(st.sampled_from((1, 1, 1, 2)))
     labels = draw(st.permutations(LABEL_POOL))[:width]
     branches = tuple(
         (lbl, draw(global_types(depth=depth, roles=roles, bound=bound,
-                                free_vars=free_vars)))
+                                free_vars=free_vars, binders=binders)))
         for lbl in labels)
     return GComm(p, q, branches)
 
 
 @st.composite
-def local_types(draw, self_role, depth=3, roles=ROLE_POOL[:3], bound=frozenset()):
+def local_types(draw, self_role, depth=3, roles=ROLE_POOL[:3], bound=frozenset(),
+                binders=1):
     options = ["end"]
     if bound:
         options.append("var")
     if depth > 0:
-        options += ["comm"] * 5 + ["rec"]
+        options += ["comm"] * 5 + ["rec"] * binders
     kind = draw(st.sampled_from(options))
     if kind == "end":
         return LEnd()
@@ -69,19 +71,20 @@ def local_types(draw, self_role, depth=3, roles=ROLE_POOL[:3], bound=frozenset()
         return LVar(draw(st.sampled_from(sorted(bound))))
     if kind == "rec":
         var = f"r{len(bound)}"
-        body = draw(_local_comm(self_role, depth - 1, roles, bound | {var}))
+        body = draw(_local_comm(self_role, depth - 1, roles, bound | {var}, binders))
         return LRec(var, body)
-    return draw(_local_comm(self_role, depth - 1, roles, bound))
+    return draw(_local_comm(self_role, depth - 1, roles, bound, binders))
 
 
 @st.composite
-def _local_comm(draw, self_role, depth, roles, bound):
+def _local_comm(draw, self_role, depth, roles, bound, binders=1):
     others = tuple(r for r in roles if r != self_role)
     kind = draw(st.sampled_from(("select", "branch", "rselect", "rbranch")))
     width = draw(st.sampled_from((1, 1, 2)))
     labels = draw(st.permutations(LABEL_POOL))[:width]
     branches = tuple(
-        (lbl, draw(local_types(self_role, depth=depth, roles=roles, bound=bound)))
+        (lbl, draw(local_types(self_role, depth=depth, roles=roles, bound=bound,
+                               binders=binders)))
         for lbl in labels)
     if kind in ("rselect", "rbranch") and len(others) >= 2:
         peer, via = draw(distinct_roles(2, others))
@@ -146,3 +149,23 @@ def with_unused_binders(draw, t):
     for i in range(draw(st.integers(0, 2))):
         t = rec(f"unused{i}", t)
     return t
+
+
+@st.composite
+def binder_nests(draw, depth=5, local=False, bound=()):
+    """A recursion binder over a two-label choice at each level, each branch
+    a nest one level shallower or a variable of any binder above: bodies that
+    name an outer binder past inner ones, which the grammars above rarely
+    draw."""
+    var = f"r{len(bound)}"
+    bound += (var,)
+    rec, ref = (LRec, LVar) if local else (GRec, GVar)
+
+    def branch():
+        if depth > 1 and draw(st.booleans()):
+            return draw(binder_nests(depth - 1, local, bound))
+        return ref(draw(st.sampled_from(bound)))
+    a, b = LABEL_POOL[:2]
+    branches = ((a, branch()), (b, branch()))
+    return rec(var, LSelect(ROLE_POOL[0], branches) if local
+               else GComm(ROLE_POOL[0], ROLE_POOL[1], branches))

@@ -1,23 +1,29 @@
 """`core.CanonicalIds` against the reference `canonical_oracle.canonicalize`:
 within one interner, two closed types get the same id exactly when their
 canonical forms are equal, and `form` rebuilds that form from the id.  The
-open-type equality of `projection.merge` against the same oracle.  And its
-cost: one walk per node, however many of its subterms are keyed."""
+open-type equality of `projection.merge` against the same oracle.  Its
+cost: one walk per node, however many of its subterms are keyed.  And
+`unfold_id`, which substitutes over keys, against the unfolding of the
+binder's canonical form walked back into the same interner."""
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from routedmpst.analysis import _explore, check_trace_equivalence
 from routedmpst.core import (
-    CanonicalIds, GRec, LRec, LSelect, LVar, MsgLabel, _with_branches, free_vars,
-    unfold_once,
+    CanonicalIds, GRec, LRec, LSelect, LVar, MsgLabel, Role, _with_branches, free_vars,
+    participants, unfold_once,
 )
 from routedmpst.projection import MergeFailure, _canonically_equal, project
-from routedmpst.semantics import global_steps, local_steps
+from routedmpst.scribble import elaborate, parse_module
+from routedmpst.semantics import Tables, global_steps, local_steps
 
 import canonical_oracle
-from corpus import A, B, C
-from strategies import ROLE_POOL, global_types, local_types, with_unused_binders
+from corpus import CORPUS_ROUTERS, A, B, C, load
+from strategies import (
+    ROLE_POOL, binder_nests, global_types, local_types, with_unused_binders,
+)
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -192,3 +198,113 @@ def test_each_node_is_walked_once_when_every_suffix_is_keyed(monkeypatch):
     assert len(set(keys)) == 300 and ids.of(t) not in keys
     # t, its body (300 messages and the variable) and the unfolded copy.
     assert calls == {"_walk": 1 + 301 + 300, "_open": 301}
+
+
+# ---------------------------------------------------------------------------
+# unfold_id against the unfolding of the binder's canonical form
+# ---------------------------------------------------------------------------
+
+
+def _unfoldings_agree(ids, limit=None):
+    """Every closed binder id of `ids`, including those its unfoldings make,
+    up to `limit` of them: `unfold_id` must give the id of the binder's
+    canonical form unfolded as a type and walked back.  Returns the number
+    of binders checked."""
+    checked = sid = 0
+    while sid < len(ids.keys) and (limit is None or checked < limit):
+        if isinstance(ids.keys[sid], (GRec, LRec)) and not ids.free_levels(sid):
+            assert ids.unfold_id(sid) == ids.of(unfold_once(ids.form(sid))), ids.form(sid)
+            checked += 1
+        sid += 1
+    return checked
+
+
+def _searched(g, routers, depth=4, cap=300):
+    """A `Tables` that has stepped `g` and its encodings through each of
+    `routers`: their global LTSs up to `cap` states, and the trace
+    equivalence of `g`, which steps each role's projection, to `depth`."""
+    tables = Tables()
+    start = tables.intern(g)
+    check_trace_equivalence(g, depth, tables=tables)
+    for s in routers:
+        for sid in (start, tables.encode_id(start, s)):
+            _explore("states", sid, tables.edges, lambda _, edges: edges.items(),
+                     None, cap)
+    return tables
+
+
+def _ring(n):
+    roles = [f"R{i}" for i in range(n)]
+    hops = [(roles[i], roles[(i + 1) % n]) for i in range(n)]
+    go = " ".join(f"Go() from {a} to {b};" for a, b in hops)
+    stop = " ".join(f"Stop() from {a} to {b};" for a, b in hops)
+    return "Ring", roles, (f"choice at R0 {{ {go} do Ring({', '.join(roles)}); }} "
+                           f"or {{ {stop} }}")
+
+
+def _fan(n):
+    clients = [f"C{i}" for i in range(1, n + 1)]
+    roles = ["S"] + clients
+    again = " ".join([f"Req() from S to {c};" for c in clients]
+                     + [f"Resp() from {c} to S;" for c in clients])
+    stop = " ".join(f"Stop() from S to {c};" for c in clients)
+    return "Fan", roles, (f"choice at S {{ {again} do Fan({', '.join(roles)}); }} "
+                          f"or {{ {stop} }}")
+
+
+def _wide(k):
+    blocks = [f"l{i}() from S to A; l{i}() from A to B; do Wide(A, B, S);"
+              for i in range(1, k)]
+    blocks.append("done() from S to A; done() from A to B;")
+    return "Wide", ["A", "B", "S"], "choice at S { " + " } or { ".join(blocks) + " }"
+
+
+def _generated(name, roles, body):
+    params = ", ".join(f"role {r}" for r in roles)
+    return elaborate(parse_module(f"global protocol {name}({params}) {{ {body} }}"), name)
+
+
+@pytest.mark.parametrize("name", [*sorted(CORPUS_ROUTERS), "OuterLoop"])
+def test_unfold_id_agrees_on_the_corpus_and_its_encodings(name):
+    """The binders a search of the protocol, its projections and its
+    encoding through each participant meets.  OuterLoop's inner loop runs
+    on into its outer one, so an unfolding closes a binder below its root."""
+    g = load(name, "P" if name == "OuterLoop" else None)
+    assert _unfoldings_agree(_searched(g, sorted(participants(g)))) > 1
+
+
+@pytest.mark.parametrize("g", [_generated(*_ring(5)), _generated(*_fan(3)),
+                               _generated(*_wide(3))], ids=["Ring-5", "Fan-3", "Wide-3"])
+def test_unfold_id_agrees_on_generated_families(g):
+    router = Role("R0") if Role("R0") in participants(g) else Role("S")
+    assert _unfoldings_agree(_searched(g, [router])) > 1
+
+
+def test_unfold_id_closes_a_binder_below_the_root():
+    """`rec z` names x and z only, so the unfolding of x closes it two
+    binders down: its own binder renumbers from 0, and `rec y`, open on,
+    drops one level."""
+    z = LRec("z", _sel(C, ("c", LVar("x")), ("d", LVar("z"))))
+    w = LRec("w", _sel(A, ("f", LVar("y")), ("g", LVar("w")), ("h", LVar("x"))))
+    t = LRec("x", _sel(A, ("a", LRec("y", _sel(B, ("b", z), ("e", w))))))
+    ids = CanonicalIds()
+    ids.of(t)
+    assert _unfoldings_agree(ids) == 4
+
+
+_NESTED = st.one_of(
+    global_types(depth=5, roles=ROLE_POOL, binders=3),
+    st.sampled_from(ROLE_POOL).flatmap(
+        lambda r: local_types(r, depth=5, roles=ROLE_POOL, binders=3)),
+    st.booleans().flatmap(lambda local: binder_nests(depth=5, local=local)))
+
+
+@PROPERTY
+@given(st.lists(_NESTED, min_size=1, max_size=4))
+def test_unfold_id_agrees_on_nested_binders(types):
+    """Each closed binder of drawn types keyed by one interner, and those
+    their unfoldings make."""
+    ids = CanonicalIds()
+    for t in types:
+        ids.of(t)
+    _unfoldings_agree(ids, limit=50)

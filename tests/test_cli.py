@@ -170,6 +170,16 @@ def test_verify_output_matches_golden_file(capsys, golden, protocol, extra, exit
     assert out == (GOLDEN / golden).read_text(), f"{golden} drifted"
 
 
+def test_verify_nested_loops_matches_golden_file(capsys):
+    """OuterLoop's inner loop runs on into its outer one, so its states
+    unfold one binder into the other: a `fail` witness from the encoded
+    trace equivalence and an `inconclusive` deadlock search at the cap."""
+    code, out, _ = run(capsys, "verify", str(PROTOCOL_DIR / "OuterLoop.scr"), "P",
+                       "--router", "D", "--depth", "8", "--state-cap", "2000")
+    assert code == 1
+    assert out == (GOLDEN / "verify_OuterLoop_cap2000.txt").read_text()
+
+
 def test_state_cap_counts_only_keys_a_bounded_search_expands(capsys):
     # At depth 4 the searches expand the 6 keys found within 3 steps; the
     # keys found on the 4th step are never expanded, so a cap of 6 suffices.

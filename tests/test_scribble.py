@@ -182,7 +182,17 @@ def test_calls_that_only_call_each_other_leave_an_unbound_variable():
                          "global protocol Q(role A, role B) { do P(A, B); }\n")
     with pytest.raises(UnboundedCall) as raised:
         elaborate(decls, "P")
-    assert str(raised.value) == "expansion left unbound recursion: ['t0']"
+    assert str(raised.value) == "<string>:2:37: protocol P loops without a message"
+
+
+def test_a_protocol_that_only_calls_itself_is_named_at_its_call():
+    """Q, called after a message, loops without one: the error names Q, not
+    an internal binder, at the `do` that closes its loop."""
+    decls = parse_module("global protocol P(role A, role B) { m() from A to B; do Q(A, B); }\n"
+                         "global protocol Q(role A, role B) { do Q(A, B); }\n")
+    with pytest.raises(UnboundedCall) as raised:
+        elaborate(decls, "P")
+    assert str(raised.value) == "<string>:2:37: protocol Q loops without a message"
 
 
 def test_non_tail_do_rejected():
