@@ -1,12 +1,12 @@
 """Deterministic in-process session execution.
 
-Each role runs the state machine of its projection of the session's type,
-and a session is one walk of these machines, with a FIFO buffer per ordered
-role pair, through the configuration rule (`semantics._enabled`): the rule
-log validation searches, so every log is a path of the LTS it checks.
-Given a canonical protocol, client-to-client messages travel directly; given
-the protocol's routed encoding, each role runs its projection of the
-encoding, and the router forwards those messages by its own machine's edges.
+Each role runs the state machine of its projection of the session type,
+decided once by `_session_type`: a canonical protocol, whose client-to-client
+messages travel directly, or its routed encoding, whose router forwards them
+by its own machine's edges.  A session is one walk of these machines, with a
+FIFO buffer per ordered role pair, through the configuration rule
+(`semantics._enabled`); log validation searches the configuration LTS of the
+same type by the same rule, so every log is a path of the LTS it checks.
 Cancellation by any endpoint travels to the router and is propagated to
 every other role, after which no data is delivered.
 
@@ -204,15 +204,22 @@ def _decode_routed(g: GlobalType, router: Role) -> GlobalType:
     raise NotEncodable(f"cannot run sessions from transit state {type(g).__name__}")
 
 
+def _session_type(g: GlobalType, router: Role, tables: Tables) -> tuple[GlobalType, GlobalType]:
+    """(decoding, session type) of `g`: the type is `g` if it routes nothing,
+    else the encoding of its decoding through `router`, made once per tables."""
+    canonical = tables.once(_decode_routed, g, router)
+    return canonical, canonical if canonical is g else tables.encode(canonical, router)
+
+
 def run_session(g: GlobalType, router: Role,
                 scripts: dict[Role, ChoicePolicy] | None = None,
                 cfg: SimConfig = SimConfig(), *,
                 tables: Tables | None = None) -> SessionLog:
     """Execute one session deterministically and return its delivery log.
 
-    Each role runs the machine of its projection of `g`: of the canonical
-    protocol, or of its routed encoding, whose router forwards by its own
-    Lr6/Lr7 edges, so a routed send fires only when the router offers it.
+    Each role runs the machine of its projection of the session type
+    (`_session_type`); in a routed one the router forwards by its own Lr6/Lr7
+    edges, so a routed send fires only when the router offers it.
     Each step fires one label of the configuration rule `validate_log`
     searches: the scheduler picks an actor among the subjects of enabled
     labels; at a send its policy picks among them, in source order, and a
@@ -225,9 +232,8 @@ def run_session(g: GlobalType, router: Role,
     validates the log next passes the same tables to `validate_log`.
     """
     tables = Tables() if tables is None else tables
-    canonical = tables.once(_decode_routed, g, router)
-    encoded = tables.encode(canonical, router)
-    wf = check_wf_routed(encoded, router, tables=tables)
+    canonical, session = _session_type(g, router, tables)
+    wf = check_wf_routed(tables.encode(canonical, router), router, tables=tables)
     if not wf.ok:
         raise SimulatorError(f"protocol not realisable through {router}: {wf.describe()}")
 
@@ -240,8 +246,7 @@ def run_session(g: GlobalType, router: Role,
         raise SimulatorError(f"cannot inject a cancellation by {injector}: "
                              "not a role of this session")
     roles = sorted(roles) if len(roles) > 1 else []
-    source = canonical if canonical is g else encoded
-    machines = {r: build_efsm(tables.project(source, r), r) for r in roles}
+    machines = {r: build_efsm(tables.project(session, r), r) for r in roles}
     # edges[r][state]: the machine's transitions as {label: target}, in source order
     edges = {r: {st.id: {tr.action: tr.target for tr in m.outgoing(st.id)} for st in m.states}
              for r, m in machines.items()}
@@ -254,7 +259,6 @@ def run_session(g: GlobalType, router: Role,
             scripts[r].bind(machines[r])
 
     rng = random.Random(cfg.seed)
-    memo: dict[tuple, tuple[dict, set]] = {}  # configuration -> enabled labels, subjects
     pending: Envelope | None = None  # a cancellation on its way to the router
     records: list[LogRecord] = []
     cancellation: CancellationRecord | None = None
@@ -272,11 +276,8 @@ def run_session(g: GlobalType, router: Role,
     while step < cfg.max_steps:
         if cancellation is not None:
             break
-        key = (*state.values(), *buffers.values())
-        if key not in memo:
-            enabled = _enabled({r: edges[r][state[r]] for r in roles}, buffers)
-            memo[key] = enabled, {label.subject for label in enabled}
-        enabled, subjects = memo[key]
+        enabled = _enabled({r: edges[r][state[r]] for r in roles}, buffers)
+        subjects = {label.subject for label in enabled}
         cancel_due = (pending is None and injector is not None and step >= at
                       and bool(edges[injector][state[injector]]))
         ready = [r for r in roles if r in subjects or (r == router and pending is not None)
@@ -367,18 +368,17 @@ def parse_session_log(text: str) -> SessionLog:
 
 
 def _delivery_key(label: ActionLabel):
-    # Payload sorts are inert metadata; conformance compares labels by name.
-    via = label.via.name if label.via else ""
-    return (label.direction, label.sender.name, label.receiver.name, via,
-            label.msg.name)
+    # Conformance compares labels by name: payload sorts are inert metadata,
+    # and one session type routes all deliveries of a role pair alike (`via`).
+    return label.direction, label.sender.name, label.receiver.name, label.msg.name
 
 
 def validate_log(g: GlobalType, router: Role, log: SessionLog,
                  state_cap: int = VALIDATION_STATE_CAP, *,
                  tables: Tables | None = None) -> Violation | bool:
     """Check that the log's data-envelope prefix is realisable: there must be
-    an interleaving of sends under which the configuration LTS of the encoded
-    type performs exactly these deliveries, in order.
+    an interleaving of sends under which the configuration LTS of the type
+    the session ran (`_session_type`) performs exactly these deliveries, in order.
 
     One `_explore` search over pairs (configuration key, index i of the next
     envelope to deliver): a send stays at i unless its channel already holds
@@ -389,22 +389,20 @@ def validate_log(g: GlobalType, router: Role, log: SessionLog,
     than `state_cap` pairs are found.  `tables` is as for `run_session`.
     """
     tables = Tables() if tables is None else tables
-    encoded = tables.encode(tables.once(_decode_routed, g, router), router)
     deliveries: list[Envelope] = []
     for rec in log.records:
         if rec.envelope.kind != DATA:
             break
         deliveries.append(rec.envelope)
-    targets = [(RECV, env.sender.name, env.receiver.name,
-                "" if router in (env.sender, env.receiver) else router.name, env.msg.name)
-               for env in deliveries]
+    targets = [(RECV, env.sender.name, env.receiver.name, env.msg.name) for env in deliveries]
     # owed[i][pair]: deliveries on `pair` from envelope i onwards.
     owed = [{}]
     for env in reversed(deliveries):
         pair = (env.sender, env.receiver)
         owed.append({**owed[-1], pair: owed[-1].get(pair, 0) + 1})
     owed.reverse()
-    lts = CompiledConfigurations(project_configuration(encoded, tables=tables), tables)
+    session = _session_type(g, router, tables)[1]
+    lts = CompiledConfigurations(project_configuration(session, tables=tables), tables)
     if not deliveries:
         return True
     delivered = []  # the keys that deliver the last envelope

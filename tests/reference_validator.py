@@ -2,7 +2,9 @@
 
 This is the plain search: a depth-first walk over `Configuration` values,
 stepped with the public `config_steps` and deduplicated by
-`Configuration.canonical`.  It shares no `semantics.Tables` (step memo)
+`Configuration.canonical`, from the projected configuration of the type the
+session ran: the input itself if it routes nothing, else the encoding of its
+decoding.  It shares no `semantics.Tables` (step memo)
 with `validate_log`.  The only speed-up is a memo of the canonical
 successors of each canonical configuration, which leaves the search itself
 unchanged.
@@ -20,9 +22,9 @@ class ReferenceValidator:
     successor memo is reused across logs."""
 
     def __init__(self, g, router):
-        self.router = router
-        self.initial = project_configuration(
-            encode_global(_decode_routed(g, router), router)).canonical()
+        decoded = _decode_routed(g, router)
+        session = decoded if decoded is g else encode_global(decoded, router)
+        self.initial = project_configuration(session).canonical()
         self._succs = {}
 
     def successors(self, conf):
@@ -38,10 +40,8 @@ class ReferenceValidator:
             if rec.envelope.kind != DATA:
                 break
             deliveries.append(rec.envelope)
-        targets = []
-        for env in deliveries:
-            via = self.router if self.router not in (env.sender, env.receiver) else None
-            targets.append(_by_name(ActionLabel(RECV, env.sender, env.receiver, env.msg, via=via)))
+        targets = [_by_name(ActionLabel(RECV, env.sender, env.receiver, env.msg))
+                   for env in deliveries]
         # needed[i][pair]: deliveries on `pair` from envelope i onwards.
         needed = [{}]
         for env in reversed(deliveries):
@@ -81,5 +81,5 @@ class ReferenceValidator:
 
 
 def _by_name(label):
-    via = label.via.name if label.via else ""
-    return (label.direction, label.sender.name, label.receiver.name, via, label.msg.name)
+    # Within one session type a delivery's `via` is fixed by its role pair.
+    return (label.direction, label.sender.name, label.receiver.name, label.msg.name)

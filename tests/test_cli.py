@@ -274,6 +274,17 @@ def test_simulate_output_matches_golden_file(capsys, golden, protocol, extra):
     assert out == (GOLDEN / golden).read_text(), f"{golden} drifted"
 
 
+def test_simulate_through_a_client_router_checks_the_log_on_the_protocol(capsys):
+    # Direct delivery lets P2 receive Svr's message before P1 has received
+    # its own, an order the encoding through P1 forbids; the session ran the
+    # protocol, so its log is checked on the protocol.
+    code, out, err = run(capsys, "simulate", str(PROTOCOL_DIR / "Battleships.scr"),
+                         "Battleships", "--router", "P1", "--scheduler", "seeded-random",
+                         "--seed", "0", "--rounds", "1")
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / "simulate_Battleships_P1_seeded_random_0.txt").read_text()
+
+
 def test_simulate_cancel_by_a_role_outside_the_session_is_a_domain_error(capsys):
     code, out, err = run(capsys, "simulate", PINGPONG, "PingPong",
                          "--router", "S", "--cancel", "Zed@0")

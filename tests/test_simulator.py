@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -104,9 +105,11 @@ def _corpus_routers():
 
 
 def test_every_corpus_log_validates():
-    # A routed session walks the configuration rule that validation
-    # searches, so its log validates; the router's forwarding is the one
-    # difference from canonical mode, and no role observes it.
+    # A session walks the configuration rule that validation searches, over
+    # the same type: the protocol in canonical mode, its encoding in routed
+    # mode.  So its log validates, through every router; the router's
+    # forwarding is the one difference between the modes, and no role
+    # observes it.
     for name, g, router, encoded in _corpus_routers():
         for scheduler in ("round-robin", "seeded-random"):
             for seed in range(4):
@@ -118,8 +121,7 @@ def test_every_corpus_log_validates():
                                     {r: BoundedLoopPolicy(rounds) for r in participants(g)}, cfg)
                         for source in (g, encoded))
                     assert validate_log(encoded, router, routed) is True, case
-                    if router == CORPUS_ROUTERS[name]:
-                        assert validate_log(g, router, direct) is True, case
+                    assert validate_log(g, router, direct) is True, case
                     assert direct.observations == routed.observations, case
 
 
@@ -154,6 +156,22 @@ def test_max_steps_guard():
     with pytest.raises(MaxStepsExceeded):
         run_session(load("PingPong"), SP, {SP: FixedScript(["PONG"] * 100)},
                     SimConfig(seed=0, max_steps=11))
+
+
+def test_a_session_that_never_ends_stops_at_max_steps_in_bounded_memory():
+    # OuterLoop has no choice, so the round bound never applies: C sends m4
+    # each round and the C->B buffer grows by one message a round.  The walk
+    # keeps no configuration behind it, so its memory is linear in the steps.
+    g, router = load("OuterLoop", "P"), Role("D")
+    scripts = {r: BoundedLoopPolicy(1) for r in participants(g)}
+    tracemalloc.start()
+    try:
+        with pytest.raises(MaxStepsExceeded):
+            run_session(g, router, scripts, SimConfig(max_steps=5000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 def test_random_policy_respects_seed():
