@@ -15,8 +15,9 @@ canonical states are, so the states counted are canonical states (or pairs
 of them); only states printed or returned are put in canonical form.
 Trace sets are the path products of the edges `_explore` expands.  It keeps
 one parent link per key, not a trace, and rebuilds a trace only for a
-counterexample, so the simulator's log validation and loop test, whose
-keys lie as deep as a whole log or machine, search through it too.
+counterexample, so the simulator's loop test, whose keys lie as deep as a
+whole machine, searches through it too.  It starts from a set of keys, so
+log validation closes each envelope's layer of configurations with it.
 
 Each checker takes the `semantics.Tables` to search as a keyword: `verify`
 passes one to all four checks, so a state one check compiled, or a role one
@@ -111,7 +112,7 @@ def _traces(start, steps, depth: int, state_cap: int) -> TraceSet:
     paths have distinct traces.  StateBudgetExceeded where the search is
     inconclusive."""
     edges = {}
-    report, _ = _explore("traces", start, steps,
+    report, _ = _explore("traces", (start,), steps,
                          lambda key, out: edges.setdefault(key, out).items(), depth, state_cap)
     if report.verdict == INCONCLUSIVE:
         raise StateBudgetExceeded(state_cap, report.states_visited)
@@ -184,13 +185,13 @@ def _trace_equivalence(g, start, depth, state_cap, tables) -> ExplorationReport:
         for label, sid in g_edges.items():
             yield label, (sid, c_edges[label])
 
-    return _explore("trace_equivalence", (start, lts.initial), steps, visit,
+    return _explore("trace_equivalence", ((start, lts.initial),), steps, visit,
                     depth, state_cap)[0]
 
 
-def _explore(name: str, start, steps, visit, depth: int | None,
+def _explore(name: str, starts, steps, visit, depth: int | None,
              state_cap: int) -> tuple[ExplorationReport, dict]:
-    """Breadth-first search over the keys reachable from the key `start`,
+    """Breadth-first search over the keys reachable from the keys `starts`,
     `depth` levels deep (`None`: until no new key appears).
 
     `visit(key, steps(key))` sees each expanded key once.  It yields the
@@ -206,11 +207,11 @@ def _explore(name: str, start, steps, visit, depth: int | None,
     count.
 
     Returns the report and the map from each key found to its parent link,
-    (parent key, label), or None for `start`, in BFS order."""
+    (parent key, label), or None for a start key, in BFS order."""
     if depth is not None and depth < 0:
         raise ValueError("depth must be nonnegative")
-    seen = {start: None}
-    frontier = [start]
+    seen = dict.fromkeys(starts)
+    frontier = list(seen)
     level = 0
     while frontier and (depth is None or level < depth):
         last_level = depth is not None and level == depth - 1
@@ -255,7 +256,7 @@ def check_deadlock_freedom(g: GlobalType, router: Role,
             yield Counterexample((), f"stuck non-terminal state:\n{state}")
         yield from edges.items()
 
-    return _explore("deadlock_freedom", start, tables.edges, visit, None, state_cap)[0]
+    return _explore("deadlock_freedom", (start,), tables.edges, visit, None, state_cap)[0]
 
 
 def check_encoding_bisim(g: GlobalType, s: Role, depth: int,
@@ -291,14 +292,14 @@ def check_encoding_bisim(g: GlobalType, s: Role, depth: int,
             else:
                 yield label, succ
 
-    return _explore("encoding_bisim", start, tables.edges, visit, depth, state_cap)[0]
+    return _explore("encoding_bisim", (start,), tables.edges, visit, depth, state_cap)[0]
 
 
 def reachable_states(g: GlobalType, depth: int,
                      state_cap: int = DEFAULT_STATE_CAP) -> list[GlobalType]:
     """Canonical states reachable from g within `depth` steps (BFS order)."""
     tables = Tables()
-    report, seen = _explore("reachable_states", tables.intern(g), tables.edges,
+    report, seen = _explore("reachable_states", (tables.intern(g),), tables.edges,
                             lambda sid, edges: edges.items(), depth, state_cap)
     if report.verdict == INCONCLUSIVE:
         raise StateBudgetExceeded(state_cap, report.states_visited)

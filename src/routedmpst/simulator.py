@@ -13,14 +13,15 @@ every other role, after which no data is delivered.
 Observable behaviour (delivery order, observations) is a pure function of
 the protocol, the scripts and the configuration seed.
 
-The module has no search loop of its own: log validation (over pairs of a
-configuration and the next envelope to deliver) and the loop policy's test
-(which states a branch target reaches) run `analysis._explore`.
+The module has no search loop of its own: log validation (one closure of
+a layer per envelope) and the loop policy's test (which states a branch
+target reaches) run `analysis._explore`.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 from .core import (
     GComm, GEnd, GRec, GRouted, GVar, GlobalType, MsgLabel, RECV, Role, SEND,
@@ -63,8 +64,10 @@ class Envelope:
     reason: str = ""
 
     def __post_init__(self):
-        assert self.sender != self.receiver
-        assert self.kind in (DATA, CANCEL)
+        if self.sender == self.receiver:
+            raise ValueError(f"{self.sender} sends to itself")
+        if self.kind not in (DATA, CANCEL):
+            raise ValueError(f"kind {self.kind!r} is neither {DATA} nor {CANCEL}")
 
 
 @record
@@ -158,7 +161,7 @@ class BoundedLoopPolicy(ChoicePolicy):
         if target not in self._reach:
             e = self._efsm
             self._reach[target] = _explore(
-                "loops", target, e.outgoing,
+                "loops", (target,), e.outgoing,
                 lambda _, out: ((tr.action.msg, tr.target) for tr in out),
                 None, len(e.states))[1]
         return source in self._reach[target]
@@ -351,19 +354,22 @@ def parse_session_log(text: str) -> SessionLog:
     """Rebuild a SessionLog from its line serialisation.
 
     The wire format does not carry payload sorts, so parsed envelopes have
-    bare labels; validate_log compares labels by name.
+    bare labels; validate_log compares labels by name.  A malformed line
+    raises SimulatorError naming its 1-based line.
     """
     records = []
-    for line in text.splitlines():
+    for n, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        step, sender, receiver, kind, label = line.split(",")
-        if kind == DATA:
-            env = Envelope(Role(sender), Role(receiver), MsgLabel(label))
-        else:
-            env = Envelope(Role(sender), Role(receiver), None, CANCEL, label)
-        records.append(LogRecord(int(step), env))
+        try:
+            step, sender, receiver, kind, label = line.split(",")
+            data = kind == DATA
+            records.append(LogRecord(int(step), Envelope(
+                Role(sender), Role(receiver), MsgLabel(label) if data else None,
+                kind, "" if data else label)))
+        except ValueError as exc:  # InvalidType too
+            raise SimulatorError(f"line {n}: {exc}") from None
     return SessionLog(tuple(records), None, ())
 
 
@@ -380,13 +386,15 @@ def validate_log(g: GlobalType, router: Role, log: SessionLog,
     an interleaving of sends under which the configuration LTS of the type
     the session ran (`_session_type`) performs exactly these deliveries, in order.
 
-    One `_explore` search over pairs (configuration key, index i of the next
-    envelope to deliver): a send stays at i unless its channel already holds
-    as many messages as the log still owes it from i on, and delivering
-    envelope i moves to i + 1.  Returns True when some pair delivers the
-    last envelope, otherwise a `Violation` naming the largest index reached
-    (0-based among data envelopes).  Raises StateBudgetExceeded when more
-    than `state_cap` pairs are found.  `tables` is as for `run_session`.
+    A monitor that keeps one layer of configuration keys: for envelope i,
+    those that delivered envelopes 0..i-1.  One `_explore` call closes the
+    layer under the sends the log still owes (a channel must hold fewer
+    messages than the log delivers on it from i on); the keys that deliver
+    envelope i form the next layer.  Returns True when the last envelope is
+    delivered, else a `Violation` at the first envelope (0-based among data
+    envelopes) that no key of its layer delivers.  Raises
+    StateBudgetExceeded when one layer's closure exceeds `state_cap` keys.
+    `tables` is as for `run_session`.
     """
     tables = Tables() if tables is None else tables
     deliveries: list[Envelope] = []
@@ -394,41 +402,30 @@ def validate_log(g: GlobalType, router: Role, log: SessionLog,
         if rec.envelope.kind != DATA:
             break
         deliveries.append(rec.envelope)
-    targets = [(RECV, env.sender.name, env.receiver.name, env.msg.name) for env in deliveries]
-    # owed[i][pair]: deliveries on `pair` from envelope i onwards.
-    owed = [{}]
-    for env in reversed(deliveries):
-        pair = (env.sender, env.receiver)
-        owed.append({**owed[-1], pair: owed[-1].get(pair, 0) + 1})
-    owed.reverse()
+    owed = Counter((env.sender, env.receiver) for env in deliveries)
     session = _session_type(g, router, tables)[1]
     lts = CompiledConfigurations(project_configuration(session, tables=tables), tables)
-    if not deliveries:
-        return True
-    delivered = []  # the keys that deliver the last envelope
     names: dict[ActionLabel, tuple] = {}  # each label's `_delivery_key`, made once
 
-    def visit(key, edges):
-        conf, i = key
-        target, later = targets[i], owed[i]
+    def visit(conf, edges):
         for label, succ in edges.items():
             if (names.get(label) or names.setdefault(label, _delivery_key(label))) == target:
-                if i + 1 < len(targets):
-                    yield label, (succ, i + 1)
-                else:
-                    delivered.append(key)
+                next_layer[succ] = None
             elif label.direction == SEND and \
                     len(lts.buffer(conf, label.sender, label.receiver)) \
-                    < later.get((label.sender, label.receiver), 0):
-                yield label, (succ, i)
+                    < owed[label.sender, label.receiver]:
+                yield label, succ
 
-    report, seen = _explore("validate_log", (lts.initial, 0), lambda key: lts.steps(key[0]),
-                            visit, None, state_cap)
-    if report.verdict == INCONCLUSIVE:
-        raise StateBudgetExceeded(state_cap, report.states_visited)
-    if delivered:
-        return True
-    i = max(i for _, i in seen)
-    env = deliveries[i]
-    return Violation(i, f"delivery {env.sender}->{env.receiver} "
-                        f"{env.msg.name} not realisable here")
+    layer = (lts.initial,)
+    for i, env in enumerate(deliveries):
+        target = (RECV, env.sender.name, env.receiver.name, env.msg.name)
+        next_layer: dict = {}  # visit's deliveries of `target`, in the order found
+        report = _explore("validate_log", layer, lts.steps, visit, None, state_cap)[0]
+        if report.verdict == INCONCLUSIVE:
+            raise StateBudgetExceeded(state_cap, report.states_visited)
+        if not next_layer:
+            return Violation(i, f"delivery {env.sender}->{env.receiver} "
+                                f"{env.msg.name} not realisable here")
+        layer = next_layer
+        owed[env.sender, env.receiver] -= 1
+    return True

@@ -1,10 +1,12 @@
 """Reference log validator used as an oracle for `simulator.validate_log`.
 
-This is the plain search: a depth-first walk over `Configuration` values,
-stepped with the public `config_steps` and deduplicated by
-`Configuration.canonical`, from the projected configuration of the type the
-session ran: the input itself if it routes nothing, else the encoding of its
-decoding.  It shares no `semantics.Tables` (step memo)
+This is the plain search: per envelope, a depth-first walk over
+`Configuration` values, stepped with the public `config_steps` and
+deduplicated by `Configuration.canonical`, from the configurations that
+delivered the envelopes before it.  The first starts from the projected
+configuration of the type the session ran: the input itself if it routes
+nothing, else the encoding of its decoding.  The state budget bounds each
+envelope's walk.  It shares no `semantics.Tables` (step memo)
 with `validate_log`.  The only speed-up is a memo of the canonical
 successors of each canonical configuration, which leaves the search itself
 unchanged.
@@ -33,8 +35,10 @@ class ReferenceValidator:
         return self._succs[conf]
 
     def validate(self, log, state_cap=VALIDATION_STATE_CAP):
-        """(verdict, explored): `validate_log`'s result and the number of
-        configurations the search expanded."""
+        """(verdict, explored): `validate_log`'s result and the largest
+        number of configurations the search expanded for one envelope.
+        Raises StateBudgetExceeded when one envelope's search expands more
+        than `state_cap`."""
         deliveries = []
         for rec in log.records:
             if rec.envelope.kind != DATA:
@@ -57,11 +61,12 @@ class ReferenceValidator:
             next_frontier = set()
             seen = set(frontier)
             stack = list(frontier)
+            layer = 0
             while stack:
                 conf = stack.pop()
-                explored += 1
-                if explored > state_cap:
-                    raise StateBudgetExceeded(state_cap, explored)
+                layer += 1
+                if layer > state_cap:
+                    raise StateBudgetExceeded(state_cap, layer)
                 for label, succ in self.successors(conf):
                     if _by_name(label) == target:
                         next_frontier.add(succ)
@@ -72,6 +77,7 @@ class ReferenceValidator:
                         if succ not in seen:
                             seen.add(succ)
                             stack.append(succ)
+            explored = max(explored, layer)
             if not next_frontier:
                 env = deliveries[i]
                 return Violation(i, f"delivery {env.sender}->{env.receiver} "

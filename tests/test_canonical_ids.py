@@ -228,7 +228,7 @@ def _searched(g, routers, depth=4, cap=300):
     check_trace_equivalence(g, depth, tables=tables)
     for s in routers:
         for sid in (start, tables.encode_id(start, s)):
-            _explore("states", sid, tables.edges, lambda _, edges: edges.items(),
+            _explore("states", (sid,), tables.edges, lambda _, edges: edges.items(),
                      None, cap)
     return tables
 

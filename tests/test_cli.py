@@ -285,6 +285,17 @@ def test_simulate_through_a_client_router_checks_the_log_on_the_protocol(capsys)
     assert out == (GOLDEN / "simulate_Battleships_P1_seeded_random_0.txt").read_text()
 
 
+def test_a_long_game_session_passes_its_own_log_check(capsys):
+    # 11,997 deliveries: the log check's state budget bounds one envelope's
+    # layer of configurations, not the whole log.
+    code, out, err = run(capsys, "simulate", str(PROTOCOL_DIR / "Game.scr"), "Game",
+                         "--router", "Svr", "--rounds", "2000")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[-1] == "# conformance=ok"
+    assert sum(1 for line in lines if ",data," in line) == 11997
+
+
 def test_simulate_cancel_by_a_role_outside_the_session_is_a_domain_error(capsys):
     code, out, err = run(capsys, "simulate", PINGPONG, "PingPong",
                          "--router", "S", "--cancel", "Zed@0")

@@ -232,6 +232,40 @@ def test_external_log_round_trips_through_validation():
     assert isinstance(validate_log(g, Role("S"), tampered), Violation)
 
 
+@pytest.mark.parametrize("line, detail", [
+    ("0,A,A,data,m", "A sends to itself"),
+    ("0,A,B,data", "not enough values to unpack"),
+    ("0,A,B,data,m,n", "too many values to unpack"),
+    ("0,A,B,ping,m", "kind 'ping' is neither data nor cancel"),
+    ("x,A,B,data,m", "invalid literal for int() with base 10: 'x'"),
+    ("0,A!,B,data,m", "invalid role name: 'A!'"),
+    ("0,A,B,data,m-1", "invalid message label: 'm-1'"),
+])
+def test_malformed_log_lines_are_rejected_by_line(line, detail):
+    from routedmpst.simulator import parse_session_log
+    # A comment, a data line and a cancellation with a free-text reason
+    # parse; the malformed line is the fourth.
+    text = f"# log\n0,A,S,data,m\n1,S,B,cancel,cancelled by A\n{line}\n"
+    with pytest.raises(SimulatorError, match=r"^line 4: ") as raised:
+        parse_session_log(text)
+    assert detail in str(raised.value)
+
+
+def test_long_game_log_validates_in_memory_flat_in_its_length():
+    # 1,333 rounds deliver 7,995 envelopes.  The check keeps one layer of
+    # configurations, not a pair per configuration and envelope.
+    g, router = load("Game"), Role("Svr")
+    log = run_session(g, router, {r: BoundedLoopPolicy(1333) for r in participants(g)})
+    assert len(log.data_records) == 7995
+    tracemalloc.start()
+    try:
+        assert validate_log(g, router, log) is True
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_routed_session_matches_golden_file():
     log = run_session(encode_global(G_TRAVEL, S), S)
     assert log.serialize() == (GOLDEN / "simulate_TravelAgency_routed.txt").read_text()
@@ -323,10 +357,13 @@ def test_looping_branches_are_those_of_the_per_state_search_on_random_machines(g
 def test_log_validation_and_the_loop_test_search_through_explore():
     """Neither `validate_log` nor `BoundedLoopPolicy.loops` has a search
     loop of its own: both run `analysis._explore`, the loop test once per
-    branch target (PONG back to the loop, BYE out of it)."""
+    branch target (PONG back to the loop, BYE out of it) and the log check
+    once per data envelope."""
     g = load("PingPong")
     with mock.patch.object(simulator, "_explore", wraps=analysis._explore) as explore:
         log = run_session(g, SP, None, SimConfig(seed=0))
-        assert [call.args[:2] for call in explore.call_args_list] == [("loops", 1), ("loops", 3)]
+        assert [call.args[:2] for call in explore.call_args_list] == [
+            ("loops", (1,)), ("loops", (3,))]
         assert validate_log(g, SP, log) is True
-    assert [call.args[0] for call in explore.call_args_list] == ["loops", "loops", "validate_log"]
+    assert [call.args[0] for call in explore.call_args_list] == \
+        ["loops", "loops"] + ["validate_log"] * len(log.data_records)
