@@ -10,9 +10,9 @@ from .core import (
     ActionLabel, GComm, GEnd, GRec, GRouted, GRoutedTransit, GTransit, GVar,
     GlobalType, InvalidType, LBranch, LEnd, LRec, LRouter, LRouterTransit,
     LRoutedBranch, LRoutedSelect, LSelect, LVar, LocalType, MsgLabel,
-    NotRecursive, Role, canonicalize, direct_recv, direct_send, free_vars,
+    Role, canonicalize, direct_recv, direct_send, free_vars,
     participants, pretty_global, pretty_local, routed_recv,
-    routed_send, unfold_once, validate,
+    routed_send, validate,
 )
 from .scribble import ProtocolDecl, ScribbleError, elaborate, parse_module, pretty_module
 from .projection import MergeFailure, merge, project
@@ -38,9 +38,9 @@ __all__ = [
     "ActionLabel", "GComm", "GEnd", "GRec", "GRouted", "GRoutedTransit", "GTransit", "GVar",
     "GlobalType", "InvalidType", "LBranch", "LEnd", "LRec", "LRouter", "LRouterTransit",
     "LRoutedBranch", "LRoutedSelect", "LSelect", "LVar", "LocalType", "MsgLabel",
-    "NotRecursive", "Role", "canonicalize", "direct_recv", "direct_send", "free_vars",
+    "Role", "canonicalize", "direct_recv", "direct_send", "free_vars",
     "participants", "pretty_global", "pretty_local", "routed_recv", "routed_send",
-    "unfold_once", "validate",
+    "validate",
     # scribble, projection, wellformed, encoding
     "ProtocolDecl", "ScribbleError", "elaborate", "parse_module", "pretty_module",
     "MergeFailure", "merge", "project", "check_wf", "check_wf_routed", "is_centroid",

@@ -1,7 +1,7 @@
 """Core intermediate representation: roles, message labels, global and local
 type grammars (including routed and in-transit constructs), LTS action labels,
-and the canonical-form (`CanonicalIds`) and substitution machinery shared by
-every other module.
+and the canonical-form machinery (`CanonicalIds`, which also unfolds
+recursion on ids) shared by every other module.
 
 All values are immutable after construction and safe to share across threads.
 """
@@ -22,10 +22,6 @@ _CANON_VAR_PREFIX = "%"
 
 class InvalidType(ValueError):
     """A type value violates a structural invariant."""
-
-
-class NotRecursive(ValueError):
-    """unfold_once applied to a non-recursive type."""
 
 
 # ---------------------------------------------------------------------------
@@ -543,32 +539,6 @@ def free_vars(t: AnyType) -> frozenset[str]:
     return frozenset().union(*(free_vars(c) for _, c in t.branches))
 
 
-def substitute(t: AnyType, var: str, replacement: AnyType) -> AnyType:
-    """Substitute `replacement` for free occurrences of `var` in `t`.
-
-    Shadowing binders are respected; the replacement is expected to be closed
-    (always the case for recursion unfolding), so no capture can occur.  A
-    subterm that does not change is returned as it is, not copied."""
-    if isinstance(t, (GEnd, LEnd)):
-        return t
-    if isinstance(t, (GVar, LVar)):
-        return replacement if t.var == var else t
-    if isinstance(t, (GRec, LRec)):
-        body = t.body if t.var == var else substitute(t.body, var, replacement)
-        return t if body is t.body else type(t)(t.var, body)
-    branches = tuple((lbl, substitute(c, var, replacement)) for lbl, c in t.branches)
-    if all(new is old for (_, new), (_, old) in zip(branches, t.branches)):
-        return t
-    return _with_branches(t, branches)
-
-
-def unfold_once(t: AnyType) -> AnyType:
-    """One step of recursion unfolding: body with the binder substituted in."""
-    if isinstance(t, (GRec, LRec)):
-        return substitute(t.body, t.var, t)
-    raise NotRecursive(f"cannot unfold non-recursive {type(t).__name__}")
-
-
 def canonicalize(t: AnyType) -> AnyType:
     """Alpha-rename binders to depth indices, drop unused binders and order
     branch maps lexicographically by label name.
@@ -601,19 +571,17 @@ class CanonicalIds:
     its key is never memoised, since one object can sit under different
     binders.  A closed binder is named at level 0 and an open one at a level
     above 0, so an open key never equals a closed one.  Each memo entry
-    keeps its object, and so its identity, alive as long as the interner;
-    `unfold` unfolds each binder object once, so its callers share subterms,
-    and `unfold_id` each binder id once, by substitution over keys, with no
-    type built.  `form(sid)` rebuilds the canonical form an id stands for
-    from its keys, `keys[sid]` is the key node of an id, and `key_id`
-    interns one: a key node built from the children of others gets its id
-    without a walk."""
+    keeps its object, and so its identity, alive as long as the interner.
+    Recursion unfolds on ids only: `unfold_id` unfolds each binder id once,
+    by substitution over keys, with no type built.  `form(sid)` rebuilds the
+    canonical form an id stands for from its keys, `keys[sid]` is the key
+    node of an id, and `key_id` interns one: a key node built from the
+    children of others gets its id without a walk."""
 
     def __init__(self) -> None:
         self._ids: dict[AnyType, int] = {}
         self.keys: list[AnyType] = []  # id -> key node
         self._met: dict[int, tuple[AnyType, frozenset[str], int | None]] = {}
-        self._unfolded: dict[int, tuple[AnyType, AnyType]] = {}
         self._unfolded_ids: dict[int, int] = {}
         self._levels: dict[int, frozenset[int]] = {}  # id -> its free levels
 
@@ -626,15 +594,8 @@ class CanonicalIds:
     def free_vars(self, t: AnyType) -> frozenset[str]:
         return (self._met.get(id(t)) or self._walk(t))[1]
 
-    def unfold(self, t: AnyType) -> AnyType:
-        """`unfold_once(t)`, built once per binder object."""
-        met = self._unfolded.get(id(t))
-        if met is None:
-            met = self._unfolded[id(t)] = (t, unfold_once(t))
-        return met[1]
-
     def unfold_id(self, sid: int) -> int:
-        """The id of `unfold_once` of the binder whose id is `sid`, made
+        """The id of the unfolding of the binder whose id is `sid`, made
         once, by substituting `sid` for level 0 in its body's keys.  Only
         the keys on a path to a use of a binder change; a closed sub-key is
         kept as it is."""

@@ -2,16 +2,16 @@
 of a local type, render it as DOT, and serialise a machine-readable IR.
 
 States are the distinct canonical subterms reached by structural traversal,
-with recursion resolved to back-edges.  A subterm is unfolded down to its
-first structural node and keyed by that node's `core.CanonicalIds` id, which
-is equal for two subterms exactly when their canonical forms are; the ids
-are hash-consed, so keying costs one walk per node met, and no canonical
-form is built; a back edge reaches its binder's one unfolding
-(`CanonicalIds.unfold`).  The edges of a state are the local head rules of
-its node (`semantics.local_head_steps`); actions that commute past a prefix
-are left out.  Numbering is breadth-first from the initial state
-(branches in source order), never by id, which keeps diagram numbering and
-golden files stable.
+with recursion resolved to back-edges.  A state is keyed by the id, in a
+`semantics.Tables`, of the first structural node of its subterm, equal for
+two subterms exactly when their canonical forms are: a binder id steps by
+`unfold_id`, and a successor's id is read from the state's key node by its
+head rule (`semantics.local_head_steps`), so no type is built or walked
+after the root's one walk.  Actions that commute past a prefix are left
+out.  The source type gives only branch order: a state keeps the source
+node it was first met at; a back edge needs none.  Numbering is
+breadth-first from the initial state (branches in source order), never by
+id, which keeps diagram numbering and golden files stable.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from __future__ import annotations
 import json
 from functools import cached_property
 
-from .core import ActionLabel, CanonicalIds, LRec, LocalType, Role, SEND, record, validate
-from .semantics import local_head_steps
+from .core import ActionLabel, LRec, LRouter, LocalType, Role, SEND, record
+from .semantics import Tables, local_head_steps
 
 STATE_SEND = "send"
 STATE_RECEIVE = "receive"
@@ -31,7 +31,6 @@ STATE_TERMINAL = "terminal"
 class EfsmState:
     id: int
     kind: str
-    local_type: LocalType  # closed form of the subterm this state stands for
 
 
 @record
@@ -82,32 +81,41 @@ def _kind_of(actions) -> str:
     return STATE_SEND if dirs == {SEND} else STATE_RECEIVE
 
 
-def build_efsm(t: LocalType, self_role: Role) -> Efsm:
-    """Construct the endpoint state machine of a closed local type."""
-    validate(t)  # InvalidType, a ValueError, on an open type
-    ids = CanonicalIds()
+def build_efsm(t: LocalType, self_role: Role, *, tables: Tables | None = None) -> Efsm:
+    """Construct the endpoint state machine of a closed local type, its
+    states keyed by the ids of `tables` (fresh ones if None).  InvalidType,
+    a ValueError, unless `t` is a valid closed type (`Tables.intern`)."""
+    tables = Tables() if tables is None else tables
+    numbers: dict[int, int] = {}  # structural id -> state number
+    order: list[tuple[int, LocalType]] = []  # per state: structural id, source node
 
-    numbers: dict[int, int] = {}  # canonical id -> state number
-    order: list[LocalType] = []
-
-    def state_id(node: LocalType) -> int:
-        while isinstance(node, LRec):  # unfold down to a structural node
-            node = ids.unfold(node)
-        key = ids.of(node)
-        if key not in numbers:
-            numbers[key] = len(order) + 1
-            order.append(node)
-        return numbers[key]
+    def state_id(sid: int, node: LocalType) -> int:
+        while isinstance(tables.keys[sid], LRec):
+            sid = tables.unfold_id(sid)
+        if sid not in numbers:
+            # A variable's state was numbered when its binder was entered,
+            # so a new state's source strips binders to a structural node.
+            while isinstance(node, LRec):
+                node = node.body
+            numbers[sid] = len(order) + 1
+            order.append((sid, node))
+        return numbers[sid]
 
     transitions: list[EfsmTransition] = []
     states: list[EfsmState] = []
-    state_id(t)
-    for node in order:  # a breadth-first queue: state_id appends to it
-        sid = len(states) + 1
-        actions = local_head_steps(node, self_role)
-        states.append(EfsmState(sid, _kind_of(actions), node))
-        for action, cont in actions:
-            transitions.append(EfsmTransition(sid, state_id(cont), action))
+    state_id(tables.intern(t), t)
+    for number, (sid, node) in enumerate(order, 1):  # a queue: state_id appends to it
+        key = tables.keys[sid]
+        steps = local_head_steps(key, self_role, tables.rules)
+        states.append(EfsmState(number, _kind_of(steps)))
+        by_name = {label.msg.name: (label, succ) for label, succ in steps}
+        for lbl, cont in node.branches if steps else ():  # in source order
+            if lbl.name in by_name:
+                label, succ = by_name[lbl.name]
+                # Lr6 leads to the in-transit form of the router node itself.
+                target = state_id(succ if type(succ) is int else tables.key_id(succ),
+                                  node if type(key) is LRouter else cont)
+                transitions.append(EfsmTransition(number, target, label))
 
     return Efsm(self_role, tuple(states), tuple(transitions))
 

@@ -11,8 +11,8 @@ head rules, where the node's own prefix fires, and commuting rules, where
 an action from under the prefix fires first:
 
 - head rules: Gr1, Gr2, Gr6, Gr7 and Lr1, Lr2, Lr4-Lr7.  The local ones are
-  also the edges of the endpoint state machine (`local_head_steps`, read by
-  `efsm.build_efsm`).
+  also the edges of the endpoint state machine (`local_head_steps`, which
+  `efsm.build_efsm` applies to key nodes).
 - `_unfold`: Gr3 and Lr3, recursion with a cycle cut, each binder id
   unfolded once per `core.CanonicalIds` interner, by substitution over its
   keys (`unfold_id`), so no unfolding builds or walks a type.
@@ -88,17 +88,16 @@ def _formed_steps(t: AnyType, me: Role | None) -> list:
     return [(label, tables.form(succ)) for label, succ in _sorted_steps(edges.items())]
 
 
-def local_head_steps(node: LocalType, me: Role) -> LocalSteps:
-    """The actions of one local node itself (Lr1, Lr2, Lr4-Lr7), in source
-    branch order, labelled from the point of view of `me`.  `node` must not
-    be a recursion binder: unfold it first.
+def local_head_steps(node, me: Role, rules: dict) -> list:
+    """The actions of one local node itself (Lr1, Lr2, Lr4-Lr7) by the head
+    rule of its class in `rules`, in the node's branch order, labelled from
+    the point of view of `me`.  `node` is a type or key node, not a binder.
 
     These are the edges of the endpoint state machine.  A router node offers
     its forwarding accept (Lr6); the in-transit node it leads to offers the
-    matching delivery (Lr7).  The head rules are the ones `_steps` applies to
-    key nodes, here applied to a type object."""
-    rules = _NODE_RULES[type(node)]
-    return RULES[rules[0]](node, me, None, _NO_CUTS) if rules else []
+    matching delivery (Lr7).  `_steps` applies the same rules to key nodes."""
+    head = _NODE_RULES[type(node)]
+    return rules[head[0]](node, me, None, _NO_CUTS) if head else []
 
 
 def _steps(sid: int, me: Role | None, ids: Tables,
@@ -358,6 +357,10 @@ def _apply_label(label: ActionLabel, steps_by_role, buffers):
     return movers, pair, buf + (msg,) if direction == SEND else buf[1:]
 
 
+def _validate(t: AnyType, _) -> None:
+    validate(t)
+
+
 class Tables(CanonicalIds):
     """The one interner and step memo of a run of several checks, and its
     other memos.  A check that shares it finds the steps, projections,
@@ -387,11 +390,11 @@ class Tables(CanonicalIds):
         return self.of(t)
 
     def check(self, t: AnyType) -> None:
-        """`core.validate(t)`, unless this interner has met `t` as a closed
-        type already: every object it meets is a valid type or part of one."""
+        """`core.validate(t)` once per object, unless this interner has met
+        `t` as a closed type: every object it meets is part of a valid type."""
         met = self._met.get(id(t))
         if met is None or met[2] is None:
-            validate(t)
+            self.once(_validate, t, None)
 
     def edges(self, sid: int, role: Role | None = None) -> dict[ActionLabel, int]:
         """The edges of the state `sid` in the global LTS (role None) or in

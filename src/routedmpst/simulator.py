@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from itertools import zip_longest
 
 from .core import (
     GComm, GEnd, GRec, GRouted, GVar, GlobalType, MsgLabel, RECV, Role, SEND,
@@ -249,7 +250,7 @@ def run_session(g: GlobalType, router: Role,
         raise SimulatorError(f"cannot inject a cancellation by {injector}: "
                              "not a role of this session")
     roles = sorted(roles) if len(roles) > 1 else []
-    machines = {r: build_efsm(tables.project(session, r), r) for r in roles}
+    machines = {r: build_efsm(tables.project(session, r), r, tables=tables) for r in roles}
     # edges[r][state]: the machine's transitions as {label: target}, in source order
     edges = {r: {st.id: {tr.action: tr.target for tr in m.outgoing(st.id)} for st in m.states}
              for r, m in machines.items()}
@@ -382,17 +383,20 @@ def _delivery_key(label: ActionLabel):
 def validate_log(g: GlobalType, router: Role, log: SessionLog,
                  state_cap: int = VALIDATION_STATE_CAP, *,
                  tables: Tables | None = None) -> Violation | bool:
-    """Check that the log's data-envelope prefix is realisable: there must be
-    an interleaving of sends under which the configuration LTS of the type
-    the session ran (`_session_type`) performs exactly these deliveries, in order.
+    """Check that the log's data-envelope prefix is realisable, and that the
+    records after it are the cancellation `run_session` emits, if any.
+    Realisable: there must be an interleaving of sends under which the
+    configuration LTS of the type the session ran (`_session_type`)
+    performs exactly these deliveries, in order.
 
     A monitor that keeps one layer of configuration keys: for envelope i,
     those that delivered envelopes 0..i-1.  One `_explore` call closes the
     layer under the sends the log still owes (a channel must hold fewer
     messages than the log delivers on it from i on); the keys that deliver
-    envelope i form the next layer.  Returns True when the last envelope is
-    delivered, else a `Violation` at the first envelope (0-based among data
-    envelopes) that no key of its layer delivers.  Raises
+    envelope i form the next layer.  In a cancelled log, a send may also be
+    cut off in flight: it moves its sender and fills no buffer.  Returns
+    True, else a `Violation` at the first bad record (0-based): an envelope
+    that no key of its layer delivers, or a record after the data.  Raises
     StateBudgetExceeded when one layer's closure exceeds `state_cap` keys.
     `tables` is as for `run_session`.
     """
@@ -406,15 +410,18 @@ def validate_log(g: GlobalType, router: Role, log: SessionLog,
     session = _session_type(g, router, tables)[1]
     lts = CompiledConfigurations(project_configuration(session, tables=tables), tables)
     names: dict[ActionLabel, tuple] = {}  # each label's `_delivery_key`, made once
+    cancelled = len(deliveries) < len(log.records)
 
     def visit(conf, edges):
         for label, succ in edges.items():
             if (names.get(label) or names.setdefault(label, _delivery_key(label))) == target:
                 next_layer[succ] = None
-            elif label.direction == SEND and \
-                    len(lts.buffer(conf, label.sender, label.receiver)) \
-                    < owed[label.sender, label.receiver]:
-                yield label, succ
+            elif label.direction == SEND:
+                if len(lts.buffer(conf, label.sender, label.receiver)) \
+                        < owed[label.sender, label.receiver]:
+                    yield label, succ
+                elif cancelled:  # cut off in flight, so never read
+                    yield label, (succ[0], conf[1])
 
     layer = (lts.initial,)
     for i, env in enumerate(deliveries):
@@ -428,4 +435,19 @@ def validate_log(g: GlobalType, router: Role, log: SessionLog,
                                 f"{env.msg.name} not realisable here")
         layer = next_layer
         owed[env.sender, env.receiver] -= 1
+    # After the data, `run_session` emits nothing or one cancellation: a
+    # cancel from its initiator, a role the first record names, to the
+    # router unless the router initiates, then one from the router to each
+    # other role in order.  A record missing at the end is a violation at
+    # the log's length.
+    got = [(rec.envelope.kind, rec.envelope.sender, rec.envelope.receiver)
+           for rec in log.records[len(deliveries):]]
+    initiator, roles = got[0][1] if got else None, sorted({*lts.roles, router})
+    emitted = [] if initiator not in roles else [(CANCEL, initiator, router)] * (
+        initiator != router) + [(CANCEL, router, r) for r in roles if r not in (initiator, router)]
+    for i, (seen, sent) in enumerate(zip_longest(got, emitted), len(deliveries)):
+        if seen != sent:
+            seen = "the log ends" if seen is None else f"{seen[0]} {seen[1]}->{seen[2]}"
+            sent = "nothing" if sent is None else f"cancel {sent[1]}->{sent[2]}"
+            return Violation(i, f"{seen} where the session sends {sent}")
     return True

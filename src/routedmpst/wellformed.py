@@ -86,8 +86,10 @@ class WfReport:
 
 def check_wf(g: GlobalType, *, tables: Tables | None = None) -> WfReport:
     """Canonical well-formedness: projection defined for every participant.
-    The projections are those of `tables`, fresh ones if None."""
+    The projections are those of `tables`, fresh ones if None.  Raises
+    InvalidType unless `g` is a valid closed type (`Tables.check`)."""
     tables = Tables() if tables is None else tables
+    tables.check(g)
     failures = []
     for p in sorted(participants(g)):
         try:
@@ -99,7 +101,7 @@ def check_wf(g: GlobalType, *, tables: Tables | None = None) -> WfReport:
 
 def check_wf_routed(g: GlobalType, s: Role, *, tables: Tables | None = None) -> WfReport:
     """Well-formedness with respect to `s` acting as the router: every
-    projection exists and `s` is a centroid of the type."""
+    projection exists (`check_wf`) and `s` is a centroid of the type."""
     base = check_wf(g, tables=tables)
     cent = is_centroid(g, s)
     return WfReport(base.ok and cent.ok, base.projection_failures, cent)

@@ -6,12 +6,46 @@ rebuilds forms from its keys, and for the open-type equality of `merge`.
 It also takes open types, whose free variables keep their names and whose
 binders avoid those names.  Also the earlier `merge`, which compares
 canonical forms before any structural case, as an oracle for the
-structural-first one in `routedmpst.projection`."""
+structural-first one in `routedmpst.projection`.  And recursion unfolding
+on type objects, `unfold_once` by `substitute`, the earlier form of
+`CanonicalIds.unfold_id`, which unfolds on ids: the oracle for it, for the
+state machines of `tests/efsm_oracle.py`, and for the encoding's commuting
+with substitution."""
 
 from routedmpst.core import (
     GEnd, GRec, GVar, LBranch, LEnd, LRec, LRoutedBranch, LVar, _with_branches, validate,
 )
 from routedmpst.projection import MergeFailure
+
+
+class NotRecursive(ValueError):
+    """unfold_once applied to a non-recursive type."""
+
+
+def substitute(t, var, replacement):
+    """Substitute `replacement` for free occurrences of `var` in `t`.
+
+    Shadowing binders are respected; the replacement is expected to be closed
+    (always the case for recursion unfolding), so no capture can occur.  A
+    subterm that does not change is returned as it is, not copied."""
+    if isinstance(t, (GEnd, LEnd)):
+        return t
+    if isinstance(t, (GVar, LVar)):
+        return replacement if t.var == var else t
+    if isinstance(t, (GRec, LRec)):
+        body = t.body if t.var == var else substitute(t.body, var, replacement)
+        return t if body is t.body else type(t)(t.var, body)
+    branches = tuple((lbl, substitute(c, var, replacement)) for lbl, c in t.branches)
+    if all(new is old for (_, new), (_, old) in zip(branches, t.branches)):
+        return t
+    return _with_branches(t, branches)
+
+
+def unfold_once(t):
+    """One step of recursion unfolding: body with the binder substituted in."""
+    if isinstance(t, (GRec, LRec)):
+        return substitute(t.body, t.var, t)
+    raise NotRecursive(f"cannot unfold non-recursive {type(t).__name__}")
 
 
 def canonicalize(t):

@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from routedmpst import core, semantics
+from routedmpst import semantics
+from routedmpst.core import CanonicalIds
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
@@ -20,17 +21,27 @@ def rules_restored():
     assert after == before, "the test left semantics.RULES changed"
 
 
+
 @pytest.fixture
-def unfoldings(monkeypatch):
-    """Every recursion binder `core.unfold_once` unfolds during the test, in
-    call order; a module that imported the name itself would bypass it.  The
-    list keeps the binders, and so their ids, alive."""
-    calls = []
-    real = core.unfold_once
+def substitutions(monkeypatch):
+    """`(substituted, forms)`: each unfolding `CanonicalIds.unfold_id`
+    computes during the test, as `(interner, binder id)` in call order, and
+    the arguments of each canonical form built."""
+    substituted, forms, running = [], [], [0]
+    real_subst, real_form = CanonicalIds._subst, CanonicalIds.form
 
-    def recording(t):
-        calls.append(t)
-        return real(t)
+    def subst(self, x, c, d, sid, memo):
+        if not running[0]:  # a substitution's root call: one unfolding
+            substituted.append((self, sid))
+        running[0] += 1
+        try:
+            return real_subst(self, x, c, d, sid, memo)
+        finally:
+            running[0] -= 1
 
-    monkeypatch.setattr(core, "unfold_once", recording)
-    return calls
+    def form(self, *args):
+        forms.append(args)
+        return real_form(self, *args)
+    monkeypatch.setattr(CanonicalIds, "_subst", subst)
+    monkeypatch.setattr(CanonicalIds, "form", form)
+    return substituted, forms

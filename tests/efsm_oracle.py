@@ -1,14 +1,20 @@
-"""A reference `build_efsm`: the earlier version, which keys each state by
-the canonical form of its whole subterm (quadratic on long sequences).  Kept
-as an oracle for the one in `routedmpst.efsm`, which keys states by
-`core.CanonicalIds`.  Also the earlier IR, built as a dict and serialised by
-`json.dumps`, as an oracle for `efsm_ir`, which writes the text directly."""
+"""A reference `build_efsm`: the earlier version, which unfolds recursion
+on type objects and keys each state by the canonical form of its whole
+subterm, by the reference `canonical_oracle.canonicalize` (quadratic on
+long sequences).  Kept as an oracle for the one in
+`routedmpst.efsm`, which keys states by the ids of a `semantics.Tables` and
+unfolds on ids.  `build` also gives the local type each state stands for,
+which the machine itself does not keep.  Also the earlier IR, built as a
+dict and serialised by `json.dumps`, as an oracle for `efsm_ir`, which
+writes the text directly."""
 
 import json
 
-from routedmpst.core import LRec, canonicalize, free_vars, unfold_once, validate
+from routedmpst.core import LRec, validate
 from routedmpst.efsm import Efsm, EfsmState, EfsmTransition, _kind_of
-from routedmpst.semantics import local_head_steps
+from routedmpst.semantics import RULES, local_head_steps
+
+from canonical_oracle import canonicalize, free_vars, unfold_once
 
 
 def _unwrap(t):
@@ -18,6 +24,13 @@ def _unwrap(t):
 
 
 def build_efsm(t, self_role):
+    return build(t, self_role)[0]
+
+
+def build(t, self_role):
+    """(machine, types): the machine of `t`, and per state, in state order,
+    the first structural node met for it, unfolded from a binder as an
+    object."""
     validate(t)
     if free_vars(t):
         raise ValueError("EFSM construction requires a closed local type")
@@ -41,19 +54,21 @@ def build_efsm(t, self_role):
 
     transitions = []
     states = []
+    types = []
     state_id(t)
     visited = 0
     while visited < len(order):
         closed = order[visited]
         visited += 1
         node = _unwrap(closed)
-        actions = local_head_steps(node, self_role)
+        actions = local_head_steps(node, self_role, RULES)
         sid = visited
-        states.append(EfsmState(sid, _kind_of(actions), node))
+        states.append(EfsmState(sid, _kind_of(actions)))
+        types.append(node)
         for action, cont in actions:
             transitions.append(EfsmTransition(sid, state_id(cont), action))
 
-    return Efsm(self_role, tuple(states), tuple(transitions))
+    return Efsm(self_role, tuple(states), tuple(transitions)), tuple(types)
 
 
 def efsm_ir(e):

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, assume, given, settings
 import hypothesis.strategies as st
 
 from routedmpst.core import (
-    GEnd, LEnd, canonicalize, participants, substitute, validate,
+    GEnd, LEnd, canonicalize, participants, validate,
 )
 from routedmpst.analysis import reachable_states
 from routedmpst.encoding import encode_global, _encode_local
@@ -16,6 +16,7 @@ from routedmpst.projection import MergeFailure, merge, project
 from routedmpst.semantics import global_steps, local_steps
 from routedmpst.wellformed import check_wf, check_wf_routed, is_centroid
 
+from canonical_oracle import substitute
 from strategies import ROLE_POOL, distinct_roles, global_types, mergeable_pairs
 
 SUITE = settings(

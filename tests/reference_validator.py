@@ -10,13 +10,25 @@ envelope's walk.  It shares no `semantics.Tables` (step memo)
 with `validate_log`.  The only speed-up is a memo of the canonical
 successors of each canonical configuration, which leaves the search itself
 unchanged.
+
+In a log with records after its data prefix, which a cancellation ends, a
+send on a channel whose buffer already holds every message the log still
+delivers on it is never delivered: the walk takes it and leaves the buffer
+as it was.  The records after the data prefix must be one of the cancellation suffixes
+`run_session` emits, or none: per initiator among the session's roles (the
+protocol's participants and the router), its cancel to the router unless it
+is the router, then the router's notice to every other role in role order.
 """
 
+from itertools import zip_longest
+
 from routedmpst.analysis import StateBudgetExceeded
-from routedmpst.core import RECV, SEND, ActionLabel
+from routedmpst.core import RECV, SEND, ActionLabel, participants
 from routedmpst.encoding import encode_global
-from routedmpst.semantics import config_steps, project_configuration
-from routedmpst.simulator import DATA, VALIDATION_STATE_CAP, Violation, _decode_routed
+from routedmpst.semantics import Configuration, config_steps, project_configuration
+from routedmpst.simulator import (
+    CANCEL, DATA, VALIDATION_STATE_CAP, Violation, _decode_routed,
+)
 
 
 class ReferenceValidator:
@@ -28,6 +40,11 @@ class ReferenceValidator:
         session = decoded if decoded is g else encode_global(decoded, router)
         self.initial = project_configuration(session).canonical()
         self._succs = {}
+        roles = sorted(participants(decoded) | {router})
+        self.suffixes = {
+            initiator: [(initiator, router)] * (initiator != router)
+            + [(router, r) for r in roles if r not in (initiator, router)]
+            for initiator in roles}
 
     def successors(self, conf):
         if conf not in self._succs:
@@ -55,6 +72,7 @@ class ReferenceValidator:
             needed.append(counts)
         needed.reverse()
 
+        cancelled = len(deliveries) < len(log.records)
         frontier = {self.initial}
         explored = 0
         for i, target in enumerate(targets):
@@ -73,7 +91,10 @@ class ReferenceValidator:
                     elif label.direction == SEND:
                         pair = (label.sender, label.receiver)
                         if len(dict(conf.buffers)[pair]) >= needed[i].get(pair, 0):
-                            continue
+                            if not cancelled:
+                                continue
+                            # Cut off in flight: never read, so kept in no buffer.
+                            succ = Configuration(succ.locals, conf.buffers)
                         if succ not in seen:
                             seen.add(succ)
                             stack.append(succ)
@@ -83,7 +104,24 @@ class ReferenceValidator:
                 return Violation(i, f"delivery {env.sender}->{env.receiver} "
                                     f"{env.msg.name} not realisable here"), explored
             frontier = next_frontier
-        return True, explored
+        return self.suffix_verdict(log.records, len(deliveries)), explored
+
+    def suffix_verdict(self, records, start):
+        """True if `records[start:]` is empty or the suffix of the initiator
+        its first record names, else a Violation at the first record that
+        differs from it, or at the log's length if the log stops short."""
+        got = [rec.envelope for rec in records[start:]]
+        if not got:
+            return True
+        emitted = self.suffixes.get(got[0].sender, [])
+        for i, (env, pair) in enumerate(zip_longest(got, emitted)):
+            sends = "nothing" if pair is None else f"cancel {pair[0]}->{pair[1]}"
+            if env is None:
+                return Violation(start + i, f"the log ends where the session sends {sends}")
+            if (env.kind, env.sender, env.receiver) != (CANCEL, *(pair or (None, None))):
+                return Violation(start + i, f"{env.kind} {env.sender}->{env.receiver} "
+                                            f"where the session sends {sends}")
+        return True
 
 
 def _by_name(label):

@@ -9,7 +9,7 @@ from routedmpst.analysis import (
 )
 from routedmpst import semantics
 from routedmpst.core import (
-    CanonicalIds, GComm, GEnd, GRec, Role, canonicalize, direct_recv, direct_send, routed_recv,
+    GComm, GEnd, GRec, Role, canonicalize, direct_recv, direct_send, routed_recv,
     routed_send, validate,
 )
 from routedmpst.encoding import encode_global
@@ -120,33 +120,17 @@ def test_deadlock_freedom_corpus():
         assert report.passed, name
 
 
-def test_deadlock_search_unfolds_each_binder_once(unfoldings, monkeypatch):
+def test_deadlock_search_unfolds_each_binder_once(substitutions):
     """The step rules unfold binder ids through the table's interner, by
     substitution over its keys, so the states of a search share each
     binder's one unfolding: no binder id is substituted into twice, and no
     type is built for an unfolding, neither its canonical form nor a copy."""
-    substituted, forms, running = [], [], [0]
-    real_subst, real_form = CanonicalIds._subst, CanonicalIds.form
-
-    def subst(self, x, c, d, sid, memo):
-        if not running[0]:  # a substitution's root call: one unfolding
-            substituted.append((self, sid))
-        running[0] += 1
-        try:
-            return real_subst(self, x, c, d, sid, memo)
-        finally:
-            running[0] -= 1
-
-    def form(self, *args):
-        forms.append(args)
-        return real_form(self, *args)
-    monkeypatch.setattr(CanonicalIds, "_subst", subst)
-    monkeypatch.setattr(CanonicalIds, "form", form)
+    substituted, forms = substitutions
     router = Role(CORPUS_ROUTERS["Battleships"])
     assert check_deadlock_freedom(encode_global(load("Battleships"), router), router).passed
     assert substituted
     assert len(set(substituted)) == len(substituted)
-    assert unfoldings == [] and forms == []
+    assert forms == []
 
 
 def test_deadlock_freedom_end():

@@ -13,13 +13,14 @@ from hypothesis import HealthCheck, given, settings
 from routedmpst.analysis import _explore, check_trace_equivalence
 from routedmpst.core import (
     CanonicalIds, GRec, LRec, LSelect, LVar, MsgLabel, Role, _with_branches, free_vars,
-    participants, unfold_once,
+    participants,
 )
 from routedmpst.projection import MergeFailure, _canonically_equal, project
 from routedmpst.scribble import elaborate, parse_module
 from routedmpst.semantics import Tables, global_steps, local_steps
 
 import canonical_oracle
+from canonical_oracle import unfold_once
 from corpus import CORPUS_ROUTERS, A, B, C, load
 from strategies import (
     ROLE_POOL, binder_nests, global_types, local_types, with_unused_binders,
@@ -171,9 +172,9 @@ def test_open_types_have_no_id():
 
 
 def test_each_node_is_walked_once_when_every_suffix_is_keyed(monkeypatch):
-    """Every suffix state of a recursive 300-message sequence, as
-    `build_efsm` keys them: each node is walked once, and each node under
-    the binder is keyed once relative to it."""
+    """Every suffix state of the unfolding of a recursive 300-message
+    sequence, keyed one by one: each node is walked once, and each node
+    under the binder is keyed once relative to it."""
     body = LVar("x")
     for i in range(300):
         body = _sel(B, (f"m{i}", body))

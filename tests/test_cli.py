@@ -221,6 +221,19 @@ def test_efsm_dot_and_ir_outputs(capsys, tmp_path):
     assert ir.read_text() == (GOLDEN / "efsm_TravelAgency_A.json").read_text()
 
 
+def test_efsm_of_a_recursive_machine_matches_its_golden_files(capsys, tmp_path):
+    # Battleships' router: the attack loop runs once per player, and its back
+    # edges return to P1's attack.
+    dot, ir = tmp_path / "svr.dot", tmp_path / "svr.json"
+    code, out, _ = run(capsys, "efsm", str(PROTOCOL_DIR / "Battleships.scr"), "Battleships",
+                       "Svr", "--dot", str(dot), "--ir", str(ir))
+    assert code == 0 and out == ""
+    assert dot.read_text() == (GOLDEN / "efsm_Battleships_Svr.dot").read_text()
+    assert ir.read_text() == (GOLDEN / "efsm_Battleships_Svr.json").read_text()
+    back = [t for t in json.loads(ir.read_text())["transitions"] if t["to"] < t["from"]]
+    assert back
+
+
 def test_efsm_dash_writes_to_stdout_dot_first(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run(capsys, "efsm", TRAVEL, "TravelAgency", "A", "--dot", "-", "--ir", "-")

@@ -1,5 +1,5 @@
 """`validate_log` against the reference search of `reference_validator` on
-corpus sessions and mutations of their logs."""
+corpus sessions and mutations of their logs, cancelled sessions included."""
 
 import pytest
 
@@ -7,8 +7,8 @@ from routedmpst.analysis import StateBudgetExceeded
 from routedmpst.core import MsgLabel, Role, participants
 from routedmpst.encoding import encode_global
 from routedmpst.simulator import (
-    BoundedLoopPolicy, Envelope, LogRecord, SessionLog, SimConfig, run_session,
-    validate_log,
+    CANCEL, BoundedLoopPolicy, Envelope, LogRecord, SessionLog, SimConfig, Violation,
+    parse_session_log, run_session, validate_log,
 )
 
 from corpus import CORPUS_ROUTERS, load
@@ -114,3 +114,72 @@ def test_long_battleships_log_validates(oracles):
     log = _session(g, router, "round-robin", 0, 32)
     assert len(log.data_records) == 191
     assert _assert_agrees(g, router, log, oracles("Battleships")) is True
+
+
+def _suffix_mutations(log, roles, router):
+    """Edits of a cancelled log's suffix, each of which `run_session` never
+    emits: data after the cancellation, a repeated last record, a cancel
+    from a role outside the session, the first cancel sent to a third role,
+    the notices out of order, and the suffix without its last record when
+    that leaves a shorter suffix rather than none."""
+    records = list(log.records)
+    start = len(log.data_records)
+    suffix, step = records[start:], records[-1].step + 1
+    first = suffix[0].envelope
+    out = {
+        "data after": records + [LogRecord(step, Envelope(first.sender, first.receiver,
+                                                           MsgLabel("m")))],
+        "repeated": records + [records[-1]],
+        "outsider": records + [LogRecord(step, Envelope(Role("Zed"), router, None, CANCEL, "x"))],
+    }
+    others = [r for r in roles if r not in (first.sender, first.receiver)]
+    if others:
+        out["elsewhere"] = records[:start] + [LogRecord(suffix[0].step, Envelope(
+            first.sender, others[0], None, CANCEL, first.reason))] + suffix[1:]
+    if len(suffix) > 2:
+        out["reordered"] = records[:start] + [suffix[0], suffix[2], suffix[1]] + suffix[3:]
+    if len(suffix) > 1:
+        out["short"] = records[:-1]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS_ROUTERS))
+def test_cancelled_logs_validate_and_their_suffix_mutations_do_not(oracles, name):
+    """Every cancelled session's log validates; every edit of its
+    cancellation suffix is a Violation at the first edited record, as the
+    reference finds it by its own code."""
+    router = Role(CORPUS_ROUTERS[name])
+    g, oracle = load(name), oracles(name)
+    roles, cancelled = sorted(participants(g) | {router}), 0
+    for injector in roles:
+        for at in (0, 1, 3):
+            for scheduler in SCHEDULERS:
+                log = run_session(g, router, None, SimConfig(
+                    seed=at, scheduler=scheduler, cancel_injection=(injector, at)))
+                assert _assert_agrees(g, router, log, oracle) is True
+                if log.cancellation is None:
+                    continue
+                cancelled += 1
+                start = len(log.data_records)
+                for kind, records in _suffix_mutations(log, roles, router).items():
+                    verdict = _assert_agrees(g, router, SessionLog(tuple(records), None, ()),
+                                             oracle)
+                    assert isinstance(verdict, Violation), (kind, log.serialize())
+                    assert verdict.index >= start, kind
+                    assert records[verdict.index:] != list(log.records[verdict.index:]), kind
+    assert cancelled
+
+
+def test_the_reference_finds_the_violations_of_records_after_the_data():
+    # Logs that the check accepted while it read the data prefix only: a
+    # client's cancel sent to a client, then data, and roles the protocol
+    # does not have; and a first record that is a cancel between outsiders.
+    g, router = load("TravelAgency"), Role("S")
+    oracle = ReferenceValidator(g, router)
+    for text, index in (("1,B,A,data,Suggest\n9,A,B,cancel,nonsense\n"
+                         "10,S,A,data,Bogus\n11,Q,Z,data,Nope\n", 1),
+                        ("0,Q,Z,cancel,x\n1,Q,Z,data,Nope\n", 0)):
+        log = parse_session_log(text)
+        verdict = validate_log(g, router, log)
+        assert isinstance(verdict, Violation) and verdict.index == index
+        assert oracle.validate(log)[0] == verdict

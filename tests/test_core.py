@@ -2,10 +2,11 @@ import pytest
 
 from routedmpst.core import (
     GComm, GEnd, GRec, GRouted, GVar, GlobalType, InvalidType, LEnd, LSelect, MsgLabel,
-    NotRecursive, Role, canonicalize, direct_send, free_vars, participants, pretty_global,
-    pretty_local, routed_send, unfold_once, validate,
+    Role, canonicalize, direct_send, free_vars, participants, pretty_global,
+    pretty_local, routed_send, validate,
 )
 
+from canonical_oracle import NotRecursive, unfold_once
 from corpus import A, B, G_TRAVEL, M1, P, Q, S, SR, one
 
 

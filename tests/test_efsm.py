@@ -1,11 +1,12 @@
 import json
 import re
+from pathlib import Path
 
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
 from routedmpst.core import (
-    LBranch, LEnd, LRec, LSelect, LVar, MsgLabel, Role, canonicalize,
+    CanonicalIds, LBranch, LEnd, LRec, LSelect, LVar, MsgLabel, Role, canonicalize,
     participants,
 )
 from routedmpst.efsm import (
@@ -13,11 +14,14 @@ from routedmpst.efsm import (
 )
 from routedmpst.encoding import encode_global
 from routedmpst.projection import project
-from routedmpst.semantics import local_steps
+from routedmpst.semantics import Tables, local_steps
 
 import efsm_oracle
+from canonical_oracle import unfold_once
 from corpus import A, B, CORPUS_ROUTERS, G_TRAVEL, S, load
-from strategies import ROLE_POOL, local_types, with_unused_binders
+from strategies import ROLE_POOL, binder_nests, local_types, with_unused_binders
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 TRAVEL_A_MACHINE = {
     (1, "B?Suggest", 2),
@@ -99,40 +103,42 @@ def test_router_machine_includes_forwarding_states():
 def test_machine_agrees_with_local_lts_on_every_state():
     # Every EFSM edge is a local LTS edge.  The converse fails where a router
     # may act before a prefix (Lr8, Lr10/Lr11), as in six states of the
-    # encoded TravelAgency router: the machine leaves those edges out.
+    # encoded TravelAgency router: the machine leaves those edges out.  The
+    # machine keeps no types: each state's is the oracle's.
     for name, router in sorted(CORPUS_ROUTERS.items()):
         plain = load(name)
         for g in (plain, encode_global(plain, Role(router))):
             for role in sorted(participants(g)):
-                e = build_efsm(project(g, role), role)
+                t = project(g, role)
+                e, types = build_efsm(t, role), efsm_oracle.build(t, role)[1]
                 for st in e.states:
-                    machine_steps = {(tr.action, _target_key(e, tr))
+                    machine_steps = {(tr.action, canonicalize(types[tr.target - 1]))
                                      for tr in e.outgoing(st.id)}
                     lts = {(label, canonicalize(_unfold(succ)))
-                           for label, succ in local_steps(st.local_type, role)}
+                           for label, succ in local_steps(types[st.id - 1], role)}
                     assert machine_steps <= lts, (name, g is plain, role, st.id)
                     if g is plain and name == "TravelAgency":
                         assert machine_steps == lts, (role, st.id)
 
 
 def _assert_matches_oracle(t, role):
-    """States (kind and local type), transitions, IR, DOT and each state's
-    outgoing transitions equal those of the canonicalise-per-state build."""
+    """States (id and kind), transitions, IR, DOT and each state's outgoing
+    transitions equal those of the canonicalise-per-state build."""
     got, want = build_efsm(t, role), efsm_oracle.build_efsm(t, role)
-    assert [(s.id, s.kind, s.local_type) for s in got.states] == \
-        [(s.id, s.kind, s.local_type) for s in want.states]
+    assert got.states == want.states
     assert got.transitions == want.transitions
     assert efsm_ir(got) == efsm_ir(want)
     assert render_dot(got) == render_dot(want)
-    for st_ in got.states:
-        assert got.outgoing(st_.id) == tuple(tr for tr in want.transitions
-                                             if tr.source == st_.id)
+    for st in got.states:
+        assert got.outgoing(st.id) == tuple(tr for tr in want.transitions
+                                             if tr.source == st.id)
 
 
 def test_machines_match_the_oracle_on_the_corpus_and_its_encodings():
-    for name, router in sorted(CORPUS_ROUTERS.items()):
+    for name in sorted(CORPUS_ROUTERS):
         plain = load(name)
-        for g in (plain, encode_global(plain, Role(router))):
+        roles = sorted(participants(plain))
+        for g in [plain] + [encode_global(plain, router) for router in roles]:
             for role in sorted(participants(g)):
                 _assert_matches_oracle(project(g, role), role)
 
@@ -152,31 +158,100 @@ def test_machines_match_the_oracle_on_recursive_local_types(drawn):
     _assert_matches_oracle(t, role)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(binder_nests(local=True), st.sampled_from(ROLE_POOL[1:]))
+def test_machines_match_the_oracle_on_nested_binders(t, role):
+    # Bodies that name an outer binder past inner ones: a back edge resumes
+    # at the body of the binder its variable names, not the nearest one.
+    _assert_matches_oracle(t, role)
+
+
+def test_machines_match_the_oracle_under_shadowing_binders():
+    # An inner binder reuses the outer one's name: its variable names it,
+    # and after the inner loop the outer name is in scope again.
+    m = [MsgLabel(f"m{i}") for i in range(4)]
+    inner = LRec("x", LBranch(B, ((m[1], LVar("x")), (m[2], LEnd()))))
+    for t in (LRec("x", LSelect(B, ((m[0], inner), (m[3], LVar("x"))))),
+              LRec("x", LSelect(B, ((m[0], LRec("x", LSelect(B, ((m[1], LVar("x")),)))),
+                                    (m[3], LVar("x")))))):
+        _assert_matches_oracle(t, A)
+
+
 def _unfold(t):
-    from routedmpst.core import LRec, unfold_once
     while isinstance(t, LRec):
         t = unfold_once(t)
     return t
 
 
-def _target_key(e, tr):
-    return canonicalize(e.state(tr.target).local_type)
-
-
-def test_back_edges_share_their_binders_unfolding(unfoldings):
-    """k back edges to one binder reach its one unfolding: the binder is
-    unfolded once, not once more per back edge."""
+def test_back_edges_share_their_binders_unfolding(substitutions):
+    """k back edges to one binder reach its one unfolding: `unfold_id`
+    substitutes into the binder's id once, not once more per back edge, and
+    no type is built for it.  No machine of the corpus or its encodings
+    unfolds a binder id twice."""
+    substituted, forms = substitutions
     labels = [MsgLabel(f"m{i}") for i in range(6)]
     t = LRec("t", LBranch(B, tuple((m, LSelect(B, ((m, LVar("t")),))) for m in labels)))
-    e = build_efsm(t, A)
+    tables = Tables()
+    e = build_efsm(t, A, tables=tables)
     assert len(e.states) == 1 + len(labels)
-    assert unfoldings == [t]
+    assert substituted == [(tables, tables.of(t))]
+    for name, router in sorted(CORPUS_ROUTERS.items()):
+        plain = load(name)
+        for g in (plain, encode_global(plain, Role(router))):
+            for role in sorted(participants(g)):
+                del substituted[:]
+                build_efsm(project(g, role), role)
+                assert len(set(substituted)) == len(substituted), (name, role)
+    assert forms == []
+
+
+def test_a_given_interner_is_the_only_one_and_its_walk_is_reused(monkeypatch, substitutions):
+    """Given `tables`, the machine makes no interner of its own.  Built again
+    from the same type object, it walks nothing and unfolds nothing: the
+    root's ids and each binder's unfolding are looked up."""
+    made, walked = [], []
+    real_init, real_walk = CanonicalIds.__init__, CanonicalIds._walk
+
+    def init(self):
+        made.append(self)
+        real_init(self)
+
+    def walk(self, t):
+        walked.append(t)
+        return real_walk(self, t)
+    monkeypatch.setattr(CanonicalIds, "__init__", init)
+    monkeypatch.setattr(CanonicalIds, "_walk", walk)
+    g = load("TravelAgency")
+    t = project(encode_global(g, S), S)
+    tables = Tables()
+    first = build_efsm(t, S, tables=tables)
+    assert made == [tables] and walked and walked[0] is t
+    del walked[:], substitutions[0][:]
+    assert build_efsm(t, S, tables=tables) == first
+    assert made == [tables] and walked == [] and substitutions[0] == []
+    build_efsm(t, S)
+    assert len(made) == 2
+
+
+def test_router_machine_of_the_encoding_matches_its_golden_file():
+    """The router's machine of TravelAgency's encoding through S: forwarding
+    accepts (Lr6) into in-transit states, each left by its delivery (Lr7),
+    and a back edge to the initial state."""
+    e = build_efsm(project(encode_global(load("TravelAgency"), S), S), S)
+    assert render_dot(e) + efsm_ir(e) == (GOLDEN / "efsm_TravelAgency_encoded_S.txt").read_text()
+    forwards = [tr for tr in e.transitions if tr.action.via == S]
+    accepts = {tr.target: tr.action for tr in forwards if tr.action.direction == "!"}
+    deliveries = [tr for tr in forwards if tr.action.direction == "?"]
+    assert accepts and len(deliveries) == len(accepts)
+    for tr in deliveries:
+        assert e.outgoing(tr.source) == (tr,)
+        assert accepts[tr.source].msg == tr.action.msg
+    assert any(tr.target == e.initial for tr in deliveries)
 
 
 def test_state_count_equals_distinct_canonical_subterms():
-    e = travel_machine()
-    keys = {canonicalize(s.local_type) for s in e.states}
-    assert len(keys) == len(e.states)
+    types = efsm_oracle.build(project(load("TravelAgency"), A), A)[1]
+    assert len({canonicalize(t) for t in types}) == len(types) == len(travel_machine().states)
 
 
 DOT_EDGE = re.compile(r'^\s*(\w+) -> (\w+)(?: \[label="([^"]*)"\])?;$')

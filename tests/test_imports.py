@@ -49,9 +49,9 @@ EXPORTS = {
     "ActionLabel", "GComm", "GEnd", "GRec", "GRouted", "GRoutedTransit", "GTransit", "GVar",
     "GlobalType", "InvalidType", "LBranch", "LEnd", "LRec", "LRouter", "LRouterTransit",
     "LRoutedBranch", "LRoutedSelect", "LSelect", "LVar", "LocalType", "MsgLabel",
-    "NotRecursive", "Role", "canonicalize", "direct_recv", "direct_send", "free_vars",
+    "Role", "canonicalize", "direct_recv", "direct_send", "free_vars",
     "participants", "pretty_global", "pretty_local", "routed_recv", "routed_send",
-    "unfold_once", "validate",
+    "validate",
     # scribble, projection, wellformed, encoding
     "ProtocolDecl", "ScribbleError", "elaborate", "parse_module", "pretty_module",
     "MergeFailure", "merge", "project", "check_wf", "check_wf_routed", "is_centroid",

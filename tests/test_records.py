@@ -35,7 +35,7 @@ END, LEND = GEnd(), LEnd()
 SPAN, OTHER_SPAN = scribble.SourceSpan("a.scr", 1, 2), scribble.SourceSpan("b.scr", 3, 4)
 ACT = direct_send(A, B, M)
 ENV = simulator.Envelope(A, B, M)
-TERMINAL = efsm.EfsmState(1, efsm.STATE_TERMINAL, LEND)
+TERMINAL = efsm.EfsmState(1, efsm.STATE_TERMINAL)
 
 # Two constructor argument tuples per record class (one for the classes
 # with a single value), which differ in at least one compared field.
@@ -75,7 +75,7 @@ SAMPLES = {
     analysis.Counterexample: [((ACT,), "d"), ((), "d")],
     analysis.ExplorationReport: [("c", analysis.PASS, 1, 1),
                                  ("c", analysis.FAIL, 2, 2, analysis.Counterexample((), "d"))],
-    efsm.EfsmState: [(1, efsm.STATE_TERMINAL, LEND), (2, efsm.STATE_TERMINAL, LEND)],
+    efsm.EfsmState: [(1, efsm.STATE_TERMINAL), (2, efsm.STATE_TERMINAL)],
     efsm.EfsmTransition: [(1, 2, ACT), (2, 1, ACT)],
     efsm.Efsm: [(A, (TERMINAL,), ()), (B, (TERMINAL,), (), 1)],
     wellformed.CentroidResult: [(True,), (False, ("m",), "w")],

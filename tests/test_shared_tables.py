@@ -5,23 +5,26 @@ step memo entries are in `sort_key` order, a canonically repeated
 trace-equivalence search runs once, and a `Tables` steps by the rules it
 was made under."""
 
+import sys
+from collections import Counter
 from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 
-from routedmpst import cli, semantics, simulator
+from routedmpst import cli, core, semantics, simulator
 from routedmpst.analysis import (
     DEFAULT_STATE_CAP, FAIL, PASS, PreconditionError, check_deadlock_freedom,
     check_encoding_bisim, check_trace_equivalence,
 )
 from routedmpst.cli import main
-from routedmpst.core import Role, canonicalize, participants
+from routedmpst.core import CanonicalIds, Role, canonicalize, participants
 from routedmpst.encoding import encode_global
 from routedmpst.semantics import Tables
 from routedmpst.wellformed import check_wf
 
+import canonical_oracle
 from corpus import CORPUS_ROUTERS, PROTOCOL_DIR, load
 from mutation import rules_counted, rules_disabled
 from strategies import ROLE_POOL, global_types
@@ -204,6 +207,53 @@ def test_a_session_and_its_log_check_project_each_role_of_each_type_once(
     projected = 3 if routed else 6
     assert len({(id(g), r) for g, r in calls}) == projected
     assert len(calls) == projected
+
+
+def test_simulate_validates_and_walks_each_session_projection_once(monkeypatch, capsys):
+    """One `simulate` op: the machines, the precondition and the log check
+    share the op's one interner, so each projection of the session type is
+    validated once and walked once.  Recursion unfolds on ids only: no
+    module of the package unfolds a type object, and the tests' unfolding
+    (`canonical_oracle.unfold_once`) is never called."""
+    projections = {}
+
+    def projecting(g, r, real=semantics.project):
+        out = real(g, r)
+        projections[id(out)] = (out, r, id(g))
+        return out
+    validated, walked, depth = Counter(), Counter(), [0]
+    real_validate, real_walk = core._validate, CanonicalIds._walk
+
+    def validating(u, bound, allow_free):
+        if not depth[0]:  # a root call: one validation
+            validated[id(u)] += 1
+        depth[0] += 1
+        try:
+            return real_validate(u, bound, allow_free)
+        finally:
+            depth[0] -= 1
+
+    def walking(self, t):
+        walked[id(t)] += 1
+        return real_walk(self, t)
+    monkeypatch.setattr(semantics, "project", projecting)
+    monkeypatch.setattr(core, "_validate", validating)
+    monkeypatch.setattr(CanonicalIds, "_walk", walking)
+    monkeypatch.setattr(canonical_oracle, "unfold_once", lambda t: pytest.fail("unfold_once"))
+    path = str(PROTOCOL_DIR / "Battleships.scr")
+    assert main(["simulate", path, "Battleships", "--router", "Svr"]) == 0
+    assert capsys.readouterr().out.endswith("# conformance=ok\n")
+    # The protocol's projections, which the machines and the log check
+    # read, once each; its encoding's, which only the precondition reads
+    # (it projects, and neither validates nor walks), not at all.
+    counts = {(g, r): (validated[key], walked[key]) for key, (_, r, g) in projections.items()}
+    session = {g for (g, _), count in counts.items() if count != (0, 0)}
+    assert len(session) == 1
+    assert sorted(r.name for g, r in counts if g in session) == ["P1", "P2", "Svr"]
+    assert {count for (g, _), count in counts.items() if g in session} == {(1, 1)}
+    assert {count for (g, _), count in counts.items() if g not in session} <= {(0, 0)}
+    assert [name for name, module in sys.modules.items()
+            if name.split(".")[0] == "routedmpst" and hasattr(module, "unfold_once")] == []
 
 
 def test_a_tables_keeps_the_rules_it_was_made_with():

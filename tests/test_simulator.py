@@ -8,15 +8,15 @@ import pytest
 from hypothesis import given, settings
 
 from routedmpst import analysis, simulator
-from routedmpst.core import GComm, GEnd, LEnd, MsgLabel, Role, direct_send, participants
+from routedmpst.core import GComm, GEnd, MsgLabel, Role, direct_send, participants
 from routedmpst.efsm import STATE_TERMINAL, Efsm, EfsmState, EfsmTransition, build_efsm
 from routedmpst.encoding import AlreadyRouted, NotCanonical, encode_global
 from routedmpst.projection import project
 from routedmpst.scribble import elaborate, parse_module
 from routedmpst.simulator import (
     CANCEL, DATA, BoundedLoopPolicy, ConformanceViolation, Envelope, LogRecord,
-    MaxStepsExceeded, SessionLog, SimConfig, SimulatorError, Violation, run_session,
-    validate_log,
+    MaxStepsExceeded, SessionLog, SimConfig, SimulatorError, Violation, parse_session_log,
+    run_session, validate_log,
 )
 from routedmpst.wellformed import check_wf_routed
 
@@ -125,6 +125,57 @@ def test_every_corpus_log_validates():
                     assert direct.observations == routed.observations, case
 
 
+def test_every_cancelled_corpus_log_validates():
+    # A cancellation can cut messages off in flight: sent, never delivered.
+    # Game's P1 cancels at step 6 after the server has sent it an Update that
+    # it never reads, and the server has gone on to read P2's move.  Such a
+    # send fills no buffer the rest of the log reads, so the log still
+    # validates, in both modes and through every router.
+    cases = 0
+    for name, g, router, encoded in _corpus_routers():
+        for injector in sorted(participants(g) | {router}):
+            for at in range(10):
+                for scheduler in ("round-robin", "seeded-random"):
+                    cfg = SimConfig(seed=at, scheduler=scheduler,
+                                    cancel_injection=(injector, at))
+                    for source in (g, encoded):
+                        log = run_session(source, router, None, cfg)
+                        case = (name, router, injector, at, scheduler, source is g)
+                        assert validate_log(source, router, log) is True, case
+                        cases += log.cancellation is not None
+    assert cases
+    log = run_session(load("Game"), Role("Svr"), None, SimConfig(
+        seed=6, scheduler="seeded-random", cancel_injection=(Role("P1"), 6)))
+    assert [r.line() for r in log.records] == [
+        "1,P1,Svr,data,Pos", "3,Svr,P2,data,Update", "6,P2,Svr,data,Pos",
+        "10,Svr,P2,data,Update", "11,P1,Svr,cancel,cancelled by P1",
+        "12,Svr,P2,cancel,cancelled by P1"]
+    assert validate_log(load("Game"), Role("Svr"), log) is True
+
+
+def test_records_after_the_data_must_be_the_cancellation_the_session_sends():
+    # TravelAgency through S: A's cancel goes to S, which notifies B.
+    def check(*lines):
+        return validate_log(G_TRAVEL, S, parse_session_log("".join(f"{x}\n" for x in lines)))
+    data = "1,B,A,data,Suggest"
+    assert check(data, "9,A,S,cancel,stop", "10,S,B,cancel,stop") is True
+    assert check(data, "9,S,A,cancel,stop", "10,S,B,cancel,stop") is True
+    assert check(data, "9,B,S,cancel,stop", "10,S,A,cancel,stop") is True
+    for lines, index, detail in [
+        ((data, "9,A,B,cancel,nonsense", "10,S,A,data,Bogus", "11,Q,Z,data,Nope"), 1,
+         "cancel A->B where the session sends cancel A->S"),
+        (("0,Q,Z,cancel,x", "1,Q,Z,data,Nope"), 0, "cancel Q->Z where the session sends nothing"),
+        ((data, "9,A,S,cancel,stop"), 2, "the log ends where the session sends cancel S->B"),
+        ((data, "9,A,S,cancel,stop", "10,S,B,cancel,stop", "11,S,B,cancel,stop"), 3,
+         "cancel S->B where the session sends nothing"),
+        ((data, "9,S,B,cancel,stop", "10,S,A,cancel,stop"), 1,
+         "cancel S->B where the session sends cancel S->A"),
+        ((data, "9,A,S,cancel,stop", "10,S,B,data,Suggest"), 2,
+         "data S->B where the session sends cancel S->B"),
+    ]:
+        assert check(*lines) == Violation(index, detail), lines
+
+
 def test_empty_log_validates():
     empty = SessionLog((), None, ())
     assert validate_log(G_TRAVEL, S, empty) is True
@@ -221,7 +272,6 @@ def test_the_router_forwards_only_what_its_own_projection_offers():
 
 
 def test_external_log_round_trips_through_validation():
-    from routedmpst.simulator import parse_session_log
     g = load("TravelAgency")
     log = run_session(g, Role("S"), None, SimConfig(seed=6))
     parsed = parse_session_log(log.serialize())
@@ -242,7 +292,6 @@ def test_external_log_round_trips_through_validation():
     ("0,A,B,data,m-1", "invalid message label: 'm-1'"),
 ])
 def test_malformed_log_lines_are_rejected_by_line(line, detail):
-    from routedmpst.simulator import parse_session_log
     # A comment, a data line and a cancellation with a free-text reason
     # parse; the malformed line is the fourth.
     text = f"# log\n0,A,S,data,m\n1,S,B,cancel,cancelled by A\n{line}\n"
@@ -348,7 +397,7 @@ def test_looping_branches_are_those_of_the_per_state_search_on_long_480():
     st.just(n), st.lists(st.tuples(st.integers(1, n), st.integers(1, n)), max_size=3 * n))))
 def test_looping_branches_are_those_of_the_per_state_search_on_random_machines(graph):
     n, edges = graph
-    states = tuple(EfsmState(i, STATE_TERMINAL, LEnd()) for i in range(1, n + 1))
+    states = tuple(EfsmState(i, STATE_TERMINAL) for i in range(1, n + 1))
     transitions = tuple(EfsmTransition(p, q, direct_send(A, B, MsgLabel(f"m{i}")))
                         for i, (p, q) in enumerate(edges))
     _looping(Efsm(A, states, transitions))

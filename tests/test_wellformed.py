@@ -1,5 +1,8 @@
-from routedmpst.core import GComm, GEnd, MsgLabel, Role
+import pytest
+
+from routedmpst.core import GComm, GEnd, GRec, GVar, InvalidType, MsgLabel, Role, validate
 from routedmpst.encoding import encode_global
+from routedmpst.semantics import Tables
 from routedmpst.wellformed import check_wf, check_wf_routed, is_centroid
 
 from corpus import A, B, C, G1_MERGE, G2_MERGE, G_TRAVEL, G_TRAVEL_ROUTED, S
@@ -48,6 +51,23 @@ def test_check_wf_merge_counterexample_names_role():
 
 def test_check_wf_end():
     assert check_wf(GEnd()).ok
+
+
+@pytest.mark.parametrize("g", [
+    GComm(A, B, ((MsgLabel("m"), GRec("r0", GVar("r0"))),)),  # non-contractive
+    GComm(A, B, ((MsgLabel("m"), GVar("r0")),)),  # open
+    GComm(A, A, ((MsgLabel("m"), GEnd()),)),  # a role sends to itself
+])
+def test_check_wf_rejects_an_invalid_type_as_validate_does(g):
+    # `wf` is never `ok` on a type that `validate`, and so every checker,
+    # rejects: both checks raise its InvalidType, with or without tables.
+    with pytest.raises(InvalidType) as expected:
+        validate(g)
+    for check in (lambda **kw: check_wf(g, **kw), lambda **kw: check_wf_routed(g, S, **kw)):
+        for kw in ({}, {"tables": Tables()}):
+            with pytest.raises(InvalidType) as raised:
+                check(**kw)
+            assert str(raised.value) == str(expected.value)
 
 
 def test_check_wf_routed_encoded_travel_agency():
