@@ -5,10 +5,10 @@ decided once by `_session_type`: a canonical protocol, whose client-to-client
 messages travel directly, or its routed encoding, whose router forwards them
 by its own machine's edges.  A session is one walk of these machines, with a
 FIFO buffer per ordered role pair, through the configuration rule
-(`semantics._enabled`); log validation searches the configuration LTS of the
-same type by the same rule, so every log is a path of the LTS it checks.
-Cancellation by any endpoint travels to the router and is propagated to
-every other role, after which no data is delivered.
+(`semantics._enabled`) and the cancellation rule (`_cancellation`); log
+validation searches the same type's LTS under the same two rules, so every
+log is a path of the LTS it checks.  A cancellation travels to the router,
+which notifies every other role; no data is delivered after it.
 
 Observable behaviour (delivery order, observations) is a pure function of
 the protocol, the scripts and the configuration seed.
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from itertools import zip_longest
 
 from .core import (
     GComm, GEnd, GRec, GRouted, GVar, GlobalType, MsgLabel, RECV, Role, SEND,
@@ -215,6 +214,23 @@ def _session_type(g: GlobalType, router: Role, tables: Tables) -> tuple[GlobalTy
     return canonical, canonical if canonical is g else tables.encode(canonical, router)
 
 
+def _cancellation(phase, roles: list[Role], router: Role, can_act):
+    """The cancel labels `phase` enables, as `{subject: next phase}`, and
+    the roles it bars from data labels.  A phase is None while live, else
+    the (sender, receiver) cancel records owed, the first of which its
+    label logs.  Live: a role in `can_act` (its machine can still act) may
+    cancel, unlogged; then it owes its cancel to the router unless it is
+    the router, and the router owes each other role a notice, in role
+    order.  Pending (a client's cancel owed): the router takes it, firing no
+    data label.  Notifying: only the next notice fires.  Done: nothing."""
+    if phase is None:
+        return {r: ((r, router),) * (r != router) + tuple(
+            (router, q) for q in roles if q not in (r, router)) for r in roles if r in can_act}, ()
+    if not phase:
+        return {}, roles
+    return {router: phase[1:]}, (router,) if phase[0][1] == router else roles
+
+
 def run_session(g: GlobalType, router: Role,
                 scripts: dict[Role, ChoicePolicy] | None = None,
                 cfg: SimConfig = SimConfig(), *,
@@ -224,12 +240,14 @@ def run_session(g: GlobalType, router: Role,
     Each role runs the machine of its projection of the session type
     (`_session_type`); in a routed one the router forwards by its own Lr6/Lr7
     edges, so a routed send fires only when the router offers it.
-    Each step fires one label of the configuration rule `validate_log`
-    searches: the scheduler picks an actor among the subjects of enabled
-    labels; at a send its policy picks among them, in source order, and a
-    receive is logged.  Client observations do not depend on the mode.
-    Raises SimulatorError if `cfg.cancel_injection` names a role outside
-    the session.
+    Each step fires one label of the rules `validate_log` searches: the
+    scheduler picks an actor among the subjects of the cancel labels
+    (`_cancellation`; the injector of `cfg.cancel_injection` is the only
+    initiator, from its step on) and of the enabled labels its phase does
+    not bar.  A cancel label goes first; at a send the policy picks among the
+    actor's labels, in source order, and a receive is logged.  Client
+    observations do not depend on the mode.  Raises SimulatorError if the
+    injector is not a role of the session.
 
     The realisability precondition encodes the canonical protocol and
     projects its encoding with `tables` (fresh ones if None): a caller that
@@ -245,7 +263,7 @@ def run_session(g: GlobalType, router: Role,
     # cancellations: it has a slot in the schedule.  The empty protocol, whose
     # one role is the router, has no schedule at all.
     roles = participants(canonical) | {router}
-    injector, at = cfg.cancel_injection or (None, 0)
+    injector, at = cfg.cancel_injection or (None, cfg.max_steps)  # else never due
     if injector is not None and injector not in roles:
         raise SimulatorError(f"cannot inject a cancellation by {injector}: "
                              "not a role of this session")
@@ -263,31 +281,19 @@ def run_session(g: GlobalType, router: Role,
             scripts[r].bind(machines[r])
 
     rng = random.Random(cfg.seed)
-    pending: Envelope | None = None  # a cancellation on its way to the router
     records: list[LogRecord] = []
-    cancellation: CancellationRecord | None = None
-    step = 0
-    rr_index = 0
-
-    def propagate_cancel(initiator: Role, reason: str):
-        nonlocal cancellation, step
-        for r in roles:
-            if r not in (initiator, router):
-                records.append(LogRecord(step, Envelope(router, r, None, CANCEL, reason)))
-                step += 1
-        cancellation = CancellationRecord(initiator, frozenset(roles) - {initiator})
+    phase = None  # of `_cancellation`
+    step = rr_index = 0
 
     while step < cfg.max_steps:
-        if cancellation is not None:
-            break
-        enabled = _enabled({r: edges[r][state[r]] for r in roles}, buffers)
+        here = {r: edges[r][state[r]] for r in roles}  # each machine's edges where it is
+        enabled = _enabled(here, buffers)
+        cancels, barred = ({}, ()) if step < at else _cancellation(
+            phase, roles, router, {r for r in roles if r == injector and here[r]})
         subjects = {label.subject for label in enabled}
-        cancel_due = (pending is None and injector is not None and step >= at
-                      and bool(edges[injector][state[injector]]))
-        ready = [r for r in roles if r in subjects or (r == router and pending is not None)
-                 or (r == injector and cancel_due)]
+        ready = [r for r in roles if r in cancels or (r in subjects and r not in barred)]
         if not ready:
-            if not any(buffers.values()) and not any(edges[r][state[r]] for r in roles):
+            if phase == () or not any(buffers.values()) and not any(here.values()):
                 break
             raise ConformanceViolation("session stuck with endpoints mid-protocol")
 
@@ -299,36 +305,31 @@ def run_session(g: GlobalType, router: Role,
             actor = roles[rr_index % len(roles)]
             rr_index += 1
 
-        if actor == router and pending is not None:
-            records.append(LogRecord(step, pending))
-            step += 1
-            propagate_cancel(pending.sender, pending.reason)
-            continue
-        if actor == injector and cancel_due:
-            step += 1
-            if actor == router:  # the router handles its own cancellation without a hop
-                propagate_cancel(actor, f"cancelled by {actor}")
-            else:
-                pending = Envelope(actor, router, None, CANCEL, f"cancelled by {actor}")
-            continue
-        labels = [label for label in edges[actor][state[actor]] if label in enabled]
-        label = labels[0]
-        if label.direction == SEND:
-            msg = scripts[actor].choose(state[actor], tuple(lbl.msg for lbl in labels), rng)
-            label = next(lbl for lbl in labels if lbl.msg == msg)
-            observed[actor].append((SEND, label.receiver.name, msg.name))
+        if actor in cancels:
+            if phase is not None:
+                records.append(LogRecord(step, Envelope(
+                    *phase[0], None, CANCEL, f"cancelled by {injector}")))
+            phase = cancels[actor]
         else:
-            observed[actor].append((RECV, label.sender.name, label.msg.name))
-            records.append(LogRecord(step, Envelope(label.sender, label.receiver, label.msg)))
-        movers, pair, content = enabled[label]
-        state.update(movers)
-        buffers[pair] = content
+            labels = [label for label in here[actor] if label in enabled]
+            label = labels[0]
+            if label.direction == SEND:
+                msg = scripts[actor].choose(state[actor], tuple(lbl.msg for lbl in labels), rng)
+                label = next(lbl for lbl in labels if lbl.msg == msg)
+                observed[actor].append((SEND, label.receiver.name, msg.name))
+            else:
+                observed[actor].append((RECV, label.sender.name, label.msg.name))
+                records.append(LogRecord(step, Envelope(label.sender, label.receiver, label.msg)))
+            movers, pair, content = enabled[label]
+            state.update(movers)
+            buffers[pair] = content
         step += 1
     else:
         raise MaxStepsExceeded(f"no termination within {cfg.max_steps} steps")
 
     observations = tuple((r, tuple(observed[r])) for r in roles)
-    return SessionLog(tuple(records), cancellation, observations)
+    return SessionLog(tuple(records), None if phase is None else CancellationRecord(
+        injector, frozenset(roles) - {injector}), observations)
 
 
 # ---------------------------------------------------------------------------
@@ -383,71 +384,70 @@ def _delivery_key(label: ActionLabel):
 def validate_log(g: GlobalType, router: Role, log: SessionLog,
                  state_cap: int = VALIDATION_STATE_CAP, *,
                  tables: Tables | None = None) -> Violation | bool:
-    """Check that the log's data-envelope prefix is realisable, and that the
-    records after it are the cancellation `run_session` emits, if any.
-    Realisable: there must be an interleaving of sends under which the
-    configuration LTS of the type the session ran (`_session_type`)
-    performs exactly these deliveries, in order.
+    """Check that the log is a path of the LTS `run_session` walks: the
+    configuration LTS of the type the session ran (`_session_type`) under
+    the cancellation rule (`_cancellation`).
 
-    A monitor that keeps one layer of configuration keys: for envelope i,
-    those that delivered envelopes 0..i-1.  One `_explore` call closes the
-    layer under the sends the log still owes (a channel must hold fewer
-    messages than the log delivers on it from i on); the keys that deliver
-    envelope i form the next layer.  In a cancelled log, a send may also be
-    cut off in flight: it moves its sender and fills no buffer.  Returns
-    True, else a `Violation` at the first bad record (0-based): an envelope
-    that no key of its layer delivers, or a record after the data.  Raises
-    StateBudgetExceeded when one layer's closure exceeds `state_cap` keys.
-    `tables` is as for `run_session`.
+    A monitor that keeps one layer of keys: for record i, those that logged
+    records 0..i-1.  One `_explore` call closes the layer under the steps
+    that log nothing: the sends the log still owes (a channel must hold
+    fewer messages than the log delivers on it from i on) and, only in a log
+    with a cancel record, whose keys carry their phase, injections and sends
+    cut off in flight (they move the sender and fill no buffer).  The keys
+    that log record i, data by a receive and a cancel by a cancel label,
+    form the next layer.  Returns True, else a `Violation` at the first
+    record no key of its layer logs, or at the log's length if notices are
+    still owed.  Raises StateBudgetExceeded when one layer's closure exceeds
+    `state_cap` keys.  `tables` is as for `run_session`.
     """
     tables = Tables() if tables is None else tables
-    deliveries: list[Envelope] = []
-    for rec in log.records:
-        if rec.envelope.kind != DATA:
-            break
-        deliveries.append(rec.envelope)
-    owed = Counter((env.sender, env.receiver) for env in deliveries)
+    owed = Counter((rec.envelope.sender, rec.envelope.receiver)
+                   for rec in log.records if rec.envelope.kind == DATA)
     session = _session_type(g, router, tables)[1]
     lts = CompiledConfigurations(project_configuration(session, tables=tables), tables)
     names: dict[ActionLabel, tuple] = {}  # each label's `_delivery_key`, made once
-    cancelled = len(deliveries) < len(log.records)
+    cancelled, roles = owed.total() < len(log.records), sorted({*lts.roles, router})
 
-    def visit(conf, edges):
+    def visit(key, edges):
         for label, succ in edges.items():
             if (names.get(label) or names.setdefault(label, _delivery_key(label))) == target:
                 next_layer[succ] = None
             elif label.direction == SEND:
-                if len(lts.buffer(conf, label.sender, label.receiver)) \
+                if len(lts.buffer(key, label.sender, label.receiver)) \
                         < owed[label.sender, label.receiver]:
                     yield label, succ
                 elif cancelled:  # cut off in flight, so never read
-                    yield label, (succ[0], conf[1])
+                    yield label, (succ[0], key[1], *succ[2:])
 
-    layer = (lts.initial,)
-    for i, env in enumerate(deliveries):
-        target = (RECV, env.sender.name, env.receiver.name, env.msg.name)
-        next_layer: dict = {}  # visit's deliveries of `target`, in the order found
-        report = _explore("validate_log", layer, lts.steps, visit, None, state_cap)[0]
+    def visit_phased(key, edges):
+        ids, contents, phase = key
+        cancels, barred = _cancellation(phase, roles, router, {
+            r for r, sid in zip(lts.roles, ids) if tables.edges(sid, r)})
+        for subject, nxt in cancels.items():
+            if phase is None:  # an injection logs nothing
+                yield subject, (ids, contents, nxt)
+            elif phase[0] == target:
+                next_layer[ids, contents, nxt] = None
+        yield from visit(key, {label: (*succ, phase) for label, succ in edges.items()
+                               if label.subject not in barred})
+
+    layer, steps, walk = (lts.initial,), lts.steps, visit
+    if cancelled:  # keys carry their phase, live (None) at the start
+        layer, steps, walk = ((*lts.initial, None),), lambda key: lts.steps(key[:2]), visit_phased
+    for i, env in enumerate(rec.envelope for rec in log.records):
+        data = env.kind == DATA
+        target = (RECV, env.sender.name, env.receiver.name, env.msg.name) if data \
+            else (env.sender, env.receiver)
+        next_layer: dict = {}  # the keys that log `target`, in the order found
+        report = _explore("validate_log", layer, steps, walk, None, state_cap)[0]
         if report.verdict == INCONCLUSIVE:
             raise StateBudgetExceeded(state_cap, report.states_visited)
         if not next_layer:
-            return Violation(i, f"delivery {env.sender}->{env.receiver} "
-                                f"{env.msg.name} not realisable here")
+            what = f"delivery {env.sender}->{env.receiver} {env.msg.name}" if data \
+                else f"cancel {env.sender}->{env.receiver}"
+            return Violation(i, f"{what} not realisable here")
         layer = next_layer
-        owed[env.sender, env.receiver] -= 1
-    # After the data, `run_session` emits nothing or one cancellation: a
-    # cancel from its initiator, a role the first record names, to the
-    # router unless the router initiates, then one from the router to each
-    # other role in order.  A record missing at the end is a violation at
-    # the log's length.
-    got = [(rec.envelope.kind, rec.envelope.sender, rec.envelope.receiver)
-           for rec in log.records[len(deliveries):]]
-    initiator, roles = got[0][1] if got else None, sorted({*lts.roles, router})
-    emitted = [] if initiator not in roles else [(CANCEL, initiator, router)] * (
-        initiator != router) + [(CANCEL, router, r) for r in roles if r not in (initiator, router)]
-    for i, (seen, sent) in enumerate(zip_longest(got, emitted), len(deliveries)):
-        if seen != sent:
-            seen = "the log ends" if seen is None else f"{seen[0]} {seen[1]}->{seen[2]}"
-            sent = "nothing" if sent is None else f"cancel {sent[1]}->{sent[2]}"
-            return Violation(i, f"{seen} where the session sends {sent}")
-    return True
+        owed[env.sender, env.receiver] -= data  # a cancel record owes nothing
+    owing = cancelled and next(iter(layer))[2]  # the last layer's one phase
+    return Violation(len(log.records), "the log ends where the session sends cancel {}->{}"
+                     .format(*owing[0])) if owing else True

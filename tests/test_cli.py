@@ -279,6 +279,10 @@ def test_simulate_with_cancellation(capsys):
     ("simulate_PingPong_cancel_C3.txt", "PingPong", ("--cancel", "C@3")),
     # The router cancels: no hop, it notifies both clients itself.
     ("simulate_Game_cancel_Svr2.txt", "Game", ("--cancel", "Svr@2")),
+    # C cancels while BYE is still on its way to it: it reads BYE, and the
+    # router takes the cancel after the last delivery.
+    ("simulate_PingPong_cancel_C7_seeded_random_1.txt", "PingPong",
+     ("--cancel", "C@7", "--scheduler", "seeded-random", "--seed", "1")),
 ])
 def test_simulate_output_matches_golden_file(capsys, golden, protocol, extra):
     code, out, err = run(capsys, "simulate", str(PROTOCOL_DIR / f"{protocol}.scr"), protocol,

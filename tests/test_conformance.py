@@ -174,11 +174,14 @@ def test_the_reference_finds_the_violations_of_records_after_the_data():
     # Logs that the check accepted while it read the data prefix only: a
     # client's cancel sent to a client, then data, and roles the protocol
     # does not have; and a first record that is a cancel between outsiders.
+    # And a cancellation appended to a complete log, after A has finished.
     g, router = load("TravelAgency"), Role("S")
     oracle = ReferenceValidator(g, router)
+    complete = run_session(g, router).serialize()
     for text, index in (("1,B,A,data,Suggest\n9,A,B,cancel,nonsense\n"
                          "10,S,A,data,Bogus\n11,Q,Z,data,Nope\n", 1),
-                        ("0,Q,Z,cancel,x\n1,Q,Z,data,Nope\n", 0)):
+                        ("0,Q,Z,cancel,x\n1,Q,Z,data,Nope\n", 0),
+                        (complete + "20,A,S,cancel,x\n21,S,B,cancel,x\n", 10)):
         log = parse_session_log(text)
         verdict = validate_log(g, router, log)
         assert isinstance(verdict, Violation) and verdict.index == index

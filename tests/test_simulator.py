@@ -13,6 +13,7 @@ from routedmpst.efsm import STATE_TERMINAL, Efsm, EfsmState, EfsmTransition, bui
 from routedmpst.encoding import AlreadyRouted, NotCanonical, encode_global
 from routedmpst.projection import project
 from routedmpst.scribble import elaborate, parse_module
+from routedmpst.semantics import Tables
 from routedmpst.simulator import (
     CANCEL, DATA, BoundedLoopPolicy, ConformanceViolation, Envelope, LogRecord,
     MaxStepsExceeded, SessionLog, SimConfig, SimulatorError, Violation, parse_session_log,
@@ -84,6 +85,14 @@ def test_cancellation_notifies_exactly_other_roles_and_halts_data():
     assert A not in targets[1:]
 
 
+def test_the_empty_protocol_has_no_one_to_cancel():
+    # Its one role, the router, has no machine that can act, so the
+    # injection never fires and the session is the empty log.
+    log = run_session(GEnd(), S, None, SimConfig(cancel_injection=(S, 0)))
+    assert log == SessionLog((), None, ())
+    assert validate_log(GEnd(), S, log) is True
+
+
 def test_cancellation_by_router_notifies_clients():
     log = run_session(G_TRAVEL, S, None, SimConfig(seed=1, cancel_injection=(S, 2)))
     assert log.cancellation.initiator == S
@@ -131,17 +140,22 @@ def test_every_cancelled_corpus_log_validates():
     # it never reads, and the server has gone on to read P2's move.  Such a
     # send fills no buffer the rest of the log reads, so the log still
     # validates, in both modes and through every router.
+    # The seed runs apart from the step: seed 1 with C@7 is PingPong's cancel
+    # after its last delivery (`simulate_PingPong_cancel_C7_seeded_random_1`).
+    # One `Tables` per session type keeps the sweep to a few seconds.
     cases = 0
     for name, g, router, encoded in _corpus_routers():
+        tables = [(source, Tables()) for source in (g, encoded)]
         for injector in sorted(participants(g) | {router}):
             for at in range(10):
-                for scheduler in ("round-robin", "seeded-random"):
-                    cfg = SimConfig(seed=at, scheduler=scheduler,
+                for scheduler, seed in (("round-robin", 0), *(
+                        ("seeded-random", seed) for seed in range(3))):
+                    cfg = SimConfig(seed=seed, scheduler=scheduler,
                                     cancel_injection=(injector, at))
-                    for source in (g, encoded):
-                        log = run_session(source, router, None, cfg)
-                        case = (name, router, injector, at, scheduler, source is g)
-                        assert validate_log(source, router, log) is True, case
+                    for source, shared in tables:
+                        log = run_session(source, router, None, cfg, tables=shared)
+                        case = (name, router, injector, at, scheduler, seed, source is g)
+                        assert validate_log(source, router, log, tables=shared) is True, case
                         cases += log.cancellation is not None
     assert cases
     log = run_session(load("Game"), Role("Svr"), None, SimConfig(
@@ -163,17 +177,38 @@ def test_records_after_the_data_must_be_the_cancellation_the_session_sends():
     assert check(data, "9,B,S,cancel,stop", "10,S,A,cancel,stop") is True
     for lines, index, detail in [
         ((data, "9,A,B,cancel,nonsense", "10,S,A,data,Bogus", "11,Q,Z,data,Nope"), 1,
-         "cancel A->B where the session sends cancel A->S"),
-        (("0,Q,Z,cancel,x", "1,Q,Z,data,Nope"), 0, "cancel Q->Z where the session sends nothing"),
+         "cancel A->B not realisable here"),
+        (("0,Q,Z,cancel,x", "1,Q,Z,data,Nope"), 0, "cancel Q->Z not realisable here"),
         ((data, "9,A,S,cancel,stop"), 2, "the log ends where the session sends cancel S->B"),
         ((data, "9,A,S,cancel,stop", "10,S,B,cancel,stop", "11,S,B,cancel,stop"), 3,
-         "cancel S->B where the session sends nothing"),
+         "cancel S->B not realisable here"),
         ((data, "9,S,B,cancel,stop", "10,S,A,cancel,stop"), 1,
-         "cancel S->B where the session sends cancel S->A"),
+         "cancel S->B not realisable here"),
         ((data, "9,A,S,cancel,stop", "10,S,B,data,Suggest"), 2,
-         "data S->B where the session sends cancel S->B"),
+         "delivery S->B Suggest not realisable here"),
     ]:
         assert check(*lines) == Violation(index, detail), lines
+
+
+def test_a_cancel_after_the_canceller_has_finished_is_a_violation():
+    # A role cancels only while its machine can still act, and the router
+    # sends no notice before a cancellation.  So cancel records appended to
+    # a complete log, where every role has finished, are violations at the
+    # first of them; a client that still has a message to read may cancel,
+    # and the router then takes its cancel after the last delivery.
+    def late(name, router, *lines):
+        g, router = load(name), Role(router)
+        log = run_session(g, router, None, SimConfig())
+        text = log.serialize() + "".join(f"99,{x},stop\n" for x in lines)
+        return len(log.records), validate_log(g, router, parse_session_log(text))
+
+    assert late("TravelAgency", "S", "A,S,cancel", "S,B,cancel") == (10, Violation(
+        10, "cancel A->S not realisable here"))
+    assert late("PingPong", "S", "S,C,cancel") == (4, Violation(
+        4, "cancel S->C not realisable here"))
+    assert late("Game", "Svr", "Svr,P1,cancel", "Svr,P2,cancel") == (9, Violation(
+        9, "cancel Svr->P1 not realisable here"))
+    assert late("PingPong", "S", "C,S,cancel") == (4, True)
 
 
 def test_empty_log_validates():
