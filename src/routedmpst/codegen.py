@@ -57,35 +57,23 @@ def load_fragments(text: str) -> dict[str, str]:
     return fragments
 
 
-def _fill(fragment: str, **values) -> str:
-    """Substitute `values` for the `{{placeholder}}`s of a fragment.
-
-    Each distinct fragment text is compiled once (`_compile`) into a
-    `str.format_map` string.  A placeholder without a value raises KeyError.
-    """
-    try:
-        return _compile(fragment).format_map(values)
-    except KeyError as missing:
-        key = missing.args[0]
-        raise KeyError(f"template placeholder {{{{{key}}}}} has no value") from None
-
-
-@functools.lru_cache(maxsize=1024)
 def _compile(fragment: str) -> str:
-    """The fragment as a `str.format_map` string: literal braces doubled,
-    each `{{name}}` turned into `{name}`."""
+    """The fragment as a `%` template: each literal `%` doubled, each
+    `{{name}}` turned into `%(name)s`.  `template % values` fills it in one
+    C-level call; a placeholder without a value raises KeyError naming it."""
     parts = _PLACEHOLDER.split(fragment)  # literal, name, literal, ..., literal
-    parts[::2] = [lit.replace("{", "{{").replace("}", "}}") for lit in parts[::2]]
-    parts[1::2] = [f"{{{name}}}" for name in parts[1::2]]
+    parts[::2] = [lit.replace("%", "%%") for lit in parts[::2]]
+    parts[1::2] = [f"%({name})s" for name in parts[1::2]]
     return "".join(parts)
 
 
 @functools.cache
 def _default_templates(flavor: str) -> Mapping[str, str]:
-    """The shipped fragments of a flavor, read once per process and shared
-    read-only."""
+    """The shipped fragments of a flavor as `%` templates (`_compile`), read
+    and compiled once per process and shared read-only."""
     data = Path(__file__).with_name("templates") / f"{flavor}.tmpl"
-    return MappingProxyType(load_fragments(data.read_text(encoding="utf-8")))
+    fragments = load_fragments(data.read_text(encoding="utf-8"))
+    return MappingProxyType({name: _compile(text) for name, text in fragments.items()})
 
 
 def _peer_of(e: Efsm, transitions) -> str:
@@ -97,13 +85,8 @@ def _peer_of(e: Efsm, transitions) -> str:
     return peers.pop().name
 
 
-def _payloads(tr) -> str:
-    return ", ".join(tr.action.msg.payload_sorts)
-
-
-def _args(tr) -> str:
-    return ", ".join(f"payload{i + 1}: {sort}"
-                     for i, sort in enumerate(tr.action.msg.payload_sorts))
+def _args(sorts: tuple[str, ...]) -> str:
+    return ", ".join([f"payload{i}: {sort}" for i, sort in enumerate(sorts, 1)])
 
 
 def emit_skeleton(e: Efsm, flavor: str) -> dict[str, str]:
@@ -116,97 +99,93 @@ def emit_skeleton(e: Efsm, flavor: str) -> dict[str, str]:
     """
     if flavor not in FLAVORS:
         raise UnsupportedFlavor(f"flavor must be one of {FLAVORS}, got {flavor!r}")
-    frag = _default_templates(flavor)
-    header = _fill(frag["file_header"], role=e.role.name, flavor=flavor)
+    frag = _default_templates(flavor)  # each filled by `%` with a dict of its values
+    server = flavor == "server"
+    header = frag["file_header"] % {"role": e.role.name, "flavor": flavor}
 
     messages: list[str] = [header]
     handlers: list[str] = [header]
     states: list[str] = [header]
     factories: list[str] = [header]
 
-    if flavor == "server":
-        states.append(frag["state_preamble"])
+    if server:
+        states.append(frag["state_preamble"] % {})
 
     terminal_id = None
     for st in e.states:
-        outs = e.outgoing(st.id)
+        sid, outs = st.id, e.outgoing(st.id)
         if st.kind == STATE_TERMINAL:
-            terminal_id = st.id
-            if flavor == "server":
-                states.append(_fill(frag["state_terminal"], state=st.id))
-                factories.append(_fill(frag["factory_terminal"], state=st.id))
-            else:
-                states.append(_fill(frag["state_terminal"], state=st.id))
+            terminal_id = sid
+            states.append(frag["state_terminal"] % {"state": sid})
+            if server:
+                factories.append(frag["factory_terminal"] % {"state": sid})
             continue
 
         peer = _peer_of(e, outs)
+        # Per transition: its label's name, payload sorts and target state.
+        edges = [(tr.action.msg.name, tr.action.msg.payload_sorts, tr.target) for tr in outs]
 
         # Message unit: one interface per label plus the per-state union.
-        union_parts = []
-        for tr in outs:
-            messages.append(_fill(frag["message_interface"], state=st.id,
-                                  label=tr.action.msg.name, payloads=_payloads(tr)))
-            union_parts.append(f"| S{st.id}_{tr.action.msg.name}")
-        messages.append(_fill(frag["message_union"], state=st.id,
-                              items=" ".join(union_parts)))
+        for label, sorts, _ in edges:
+            messages.append(frag["message_interface"] % {
+                "state": sid, "label": label, "payloads": ", ".join(sorts)})
+        messages.append(frag["message_union"] % {
+            "state": sid, "items": " ".join([f"| S{sid}_{label}" for label, _, _ in edges])})
 
         # Handler + state + factory units, by state kind and flavor.
         if st.kind == STATE_SEND:
-            if flavor == "server":
-                items = "\n".join(_fill(frag["handler_send_item"], state=st.id,
-                                        label=tr.action.msg.name, successor=tr.target)
-                                  for tr in outs)
-                handlers.append(_fill(frag["handler_send_open"], state=st.id, items=items))
-                states.append(_fill(frag["state_send"], state=st.id, peer=peer))
-                for tr in outs:
-                    factories.append(_fill(frag["factory_send_fn"], state=st.id,
-                                           label=tr.action.msg.name, successor=tr.target))
-                obj_items = ",\n    ".join(
-                    f"{tr.action.msg.name}: S{st.id}_{tr.action.msg.name}" for tr in outs)
-                factories.append(_fill(frag["factory_send_obj"], state=st.id, items=obj_items))
+            if server:
+                item = frag["handler_send_item"]
+                items = "\n".join([item % {"state": sid, "label": label, "successor": target}
+                                   for label, _, target in edges])
+                handlers.append(frag["handler_send_open"] % {"state": sid, "items": items})
+                states.append(frag["state_send"] % {"state": sid, "peer": peer})
+                for label, _, target in edges:
+                    factories.append(frag["factory_send_fn"] % {
+                        "state": sid, "label": label, "successor": target})
+                obj_items = ",\n    ".join([f"{label}: S{sid}_{label}" for label, _, _ in edges])
+                factories.append(frag["factory_send_obj"] % {"state": sid, "items": obj_items})
             else:
-                for tr in outs:
-                    handlers.append(_fill(frag["handler_send_item"], state=st.id,
-                                          label=tr.action.msg.name, payloads=_payloads(tr),
-                                          successor=tr.target))
-                members = "\n".join(_fill(frag["state_send_member"],
-                                          label=tr.action.msg.name, payloads=_payloads(tr))
-                                    for tr in outs)
-                inits = "".join(_fill(frag["state_send_init"], label=tr.action.msg.name,
-                                      payloads=_payloads(tr), peer=peer,
-                                      successor=tr.target) + "\n"
-                                for tr in outs)
-                states.append(_fill(frag["state_send"], state=st.id,
-                                    items=members, inits=inits))
+                member, init = frag["state_send_member"], frag["state_send_init"]
+                for label, sorts, target in edges:
+                    handlers.append(frag["handler_send_item"] % {
+                        "state": sid, "label": label, "payloads": ", ".join(sorts),
+                        "successor": target})
+                members = "\n".join([member % {"label": label, "payloads": ", ".join(sorts)}
+                                     for label, sorts, _ in edges])
+                inits = "".join([init % {"label": label, "payloads": ", ".join(sorts),
+                                         "peer": peer, "successor": target} + "\n"
+                                 for label, sorts, target in edges])
+                states.append(frag["state_send"] % {"state": sid, "items": members,
+                                                    "inits": inits})
+        elif server:
+            handlers.append(frag["handler_recv_open"] % {"state": sid})
+            for label, _, target in edges:
+                handlers.append(frag["handler_recv_item"] % {
+                    "state": sid, "label": label, "successor": target})
+            handlers.append(frag["handler_recv_close"] % {})
+            states.append(frag["state_recv"] % {"state": sid, "peer": peer})
+            factories.append(frag["factory_recv"] % {"state": sid})
         else:
-            if flavor == "server":
-                handlers.append(_fill(frag["handler_recv_open"], state=st.id))
-                for tr in outs:
-                    handlers.append(_fill(frag["handler_recv_item"], state=st.id,
-                                          label=tr.action.msg.name, successor=tr.target))
-                handlers.append(frag["handler_recv_close"])
-                states.append(_fill(frag["state_recv"], state=st.id, peer=peer))
-                factories.append(_fill(frag["factory_recv"], state=st.id))
-            else:
-                for tr in outs:
-                    handlers.append(_fill(frag["handler_recv_item"], state=st.id,
-                                          label=tr.action.msg.name, args=_args(tr)))
-                cases = "".join(_fill(frag["state_recv_case"], label=tr.action.msg.name,
-                                      successor=tr.target) + "\n" for tr in outs)
-                methods = "\n".join(_fill(frag["state_recv_method"],
-                                          label=tr.action.msg.name, args=_args(tr))
-                                    for tr in outs)
-                states.append(_fill(frag["state_recv"], state=st.id, peer=peer,
-                                    items=cases, methods=methods))
+            case, method = frag["state_recv_case"], frag["state_recv_method"]
+            for label, sorts, _ in edges:
+                handlers.append(frag["handler_recv_item"] % {
+                    "state": sid, "label": label, "args": _args(sorts)})
+            cases = "".join([case % {"label": label, "successor": target} + "\n"
+                             for label, _, target in edges])
+            methods = "\n".join([method % {"label": label, "args": _args(sorts)}
+                                 for label, sorts, _ in edges])
+            states.append(frag["state_recv"] % {"state": sid, "peer": peer,
+                                                "items": cases, "methods": methods})
 
-    if flavor == "client":
-        factories.append(frag["factory_mapping_open"])
-        for st in e.states:
-            factories.append(_fill(frag["factory_mapping_item"], state=st.id))
-        factories.append(frag["factory_mapping_close"])
-    factories.append(_fill(frag["factory_initial"], state=e.initial))
+    if not server:
+        factories.append(frag["factory_mapping_open"] % {})
+        item = frag["factory_mapping_item"]
+        factories += [item % {"state": st.id} for st in e.states]
+        factories.append(frag["factory_mapping_close"] % {})
+    factories.append(frag["factory_initial"] % {"state": e.initial})
     if terminal_id is not None:
-        factories.append(_fill(frag["factory_terminal_alias"], state=terminal_id))
+        factories.append(frag["factory_terminal_alias"] % {"state": terminal_id})
 
     def unit(parts: list[str]) -> str:
         return "\n\n".join(part for part in parts if part.strip()) + "\n"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from functools import cache
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from types import CodeType, FunctionType
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -445,9 +445,12 @@ def routed_recv(p: Role, q: Role, s: Role, m: MsgLabel) -> ActionLabel:
 # ---------------------------------------------------------------------------
 
 
+_NO_VARS: frozenset[str] = frozenset()
+
+
 # Each branching node class and how to rebuild one of its nodes with another
 # branch tuple.  Walkers read `.branches` once leaves and binders are ruled
-# out; `validate` rejects a node whose class is not here.
+# out; `validate` rejects a node whose class is not a key of `_HEAD_RULE`.
 _REBUILD = {
     GComm: lambda t, branches: GComm(t.sender, t.receiver, branches),
     GRouted: lambda t, branches: GRouted(t.sender, t.receiver, t.router, branches),
@@ -480,63 +483,79 @@ def validate(t: AnyType, *, allow_free: bool = False) -> None:
 
 # The recursive workers below are module-level functions rather than nested
 # closures: a closure that calls itself is a reference cycle, which every
-# call would leave behind for the cyclic garbage collector.
+# call would leave behind for the cyclic garbage collector.  Each reads a
+# node's class once and tests it by identity, so a subclass of a node class
+# is an unknown node; `_validate` follows a node's last child in a loop.
+
+# What `validate` checks of a branching node besides its branches, by class:
+# the roles that must be pairwise distinct, the message if they are not, and
+# whether its chosen label must name a branch.
+_HEAD_RULE = {
+    cls: (attrgetter(*roles) if roles else None, clash, "chosen" in cls.__match_args__)
+    for classes, roles, clash in (
+        ((GComm, GTransit), ("sender", "receiver"), "communication endpoints must differ"),
+        ((GRouted, GRoutedTransit), ("sender", "receiver", "router"),
+         "routed communication roles must be pairwise distinct"),
+        ((LSelect, LBranch), (), ""),
+        ((LRoutedSelect, LRoutedBranch), ("peer", "via"), "routed endpoint and router must differ"),
+        ((LRouter, LRouterTransit), ("sender", "receiver"), "routed endpoints must differ"))
+    for cls in classes}
 
 
 def _validate(u: AnyType, bound: frozenset[str], allow_free: bool) -> None:
-    if isinstance(u, (GEnd, LEnd)):
-        return
-    if isinstance(u, (GVar, LVar)):
-        if not allow_free and u.var not in bound:
-            raise InvalidType(f"unbound recursion variable {u.var!r}")
-        return
-    if isinstance(u, (GRec, LRec)):
-        body = u.body
-        # Contractiveness: stripping nested binders must not expose a bare
-        # variable (rules out degenerate loops with no communication).
-        probe = body
-        while isinstance(probe, (GRec, LRec)):
-            probe = probe.body
-        if isinstance(probe, (GVar, LVar)):
-            raise InvalidType(f"non-contractive recursion at binder {u.var!r}")
-        _validate(body, bound | {u.var}, allow_free)
-        return
-    if type(u) not in _REBUILD:
-        raise InvalidType(f"unknown node {type(u).__name__}")
-    branches = u.branches
-    if not branches:
-        raise InvalidType(f"{type(u).__name__} with empty branch set")
-    names = [lbl.name for lbl, _ in branches]
-    if len(set(names)) != len(names):
-        raise InvalidType(f"duplicate branch labels in {type(u).__name__}: {names}")
-    if isinstance(u, (GComm, GTransit)):
-        if u.sender == u.receiver:
-            raise InvalidType("communication endpoints must differ")
-    if isinstance(u, (GRouted, GRoutedTransit)):
-        if len({u.sender, u.receiver, u.router}) != 3:
-            raise InvalidType("routed communication roles must be pairwise distinct")
-    if isinstance(u, (LRoutedSelect, LRoutedBranch)):
-        if u.peer == u.via:
-            raise InvalidType("routed endpoint and router must differ")
-    if isinstance(u, (LRouter, LRouterTransit)):
-        if u.sender == u.receiver:
-            raise InvalidType("routed endpoints must differ")
-    if isinstance(u, (GTransit, GRoutedTransit, LRouterTransit)):
-        if u.chosen.name not in names:
+    while True:
+        kind = type(u)
+        if kind is GEnd or kind is LEnd:
+            return
+        if kind is GVar or kind is LVar:
+            if not allow_free and u.var not in bound:
+                raise InvalidType(f"unbound recursion variable {u.var!r}")
+            return
+        if kind is GRec or kind is LRec:
+            # Contractiveness: stripping nested binders must not expose a
+            # bare variable (rules out degenerate loops with no communication).
+            probe = u.body
+            while isinstance(probe, (GRec, LRec)):
+                probe = probe.body
+            if isinstance(probe, (GVar, LVar)):
+                raise InvalidType(f"non-contractive recursion at binder {u.var!r}")
+            bound, u = bound | {u.var}, u.body
+            continue
+        rule = _HEAD_RULE.get(kind)
+        if rule is None:
+            raise InvalidType(f"unknown node {kind.__name__}")
+        branches = u.branches
+        if len(branches) != 1:  # one branch needs no label list
+            if not branches:
+                raise InvalidType(f"{kind.__name__} with empty branch set")
+            names = [lbl.name for lbl, _ in branches]
+            if len(set(names)) != len(names):
+                raise InvalidType(f"duplicate branch labels in {kind.__name__}: {names}")
+        distinct, clash, chosen = rule
+        if distinct is not None:
+            roles = distinct(u)
+            if len(set(roles)) != len(roles):
+                raise InvalidType(clash)
+        if chosen and u.chosen.name not in [lbl.name for lbl, _ in branches]:
             raise InvalidType(f"chosen label {u.chosen.name!r} not among branches")
-    for _, cont in branches:
-        _validate(cont, bound, allow_free)
+        for _, cont in branches[:-1]:
+            _validate(cont, bound, allow_free)
+        u = branches[-1][1]
 
 
 def free_vars(t: AnyType) -> frozenset[str]:
     """The free variables of `t`, computed bottom up in one walk."""
-    if isinstance(t, (GEnd, LEnd)):
-        return frozenset()
-    if isinstance(t, (GVar, LVar)):
+    kind = type(t)
+    if kind is GEnd or kind is LEnd:
+        return _NO_VARS
+    if kind is GVar or kind is LVar:
         return frozenset((t.var,))
-    if isinstance(t, (GRec, LRec)):
+    if kind is GRec or kind is LRec:
         return free_vars(t.body) - {t.var}
-    return frozenset().union(*(free_vars(c) for _, c in t.branches))
+    out = _NO_VARS
+    for _, c in t.branches:
+        out = out | free_vars(c)
+    return out
 
 
 def canonicalize(t: AnyType) -> AnyType:
@@ -552,7 +571,6 @@ def canonicalize(t: AnyType) -> AnyType:
     return ids.form(ids.of(t))
 
 
-_NO_VARS: frozenset[str] = frozenset()
 _NO_LEVELS: frozenset[int] = frozenset()
 _LEVEL_0 = frozenset((0,))
 
@@ -613,22 +631,24 @@ class CanonicalIds:
             self.keys.append(key)
         return sid
 
-    # `form`, `_walk`, `_open`, `_subst` and `free_levels` loop over branches
-    # instead of using generator expressions, so each takes one stack frame
-    # per nesting level.
+    # `form`, `_walk`, `_open`, `_subst` and `free_levels` read a node's class
+    # once and loop over branches instead of using generator expressions, so
+    # each takes one stack frame per nesting level; in `_walk` a single
+    # branch needs no list and no sort.
 
     def form(self, sid: int, env: dict[str, str] | None = None, depth: int = 0) -> AnyType:
         """The canonical form of the closed id `sid`, binders named by depth
         from the root.  A closed sub-key names its binders from level 0 again,
         so `env` maps the names of a key to those of the form at `depth`."""
         key = self.keys[sid]
-        if isinstance(key, (GEnd, LEnd)):
+        kind = type(key)
+        if kind is GEnd or kind is LEnd:
             return key
-        if isinstance(key, (GVar, LVar)):
-            return type(key)(env[key.var])
-        if isinstance(key, (GRec, LRec)):
+        if kind is GVar or kind is LVar:
+            return kind(env[key.var])
+        if kind is GRec or kind is LRec:
             name = f"{_CANON_VAR_PREFIX}{depth}"
-            return type(key)(name, self.form(key.body, {**(env or {}), key.var: name}, depth + 1))
+            return kind(name, self.form(key.body, {**(env or {}), key.var: name}, depth + 1))
         branches = []
         for lbl, c in key.branches:
             branches.append((lbl, self.form(c, env, depth)))
@@ -637,18 +657,24 @@ class CanonicalIds:
     def _walk(self, t: AnyType) -> tuple[AnyType, frozenset[str], int | None]:
         met = self._met
         sid = None
-        if isinstance(t, (GEnd, LEnd)):
+        kind = type(t)
+        if kind is GEnd or kind is LEnd:
             fv, sid = _NO_VARS, self.key_id(t)
-        elif isinstance(t, (GVar, LVar)):
+        elif kind is GVar or kind is LVar:
             fv = frozenset((t.var,))
-        elif isinstance(t, (GRec, LRec)):
+        elif kind is GRec or kind is LRec:
             _, inner, body_id = met.get(id(t.body)) or self._walk(t.body)
             fv = inner - {t.var}
             if t.var not in inner:
                 sid = body_id
             elif not fv:
                 name = f"{_CANON_VAR_PREFIX}0"
-                sid = self.key_id(type(t)(name, self._open(t.body, {t.var: name}, 1)))
+                sid = self.key_id(kind(name, self._open(t.body, {t.var: name}, 1)))
+        elif len(t.branches) == 1:
+            lbl, c = t.branches[0]
+            _, fv, child_id = met.get(id(c)) or self._walk(c)
+            if not fv:
+                sid = self.key_id(_with_branches(t, ((lbl, child_id),)))
         else:
             fv, children = _NO_VARS, []
             for lbl, c in t.branches:
@@ -656,7 +682,7 @@ class CanonicalIds:
                 fv = fv | child_fv
                 children.append((lbl, child_id))
             if not fv:
-                children.sort(key=lambda item: item[0].name)
+                children.sort(key=_by_label)
                 sid = self.key_id(_with_branches(t, tuple(children)))
         entry = met[id(t)] = (t, fv, sid)
         return entry
@@ -667,18 +693,18 @@ class CanonicalIds:
         sid = self._met[id(u)][2]
         if sid is not None:
             return sid
-        if isinstance(u, (GVar, LVar)):
-            return self.key_id(type(u)(env[u.var]))
-        if isinstance(u, (GRec, LRec)):
+        kind = type(u)
+        if kind is GVar or kind is LVar:
+            return self.key_id(kind(env[u.var]))
+        if kind is GRec or kind is LRec:
             if u.var not in self._met[id(u.body)][1]:
                 return self._open(u.body, env, depth)
             name = f"{_CANON_VAR_PREFIX}{depth}"
-            return self.key_id(type(u)(name, self._open(u.body, {**env, u.var: name},
-                                                         depth + 1)))
+            return self.key_id(kind(name, self._open(u.body, {**env, u.var: name}, depth + 1)))
         children = []
         for lbl, c in u.branches:
             children.append((lbl, self._open(c, env, depth)))
-        children.sort(key=lambda item: item[0].name)
+        children.sort(key=_by_label)
         return self.key_id(_with_branches(u, tuple(children)))
 
     def _subst(self, x: int, c: int, d: int, sid: int, memo: dict) -> int:
@@ -696,12 +722,13 @@ class CanonicalIds:
         if out is not None:
             return out
         key = self.keys[x]
-        if isinstance(key, (GVar, LVar)):
+        kind = type(key)
+        if kind is GVar or kind is LVar:
             level = int(key.var[1:])
-            out = sid if level == 0 else self.key_id(type(key)(f"{_CANON_VAR_PREFIX}{level - c}"))
-        elif isinstance(key, (GRec, LRec)):
+            out = sid if level == 0 else self.key_id(kind(f"{_CANON_VAR_PREFIX}{level - c}"))
+        elif kind is GRec or kind is LRec:
             name = f"{_CANON_VAR_PREFIX}{int(key.var[1:]) - c}"
-            out = self.key_id(type(key)(name, self._subst(key.body, c, d + 1, sid, memo)))
+            out = self.key_id(kind(name, self._subst(key.body, c, d + 1, sid, memo)))
         else:
             branches = []
             for lbl, child in key.branches:
@@ -717,11 +744,12 @@ class CanonicalIds:
         out = self._levels.get(x)
         if out is None:
             key = self.keys[x]
-            if isinstance(key, (GEnd, LEnd)):
+            kind = type(key)
+            if kind is GEnd or kind is LEnd:
                 out = _NO_LEVELS
-            elif isinstance(key, (GVar, LVar)):
+            elif kind is GVar or kind is LVar:
                 out = frozenset((int(key.var[1:]),))
-            elif isinstance(key, (GRec, LRec)):
+            elif kind is GRec or kind is LRec:
                 out = self.free_levels(key.body) - {int(key.var[1:])}
             else:
                 out = _NO_LEVELS
@@ -731,6 +759,11 @@ class CanonicalIds:
         return out
 
 
+# Orders (label, child) items by label name: a label is a tuple, name first,
+# and the labels of a valid node have distinct names.
+_by_label = itemgetter(0)
+
+
 def participants(g: GlobalType) -> frozenset[Role]:
     """The set of roles taking part in a global type (one iterative walk, so
     the depth of `g` is not bounded by the recursion limit)."""
@@ -738,19 +771,21 @@ def participants(g: GlobalType) -> frozenset[Role]:
     todo = [g]
     while todo:
         u = todo.pop()
-        if isinstance(u, GRec):
-            todo.append(u.body)
-            continue
-        if isinstance(u, (GComm, GTransit)):
+        kind = type(u)
+        if kind is GComm or kind is GTransit:
             roles.add(u.sender)
             roles.add(u.receiver)
-        elif isinstance(u, (GRouted, GRoutedTransit)):
+        elif kind is GRouted or kind is GRoutedTransit:
             roles.update((u.sender, u.receiver, u.router))
-        elif isinstance(u, (GEnd, GVar)):
+        elif kind is GRec:
+            todo.append(u.body)
+            continue
+        elif kind is GEnd or kind is GVar:
             continue
         else:
-            raise InvalidType(f"not a global type: {type(u).__name__}")
-        todo.extend(cont for _, cont in u.branches)
+            raise InvalidType(f"not a global type: {kind.__name__}")
+        for _, cont in u.branches:
+            todo.append(cont)
     return frozenset(roles)
 
 

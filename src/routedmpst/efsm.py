@@ -16,7 +16,6 @@ id, which keeps diagram numbering and golden files stable.
 
 from __future__ import annotations
 
-import json
 from functools import cached_property
 
 from .core import ActionLabel, LRec, LRouter, LocalType, Role, SEND, record
@@ -138,17 +137,28 @@ def efsm_ir(e: Efsm) -> str:
 
     The text is written directly for this fixed schema and is byte-equal to
     `json.dumps(payload, indent=2, sort_keys=True) + "\\n"`, whose indenting
-    encoder is pure Python; strings still go through `json.dumps`.
+    encoder is pure Python.  A string is quoted as it is when JSON escapes
+    none of its characters, else by `json.dumps` (`_quote`).
     """
     states = ",\n".join(
-        f'    {{\n      "id": {st.id},\n      "kind": {json.dumps(st.kind)}\n    }}'
+        f'    {{\n      "id": {st.id},\n      "kind": {_quote(st.kind)}\n    }}'
         for st in e.states)
     transitions = ",\n".join(
         _transition_ir(tr, e.role)
         for tr in sorted(e.transitions, key=lambda t: (t.source, t.action.sort_key())))
-    return (f'{{\n  "initial": {e.initial},\n  "role": {json.dumps(e.role.name)},\n'
+    return (f'{{\n  "initial": {e.initial},\n  "role": {_quote(e.role.name)},\n'
             f'  "states": {_ir_list(states, "  ")},\n'
             f'  "transitions": {_ir_list(transitions, "  ")}\n}}\n')
+
+
+def _quote(s: str) -> str:
+    """`s` as a JSON string, as `json.dumps` writes it.  A printable ASCII
+    string with no `"` or `\\` is written as it is; only another one imports
+    `json`."""
+    if s.isascii() and s.isprintable() and '"' not in s and "\\" not in s:
+        return f'"{s}"'
+    import json
+    return json.dumps(s)
 
 
 def _ir_list(items: str, indent: str) -> str:
@@ -164,14 +174,14 @@ def _transition_ir(tr: EfsmTransition, me: Role) -> str:
     else:
         peer = act.receiver  # router forwarding: the delivery target
         from_role = act.sender  # router machines need both endpoints
-    payloads = ",\n".join(f"        {json.dumps(sort)}" for sort in act.msg.payload_sorts)
-    fields = [f'"dir": {json.dumps(act.direction)}', f'"from": {tr.source}']
+    payloads = ",\n".join(f"        {_quote(sort)}" for sort in act.msg.payload_sorts)
+    fields = [f'"dir": {_quote(act.direction)}', f'"from": {tr.source}']
     if from_role is not None:
-        fields.append(f'"from_role": {json.dumps(from_role.name)}')
-    fields += [f'"label": {json.dumps(act.msg.name)}',
+        fields.append(f'"from_role": {_quote(from_role.name)}')
+    fields += [f'"label": {_quote(act.msg.name)}',
                f'"payloads": {_ir_list(payloads, "      ")}',
-               f'"peer": {json.dumps(peer.name)}',
+               f'"peer": {_quote(peer.name)}',
                f'"to": {tr.target}']
     if act.via is not None:
-        fields.append(f'"via": {json.dumps(act.via.name)}')
+        fields.append(f'"via": {_quote(act.via.name)}')
     return "    {\n      " + ",\n      ".join(fields) + "\n    }"

@@ -10,7 +10,7 @@ from __future__ import annotations
 from .core import (
     GComm, GEnd, GRec, GRouted, GRoutedTransit, GTransit, GVar, GlobalType,
     CanonicalIds, LBranch, LEnd, LRec, LRouter, LRouterTransit, LRoutedBranch,
-    LRoutedSelect, LSelect, LVar, LocalType, Role, branch_for, free_vars,
+    LRoutedSelect, LSelect, LVar, LocalType, Role, _NO_VARS, branch_for, free_vars,
     participants, pretty_local,
 )
 
@@ -106,83 +106,99 @@ def project(g: GlobalType, r: Role) -> LocalType:
     The type is not validated here: callers that take types from outside,
     such as `semantics.project_configuration`, validate once.  Raises
     MergeFailure when a communication not involving `r` has incompatible
-    branch projections.  One walk: each node's class is tested once, and a
-    single branch is projected without a generator frame.
+    branch projections.  One walk: each node's class is tested once, a
+    single branch is projected without a generator frame, and each
+    projected node's free variables are found in the same walk, not by a
+    second walk of each loop body.
     """
-    kind = type(g)
-    if kind is GEnd:
-        return LEnd()
-    if kind is GVar:
-        return LVar(g.var)
-    if kind is GRec:
-        # The standard rule (Scalas & Yoshida, POPL 2019): a loop projects
-        # to `LEnd` for a role outside it only if the loop is closed, that
-        # is, if its body leaves it through no outer binder's variable.
-        try:
-            body = project(g.body, r)
-        except MergeFailure:
-            # The branch projections of a role outside a closed loop can
-            # strand the loop's back-edge variable in merges: it projects to
-            # `LEnd`, which keeps projection total on such roles.  Only a
-            # failure pays for the walks.
-            if r in participants(g.body) or not free_vars(g.body) <= {g.var}:
-                raise
-            return LEnd()
-        # A variable body is a role's jump back: to this loop, which it
-        # takes no part in (`LEnd`), or on to an outer one, which it might.
-        if type(body) is LVar:
-            return LEnd() if body.var == g.var else body
-        if g.var not in free_vars(body):
-            return body
-        return LRec(g.var, body)
-
-    # The local node `r` sees: `make(*head, branch projections)`, or None
-    # for a communication `r` takes no part in.  Roles are compared by name,
-    # which is what `Role.__eq__` compares, without its Python call per test.
-    me = r.name
-    if kind is GComm:
-        if me == g.sender.name:
-            make, head = LSelect, (g.receiver,)
-        elif me == g.receiver.name:
-            make, head = LBranch, (g.sender,)
-        else:
-            make = None
-    elif kind is GRouted:
-        if me == g.sender.name:
-            make, head = LRoutedSelect, (g.receiver, g.router)
-        elif me == g.receiver.name:
-            make, head = LRoutedBranch, (g.sender, g.router)
-        elif me == g.router.name:
-            make, head = LRouter, (g.sender, g.receiver)
-        else:
-            make = None
-    elif kind is GTransit:
-        if me == g.receiver.name:
-            make, head = LBranch, (g.sender,)
-        else:
-            make, head = _chosen, (g.chosen,)
-    elif kind is GRoutedTransit:
-        if me == g.receiver.name:
-            make, head = LRoutedBranch, (g.sender, g.router)
-        elif me == g.router.name:
-            make, head = LRouterTransit, (g.sender, g.receiver, g.chosen)
-        else:
-            make, head = _chosen, (g.chosen,)
-    else:
-        raise TypeError(kind.__name__)
-
-    branches = g.branches
-    if make is None:
-        # A communication `r` takes no part in: merge its branch projections.
-        if len(branches) == 1:
-            return project(branches[0][1], r)
-        return merge_all([project(cont, r) for _, cont in branches])
-    if len(branches) == 1:
-        lbl, cont = branches[0]
-        return make(*head, ((lbl, project(cont, r)),))
-    return make(*head, tuple([(lbl, project(cont, r)) for lbl, cont in branches]))
+    return _project(g, r)[0]
 
 
-def _chosen(label, conts):
-    """The projection of the message in flight, once every branch projects."""
-    return branch_for(conts, label)
+def _project(g: GlobalType, r: Role) -> tuple[LocalType, frozenset[str]]:
+    """`(project(g, r), its free variables)`.  A communication `r` takes no
+    part in, with one branch, is passed in a loop, not a call."""
+    while True:
+        kind = type(g)
+        if kind is GEnd:
+            return LEnd(), _NO_VARS
+        if kind is GVar:
+            return LVar(g.var), frozenset((g.var,))
+        if kind is GRec:
+            # The standard rule (Scalas & Yoshida, POPL 2019): a loop projects
+            # to `LEnd` for a role outside it only if the loop is closed, that
+            # is, if its body leaves it through no outer binder's variable.
+            try:
+                body, free = _project(g.body, r)
+            except MergeFailure:
+                # The branch projections of a role outside a closed loop can
+                # strand the loop's back-edge variable in merges: it projects
+                # to `LEnd`, which keeps projection total on such roles.  Only
+                # a failure pays for the walks.
+                if r in participants(g.body) or not free_vars(g.body) <= {g.var}:
+                    raise
+                return LEnd(), _NO_VARS
+            # A variable body is a role's jump back: to this loop, which it
+            # takes no part in (`LEnd`), or on to an outer one, which it might.
+            if type(body) is LVar:
+                return (LEnd(), _NO_VARS) if body.var == g.var else (body, free)
+            if g.var not in free:
+                return body, free
+            return LRec(g.var, body), free - {g.var}
+
+        # The local node `r` sees: `make(*head, branch projections)`, or None
+        # for a communication `r` takes no part in.  Roles are compared by
+        # name, which is what `Role.__eq__` compares, without its Python call
+        # per test.
+        me = r.name
+        if kind is GComm:
+            if me == g.sender.name:
+                make, head = LSelect, (g.receiver,)
+            elif me == g.receiver.name:
+                make, head = LBranch, (g.sender,)
+            else:
+                make = None
+        elif kind is GRouted:
+            if me == g.sender.name:
+                make, head = LRoutedSelect, (g.receiver, g.router)
+            elif me == g.receiver.name:
+                make, head = LRoutedBranch, (g.sender, g.router)
+            elif me == g.router.name:
+                make, head = LRouter, (g.sender, g.receiver)
+            else:
+                make = None
+        elif kind is GTransit:
+            if me == g.receiver.name:
+                make, head = LBranch, (g.sender,)
+            else:
+                make, head = _chosen, g.chosen
+        elif kind is GRoutedTransit:
+            if me == g.receiver.name:
+                make, head = LRoutedBranch, (g.sender, g.router)
+            elif me == g.router.name:
+                make, head = LRouterTransit, (g.sender, g.receiver, g.chosen)
+            else:
+                make, head = _chosen, g.chosen
+        else:
+            raise TypeError(kind.__name__)
+
+        branches = g.branches
+        if len(branches) == 1 and make is not _chosen:
+            if make is None:  # a communication `r` takes no part in
+                g = branches[0][1]
+                continue
+            lbl, cont = branches[0]
+            local, free = _project(cont, r)
+            return make(*head, ((lbl, local),)), free
+        parts = []  # a loop, not a comprehension: one stack frame per level
+        for lbl, cont in branches:
+            parts.append((lbl, _project(cont, r)))
+        if make is _chosen:  # the projection of the message in flight
+            return branch_for(parts, head)
+        free = _NO_VARS.union(*[cont_free for _, (_, cont_free) in parts])
+        if make is None:  # merge the branch projections
+            return merge_all([local for _, (local, _) in parts]), free
+        return make(*head, tuple([(lbl, local) for lbl, (local, _) in parts])), free
+
+
+# The projection of a message in flight is its chosen branch's.
+_chosen = object()

@@ -392,13 +392,14 @@ def validate_log(g: GlobalType, router: Role, log: SessionLog,
     records 0..i-1.  One `_explore` call closes the layer under the steps
     that log nothing: the sends the log still owes (a channel must hold
     fewer messages than the log delivers on it from i on) and, only in a log
-    with a cancel record, whose keys carry their phase, injections and sends
-    cut off in flight (they move the sender and fill no buffer).  The keys
-    that log record i, data by a receive and a cancel by a cancel label,
-    form the next layer.  Returns True, else a `Violation` at the first
-    record no key of its layer logs, or at the log's length if notices are
-    still owed.  Raises StateBudgetExceeded when one layer's closure exceeds
-    `state_cap` keys.  `tables` is as for `run_session`.
+    with a cancel record, whose keys carry their phase, sends cut off in
+    flight (they move the sender and fill no buffer) and the injection by
+    the first cancel record's sender, the one role whose injection can log
+    it.  The keys that log record i, data by a receive and a cancel by a
+    cancel label, form the next layer.  Returns True, else a `Violation` at
+    the first record no key of its layer logs, or at the log's length if
+    notices are still owed.  Raises StateBudgetExceeded when one layer's
+    closure exceeds `state_cap` keys.  `tables` is as for `run_session`.
     """
     tables = Tables() if tables is None else tables
     owed = Counter((rec.envelope.sender, rec.envelope.receiver)
@@ -407,6 +408,10 @@ def validate_log(g: GlobalType, router: Role, log: SessionLog,
     lts = CompiledConfigurations(project_configuration(session, tables=tables), tables)
     names: dict[ActionLabel, tuple] = {}  # each label's `_delivery_key`, made once
     cancelled, roles = owed.total() < len(log.records), sorted({*lts.roles, router})
+    # Only the sender of the first cancel record can have injected it: the
+    # client whose cancel the router logs, or the router for a notice.
+    initiator = next((rec.envelope.sender for rec in log.records
+                      if rec.envelope.kind == CANCEL), None)
 
     def visit(key, edges):
         for label, succ in edges.items():
@@ -421,8 +426,8 @@ def validate_log(g: GlobalType, router: Role, log: SessionLog,
 
     def visit_phased(key, edges):
         ids, contents, phase = key
-        cancels, barred = _cancellation(phase, roles, router, {
-            r for r, sid in zip(lts.roles, ids) if tables.edges(sid, r)})
+        cancels, barred = _cancellation(phase, roles, router, () if phase is not None else {
+            r for r, sid in zip(lts.roles, ids) if r == initiator and tables.edges(sid, r)})
         for subject, nxt in cancels.items():
             if phase is None:  # an injection logs nothing
                 yield subject, (ids, contents, nxt)

@@ -16,6 +16,9 @@ while the session is live, else the cancel records still owed.  While
 live, a role whose local type can still step may cancel, which logs
 nothing: it then owes its cancel to the router (none when it is the
 router), and the router owes a notice to every other role in role order.
+Only the sender of the log's first cancel record may cancel: the client
+whose cancel the router logs first, or the router, whose first notice it is.
+Any other role's cancellation would owe a different first record.
 While a client's cancel is owed the router takes no data step; while
 notices are owed, and once nothing is, no role does.  A cancel record must
 be the first owed record, and the log may not end while any is owed.
@@ -58,11 +61,11 @@ class ReferenceValidator:
             self._succs[conf] = [(label, succ.canonical()) for label, succ in config_steps(conf)]
         return self._succs[conf]
 
-    def cancel_steps(self, conf, phase):
+    def cancel_steps(self, conf, phase, initiator):
         """([(logged record or None, next phase)], roles barred from data
-        steps) of the key (conf, phase)."""
+        steps) of the key (conf, phase), where only `initiator` may cancel."""
         if phase is None:
-            live = [r for r, t in conf.locals if local_steps(t, r)]
+            live = [r for r, t in conf.locals if r == initiator and local_steps(t, r)]
             return [(None, self.suffixes[r]) for r in live if r in self.suffixes], ()
         if not phase:
             return [], self.roles
@@ -85,6 +88,7 @@ class ReferenceValidator:
         needed.reverse()
 
         cancelled = any(env.kind == CANCEL for env in envelopes)
+        initiator = next((env.sender for env in envelopes if env.kind == CANCEL), None)
         frontier = {(self.initial, None)}
         explored = 0
         for i, env in enumerate(envelopes):
@@ -107,7 +111,7 @@ class ReferenceValidator:
                     raise StateBudgetExceeded(state_cap, layer)
                 barred = ()
                 if cancelled:
-                    steps, barred = self.cancel_steps(conf, phase)
+                    steps, barred = self.cancel_steps(conf, phase, initiator)
                     for logged, after in steps:
                         if logged is None:
                             reach((conf, after))

@@ -4,7 +4,12 @@ from pathlib import Path
 import pytest
 
 from routedmpst.cli import main
+from routedmpst.core import Role
+from routedmpst.efsm import build_efsm
+from routedmpst.projection import project
+from routedmpst.scribble import elaborate, parse_module
 
+import efsm_oracle
 from corpus import CORPUS_ROUTERS, PROTOCOL_DIR
 
 TRAVEL = str(PROTOCOL_DIR / "TravelAgency.scr")
@@ -245,6 +250,20 @@ def test_efsm_dash_writes_to_stdout_dot_first(capsys, tmp_path, monkeypatch):
                        "--dot", "a.dot", "--ir", "-")
     assert code == 0 and out == (GOLDEN / "efsm_TravelAgency_A.json").read_text()
     assert (tmp_path / "a.dot").read_text() == (GOLDEN / "efsm_TravelAgency_A.dot").read_text()
+
+
+def test_efsm_ir_escapes_payload_sorts_as_json_does(capsys):
+    # Meter's payload sorts hold a backslash, a tab and a letter outside
+    # ASCII: strings that `efsm_ir` quotes with `json.dumps`, not as they
+    # are.  The golden file was written when every string went through
+    # `json.dumps`; the oracle still sends every one through it.
+    path = PROTOCOL_DIR / "Meter.scr"
+    golden = (GOLDEN / "efsm_Meter_S.json").read_text()
+    code, out, _ = run(capsys, "efsm", str(path), "Meter", "S", "--ir", "-")
+    assert code == 0 and out == golden
+    assert "\\u00e4" in golden and "\\\\" in golden and "\\t" in golden
+    g = elaborate(parse_module(path.read_text(encoding="utf-8"), str(path)), "Meter")
+    assert efsm_oracle.efsm_ir(build_efsm(project(g, Role("S")), Role("S"))) == golden
 
 
 def test_gen_writes_under_output_dir_only(capsys, tmp_path):

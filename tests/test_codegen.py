@@ -1,10 +1,13 @@
 import re
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from routedmpst import codegen
 from routedmpst.codegen import (
-    FLAVORS, UnsupportedFlavor, _default_templates, _fill, emit_skeleton, load_fragments,
+    FLAVORS, UnsupportedFlavor, _compile, _default_templates, emit_skeleton, load_fragments,
 )
 from routedmpst.efsm import build_efsm
 from routedmpst.core import LEnd, Role
@@ -107,7 +110,7 @@ def test_load_fragments_rejects_a_malformed_file(text, message):
 
 
 def _fill_reference(fragment, **values):
-    """The earlier `_fill`: one regex substitution with a callback."""
+    """The earlier fill: one regex substitution with a callback."""
     def sub(match):
         key = match.group(1)
         if key not in values:
@@ -125,25 +128,39 @@ BRACE_FRAGMENTS = (
     "{0} {role} {role!r} {role:>3}",  # format syntax is literal text here
     "{{Role}} {{ role }}",      # not placeholders: upper case, spaces
     "{{role}}-{{role}}-{{inits}}",    # a repeated placeholder
+    "100% {{role}} %s %(role)s %% %",  # `%` syntax is literal text too
     "",
 )
+VALUES = {"role": "A", "inits": 7, "unused": "x"}
 
 
 @pytest.mark.parametrize("fragment", BRACE_FRAGMENTS)
 def test_fill_keeps_literal_braces_and_repeats_placeholders(fragment):
-    values = {"role": "A", "inits": 7, "unused": "x"}
-    assert _fill(fragment, **values) == _fill_reference(fragment, **values)
+    assert _compile(fragment) % VALUES == _fill_reference(fragment, **VALUES)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pieces=st.lists(st.sampled_from(
+    ("%", "%%", "%(role)s", "%s", "{", "}", "{{", "}}", "{{{", "x", " ", "\n",
+     "{{role}}", "{{inits}}", "{{unused}}"))))
+def test_a_compiled_template_fills_as_the_regex_substitution_on_drawn_fragments(pieces):
+    fragment = "".join(pieces)
+    assert _compile(fragment) % VALUES == _fill_reference(fragment, **VALUES)
 
 
 def test_fill_matches_the_regex_substitution_on_the_shipped_fragments():
     values = dict.fromkeys(("role", "flavor", "state", "label", "payloads", "successor",
                             "peer", "args", "items", "inits", "methods"), "V")
     for flavor in FLAVORS:
-        for fragment in _default_templates(flavor).values():
-            assert _fill(fragment, **values) == _fill_reference(fragment, **values)
+        path = Path(codegen.__file__).with_name("templates") / f"{flavor}.tmpl"
+        fragments = load_fragments(path.read_text(encoding="utf-8"))
+        templates = _default_templates(flavor)
+        assert templates.keys() == fragments.keys()
+        for name, fragment in fragments.items():
+            assert templates[name] % values == _fill_reference(fragment, **values), name
 
 
 def test_fill_names_a_placeholder_without_a_value():
     with pytest.raises(KeyError) as raised:
-        _fill("{ {{role}} {{nope}} }", role="A")
-    assert raised.value.args == ("template placeholder {{nope}} has no value",)
+        _compile("{ {{role}} {{nope}} }") % {"role": "A"}
+    assert raised.value.args == ("nope",)

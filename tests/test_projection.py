@@ -207,6 +207,38 @@ def test_projecting_every_role_of_a_ring_walks_no_loop_body_for_participants():
     assert walk.call_count == 0
 
 
+def _binder_nest(n):
+    """`rec X0 . A->B m0 . rec X1 . A->B m1 ... A->B {b0: X0, ..., b<n-1>: X<n-1>}`:
+    n nested loops, each one used by the innermost choice."""
+    g = GComm(A, B, tuple((MsgLabel(f"b{i}"), GVar(f"X{i}")) for i in range(n)))
+    for i in reversed(range(n)):
+        g = GRec(f"X{i}", GComm(A, B, one(MsgLabel(f"m{i}"), g)))
+    return g
+
+
+def test_projection_finds_free_variables_in_linear_time_in_binder_nesting(monkeypatch):
+    # Counts every node visit of `core.free_vars`, whose recursion goes
+    # through the module's name.  A second walk of each loop body's
+    # projection would visit the nodes under binder i once per binder above
+    # it: quadratic in the nesting.
+    from routedmpst import core
+    visits = [0]
+    real = core.free_vars
+
+    def counted(t):
+        visits[0] += 1
+        return real(t)
+    monkeypatch.setattr(core, "free_vars", counted)
+    monkeypatch.setattr(projection, "free_vars", counted)
+    counts = {}
+    for n in (20, 40):
+        visits[0] = 0
+        for role in (A, B):
+            assert type(project(_binder_nest(n), role)) is LRec
+        counts[n] = visits[0]
+    assert counts[40] <= 4 * 40 and counts[40] <= 2 * counts[20] + 8, counts
+
+
 def test_a_loop_a_role_takes_no_part_in_projects_to_end_after_a_failed_merge():
     # C is outside the loop, where its branches project to `X` and `end`,
     # which do not merge: only then is the loop body walked for its roles.
